@@ -294,6 +294,16 @@ def svm_objective(model: SvmModel, docs: Sequence[LabeledDoc], lambda_: float) -
 # ---------------------------------------------------------------------------
 
 
+def _confusion(flagged, positive) -> EvalReport:
+    """Confusion counts from aligned boolean decisions and small-talk labels."""
+    flagged = np.asarray(flagged, dtype=bool)
+    positive = np.asarray(positive, dtype=bool)
+    tp = int(np.count_nonzero(flagged & positive))
+    fp = int(np.count_nonzero(flagged & ~positive))
+    fn = int(np.count_nonzero(positive)) - tp
+    return EvalReport(tp, fp, positive.size - tp - fp - fn, fn)
+
+
 def evaluate(model, docs: Sequence[LabeledDoc], theta: float | None = None) -> EvalReport:
     """TPR/FPR with small-talk as positive.
 
@@ -302,18 +312,12 @@ def evaluate(model, docs: Sequence[LabeledDoc], theta: float | None = None) -> E
     """
     if not docs:
         raise InvariantViolation("eval", "test set must be nonempty")
-    tp = fp = tn = fn = 0
-    for tokens, positive in docs:
-        if isinstance(model, SvmModel):
-            thr = model.theta if theta is None else theta
-            flagged = model.score(tokens) > thr
-        else:
-            flagged = predict_nb(model, tokens).positive
-        if positive:
-            tp, fn = (tp + 1, fn) if flagged else (tp, fn + 1)
-        else:
-            fp, tn = (fp + 1, tn) if flagged else (fp, tn + 1)
-    return EvalReport(tp, fp, tn, fn)
+    if isinstance(model, SvmModel):
+        thr = model.theta if theta is None else theta
+        flagged = [model.score(tokens) > thr for tokens, _ in docs]
+    else:
+        flagged = [predict_nb(model, tokens).positive for tokens, _ in docs]
+    return _confusion(flagged, [positive for _, positive in docs])
 
 
 def roc_sweep(
@@ -322,18 +326,9 @@ def roc_sweep(
     """Evaluate at each threshold; TPR and FPR are non-increasing in theta."""
     if list(thresholds) != sorted(thresholds):
         raise InvariantViolation("roc", "thresholds must be sorted ascending")
-    scores = [(model.score(tokens), positive) for tokens, positive in docs]
-    out = []
-    for theta in thresholds:
-        tp = fp = tn = fn = 0
-        for s, positive in scores:
-            flagged = s > theta
-            if positive:
-                tp, fn = (tp + 1, fn) if flagged else (tp, fn + 1)
-            else:
-                fp, tn = (fp + 1, tn) if flagged else (fp, tn + 1)
-        out.append((theta, EvalReport(tp, fp, tn, fn)))
-    return out
+    scores = np.array([model.score(tokens) for tokens, _ in docs])
+    positive = np.array([positive for _, positive in docs], dtype=bool)
+    return [(theta, _confusion(scores > theta, positive)) for theta in thresholds]
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,18 @@ never writes outside that directory.  Runs are deterministic given the
 manifest, so re-running a command reproduces byte-identical artifacts.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
-Errors are reported as a JSON object on stderr.  The environment variable
-FORUMLENS_THREADS caps per-course parallelism (default 1).
+Errors are reported as a JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -92,22 +91,6 @@ _DATA_ERRORS = (
     DegenerateGroup,
     SampleSizeError,
 )
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FORUMLENS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    workers = _max_workers()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value):
@@ -212,8 +195,6 @@ def _text_options(args) -> tuple[frozenset | None, bool]:
 def _cmd_gen(args) -> int:
     spec = _load_spec(args.spec)
     if args.seed is not None:
-        import dataclasses
-
         spec = dataclasses.replace(spec, seed=args.seed)
     if args.counts:
         counts = [int(c) for c in args.counts.split(",")]
@@ -376,20 +357,19 @@ def _cmd_compare(args) -> int:
     course = corpus.course(args.course)
     irrelevant_ids = {t.thread_id for t in course.threads if t.label == ThreadLabel.SMALL_TALK}
     days = sample_query_days(args.low, args.high, args.extra_days, seed=args.seed or 0)
-
-    def run_day(day):
+    rows = []
+    for day in days:
         window = RankWindow(day, args.query)
-        out = []
         try:
             ours = _rank_one(corpus, args.course, "topical", window, args.alpha,
                              args.keyword_k, stopwords, include_staff)
         except EmptyCorpus:
-            return out
+            continue
         for baseline_name in ("tfidf", "hits"):
             baseline = _rank_one(corpus, args.course, baseline_name, window, args.alpha,
                                  args.keyword_k, stopwords, include_staff)
             d1, d2 = topk_diff(ours, baseline, args.k)
-            out.append(
+            rows.append(
                 (
                     day,
                     baseline_name,
@@ -398,9 +378,6 @@ def _cmd_compare(args) -> int:
                     sum(1 for tid in d2 if tid in irrelevant_ids),
                 )
             )
-        return out
-
-    rows = [row for chunk in _pmap(run_day, days) for row in chunk]
     _write_csv(
         os.path.join(args.out, "compare.csv"),
         ["warmup_day", "baseline", "diff_size", "ours_irrelevant", "baseline_irrelevant"],
@@ -463,29 +440,19 @@ def _cmd_stats_shapiro(args) -> int:
     corpus = _load_corpus(args)
     _prepare_out(args, [args.threads, getattr(args, "meta", None)])
     series = build_series(corpus)
-
-    def run_course(course_id):
+    rows = []
+    qq = {}
+    for course_id in sorted(series):
         diffs = trim_and_diff(series[course_id], args.trim)
         if diffs.size < 3 or np.ptp(diffs) == 0:
-            return (course_id, diffs.size, "", ""), None
-        res = shapiro_wilk(diffs)
-        return (course_id, diffs.size, res.statistic, res.pvalue), (course_id, qq_points(diffs))
-
-    results = _pmap(run_course, sorted(series))
-    _write_csv(
-        os.path.join(args.out, "shapiro.csv"),
-        ["course_id", "n", "W", "p"],
-        [row for row, _ in results],
-    )
-    for _, qq in results:
-        if qq is None:
+            rows.append((course_id, diffs.size, "", ""))
             continue
-        course_id, points = qq
-        _write_csv(
-            os.path.join(args.out, f"qq_{course_id}.csv"),
-            ["theoretical", "sample"],
-            [(p[0], p[1]) for p in points],
-        )
+        res = shapiro_wilk(diffs)
+        rows.append((course_id, diffs.size, res.statistic, res.pvalue))
+        qq[course_id] = qq_points(diffs)
+    _write_csv(os.path.join(args.out, "shapiro.csv"), ["course_id", "n", "W", "p"], rows)
+    for course_id, points in qq.items():
+        _write_csv(os.path.join(args.out, f"qq_{course_id}.csv"), ["theoretical", "sample"], points)
     return 0
 
 
@@ -517,22 +484,7 @@ def _cmd_stats_ttest(args) -> int:
             "var1",
             "var2",
         ],
-        [
-            (
-                result.t_statistic,
-                result.t_pvalue,
-                result.t_pvalue_two_sided,
-                result.df,
-                result.u_statistic,
-                result.u_pvalue,
-                result.u_pvalue_two_sided,
-                result.u_method,
-                result.n1,
-                result.n2,
-                result.var1,
-                result.var2,
-            )
-        ],
+        [dataclasses.astuple(result)],
     )
     return 0
 
@@ -732,10 +684,20 @@ def _collect_dests(parser) -> set[str]:
     return dests
 
 
-def _apply_config(parser, argv):
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
+def _config_path(argv) -> str | None:
+    """The ``--config`` value, read the way the top-level parser reads it."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    # declared so that a --seed value is not taken for the subcommand
+    pre.add_argument("--seed")
+    pre.add_argument("command", nargs=argparse.REMAINDER)
+    try:
+        return pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _apply_config(parser, path):
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -759,7 +721,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
+        path = _config_path(argv)
+        if path is not None:
+            _apply_config(parser, path)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

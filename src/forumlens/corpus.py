@@ -258,13 +258,6 @@ class UnigramModel:
         return cls(vocab, mass, total if total_tokens is None else total_tokens)
 
     @classmethod
-    def from_tokens(cls, docs: Iterable[Sequence[str]]):
-        counts: Counter = Counter()
-        for doc in docs:
-            counts.update(doc)
-        return cls.from_counts(counts)
-
-    @classmethod
     def from_probs(cls, probs: dict[str, float], total_tokens: int = 0):
         items = sorted(probs.items())
         vocab = tuple(w for w, _ in items)
@@ -300,7 +293,10 @@ class UnigramModel:
 
 def unigram_model(docs: Iterable[Sequence[str]]) -> UnigramModel:
     """Empirical unigram distribution with mass(w) = count(w) / total tokens."""
-    return UnigramModel.from_tokens(docs)
+    counts: Counter = Counter()
+    for doc in docs:
+        counts.update(doc)
+    return UnigramModel.from_counts(counts)
 
 
 # ---------------------------------------------------------------------------

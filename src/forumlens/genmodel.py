@@ -24,13 +24,12 @@ from .corpus import (
     Course,
     CourseCategory,
     Post,
+    SECONDS_PER_DAY,
     Thread,
     ThreadLabel,
     UnigramModel,
 )
 from .errors import InvariantViolation
-
-SECONDS_PER_DAY = 86400
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +418,3 @@ def separating_plane(spec: GenerativeSpec) -> tuple[dict[str, float], float]:
     bg_mass = sum(spec.background.prob(w) for w in support)
     tau = spec.s * (0.5 * spec.epsilon + (1.0 - spec.epsilon) * bg_mass)
     return weights, tau
-
-
-def plane_score(weights: dict[str, float], tokens: Sequence[str]) -> float:
-    return float(sum(weights.get(tok, 0.0) for tok in tokens))

@@ -17,7 +17,7 @@ immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 from typing import Sequence
@@ -339,20 +339,7 @@ def fit_panel_ols(
     staff_scale: float = 100.0,
 ) -> OlsFit:
     X, y, terms, dropped = assemble_panel(series_map, factors_map, target, staff_scale)
-    fit = ols(X, y, terms)
-    return OlsFit(
-        terms=fit.terms,
-        coefficients=fit.coefficients,
-        standard_errors=fit.standard_errors,
-        t_stats=fit.t_stats,
-        p_values=fit.p_values,
-        r_squared=fit.r_squared,
-        adj_r_squared=fit.adj_r_squared,
-        n_obs=fit.n_obs,
-        df_resid=fit.df_resid,
-        residuals=fit.residuals,
-        dropped_rows=dropped,
-    )
+    return replace(ols(X, y, terms), dropped_rows=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -463,26 +450,14 @@ def shapiro_wilk(sample) -> ShapiroResult:
     return ShapiroResult(w, min(max(p, 0.0), 1.0))
 
 
-def qq_points(sample) -> np.ndarray:
+def qq_points(sample, trim_frac: float = 0.0) -> np.ndarray:
     """(theoretical normal quantile, sorted sample value) pairs.
 
-    Theoretical quantiles are ndtri((i - 0.5) / n) for i = 1..n.
-    """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
-    if n < 2:
-        raise SampleSizeError("Q-Q plot needs n >= 2")
-    theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    return np.column_stack([theo, x])
-
-
-def qq_points_trimmed(sample, trim_frac: float = 0.03) -> np.ndarray:
-    """Q-Q pairs for a sample whose tails are trimmed in the plot.
-
-    The ceil(trim_frac * n) smallest and largest order statistics are dropped
-    but the survivors keep their original quantile levels (i - 0.5)/n, so the
-    plot stays linear for normal data instead of curving at the truncation
-    points.
+    Theoretical quantiles are ndtri((i - 0.5) / n) for i = 1..n.  With
+    ``trim_frac`` > 0 the ceil(trim_frac * n) smallest and largest order
+    statistics are dropped but the survivors keep their original quantile
+    levels, so the plot stays linear for normal data instead of curving at
+    the truncation points.
     """
     if not 0.0 <= trim_frac < 0.5:
         raise InvariantViolation("trim", "trim fraction must be in [0, 0.5)")
@@ -559,16 +534,10 @@ class TwoSampleResult:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 def two_sample_tests(group1, group2, exact_threshold: int = 10) -> TwoSampleResult:

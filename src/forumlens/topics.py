@@ -48,12 +48,6 @@ class KeywordRanking:
     def words(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.entries)
 
-    def gamma(self, word: str) -> float:
-        for w, g in self.entries:
-            if w == word:
-                return g
-        raise KeyError(word)
-
 
 def surprise_weights(
     combined: UnigramModel, course: UnigramModel, background_tokens: int

@@ -27,7 +27,7 @@ from forumlens.stats import (
     PanelTarget,
     assemble_panel,
     ols,
-    qq_points_trimmed,
+    qq_points,
     shapiro_wilk,
     smalltalk_moving_average,
     thread_neighborhood,
@@ -296,7 +296,7 @@ class TestCriterion6GaussianIncrementCheck:
             raw = np.diff(y)
             pooled.extend((raw - raw.mean()) / raw.std(ddof=1))
         rate = passes / n_courses
-        pts = qq_points_trimmed(np.asarray(pooled), 0.03)
+        pts = qq_points(np.asarray(pooled), 0.03)
         r = np.corrcoef(pts[:, 0], pts[:, 1])[0, 1]
         r2 = r * r
         ok = rate >= 0.95 and r2 >= 0.99

@@ -205,6 +205,17 @@ class TestEvaluate:
         assert tprs == sorted(tprs, reverse=True)
         assert fprs == sorted(fprs, reverse=True)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.booleans()), min_size=1, max_size=30),
+        st.sampled_from([-1.0, 0.0, 0.5]),
+    )
+    def test_evaluate_matches_roc_at_model_theta(self, scored, theta):
+        model = SvmModel({f"w{i}": s for i, (s, _) in enumerate(scored)}, theta=theta)
+        docs = [((f"w{i}",), pos) for i, (_, pos) in enumerate(scored)]
+        [(_, swept)] = roc_sweep(model, docs, [theta])
+        assert evaluate(model, docs) == swept
+
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(InvariantViolation):
             roc_sweep(SvmModel({}), [(("aa",), True)], [1.0, 0.0])

@@ -298,6 +298,22 @@ class TestConfigAndErrors:
         assert rc == 0
         assert len(_read_csv(out2 / "keywords.csv")) == 12
 
+    def test_config_equals_form(self, tmp_path, gen_corpus):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 7}))
+        out = tmp_path / "kw"
+        rc = main([f"--config={cfg}", "topics", "extract", "--threads", str(gen_corpus),
+                   "--course", "course00", "--out", str(out)])
+        assert rc == 0
+        assert len(_read_csv(out / "keywords.csv")) == 7
+
+    def test_config_missing_value(self, capsys):
+        rc = main(["--config"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "--config" in err["error"]["message"]
+
     def test_unknown_config_key(self, tmp_path, gen_corpus, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense_key": 1}))
@@ -307,8 +323,7 @@ class TestConfigAndErrors:
         err = json.loads(capsys.readouterr().err)
         assert "nonsense_key" in err["error"]["message"]
 
-    def test_thread_cap_env_var(self, tmp_path, gen_corpus, monkeypatch):
-        monkeypatch.setenv("FORUMLENS_THREADS", "2")
+    def test_compare_one_day_window(self, tmp_path, gen_corpus):
         out = tmp_path / "cmp"
         rc = main(["--seed", "4", "compare", "--threads", str(gen_corpus), "--course", "course00",
                    "--low", "1", "--high", "2", "--extra-days", "1", "--query", "1",

@@ -19,6 +19,7 @@ from forumlens.errors import (
 from forumlens.stats import (
     ActivitySeries,
     PanelTarget,
+    _midranks,
     assemble_panel,
     build_series,
     fit_course_trend,
@@ -27,7 +28,6 @@ from forumlens.stats import (
     ols,
     partition_by_threshold,
     qq_points,
-    qq_points_trimmed,
     shapiro_wilk,
     smalltalk_moving_average,
     thread_neighborhood,
@@ -215,7 +215,7 @@ class TestQqPoints:
         assert gap.max() <= 0.05
 
     def test_trimmed_levels_keep_positions(self):
-        pts = qq_points_trimmed(np.arange(100, dtype=float), 0.03)
+        pts = qq_points(np.arange(100, dtype=float), 0.03)
         assert pts.shape[0] == 94
         # first surviving order statistic keeps level (4 - 0.5)/100
         assert pts[0, 0] == pytest.approx(ndtri(3.5 / 100))
@@ -435,6 +435,16 @@ class TestTwoSampleTests:
     def test_degenerate_group(self):
         with pytest.raises(DegenerateGroup):
             two_sample_tests([1.0], [1, 2, 3])
+
+
+class TestMidranks:
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    def test_matches_definition_on_ties(self, values):
+        # rank of v = #(smaller values) + (#(equal values) + 1) / 2
+        x = np.asarray(values, dtype=float)
+        expected = [float(np.sum(x < v)) + (np.sum(x == v) + 1) / 2 for v in x]
+        assert _midranks(x).tolist() == expected
 
 
 class TestAttention:
