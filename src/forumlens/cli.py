@@ -79,7 +79,7 @@ from .stats import (
     trim_and_diff,
     two_sample_tests,
 )
-from .topics import convergence_series, extract_keywords
+from .topics import KeywordFit, TokenTable, convergence_series, extract_keywords
 
 _DATA_ERRORS = (
     ParseError,
@@ -115,24 +115,24 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, out_dir, input_paths):
+def _prepare_out(args, input_paths):
+    """Create ``--out`` and hash the inputs; main writes the manifest once the command succeeds."""
+    os.makedirs(args.out, exist_ok=True)
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in sorted(vars(args).items())
         if k != "config" and isinstance(v, (str, int, float, bool, list, tuple, type(None)))
     }
-    manifest = {
+    args.manifest = {
         "tool": f"forumlens {__version__}",
         "config": config,
         "inputs": {str(p): _sha256(p) for p in input_paths if p},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
-def _prepare_out(args, input_paths):
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args, args.out, input_paths)
+def _write_manifest(args):
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(args.manifest, fh, sort_keys=True, indent=2)
 
 
 def _load_corpus(args) -> Corpus:
@@ -312,36 +312,54 @@ def _cmd_topics_converge(args) -> int:
     return 0
 
 
-def _rank_one(corpus, course_id, algo, window, alpha, keyword_k, stopwords, include_staff):
-    course = corpus.course(course_id)
-    window_threads, query_threads = split_window(course.threads, course.start_date, window)
-    if not query_threads:
-        raise EmptyCorpus(f"no query threads in days {window.warmup_days + 1}..{window.window_days}")
-    if algo == "topical":
-        keywords = extract_keywords(
-            corpus, course_id, None, k=keyword_k, warmup_days=window.warmup_days,
-            stopwords=stopwords, include_staff=include_staff,
-        )
-        return topical_rank(keywords, query_threads, alpha=alpha, k=keyword_k, stopwords=stopwords)
-    if algo == "tfidf":
-        return tfidf_rank(window_threads, query_threads, stopwords=stopwords)
-    if algo == "hits":
-        ranked = hits_rank(window_threads)
-        query_ids = {t.thread_id for t in query_threads}
-        entries = tuple(e for e in ranked.entries if e[0] in query_ids)
-        return RankedList(entries, ranked.converged)
-    raise ConfigError(f"unknown ranking algorithm {algo!r}")
+class _CourseRanker:
+    """Ranks one course's query threads for the windows of one command.
+
+    Every ranking reads its tokens from the same tables, and the keyword fit
+    (background counts and accumulated course counts) is built on first use
+    and shared by every warm-up length.  ``--exclude-staff`` drops staff
+    posts from the keyword fit only: topical and tf-idf scores read staff text.
+    """
+
+    def __init__(self, corpus, course_id, stopwords, include_staff, alpha, keyword_k):
+        self.corpus = corpus
+        self.course = corpus.course(course_id)
+        self.alpha = alpha
+        self.keyword_k = keyword_k
+        self.fit_tokens = TokenTable(stopwords, include_staff)
+        self.score_tokens = self.fit_tokens if include_staff else TokenTable(stopwords)
+        self._fit = None
+
+    def rank(self, algo, window) -> RankedList:
+        course = self.course
+        window_threads, query_threads = split_window(course.threads, course.start_date, window)
+        if not query_threads:
+            raise EmptyCorpus(
+                f"no query threads in days {window.warmup_days + 1}..{window.window_days}"
+            )
+        if algo == "topical":
+            if self._fit is None:
+                self._fit = KeywordFit(self.fit_tokens, self.corpus, course.course_id)
+            keywords = self._fit.keywords(window.warmup_days, self.keyword_k)
+            return topical_rank(
+                keywords, query_threads, alpha=self.alpha, k=self.keyword_k, tokens=self.score_tokens
+            )
+        if algo == "tfidf":
+            return tfidf_rank(window_threads, query_threads, tokens=self.score_tokens)
+        if algo == "hits":
+            ranked = hits_rank(window_threads)
+            query_ids = {t.thread_id for t in query_threads}
+            entries = tuple(e for e in ranked.entries if e[0] in query_ids)
+            return RankedList(entries, ranked.converged)
+        raise ConfigError(f"unknown ranking algorithm {algo!r}")
 
 
 def _cmd_rank(args) -> int:
     corpus = _load_corpus(args)
     stopwords, include_staff = _text_options(args)
     _prepare_out(args, [args.threads])
-    window = RankWindow(args.warmup, args.query)
-    ranked = _rank_one(
-        corpus, args.course, args.algo, window, args.alpha, args.keyword_k,
-        stopwords, include_staff,
-    )
+    ranker = _CourseRanker(corpus, args.course, stopwords, include_staff, args.alpha, args.keyword_k)
+    ranked = ranker.rank(args.algo, RankWindow(args.warmup, args.query))
     _write_csv(
         os.path.join(args.out, "ranked.csv"),
         ["rank", "thread_id", "score"],
@@ -354,20 +372,18 @@ def _cmd_compare(args) -> int:
     corpus = _load_corpus(args)
     stopwords, include_staff = _text_options(args)
     _prepare_out(args, [args.threads])
-    course = corpus.course(args.course)
-    irrelevant_ids = {t.thread_id for t in course.threads if t.label == ThreadLabel.SMALL_TALK}
+    ranker = _CourseRanker(corpus, args.course, stopwords, include_staff, args.alpha, args.keyword_k)
+    irrelevant_ids = {t.thread_id for t in ranker.course.threads if t.label == ThreadLabel.SMALL_TALK}
     days = sample_query_days(args.low, args.high, args.extra_days, seed=args.seed or 0)
     rows = []
     for day in days:
         window = RankWindow(day, args.query)
         try:
-            ours = _rank_one(corpus, args.course, "topical", window, args.alpha,
-                             args.keyword_k, stopwords, include_staff)
+            ours = ranker.rank("topical", window)
         except EmptyCorpus:
             continue
         for baseline_name in ("tfidf", "hits"):
-            baseline = _rank_one(corpus, args.course, baseline_name, window, args.alpha,
-                                 args.keyword_k, stopwords, include_staff)
+            baseline = ranker.rank(baseline_name, window)
             d1, d2 = topk_diff(ours, baseline, args.k)
             rows.append(
                 (
@@ -538,9 +554,14 @@ def _add_corpus_args(p, meta=True):
     p.add_argument("--out", required=True, help="output directory")
 
 
-def _add_text_args(p):
+def _add_text_args(p, staff_help="drop staff posts from text"):
     p.add_argument("--stopwords", default=None, help="stopword file (default: shipped list)")
-    p.add_argument("--exclude-staff", action="store_true", help="drop staff posts from text")
+    p.add_argument("--exclude-staff", action="store_true", help=staff_help)
+
+
+_RANK_STAFF_HELP = (
+    "drop staff posts when fitting keywords; topical and tf-idf scores still use staff text"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank query-period threads")
     _add_corpus_args(p, meta=False)
-    _add_text_args(p)
+    _add_text_args(p, _RANK_STAFF_HELP)
     p.add_argument("--course", required=True)
     p.add_argument("--algo", choices=["topical", "tfidf", "hits"], default="topical")
     p.add_argument("--warmup", type=int, default=12)
@@ -620,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="top-k differences against the baselines")
     _add_corpus_args(p, meta=False)
-    _add_text_args(p)
+    _add_text_args(p, _RANK_STAFF_HELP)
     p.add_argument("--course", required=True)
     p.add_argument("--k", type=int, default=15)
     p.add_argument("--alpha", type=float, default=0.96)
@@ -728,7 +749,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        return args.func(args)
+        rc = args.func(args)
+        if rc == 0:
+            _write_manifest(args)
+        return rc
     except ConfigError as exc:
         _emit_error(exc)
         return 2

@@ -1,8 +1,7 @@
 """Data model, ingestion, tokenization and empirical unigram distributions.
 
 Every value defined here is immutable after construction and every operation
-is a pure function, so corpora and models can be shared freely across worker
-threads.
+is a pure function.
 
 Day indexing convention: timestamps are integer UTC seconds and the day index
 of a timestamp ``ts`` within a course is ``floor((ts - start_date) / 86400) + 1``,

@@ -1,23 +1,23 @@
 """Thread relevance ranking: keyword ranker plus tf-idf and HITS baselines.
 
-A thread's text is the concatenation of all its posts at query time.  All
-rankers are pure functions; the comparison harness can therefore run courses
-in parallel with independent state.
+A thread's text is the concatenation of all its posts at query time.  The
+text rankers read tokens from a TokenTable; a caller that ranks the same
+threads more than once passes one table so that each thread is tokenized once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Thread, thread_tokens
+# not called here (TokenTable tokenizes), but bench/tracing.py rebinds ranking.thread_tokens
+from .corpus import Thread, thread_tokens  # noqa: F401
 from .errors import InvariantViolation
-from .topics import KeywordRanking, top_k
+from .topics import KeywordRanking, TokenTable, top_k
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,23 @@ def topical_rank(
     alpha: float = 0.96,
     k: int = 50,
     stopwords: frozenset[str] | None = None,
+    tokens: TokenTable | None = None,
 ) -> RankedList:
-    """Score each thread as the sum of its tokens' keyword weights (with repetition)."""
-    weights = keyword_weights(keywords, alpha, k)
-    scores = {
-        t.thread_id: float(sum(weights.get(tok, 0.0) for tok in thread_tokens(t, stopwords)))
-        for t in query_threads
-    }
+    """Score each thread as the sum of its tokens' keyword weights (with repetition).
+
+    Tokens come from ``tokens`` when given (its stopwords apply), else from a
+    fresh table over ``stopwords`` with staff text included.
+    """
+    if tokens is None:
+        tokens = TokenTable(stopwords)
+    rows = [tokens.ids(t) for t in query_threads]
+    weights = np.zeros(len(tokens))
+    for w, weight in keyword_weights(keywords, alpha, k).items():
+        i = tokens.index.get(w)
+        if i is not None:
+            weights[i] = weight
+    # Python's sequential sum in token order, not np.sum's pairwise one, fixes each score's last bit
+    scores = {t.thread_id: float(sum(weights[ids].tolist())) for t, ids in zip(query_threads, rows)}
     return _ranked(query_threads, scores)
 
 
@@ -100,27 +110,35 @@ def tfidf_rank(
     window_threads: Sequence[Thread],
     query_threads: Sequence[Thread],
     stopwords: frozenset[str] | None = None,
+    tokens: TokenTable | None = None,
 ) -> RankedList:
     """Treat each thread as a document; score = sum over tokens of tf * idf.
 
     idf(t) = log(|D| / df(t)) with natural log, document frequencies taken
-    over every thread in the window of interest.
+    over every thread in the window of interest.  ``tokens`` is read as in
+    topical_rank.
     """
     if not window_threads:
         raise InvariantViolation("tfidf", "window must be nonempty")
-    doc_tokens = {t.thread_id: thread_tokens(t, stopwords) for t in window_threads}
+    if tokens is None:
+        tokens = TokenTable(stopwords)
+    doc_ids = {t.thread_id: tokens.ids(t) for t in window_threads}
     for t in query_threads:
-        if t.thread_id not in doc_tokens:
-            doc_tokens[t.thread_id] = thread_tokens(t, stopwords)
-    df: Counter = Counter()
-    for tokens in doc_tokens.values():
-        df.update(set(tokens))
-    n_docs = len(doc_tokens)
-    idf = {w: math.log(n_docs / c) for w, c in df.items()}
+        if t.thread_id not in doc_ids:
+            doc_ids[t.thread_id] = tokens.ids(t)
+    n_docs = len(doc_ids)
+    df = np.bincount(
+        np.concatenate([np.unique(ids) for ids in doc_ids.values()]), minlength=len(tokens)
+    )
+    idf = np.zeros(df.size)
+    seen = np.flatnonzero(df)
+    idf[seen] = [math.log(n_docs / c) for c in df[seen].tolist()]
     scores = {}
     for t in query_threads:
-        counts = Counter(doc_tokens[t.thread_id])
-        scores[t.thread_id] = float(sum(c * idf[w] for w, c in counts.items()))
+        words, first, counts = np.unique(doc_ids[t.thread_id], return_index=True, return_counts=True)
+        order = np.argsort(first)
+        # summed sequentially over words in order of first occurrence
+        scores[t.thread_id] = float(sum((counts[order] * idf[words[order]]).tolist()))
     return _ranked(query_threads, scores)
 
 

@@ -10,7 +10,9 @@ the background token count.  Words whose course frequency stands far above
 their global frequency score high; globally common words are discounted by
 the square-root denominator.
 
-All functions are pure; per-course extraction can run in parallel.
+A command tokenizes each thread once, into a TokenTable that its topics and
+ranking steps share; KeywordFit counts the background once and accumulates
+the course counts day by day.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, UnigramModel, day_index, thread_tokens
+from .corpus import Corpus, Thread, UnigramModel, day_index, thread_tokens
 from .errors import DomainMismatch, EmptyCorpus, InvariantViolation
 from .genmodel import GenerativeSpec, token_distribution
 
@@ -49,6 +51,20 @@ class KeywordRanking:
         return tuple(w for w, _ in self.entries)
 
 
+def _ranked_keywords(
+    words: np.ndarray,
+    word_rank: np.ndarray,
+    p_course: np.ndarray,
+    p_combined: np.ndarray,
+    sqrt_n: float,
+    k: int | None = None,
+) -> KeywordRanking:
+    """Rank ``words`` (an object array) by gamma; ``word_rank`` orders them lexicographically."""
+    gamma = p_course * sqrt_n / np.sqrt(p_combined)
+    order = np.lexsort((word_rank, -gamma))
+    return KeywordRanking(tuple(zip(words[order].tolist(), gamma[order].tolist())), k)
+
+
 def surprise_weights(
     combined: UnigramModel, course: UnigramModel, background_tokens: int
 ) -> KeywordRanking:
@@ -59,21 +75,20 @@ def surprise_weights(
     """
     if background_tokens <= 0:
         raise EmptyCorpus("background token count must be positive")
-    sqrt_n = math.sqrt(background_tokens)
-    entries = []
-    for w in course.vocab:
-        pd = combined.prob(w)
-        if pd <= 0.0:
-            raise DomainMismatch(f"course word {w!r} missing from combined model")
-        entries.append((w, course.prob(w) * sqrt_n / math.sqrt(pd)))
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    return KeywordRanking(tuple(entries))
+    p_combined = np.array([combined.prob(w) for w in course.vocab])
+    missing = np.flatnonzero(p_combined <= 0.0)
+    if missing.size:
+        raise DomainMismatch(f"course word {course.vocab[missing[0]]!r} missing from combined model")
+    words = np.array(course.vocab, dtype=object)
+    return _ranked_keywords(
+        words, np.arange(words.size), course.mass, p_combined, math.sqrt(background_tokens)
+    )
 
 
 def top_k(ranking: KeywordRanking, k: int) -> list[str]:
     if k < 0:
         raise ValueError("k must be >= 0")
-    return list(ranking.words[:k])
+    return [w for w, _ in ranking.entries[:k]]
 
 
 def topk_set_difference(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> int:
@@ -104,11 +119,13 @@ def topk_kendall_tau(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> fl
     intersection of the two top-k sets (churn itself is reported separately by
     topk_set_difference).  Fewer than two common words gives 0.
     """
-    common = set(top_k(day_a, k)) & set(top_k(day_b, k))
+    top_a = top_k(day_a, k)
+    top_b = top_k(day_b, k)
+    common = set(top_a) & set(top_b)
     if len(common) < 2:
         return 0.0
-    order_a = [w for w in day_a.words if w in common]
-    order_b = [w for w in day_b.words if w in common]
+    order_a = [w for w in top_a if w in common]
+    order_b = [w for w in top_b if w in common]
     return normalized_kendall_tau(order_a, order_b)
 
 
@@ -117,34 +134,151 @@ def topk_kendall_tau(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _course_day_tokens(
-    corpus: Corpus,
-    course_id: str,
-    stopwords: frozenset[str] | None,
-    include_staff: bool,
-) -> dict[int, list[str]]:
-    course = corpus.course(course_id)
-    by_day: dict[int, list[str]] = {}
-    for t in course.threads:
-        day = day_index(t.created_at, course.start_date)
-        by_day.setdefault(day, []).extend(thread_tokens(t, stopwords, include_staff))
-    return by_day
+class TokenTable:
+    """Each thread's tokens, tokenized on first access and kept while the table lives.
+
+    Tokens are stored in their original order as int32 ids into the table's
+    vocabulary, which grows in order of first appearance.  Threads are keyed
+    by identity, and the table holds a reference to each one it has seen.
+    A table belongs to one command: build it there and let it go with it.
+    """
+
+    def __init__(self, stopwords: frozenset[str] | None = None, include_staff: bool = True):
+        self.stopwords = stopwords
+        self.include_staff = include_staff
+        self.index: dict[str, int] = {}
+        self._rows: dict[int, tuple[Thread, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def ids(self, thread: Thread) -> np.ndarray:
+        row = self._rows.get(id(thread))
+        if row is None:
+            index = self.index
+            tokens = thread_tokens(thread, self.stopwords, self.include_staff)
+            try:
+                ids = list(map(index.__getitem__, tokens))
+            except KeyError:  # new words take the next ids, in order of appearance
+                for w in tokens:
+                    index.setdefault(w, len(index))
+                ids = list(map(index.__getitem__, tokens))
+            row = self._rows[id(thread)] = (thread, np.array(ids, dtype=np.int32))
+        return row[1]
 
 
-def _background_counts(
-    corpus: Corpus,
-    course_id: str,
-    background_ids: Sequence[str] | None,
-    stopwords: frozenset[str] | None,
-    include_staff: bool,
-) -> Counter:
-    if background_ids is None:
-        background_ids = [c.course_id for c in corpus.courses if c.course_id != course_id]
-    counts: Counter = Counter()
-    for cid in background_ids:
-        for t in corpus.course(cid).threads:
-            counts.update(thread_tokens(t, stopwords, include_staff))
-    return counts
+def _bincount(rows: list[np.ndarray], size: int) -> np.ndarray:
+    if not rows:
+        return np.zeros(size, dtype=np.int64)
+    return np.bincount(np.concatenate(rows), minlength=size)
+
+
+@dataclass(frozen=True)
+class ConvergencePoint:
+    day: int
+    new_words: int
+    kendall_tau: float
+    cumulative_tokens: int
+
+
+class KeywordFit:
+    """Surprise-weight rankings of one course against a fixed background.
+
+    Building the fit tokenizes the background and the whole course through
+    ``tokens`` and counts the background once.  The course counts up to a
+    day are a prefix of the course's day-sorted threads, so asking for
+    non-decreasing days (as the convergence series and the warm-up days of a
+    comparison do) adds each thread's counts once.
+    """
+
+    def __init__(
+        self,
+        tokens: TokenTable,
+        corpus: Corpus,
+        course_id: str,
+        background_ids: Sequence[str] | None = None,
+    ):
+        if background_ids is None:
+            background_ids = [c.course_id for c in corpus.courses if c.course_id != course_id]
+        background = [tokens.ids(t) for cid in background_ids for t in corpus.course(cid).threads]
+        course = corpus.course(course_id)
+        days = [day_index(t.created_at, course.start_date) for t in course.threads]
+        order = sorted(range(len(days)), key=days.__getitem__)
+        self.course_id = course_id
+        self._days = np.array([days[i] for i in order], dtype=np.int64)
+        self._rows = [tokens.ids(course.threads[i]) for i in order]
+        self._size = size = len(tokens)
+        self.background = _bincount(background, size)
+        self.background_tokens = int(self.background.sum())
+        words = list(tokens.index)
+        self._words = np.array(words, dtype=object)
+        self._word_rank = np.empty(size, dtype=np.int64)
+        self._word_rank[sorted(range(size), key=words.__getitem__)] = np.arange(size)
+        self._start = self._end = 0
+        self._counts = np.zeros(size, dtype=np.int64)
+
+    def _course_counts(self, first_day: int | None, last_day: int) -> np.ndarray:
+        """Course token counts of the days in [first_day, last_day] (no lower bound if None)."""
+        start = 0 if first_day is None else int(np.searchsorted(self._days, first_day, "left"))
+        end = int(np.searchsorted(self._days, last_day, "right"))
+        if start != self._start or end < self._end:
+            self._start = self._end = start
+            self._counts = np.zeros(self._size, dtype=np.int64)
+        if end > self._end:
+            self._counts = self._counts + _bincount(self._rows[self._end : end], self._size)
+            self._end = end
+        return self._counts
+
+    def _ranking(self, counts: np.ndarray, k: int | None = None) -> KeywordRanking:
+        support = np.flatnonzero(counts)
+        c = counts[support]
+        total_c = int(c.sum())
+        total_comb = self.background_tokens + total_c
+        return _ranked_keywords(
+            self._words[support],
+            self._word_rank[support],
+            c / total_c,
+            (self.background[support] + c) / total_comb,
+            math.sqrt(self.background_tokens),
+            k,
+        )
+
+    def keywords(self, warmup_days: int, k: int = 50) -> KeywordRanking:
+        """Ranking fitted on the course's threads of days <= ``warmup_days``."""
+        counts = self._course_counts(None, warmup_days)
+        if not counts.any():
+            raise EmptyCorpus(
+                f"no course tokens in the first {warmup_days} days of {self.course_id}"
+            )
+        if not self.background_tokens:
+            raise EmptyCorpus("background courses contributed no tokens")
+        return self._ranking(counts, k)
+
+    def convergence(self, k: int = 50, max_days: int | None = None) -> list[ConvergencePoint]:
+        """See convergence_series."""
+        if not self.background_tokens:
+            raise EmptyCorpus("background courses contributed no tokens")
+        if not self._rows:
+            raise EmptyCorpus(f"course {self.course_id} has no tokens")
+        last_day = int(self._days[-1]) if max_days is None else max_days
+        points = []
+        prev_ranking = None
+        for day in range(1, last_day + 1):
+            counts = self._course_counts(1, day)
+            if not counts.any():
+                continue
+            ranking = self._ranking(counts)
+            if prev_ranking is not None:
+                points.append(
+                    ConvergencePoint(
+                        day=day,
+                        new_words=topk_set_difference(prev_ranking, ranking, k),
+                        kendall_tau=topk_kendall_tau(prev_ranking, ranking, k),
+                        cumulative_tokens=int(counts.sum()),
+                    )
+                )
+            prev_ranking = ranking
+        return points
 
 
 def extract_keywords(
@@ -161,28 +295,8 @@ def extract_keywords(
     Background data is the full text of the other (or the given) courses;
     course-specific data is the target course's first ``warmup_days`` days.
     """
-    bg = _background_counts(corpus, course_id, background_ids, stopwords, include_staff)
-    by_day = _course_day_tokens(corpus, course_id, stopwords, include_staff)
-    course_counts: Counter = Counter()
-    for day, tokens in by_day.items():
-        if day <= warmup_days:
-            course_counts.update(tokens)
-    if not course_counts:
-        raise EmptyCorpus(f"no course tokens in the first {warmup_days} days of {course_id}")
-    if not bg:
-        raise EmptyCorpus("background courses contributed no tokens")
-    combined = UnigramModel.from_counts(bg + course_counts)
-    course_model = UnigramModel.from_counts(course_counts)
-    ranking = surprise_weights(combined, course_model, sum(bg.values()))
-    return KeywordRanking(ranking.entries, k=k)
-
-
-@dataclass(frozen=True)
-class ConvergencePoint:
-    day: int
-    new_words: int
-    kendall_tau: float
-    cumulative_tokens: int
+    fit = KeywordFit(TokenTable(stopwords, include_staff), corpus, course_id, background_ids)
+    return fit.keywords(warmup_days, k)
 
 
 def convergence_series(
@@ -198,38 +312,10 @@ def convergence_series(
 
     For each day d >= 2 the point compares the ranking fitted on days <= d-1
     with the one fitted on days <= d: top-k set churn and the Kendall tau on
-    the common top-k words.
+    the common top-k words.  Only course days >= 1 count.
     """
-    bg = _background_counts(corpus, course_id, background_ids, stopwords, include_staff)
-    if not bg:
-        raise EmptyCorpus("background courses contributed no tokens")
-    n_bg = sum(bg.values())
-    by_day = _course_day_tokens(corpus, course_id, stopwords, include_staff)
-    if not by_day:
-        raise EmptyCorpus(f"course {course_id} has no tokens")
-    last_day = max(by_day) if max_days is None else max_days
-
-    points = []
-    cumulative: Counter = Counter()
-    prev_ranking = None
-    for day in range(1, last_day + 1):
-        cumulative.update(by_day.get(day, []))
-        if not cumulative:
-            continue
-        combined = UnigramModel.from_counts(bg + cumulative)
-        course_model = UnigramModel.from_counts(cumulative)
-        ranking = surprise_weights(combined, course_model, n_bg)
-        if prev_ranking is not None:
-            points.append(
-                ConvergencePoint(
-                    day=day,
-                    new_words=topk_set_difference(prev_ranking, ranking, k),
-                    kendall_tau=topk_kendall_tau(prev_ranking, ranking, k),
-                    cumulative_tokens=sum(cumulative.values()),
-                )
-            )
-        prev_ranking = ranking
-    return points
+    fit = KeywordFit(TokenTable(stopwords, include_staff), corpus, course_id, background_ids)
+    return fit.convergence(k, max_days)
 
 
 # ---------------------------------------------------------------------------

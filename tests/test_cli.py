@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from forumlens.cli import main
 from forumlens.corpus import ingest_corpus
+from forumlens.ranking import RankWindow, split_window
 
 
 def _write_spec(path, **overrides):
@@ -197,6 +199,55 @@ class TestRankCommands:
         assert {r["baseline"] for r in rows} <= {"tfidf", "hits"}
 
 
+class TestTokenizeOnce:
+    """Each command tokenizes a thread at most once per text view."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import forumlens.classify
+        import forumlens.cli
+        import forumlens.ranking
+        import forumlens.topics
+        from forumlens.corpus import thread_tokens
+
+        counts = Counter()
+
+        def counting(thread, *args, **kwargs):
+            counts[thread.thread_id] += 1
+            return thread_tokens(thread, *args, **kwargs)
+
+        for module in (forumlens.cli, forumlens.classify, forumlens.topics, forumlens.ranking):
+            monkeypatch.setattr(module, "thread_tokens", counting)
+        return counts
+
+    @pytest.mark.parametrize("extra, most", [([], 1), (["--exclude-staff"], 2)])
+    def test_compare(self, tmp_path, gen_corpus, calls, extra, most):
+        rc = main(["--seed", "4", "compare", "--threads", str(gen_corpus), "--course", "course00",
+                   "--low", "1", "--high", "2", "--extra-days", "1", "--query", "1",
+                   *extra, "--out", str(tmp_path / "cmp")])
+        assert rc == 0
+        # the keyword fit reads every thread of the corpus
+        assert len(calls) == ingest_corpus(gen_corpus).num_threads
+        assert max(calls.values()) <= most
+
+    def test_rank_tfidf_reads_only_the_window(self, tmp_path, gen_corpus, calls):
+        rc = main(["rank", "--threads", str(gen_corpus), "--course", "course00", "--algo", "tfidf",
+                   "--warmup", "1", "--query", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        course = ingest_corpus(gen_corpus).course("course00")
+        window, _ = split_window(course.threads, course.start_date, RankWindow(1, 1))
+        window_ids = {t.thread_id for t in window}
+        assert len(window_ids) < course.num_threads
+        assert set(calls) == window_ids
+        assert max(calls.values()) == 1
+
+    def test_rank_hits_tokenizes_nothing(self, tmp_path, gen_corpus, calls):
+        rc = main(["rank", "--threads", str(gen_corpus), "--course", "course00", "--algo", "hits",
+                   "--warmup", "1", "--query", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert not calls
+
+
 class TestStatsCommands:
     def test_series_trend_panel(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json", n=800, num_courses=12, support_size=20, s=40)
@@ -256,6 +307,13 @@ class TestStatsCommands:
         rows = _read_csv(out / "moving_avg.csv")
         assert rows
         assert all(0.0 <= float(r["s_t"]) <= 1.0 / 0.99 + 1e-9 for r in rows)
+
+    def test_failed_run_writes_no_manifest(self, tmp_path, gen_corpus):
+        # 24 threads a day keep f(h, 1 day) below the default threshold: group 2 is empty
+        out = tmp_path / "tt"
+        rc = main(["stats", "ttest", "--threads", str(gen_corpus), "--out", str(out)])
+        assert rc == 3
+        assert not (out / "manifest.json").exists()
 
     def test_shapiro_outputs_qq(self, tmp_path):
         # corpus with fluctuating daily volume so count differences vary

@@ -1,13 +1,19 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumlens.corpus import UnigramModel
+from forumlens.corpus import Corpus, Course, Post, Thread, UnigramModel, day_index, thread_tokens
 from forumlens.errors import DomainMismatch, EmptyCorpus
 from forumlens.genmodel import make_spec, sample_corpus
 from forumlens.topics import (
+    ConvergencePoint,
+    KeywordFit,
     KeywordRanking,
+    TokenTable,
     convergence_series,
     extract_keywords,
     normalized_kendall_tau,
@@ -182,3 +188,156 @@ class TestKeywordRankingInvariants:
     def test_rejects_nonlexicographic_ties(self):
         with pytest.raises(Exception):
             KeywordRanking((("bb", 1.0), ("aa", 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-call Counter + UnigramModel + per-word loop the fit replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_surprise_weights(combined, course, background_tokens):
+    sqrt_n = math.sqrt(background_tokens)
+    entries = [(w, course.prob(w) * sqrt_n / math.sqrt(combined.prob(w))) for w in course.vocab]
+    entries.sort(key=lambda e: (-e[1], e[0]))
+    return KeywordRanking(tuple(entries))
+
+
+def _oracle_fit(bg, course_counts):
+    combined = UnigramModel.from_counts(bg + course_counts)
+    course_model = UnigramModel.from_counts(course_counts)
+    return _oracle_surprise_weights(combined, course_model, sum(bg.values()))
+
+
+def _oracle_tokens(corpus, course_id, background_ids, stopwords, include_staff):
+    if background_ids is None:
+        background_ids = [c.course_id for c in corpus.courses if c.course_id != course_id]
+    bg = Counter()
+    for cid in background_ids:
+        for t in corpus.course(cid).threads:
+            bg.update(thread_tokens(t, stopwords, include_staff))
+    course = corpus.course(course_id)
+    by_day = {}
+    for t in course.threads:
+        day = day_index(t.created_at, course.start_date)
+        by_day.setdefault(day, []).extend(thread_tokens(t, stopwords, include_staff))
+    return bg, by_day
+
+
+def _oracle_extract(corpus, course_id, background_ids, k, warmup_days, stopwords, include_staff):
+    bg, by_day = _oracle_tokens(corpus, course_id, background_ids, stopwords, include_staff)
+    course_counts = Counter()
+    for day, tokens in by_day.items():
+        if day <= warmup_days:
+            course_counts.update(tokens)
+    if not course_counts:
+        raise EmptyCorpus(f"no course tokens in the first {warmup_days} days of {course_id}")
+    if not bg:
+        raise EmptyCorpus("background courses contributed no tokens")
+    return KeywordRanking(_oracle_fit(bg, course_counts).entries, k=k)
+
+
+def _oracle_convergence(corpus, course_id, background_ids, k, max_days, stopwords, include_staff):
+    def top(ranking):
+        return list(ranking.words[:k])
+
+    def tau(a, b):
+        common = set(top(a)) & set(top(b))
+        if len(common) < 2:
+            return 0.0
+        return normalized_kendall_tau(
+            [w for w in a.words if w in common], [w for w in b.words if w in common]
+        )
+
+    bg, by_day = _oracle_tokens(corpus, course_id, background_ids, stopwords, include_staff)
+    if not bg:
+        raise EmptyCorpus("background courses contributed no tokens")
+    if not by_day:
+        raise EmptyCorpus(f"course {course_id} has no tokens")
+    last_day = max(by_day) if max_days is None else max_days
+    points = []
+    cumulative = Counter()
+    prev = None
+    for day in range(1, last_day + 1):
+        cumulative.update(by_day.get(day, []))
+        if not cumulative:
+            continue
+        ranking = _oracle_fit(bg, cumulative)
+        if prev is not None:
+            points.append(
+                ConvergencePoint(
+                    day=day,
+                    new_words=len(set(top(ranking)) - set(top(prev))),
+                    kendall_tau=tau(prev, ranking),
+                    cumulative_tokens=sum(cumulative.values()),
+                )
+            )
+        prev = ranking
+    return points
+
+
+_WORDS = ["aa", "bb", "cc", "dd", "ee", "the"]
+
+
+@st.composite
+def _small_corpora(draw):
+    """2-3 courses of few threads over a few-word vocabulary: ties, gaps, staff posts."""
+    courses = []
+    for c in range(draw(st.integers(2, 3))):
+        threads = []
+        for j in range(draw(st.integers(0, 8))):
+            created = draw(st.integers(0, 6)) * 86400 + draw(st.integers(0, 86399))
+            posts = tuple(
+                Post(
+                    f"c{c}t{j}p{i}",
+                    f"u{i}",
+                    created + i,
+                    " ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=5))),
+                    draw(st.booleans()),
+                )
+                for i in range(draw(st.integers(1, 3)))
+            )
+            threads.append(Thread(f"c{c}t{j}", created, posts))
+        # a start after some threads puts them on day 0 or earlier
+        start = draw(st.sampled_from([0, 86400]))
+        courses.append(Course(f"c{c}", start, tuple(threads)))
+    return Corpus(tuple(courses))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyCorpus as exc:
+        return ("EmptyCorpus", str(exc))
+
+
+class TestFitMatchesOracle:
+    """extract_keywords and convergence_series equal the replaced code exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _small_corpora(),
+        st.booleans(),
+        st.sampled_from([None, ["c1"], [], ["c0", "c1"]]),
+        st.integers(1, 6),
+        st.integers(0, 7),
+        st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_equal_to_oracle(self, corpus, include_staff, background_ids, k, warmup, max_days):
+        stopwords = frozenset({"the"})
+        args = (corpus, "c0", background_ids, k)
+        assert _outcome(extract_keywords, *args, warmup, stopwords, include_staff) == _outcome(
+            _oracle_extract, *args, warmup, stopwords, include_staff
+        )
+        assert _outcome(convergence_series, *args, max_days, stopwords, include_staff) == _outcome(
+            _oracle_convergence, *args, max_days, stopwords, include_staff
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_corpora(), st.lists(st.integers(0, 7), min_size=2, max_size=5))
+    def test_one_fit_serves_days_in_any_order(self, corpus, warmups):
+        stopwords = frozenset({"the"})
+        fit = KeywordFit(TokenTable(stopwords), corpus, "c0")
+        for warmup in warmups:
+            assert _outcome(fit.keywords, warmup, 3) == _outcome(
+                _oracle_extract, corpus, "c0", None, 3, warmup, stopwords, True
+            )
