@@ -64,7 +64,6 @@ from .stats import (
     qq_points,
     shapiro_wilk,
     smalltalk_moving_average,
-    thread_neighborhood,
     trim_and_diff,
     two_sample_tests,
 )

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, ThreadLabel, thread_tokens
-from .errors import InvariantViolation, MissingClass
+from .corpus import Corpus, ThreadLabel, load_json_object, thread_tokens
+from .errors import ConfigError, InvariantViolation, MissingClass, ParseError
 from .genmodel import (
     GenerativeSpec,
     SampledThread,
@@ -304,19 +304,25 @@ def _confusion(flagged, positive) -> EvalReport:
     return EvalReport(tp, fp, positive.size - tp - fp - fn, fn)
 
 
-def evaluate(model, docs: Sequence[LabeledDoc], theta: float | None = None) -> EvalReport:
-    """TPR/FPR with small-talk as positive.
+def decisions(model, token_lists: Iterable[Sequence[str]], theta: float | None = None) -> list[bool]:
+    """Small-talk decision for each document, scored one document at a time.
 
     For an SvmModel the decision is score > theta (default: model.theta); the
     naive Bayes decision ignores theta.
     """
-    if not docs:
-        raise InvariantViolation("eval", "test set must be nonempty")
+    if isinstance(model, dict):
+        raise ConfigError("a per-course model decides one course at a time")
     if isinstance(model, SvmModel):
         thr = model.theta if theta is None else theta
-        flagged = [model.score(tokens) > thr for tokens, _ in docs]
-    else:
-        flagged = [predict_nb(model, tokens).positive for tokens, _ in docs]
+        return [model.score(tokens) > thr for tokens in token_lists]
+    return [predict_nb(model, tokens).positive for tokens in token_lists]
+
+
+def evaluate(model, docs: Sequence[LabeledDoc], theta: float | None = None) -> EvalReport:
+    """TPR/FPR with small-talk as positive, deciding as ``decisions`` does."""
+    if not docs:
+        raise InvariantViolation("eval", "test set must be nonempty")
+    flagged = decisions(model, [tokens for tokens, _ in docs], theta)
     return _confusion(flagged, [positive for _, positive in docs])
 
 
@@ -374,16 +380,18 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json_object(path)
     kind = obj.get("kind")
-    if kind == "nb":
-        return _nb_from_obj(obj)
-    if kind == "svm":
-        return SvmModel(weights=dict(obj["weights"]), bias=obj["bias"], theta=obj["theta"])
-    if kind == "nb-percourse":
-        return {cid: _nb_from_obj(m) for cid, m in obj["models"].items()}
-    raise ValueError(f"unknown model kind {kind!r}")
+    try:
+        if kind == "nb":
+            return _nb_from_obj(obj)
+        if kind == "svm":
+            return SvmModel(weights=dict(obj["weights"]), bias=obj["bias"], theta=obj["theta"])
+        if kind == "nb-percourse":
+            return {cid: _nb_from_obj(m) for cid, m in obj["models"].items()}
+    except KeyError as exc:
+        raise ParseError(1, f"{kind} model is missing field {exc}") from None
+    raise ParseError(1, f"unknown model kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line interface: every analysis pipeline behind one executable.
 
-Every subcommand takes ``--out DIR``, writes its artifacts (CSV or JSON) plus
-a ``manifest.json`` echoing the resolved configuration and input hashes, and
-never writes outside that directory.  Runs are deterministic given the
-manifest, so re-running a command reproduces byte-identical artifacts.
+Every subcommand takes ``--out DIR``, writes its artifacts (CSV or JSON)
+there and never writes outside it.  A run that succeeds also writes
+``manifest.json``: the resolved configuration and the SHA-256 of each input
+file given by ``--spec``, ``--threads``, ``--meta``, ``--model`` or
+``--stopwords``.  Runs are deterministic given the manifest, so re-running a
+command reproduces byte-identical artifacts.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
 Errors are reported as a JSON object on stderr.
@@ -27,6 +29,7 @@ from .corpus import (
     ThreadLabel,
     attach_metadata,
     ingest_corpus,
+    load_json_object,
     load_stopwords,
     serialize_corpus,
     thread_tokens,
@@ -34,10 +37,11 @@ from .corpus import (
 from .classify import (
     NbMode,
     SvmModel,
+    decisions,
     evaluate,
     labeled_docs,
     load_model,
-    predict_nb,
+    predict_nb,  # not called here, but bench/tracing.py rebinds cli.predict_nb
     roc_sweep,
     save_model,
     train_nb,
@@ -115,76 +119,74 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _prepare_out(args, input_paths):
-    """Create ``--out`` and hash the inputs; main writes the manifest once the command succeeds."""
-    os.makedirs(args.out, exist_ok=True)
+# Flags that name an input file; the manifest hashes each one a command was given.
+_INPUT_FLAGS = ("spec", "threads", "meta", "model", "stopwords")
+
+
+def _manifest(args) -> dict:
+    """The resolved configuration plus the SHA-256 of every input file."""
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in sorted(vars(args).items())
         if k != "config" and isinstance(v, (str, int, float, bool, list, tuple, type(None)))
     }
-    args.manifest = {
+    paths = [getattr(args, flag, None) for flag in _INPUT_FLAGS]
+    return {
         "tool": f"forumlens {__version__}",
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in input_paths if p},
+        "inputs": {str(p): _sha256(p) for p in paths if p},
     }
 
 
-def _write_manifest(args):
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(args.manifest, fh, sort_keys=True, indent=2)
-
-
 def _load_corpus(args) -> Corpus:
-    corpus = ingest_corpus(args.threads, "jsonl")
-    meta = getattr(args, "meta", None)
-    if meta:
-        corpus = attach_metadata(corpus, meta)
+    corpus = ingest_corpus(args.threads)
+    if getattr(args, "meta", None):
+        corpus = attach_metadata(corpus, args.meta)
     return corpus
 
 
 def _load_spec(path) -> GenerativeSpec:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json_object(path)
     kind = obj.get("kind", "explicit")
-    if kind == "adversarial":
-        return adversarial_spec(
-            n=obj["n"],
-            c=obj.get("c", 4.0),
-            d=obj.get("d", 2.0),
-            epsilon=obj.get("epsilon", 0.5),
-            smalltalk_support_size=obj.get("smalltalk_support_size", 50),
-            seed=obj.get("seed", 0),
-        )
-    if kind == "uniform":
-        return make_spec(
-            n=obj["n"],
-            num_courses=obj["num_courses"],
-            epsilon=obj["epsilon"],
-            p=obj["p"],
-            s=obj["s"],
-            support_size=obj.get("support_size", 50),
-            smalltalk_support_size=obj.get("smalltalk_support_size"),
-            seed=obj.get("seed", 0),
-            training_counts=obj.get("training_counts"),
-        )
-    if kind == "explicit":
-        return GenerativeSpec.from_json(json.dumps(obj["spec"]))
+    try:
+        if kind == "adversarial":
+            return adversarial_spec(
+                n=obj["n"],
+                c=obj.get("c", 4.0),
+                d=obj.get("d", 2.0),
+                epsilon=obj.get("epsilon", 0.5),
+                smalltalk_support_size=obj.get("smalltalk_support_size", 50),
+                seed=obj.get("seed", 0),
+            )
+        if kind == "uniform":
+            return make_spec(
+                n=obj["n"],
+                num_courses=obj["num_courses"],
+                epsilon=obj["epsilon"],
+                p=obj["p"],
+                s=obj["s"],
+                support_size=obj.get("support_size", 50),
+                smalltalk_support_size=obj.get("smalltalk_support_size"),
+                seed=obj.get("seed", 0),
+                training_counts=obj.get("training_counts"),
+            )
+        if kind == "explicit":
+            return GenerativeSpec.from_json(json.dumps(obj["spec"]))
+    except KeyError as exc:
+        raise ParseError(1, f"{kind} spec is missing field {exc}") from None
     raise ParseError(1, f"unknown spec kind {kind!r}")
 
 
 def _background_ids(args):
-    raw = getattr(args, "background", None)
-    if not raw:
+    if not args.background:
         return None
-    return [c.strip() for c in raw.split(",") if c.strip()]
+    return [c.strip() for c in args.background.split(",") if c.strip()]
 
 
 def _text_options(args) -> tuple[frozenset | None, bool]:
     """(stopwords, include_staff) resolved from the shared text flags."""
-    path = getattr(args, "stopwords", None)
-    stopwords = load_stopwords(path) if path else None
-    return stopwords, not getattr(args, "exclude_staff", False)
+    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    return stopwords, not args.exclude_staff
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ def _text_options(args) -> tuple[frozenset | None, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _corpus) -> int:
     spec = _load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -203,16 +205,13 @@ def _cmd_gen(args) -> int:
     else:
         raise ConfigError("no --counts given and the spec carries no training counts")
     corpus = sample_corpus(spec, counts, threads_per_day=args.threads_per_day)
-    _prepare_out(args, [args.spec])
     serialize_corpus(corpus, os.path.join(args.out, args.name))
     with open(os.path.join(args.out, "spec.json"), "w", encoding="utf-8") as fh:
         fh.write(spec.to_json())
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    corpus = _load_corpus(args)
-    _prepare_out(args, [args.threads, getattr(args, "meta", None)])
+def _cmd_ingest(args, corpus) -> int:
     rows = [
         (c.course_id, c.num_threads, sum(t.length for t in c.threads), c.start_date, c.category.value)
         for c in corpus.courses
@@ -226,10 +225,8 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_classify_train(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_classify_train(args, corpus) -> int:
     stopwords, include_staff = _text_options(args)
-    _prepare_out(args, [args.threads])
     if args.algo == "nb":
         model = train_nb(corpus, NbMode(args.mode), pseudocount=args.pseudocount,
                          stopwords=stopwords, include_staff=include_staff)
@@ -240,11 +237,9 @@ def _cmd_classify_train(args) -> int:
     return 0
 
 
-def _cmd_classify_eval(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_classify_eval(args, corpus) -> int:
     stopwords, include_staff = _text_options(args)
     model = load_model(args.model)
-    _prepare_out(args, [args.threads, args.model])
     rows = []
     if isinstance(model, dict):
         for course_id, sub in sorted(model.items()):
@@ -265,13 +260,11 @@ def _cmd_classify_eval(args) -> int:
     return 0
 
 
-def _cmd_classify_roc(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_classify_roc(args, corpus) -> int:
     stopwords, include_staff = _text_options(args)
     model = load_model(args.model)
     if not isinstance(model, SvmModel):
         raise ConfigError("roc sweeps require an SVM model")
-    _prepare_out(args, [args.threads, args.model])
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps).tolist()
     docs = labeled_docs(corpus, stopwords=stopwords, include_staff=include_staff)
     reports = roc_sweep(model, docs, thetas)
@@ -283,23 +276,19 @@ def _cmd_classify_roc(args) -> int:
     return 0
 
 
-def _cmd_topics_extract(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_topics_extract(args, corpus) -> int:
     stopwords, include_staff = _text_options(args)
-    _prepare_out(args, [args.threads])
     ranking = extract_keywords(
-        corpus, args.course, _background_ids(args), k=args.k,
-        warmup_days=args.warmup_days, stopwords=stopwords, include_staff=include_staff,
+        corpus, args.course, _background_ids(args), warmup_days=args.warmup_days,
+        stopwords=stopwords, include_staff=include_staff,
     )
     rows = [(r, w, g) for r, (w, g) in enumerate(ranking.entries[: args.k], start=1)]
     _write_csv(os.path.join(args.out, "keywords.csv"), ["rank", "word", "gamma"], rows)
     return 0
 
 
-def _cmd_topics_converge(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_topics_converge(args, corpus) -> int:
     stopwords, include_staff = _text_options(args)
-    _prepare_out(args, [args.threads])
     points = convergence_series(
         corpus, args.course, _background_ids(args), k=args.k, max_days=args.max_days,
         stopwords=stopwords, include_staff=include_staff,
@@ -340,7 +329,7 @@ class _CourseRanker:
         if algo == "topical":
             if self._fit is None:
                 self._fit = KeywordFit(self.fit_tokens, self.corpus, course.course_id)
-            keywords = self._fit.keywords(window.warmup_days, self.keyword_k)
+            keywords = self._fit.keywords(window.warmup_days)
             return topical_rank(
                 keywords, query_threads, alpha=self.alpha, k=self.keyword_k, tokens=self.score_tokens
             )
@@ -354,10 +343,8 @@ class _CourseRanker:
         raise ConfigError(f"unknown ranking algorithm {algo!r}")
 
 
-def _cmd_rank(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_rank(args, corpus) -> int:
     stopwords, include_staff = _text_options(args)
-    _prepare_out(args, [args.threads])
     ranker = _CourseRanker(corpus, args.course, stopwords, include_staff, args.alpha, args.keyword_k)
     ranked = ranker.rank(args.algo, RankWindow(args.warmup, args.query))
     _write_csv(
@@ -368,10 +355,8 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    corpus = _load_corpus(args)
+def _cmd_compare(args, corpus) -> int:
     stopwords, include_staff = _text_options(args)
-    _prepare_out(args, [args.threads])
     ranker = _CourseRanker(corpus, args.course, stopwords, include_staff, args.alpha, args.keyword_k)
     irrelevant_ids = {t.thread_id for t in ranker.course.threads if t.label == ThreadLabel.SMALL_TALK}
     days = sample_query_days(args.low, args.high, args.extra_days, seed=args.seed or 0)
@@ -402,9 +387,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_stats_series(args) -> int:
-    corpus = _load_corpus(args)
-    _prepare_out(args, [args.threads, getattr(args, "meta", None)])
+def _cmd_stats_series(args, corpus) -> int:
     series = build_series(corpus)
     rows = []
     for course_id in sorted(series):
@@ -415,9 +398,7 @@ def _cmd_stats_series(args) -> int:
     return 0
 
 
-def _cmd_stats_trend(args) -> int:
-    corpus = _load_corpus(args)
-    _prepare_out(args, [args.threads, getattr(args, "meta", None)])
+def _cmd_stats_trend(args, corpus) -> int:
     series = build_series(corpus)
     rows = []
     for course_id in sorted(series):
@@ -427,11 +408,9 @@ def _cmd_stats_trend(args) -> int:
     return 0
 
 
-def _cmd_stats_panel(args) -> int:
-    corpus = _load_corpus(args)
-    if not getattr(args, "meta", None):
+def _cmd_stats_panel(args, corpus) -> int:
+    if not args.meta:
         raise ConfigError("panel regression requires --meta course metadata")
-    _prepare_out(args, [args.threads, args.meta])
     series = build_series(corpus)
     factors = {c.course_id: c.factors for c in corpus.courses if c.factors is not None}
     series = {cid: s for cid, s in series.items() if cid in factors}
@@ -452,9 +431,7 @@ def _cmd_stats_panel(args) -> int:
     return 0
 
 
-def _cmd_stats_shapiro(args) -> int:
-    corpus = _load_corpus(args)
-    _prepare_out(args, [args.threads, getattr(args, "meta", None)])
+def _cmd_stats_shapiro(args, corpus) -> int:
     series = build_series(corpus)
     rows = []
     qq = {}
@@ -472,9 +449,7 @@ def _cmd_stats_shapiro(args) -> int:
     return 0
 
 
-def _cmd_stats_ttest(args) -> int:
-    corpus = _load_corpus(args)
-    _prepare_out(args, [args.threads, getattr(args, "meta", None)])
+def _cmd_stats_ttest(args, corpus) -> int:
     f_values = []
     lengths = []
     for course in corpus.courses:
@@ -505,28 +480,23 @@ def _cmd_stats_ttest(args) -> int:
     return 0
 
 
-def _cmd_stats_moving_avg(args) -> int:
-    corpus = _load_corpus(args)
-    stopwords, include_staff = _text_options(args)
-    model = load_model(args.model) if getattr(args, "model", None) else None
-    _prepare_out(args, [args.threads, getattr(args, "meta", None), getattr(args, "model", None)])
-    by_category: dict[str, list[tuple[int, int, int]]] = {}
-    for course in corpus.courses:
-        for t in course.threads:
-            elapsed = t.created_at - course.start_date
-            if elapsed > args.max_days * 86400:
-                continue
-            if model is not None:
-                tokens = thread_tokens(t, stopwords, include_staff)
-                if isinstance(model, SvmModel):
-                    flag = 1 if model.score(tokens) > model.theta else 0
-                else:
-                    flag = 1 if predict_nb(model, tokens).positive else 0
-            elif t.label == ThreadLabel.UNLABELED:
-                continue
-            else:
-                flag = 1 if t.label == ThreadLabel.SMALL_TALK else 0
-            by_category.setdefault(course.category.value, []).append((elapsed, flag))
+def _cmd_stats_moving_avg(args, corpus) -> int:
+    picked = [
+        (course.category.value, t.created_at - course.start_date, t)
+        for course in corpus.courses
+        for t in course.threads
+        if t.created_at - course.start_date <= args.max_days * 86400
+    ]
+    if args.model:
+        stopwords, include_staff = _text_options(args)
+        tokens = (thread_tokens(t, stopwords, include_staff) for _, _, t in picked)
+        flags = decisions(load_model(args.model), tokens)
+    else:
+        picked = [p for p in picked if p[2].label != ThreadLabel.UNLABELED]
+        flags = [p[2].label == ThreadLabel.SMALL_TALK for p in picked]
+    by_category: dict[str, list[tuple[int, int]]] = {}
+    for (category, elapsed, _), flag in zip(picked, flags):
+        by_category.setdefault(category, []).append((elapsed, int(flag)))
     rows = []
     for category in sorted(by_category):
         ordered = sorted(by_category[category])
@@ -696,13 +666,8 @@ def _all_parsers(parser) -> list[argparse.ArgumentParser]:
     return out
 
 
-def _collect_dests(parser) -> set[str]:
-    dests = set()
-    for sub in _all_parsers(parser):
-        for action in sub._actions:
-            if action.dest not in (argparse.SUPPRESS, "help"):
-                dests.add(action.dest)
-    return dests
+def _dests(parser) -> set[str]:
+    return {a.dest for a in parser._actions if a.dest not in (argparse.SUPPRESS, "help")}
 
 
 def _config_path(argv) -> str | None:
@@ -728,14 +693,16 @@ def _apply_config(parser, path):
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = _collect_dests(parser)
-    unknown = set(config) - known
+    parsers = _all_parsers(parser)
+    unknown = set(config).difference(*map(_dests, parsers))
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # subcommands parse into a fresh namespace, so the defaults must be
-    # installed on every parser in the tree for flags to keep precedence
-    for sub in _all_parsers(parser):
-        sub.set_defaults(**config)
+    # subcommands parse into a fresh namespace that overwrites the top-level
+    # one, so each key becomes a default only of the parsers that declare it:
+    # an explicit flag still wins, and no key reaches a subcommand without it
+    for sub in parsers:
+        declared = _dests(sub)
+        sub.set_defaults(**{k: v for k, v in config.items() if k in declared})
 
 
 def main(argv=None) -> int:
@@ -749,9 +716,14 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        rc = args.func(args)
+        # read the corpus before creating --out: a bad corpus leaves no --out behind
+        corpus = _load_corpus(args) if hasattr(args, "threads") else None
+        manifest = _manifest(args)
+        os.makedirs(args.out, exist_ok=True)
+        rc = args.func(args, corpus)
         if rc == 0:
-            _write_manifest(args)
+            with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, sort_keys=True, indent=2)
         return rc
     except ConfigError as exc:
         _emit_error(exc)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, InvariantViolation, ParseError
+from .errors import ConfigError, EmptyCorpus, InvariantViolation, ParseError
 
 SECONDS_PER_DAY = 86400
 
@@ -169,7 +169,7 @@ class Corpus:
         for c in self.courses:
             if c.course_id == course_id:
                 return c
-        raise KeyError(course_id)
+        raise ConfigError(f"no course {course_id!r} in the corpus")
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +332,10 @@ def _parse_thread_line(line: str, lineno: int) -> tuple[str, Thread]:
     raw_label = obj.get("label")
     if raw_label is None:
         label = ThreadLabel.UNLABELED
+    elif isinstance(raw_label, str) and raw_label in _LABELS:
+        label = _LABELS[raw_label]
     else:
-        try:
-            label = _LABELS[raw_label]
-        except KeyError:
-            raise ParseError(lineno, f"unknown label {raw_label!r}") from None
+        raise ParseError(lineno, f"unknown label {raw_label!r}")
     raw_posts = _require(obj, "posts", lineno)
     if not isinstance(raw_posts, list) or not raw_posts:
         raise ParseError(lineno, "posts must be a nonempty list")
@@ -356,7 +355,12 @@ def _parse_thread_line(line: str, lineno: int) -> tuple[str, Thread]:
     return course_id, Thread(thread_id, created_at, tuple(posts), label)
 
 
-def _ingest_jsonl(path) -> Corpus:
+def ingest_corpus(path) -> Corpus:
+    """Read a JSON-lines corpus, one thread per line.
+
+    Course start dates default to each course's earliest thread;
+    attach_metadata can override them.
+    """
     by_course: dict[str, list[Thread]] = {}
     seen: dict[str, set[str]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -374,6 +378,18 @@ def _ingest_jsonl(path) -> Corpus:
         start = min(t.created_at for t in threads)
         courses.append(Course(course_id, start, tuple(threads)))
     return Corpus(tuple(courses))
+
+
+def load_json_object(path) -> dict:
+    """The JSON object held by a file (a spec, a model); anything else raises ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(1, "the file must hold one JSON object")
+    return obj
 
 
 def _parse_meta_row(row: dict, lineno: int) -> tuple[str, int, CourseFactors, CourseCategory]:
@@ -409,20 +425,6 @@ def _ingest_csv(path) -> Corpus:
             seen.add(course_id)
             courses.append(Course(course_id, start_date, (), factors, category))
     return Corpus(tuple(courses))
-
-
-def ingest_corpus(path, fmt: str = "jsonl") -> Corpus:
-    """Read a corpus from disk.
-
-    ``fmt="jsonl"`` reads one thread per line (course start dates default to
-    each course's earliest thread; attach_metadata can override them).
-    ``fmt="csv"`` reads course metadata only, yielding thread-less courses.
-    """
-    if fmt == "jsonl":
-        return _ingest_jsonl(path)
-    if fmt == "csv":
-        return _ingest_csv(path)
-    raise ValueError(f"unknown corpus format {fmt!r}")
 
 
 def attach_metadata(corpus: Corpus, path) -> Corpus:

@@ -10,8 +10,7 @@ Numerical conventions, fixed so results are platform-stable:
 * The Shapiro-Wilk test is Royston's 1995 approximation (AS R94), valid for
   3 <= n <= 5000.
 
-Per-course computations are independent and parallelizable; all outputs are
-immutable.
+Per-course computations are independent; all outputs are immutable.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .corpus import (
     Course,
     CourseFactors,
     SECONDS_PER_DAY,
-    Thread,
     day_index,
 )
 from .errors import (
@@ -59,7 +57,6 @@ __all__ = [
     "shapiro_wilk",
     "smalltalk_moving_average",
     "student_t_sf",
-    "thread_neighborhood",
     "trim_and_diff",
     "two_sample_tests",
 ]
@@ -475,17 +472,6 @@ def qq_points(sample, trim_frac: float = 0.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Thread attention analysis
 # ---------------------------------------------------------------------------
-
-
-def thread_neighborhood(course: Course, thread: Thread, t_days: float) -> int:
-    """Number of other threads created within t_days before or after ``thread``."""
-    window = t_days * SECONDS_PER_DAY
-    return sum(
-        1
-        for other in course.threads
-        if other.thread_id != thread.thread_id
-        and abs(other.created_at - thread.created_at) <= window
-    )
 
 
 def neighborhood_counts(course: Course, t_days: float = 1.0) -> dict[str, int]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus, Thread, UnigramModel, day_index, thread_tokens
 from .errors import DomainMismatch, EmptyCorpus, InvariantViolation
-from .genmodel import GenerativeSpec, token_distribution
+from .genmodel import GenerativeSpec, marginal_token_mass
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class KeywordRanking:
     """Words ordered by non-increasing gamma, ties broken lexicographically."""
 
     entries: tuple[tuple[str, float], ...]
-    k: int | None = None
 
     def __post_init__(self):
         words = [w for w, _ in self.entries]
@@ -57,12 +56,11 @@ def _ranked_keywords(
     p_course: np.ndarray,
     p_combined: np.ndarray,
     sqrt_n: float,
-    k: int | None = None,
 ) -> KeywordRanking:
     """Rank ``words`` (an object array) by gamma; ``word_rank`` orders them lexicographically."""
     gamma = p_course * sqrt_n / np.sqrt(p_combined)
     order = np.lexsort((word_rank, -gamma))
-    return KeywordRanking(tuple(zip(words[order].tolist(), gamma[order].tolist())), k)
+    return KeywordRanking(tuple(zip(words[order].tolist(), gamma[order].tolist())))
 
 
 def surprise_weights(
@@ -229,7 +227,7 @@ class KeywordFit:
             self._end = end
         return self._counts
 
-    def _ranking(self, counts: np.ndarray, k: int | None = None) -> KeywordRanking:
+    def _ranking(self, counts: np.ndarray) -> KeywordRanking:
         support = np.flatnonzero(counts)
         c = counts[support]
         total_c = int(c.sum())
@@ -240,10 +238,9 @@ class KeywordFit:
             c / total_c,
             (self.background[support] + c) / total_comb,
             math.sqrt(self.background_tokens),
-            k,
         )
 
-    def keywords(self, warmup_days: int, k: int = 50) -> KeywordRanking:
+    def keywords(self, warmup_days: int) -> KeywordRanking:
         """Ranking fitted on the course's threads of days <= ``warmup_days``."""
         counts = self._course_counts(None, warmup_days)
         if not counts.any():
@@ -252,7 +249,7 @@ class KeywordFit:
             )
         if not self.background_tokens:
             raise EmptyCorpus("background courses contributed no tokens")
-        return self._ranking(counts, k)
+        return self._ranking(counts)
 
     def convergence(self, k: int = 50, max_days: int | None = None) -> list[ConvergencePoint]:
         """See convergence_series."""
@@ -285,7 +282,6 @@ def extract_keywords(
     corpus: Corpus,
     course_id: str,
     background_ids: Sequence[str] | None = None,
-    k: int = 50,
     warmup_days: int = 10,
     stopwords: frozenset[str] | None = None,
     include_staff: bool = True,
@@ -296,7 +292,7 @@ def extract_keywords(
     course-specific data is the target course's first ``warmup_days`` days.
     """
     fit = KeywordFit(TokenTable(stopwords, include_staff), corpus, course_id, background_ids)
-    return fit.keywords(warmup_days, k)
+    return fit.keywords(warmup_days)
 
 
 def convergence_series(
@@ -348,15 +344,8 @@ def support_recovery_recall(
     per_bg = background_tokens // max(len(bg_ids), 1)
     bg_counts: Counter = Counter()
     for j in bg_ids:
-        pj = spec.p[j]
-        mass = pj * token_distribution(spec, j, True) + (1 - pj) * token_distribution(spec, j, False)
-        bg_counts += counts_from(mass, per_bg)
-
-    pi = spec.p[course]
-    course_mass = pi * token_distribution(spec, course, True) + (1 - pi) * token_distribution(
-        spec, course, False
-    )
-    course_counts = counts_from(course_mass, course_tokens)
+        bg_counts += counts_from(marginal_token_mass(spec, j), per_bg)
+    course_counts = counts_from(marginal_token_mass(spec, course), course_tokens)
 
     combined = UnigramModel.from_counts(bg_counts + course_counts)
     course_model = UnigramModel.from_counts(course_counts)

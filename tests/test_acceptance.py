@@ -26,11 +26,11 @@ from forumlens.stats import (
     ActivitySeries,
     PanelTarget,
     assemble_panel,
+    neighborhood_counts,
     ols,
     qq_points,
     shapiro_wilk,
     smalltalk_moving_average,
-    thread_neighborhood,
     trim_and_diff,
     two_sample_tests,
 )
@@ -349,8 +349,7 @@ class TestCriterion7FormulaExactness:
         from forumlens.corpus import Course
 
         course = Course("c", 0, tuple(ts))
-        assert thread_neighborhood(course, ts[1], 1) == 2
-        assert thread_neighborhood(course, ts[0], 1) == 1
+        assert neighborhood_counts(course, 1) == {"t0": 1, "t1": 2, "t2": 1}
 
         _report(7, True, "moving average, gamma, eta, tf-idf and f(h,t) match hand sums")
 

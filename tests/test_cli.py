@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forumlens.cli import main
+from forumlens.cli import _INPUT_FLAGS, _all_parsers, build_parser, main
 from forumlens.corpus import ingest_corpus
+from forumlens.errors import DegenerateGroup
 from forumlens.ranking import RankWindow, split_window
 
 
@@ -248,27 +249,32 @@ class TestTokenizeOnce:
         assert not calls
 
 
-class TestStatsCommands:
-    def test_series_trend_panel(self, tmp_path):
-        spec = _write_spec(tmp_path / "spec.json", n=800, num_courses=12, support_size=20, s=40)
-        gen_out = tmp_path / "gen12"
-        rc = main(["gen", "--spec", str(spec), "--counts", ",".join(["30"] * 12),
-                   "--out", str(gen_out)])
-        assert rc == 0
-        corpus_path = gen_out / "corpus.jsonl"
-        corpus = ingest_corpus(corpus_path)
-        rng = np.random.default_rng(5)
-        lines = ["course_id,start_date,Q,V,L,D,P,S,H,category"]
-        for i, course in enumerate(corpus.courses):
-            dur = int(rng.integers(2, 6))
-            lines.append(
-                f"{course.course_id},0,{rng.integers(0, 2)},{rng.integers(0, 2)},"
-                f"{rng.uniform(2, 20):.2f},{dur},{rng.integers(0, 2)},{rng.integers(0, 500)},"
-                f"{rng.integers(0, 12)},HumanitiesSocial"
-            )
-        meta = tmp_path / "meta.csv"
-        meta.write_text("\n".join(lines) + "\n")
+@pytest.fixture(scope="module")
+def twelve_courses(tmp_path_factory):
+    """(spec, corpus, meta): 12 courses of 30 threads, enough to fit the panel regression."""
+    root = tmp_path_factory.mktemp("twelve")
+    spec = _write_spec(root / "spec.json", n=800, num_courses=12, support_size=20, s=40)
+    rc = main(["gen", "--spec", str(spec), "--counts", ",".join(["30"] * 12),
+               "--out", str(root / "gen12")])
+    assert rc == 0
+    corpus_path = root / "gen12" / "corpus.jsonl"
+    rng = np.random.default_rng(5)
+    lines = ["course_id,start_date,Q,V,L,D,P,S,H,category"]
+    for course in ingest_corpus(corpus_path).courses:
+        dur = int(rng.integers(2, 6))
+        lines.append(
+            f"{course.course_id},0,{rng.integers(0, 2)},{rng.integers(0, 2)},"
+            f"{rng.uniform(2, 20):.2f},{dur},{rng.integers(0, 2)},{rng.integers(0, 500)},"
+            f"{rng.integers(0, 12)},HumanitiesSocial"
+        )
+    meta = root / "meta.csv"
+    meta.write_text("\n".join(lines) + "\n")
+    return spec, corpus_path, meta
 
+
+class TestStatsCommands:
+    def test_series_trend_panel(self, tmp_path, twelve_courses):
+        _, corpus_path, meta = twelve_courses
         out = tmp_path / "series"
         assert main(["stats", "series", "--threads", str(corpus_path), "--meta", str(meta),
                      "--out", str(out)]) == 0
@@ -441,3 +447,144 @@ class TestDefaults:
         words2 = {r["word"] for r in _read_csv(out2 / "keywords.csv")}
         assert not any(int(w[1:]) % 2 == 0 for w in words2)
         assert main(base + ["--exclude-staff", "--out", str(tmp_path / "k3")]) == 0
+
+
+_NB = ('{"kind": "nb", "mode": "aggregate", "pseudocount": 1.0, "vocab": ["aa"], '
+       '"log_prior": [-0.6931471805599453, -0.6931471805599453], '
+       '"log_cond_neg": [0.0], "log_cond_pos": [0.0]}')
+_BAD_LABEL = ('{"course_id": "c", "thread_id": "t", "created_at": 0, "label": ["x"], '
+              '"posts": [{"post_id": "p", "author_id": "u", "timestamp": 0, "text": "hi"}]}')
+
+
+class TestBadInput:
+    """Bad input ends in exit 2 or 3 with the JSON error object, never a traceback."""
+
+    # CORPUS stands for a valid corpus, FILE for a file holding the given text
+    @pytest.mark.parametrize(
+        "argv, text, code, error",
+        [
+            (["compare", "--threads", "CORPUS", "--course", "nope"], None, 2, "ConfigError"),
+            (["topics", "extract", "--threads", "CORPUS", "--course", "nope"], None, 2, "ConfigError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "nope"}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm"}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"], "[1, 2]", 3, "ParseError"),
+            (["gen", "--spec", "FILE"], '{"kind": "uniform", "n": 100}', 3, "ParseError"),
+            (["gen", "--spec", "FILE"], "{", 3, "ParseError"),
+            (["ingest", "--threads", "FILE"], _BAD_LABEL, 3, "ParseError"),
+            (["stats", "moving-avg", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "nb-percourse", "models": {"course00": %s}}' % _NB, 2, "ConfigError"),
+        ],
+        ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
+             "model-missing-field", "model-not-an-object", "spec-missing-field",
+             "spec-invalid-json", "label-not-a-string", "moving-avg-percourse-model"],
+    )
+    def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        given = {"CORPUS": str(gen_corpus), "FILE": str(path)}
+        out = tmp_path / "o"
+        assert main([given.get(a, a) for a in argv] + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == error
+        assert not (out / "manifest.json").exists()
+
+
+class TestConfigScope:
+    def test_explicit_seed_beats_config(self, tmp_path, gen_corpus):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        out = tmp_path / "cmp"
+        rc = main(["--config", str(cfg), "--seed", "4", "compare", "--threads", str(gen_corpus),
+                   "--course", "course00", "--low", "1", "--high", "2", "--extra-days", "1",
+                   "--query", "1", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 4
+
+    def test_key_reaches_only_subcommands_that_declare_it(self, tmp_path, gen_corpus):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": str(tmp_path / "x.json"), "seed": 3}))
+        out = tmp_path / "ing"
+        rc = main(["--config", str(cfg), "ingest", "--threads", str(gen_corpus), "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "model" not in manifest["config"]
+        assert manifest["config"]["seed"] == 3
+        assert set(manifest["inputs"]) == {str(gen_corpus)}
+
+
+class TestRunner:
+    """main loads, hashes and records every command; the handlers only compute."""
+
+    # (subcommand, the input flags it declares, its other flags)
+    CASES = [
+        (["gen"], ["spec"], ["--counts", ",".join(["5"] * 12)]),
+        (["ingest"], ["threads", "meta"], []),
+        (["classify", "train"], ["threads", "stopwords"], ["--algo", "svm", "--epochs", "2"]),
+        (["classify", "eval"], ["threads", "model", "stopwords"], []),
+        (["classify", "roc"], ["threads", "model", "stopwords"], ["--theta-steps", "3"]),
+        (["topics", "extract"], ["threads", "stopwords"], ["--course", "course00"]),
+        (["topics", "converge"], ["threads", "stopwords"], ["--course", "course00"]),
+        (["rank"], ["threads", "stopwords"],
+         ["--course", "course00", "--warmup", "1", "--query", "1"]),
+        (["compare"], ["threads", "stopwords"],
+         ["--course", "course00", "--low", "1", "--high", "1", "--extra-days", "0", "--query", "1"]),
+        (["stats", "series"], ["threads", "meta"], []),
+        (["stats", "trend"], ["threads", "meta"], []),
+        (["stats", "panel"], ["threads", "meta"], []),
+        (["stats", "shapiro"], ["threads", "meta"], []),
+        (["stats", "ttest"], ["threads", "meta"], ["--threshold", "26"]),
+        (["stats", "moving-avg"], ["threads", "meta", "model", "stopwords"], []),
+    ]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, twelve_courses, tmp_path_factory):
+        spec, corpus_path, meta = twelve_courses
+        root = tmp_path_factory.mktemp("runner")
+        rc = main(["classify", "train", "--threads", str(corpus_path), "--algo", "svm",
+                   "--epochs", "2", "--out", str(root / "svm")])
+        assert rc == 0
+        stopwords = root / "stopwords.txt"
+        stopwords.write_text("w000\nw001\n")
+        return {"spec": spec, "threads": corpus_path, "meta": meta,
+                "model": root / "svm" / "model.json", "stopwords": stopwords}
+
+    @staticmethod
+    def _argv(command, flags, extra, inputs, out):
+        given = [a for f in flags for a in (f"--{f}", str(inputs[f]))]
+        return [*command, *given, *extra, "--out", str(out)]
+
+    @pytest.mark.parametrize("command, flags, extra", CASES, ids=[" ".join(c) for c, _, _ in CASES])
+    def test_manifest_hashes_every_input(self, tmp_path, inputs, command, flags, extra):
+        out = tmp_path / "out"
+        argv = self._argv(command, flags, extra, inputs, out)
+        parsed = build_parser().parse_args(argv)
+        assert {f for f in _INPUT_FLAGS if hasattr(parsed, f)} == set(flags)
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(inputs[f]): hashlib.sha256(inputs[f].read_bytes()).hexdigest() for f in flags
+        }
+
+    @pytest.mark.parametrize("command, flags, extra", CASES, ids=[" ".join(c) for c, _, _ in CASES])
+    def test_failed_handler_leaves_no_manifest(self, tmp_path, inputs, monkeypatch,
+                                               command, flags, extra):
+        def failing(args, corpus):
+            (Path(args.out) / "partial.csv").write_text("x\n")
+            raise DegenerateGroup("handler failed")
+
+        def failing_parser():
+            parser = build_parser()
+            for sub in _all_parsers(parser):
+                if sub.get_default("func") is not None:
+                    sub.set_defaults(func=failing)
+            return parser
+
+        monkeypatch.setattr("forumlens.cli.build_parser", failing_parser)
+        out = tmp_path / "out"
+        assert main(self._argv(command, flags, extra, inputs, out)) == 3
+        assert (out / "partial.csv").exists()
+        assert not (out / "manifest.json").exists()

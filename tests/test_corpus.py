@@ -112,8 +112,8 @@ class TestIngest:
         assert alpha.factors.video_hours == 12.5
         # metadata-only course appears with no threads
         assert corpus.course("gamma").num_threads == 0
-        # csv-only ingestion
-        meta_corpus = ingest_corpus(meta, fmt="csv")
+        # metadata alone yields thread-less courses
+        meta_corpus = attach_metadata(Corpus(()), meta)
         assert meta_corpus.num_courses == 2 and meta_corpus.num_threads == 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.special import ndtri, stdtrit
 
-from forumlens.corpus import Course, CourseFactors
+from forumlens.corpus import SECONDS_PER_DAY, Course, CourseFactors
 from forumlens.errors import (
     DegenerateDesign,
     DegenerateGroup,
@@ -30,7 +30,6 @@ from forumlens.stats import (
     qq_points,
     shapiro_wilk,
     smalltalk_moving_average,
-    thread_neighborhood,
     trim_and_diff,
     two_sample_tests,
 )
@@ -447,11 +446,22 @@ class TestMidranks:
         assert _midranks(x).tolist() == expected
 
 
+def thread_neighborhood(course, thread, t_days):
+    """Oracle: the other threads created within t_days before or after ``thread``."""
+    window = t_days * SECONDS_PER_DAY
+    return sum(
+        1
+        for other in course.threads
+        if other.thread_id != thread.thread_id
+        and abs(other.created_at - thread.created_at) <= window
+    )
+
+
 class TestAttention:
     def test_lone_thread(self):
         t = single_post_thread("t1", 1000, "alone")
         course = Course("c", 0, (t,))
-        assert thread_neighborhood(course, t, 1) == 0
+        assert neighborhood_counts(course, 1) == {"t1": 0}
 
     def test_hand_counts_at_hours(self):
         h = 3600
@@ -461,8 +471,7 @@ class TestAttention:
             single_post_thread("t36", 36 * h, "cc"),
         ]
         course = Course("c", 0, tuple(threads))
-        assert thread_neighborhood(course, threads[1], 1) == 2
-        assert thread_neighborhood(course, threads[0], 1) == 1
+        assert neighborhood_counts(course, 1) == {"t0": 1, "t12": 2, "t36": 1}
 
     def test_window_boundary_inclusive(self):
         base = 10 * 86400
@@ -472,7 +481,7 @@ class TestAttention:
             single_post_thread("after", base + 86400 + 1, "cc"),
         ]
         course = Course("c", 0, tuple(threads))
-        assert thread_neighborhood(course, threads[0], 1) == 1
+        assert neighborhood_counts(course, 1)["mid"] == 1
 
     def test_fast_counts_agree_with_direct(self):
         rng = np.random.default_rng(31)

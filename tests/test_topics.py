@@ -150,7 +150,7 @@ class TestPipeline:
     def test_extract_keywords_recovers_support(self):
         spec, corpus = self._corpus()
         ranking = extract_keywords(
-            corpus, "course00", ["course01"], k=50, warmup_days=10, stopwords=frozenset()
+            corpus, "course00", ["course01"], warmup_days=10, stopwords=frozenset()
         )
         recovered = set(top_k(ranking, 50))
         truth = spec.course_topics[0].support
@@ -223,7 +223,7 @@ def _oracle_tokens(corpus, course_id, background_ids, stopwords, include_staff):
     return bg, by_day
 
 
-def _oracle_extract(corpus, course_id, background_ids, k, warmup_days, stopwords, include_staff):
+def _oracle_extract(corpus, course_id, background_ids, warmup_days, stopwords, include_staff):
     bg, by_day = _oracle_tokens(corpus, course_id, background_ids, stopwords, include_staff)
     course_counts = Counter()
     for day, tokens in by_day.items():
@@ -233,7 +233,7 @@ def _oracle_extract(corpus, course_id, background_ids, k, warmup_days, stopwords
         raise EmptyCorpus(f"no course tokens in the first {warmup_days} days of {course_id}")
     if not bg:
         raise EmptyCorpus("background courses contributed no tokens")
-    return KeywordRanking(_oracle_fit(bg, course_counts).entries, k=k)
+    return _oracle_fit(bg, course_counts)
 
 
 def _oracle_convergence(corpus, course_id, background_ids, k, max_days, stopwords, include_staff):
@@ -324,12 +324,12 @@ class TestFitMatchesOracle:
     )
     def test_equal_to_oracle(self, corpus, include_staff, background_ids, k, warmup, max_days):
         stopwords = frozenset({"the"})
-        args = (corpus, "c0", background_ids, k)
+        args = (corpus, "c0", background_ids)
         assert _outcome(extract_keywords, *args, warmup, stopwords, include_staff) == _outcome(
             _oracle_extract, *args, warmup, stopwords, include_staff
         )
-        assert _outcome(convergence_series, *args, max_days, stopwords, include_staff) == _outcome(
-            _oracle_convergence, *args, max_days, stopwords, include_staff
+        assert _outcome(convergence_series, *args, k, max_days, stopwords, include_staff) == _outcome(
+            _oracle_convergence, *args, k, max_days, stopwords, include_staff
         )
 
     @settings(max_examples=60, deadline=None)
@@ -338,6 +338,6 @@ class TestFitMatchesOracle:
         stopwords = frozenset({"the"})
         fit = KeywordFit(TokenTable(stopwords), corpus, "c0")
         for warmup in warmups:
-            assert _outcome(fit.keywords, warmup, 3) == _outcome(
-                _oracle_extract, corpus, "c0", None, 3, warmup, stopwords, True
+            assert _outcome(fit.keywords, warmup) == _outcome(
+                _oracle_extract, corpus, "c0", None, warmup, stopwords, True
             )
