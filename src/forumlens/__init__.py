@@ -38,6 +38,7 @@ from .classify import (
 )
 from .topics import (
     KeywordRanking,
+    TokenTable,
     extract_keywords,
     normalized_kendall_tau,
     surprise_weights,

@@ -2,8 +2,9 @@
 
 Small-talk is the positive class throughout.  Feature vectors are raw term
 counts over the model vocabulary; tokens outside the vocabulary are ignored
-at prediction time.  Trained models are immutable and safe to share;
-evaluation is pure.
+at prediction time.  Documents are token-id arrays from the command's
+TokenTable, the one text input that every pipeline reads.  Trained models are
+immutable and safe to share; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, ThreadLabel, load_json_object, thread_tokens
+# not called here (TokenTable tokenizes), but bench/tracing.py rebinds classify.thread_tokens
+from .corpus import Corpus, ThreadLabel, load_json_object, thread_tokens  # noqa: F401
 from .errors import ConfigError, InvariantViolation, MissingClass, ParseError
-from .genmodel import (
-    GenerativeSpec,
-    SampledThread,
-    sample_thread,
-    sample_tokens,
-    separating_plane,
-)
+from .genmodel import GenerativeSpec, sample_thread, sample_tokens, separating_plane
+from .topics import TokenTable, first_counts, sequential_sum
 
-# (tokens, is_smalltalk) pairs
-LabeledDoc = tuple[Sequence[str], bool]
+# (token ids from a TokenTable, is_smalltalk) pairs
+LabeledDoc = tuple[np.ndarray, bool]
 
 
 class NbMode(Enum):
@@ -96,7 +93,7 @@ class SvmModel:
 
     def score(self, tokens: Sequence[str]) -> float:
         w = self.weights
-        return float(sum(w.get(tok, 0.0) for tok in tokens)) + self.bias
+        return sequential_sum(w.get(tok, 0.0) for tok in tokens) + self.bias
 
 
 @dataclass(frozen=True)
@@ -122,27 +119,36 @@ class EvalReport:
 _NEGATIVE_LABELS = {ThreadLabel.LOGISTICS, ThreadLabel.COURSE_SPECIFIC}
 
 
-def labeled_docs(
-    corpus: Corpus,
-    course_id: str | None = None,
-    stopwords: frozenset[str] | None = None,
-    include_staff: bool = True,
-) -> list[LabeledDoc]:
-    """Tokenized (doc, is_smalltalk) pairs; unlabeled threads are skipped."""
+def labeled_docs(corpus: Corpus, tokens: TokenTable, course_id: str | None = None) -> list[LabeledDoc]:
+    """(token ids, is_smalltalk) pairs read through ``tokens``; unlabeled threads are skipped."""
     docs: list[LabeledDoc] = []
     for course in corpus.courses:
         if course_id is not None and course.course_id != course_id:
             continue
         for t in course.threads:
-            if t.label == ThreadLabel.SMALL_TALK:
-                docs.append((thread_tokens(t, stopwords, include_staff), True))
-            elif t.label in _NEGATIVE_LABELS:
-                docs.append((thread_tokens(t, stopwords, include_staff), False))
+            positive = t.label == ThreadLabel.SMALL_TALK
+            if positive or t.label in _NEGATIVE_LABELS:
+                docs.append((tokens.ids(t), positive))
     return docs
 
 
-def labeled_docs_from_sampled(threads: Iterable[SampledThread]) -> list[LabeledDoc]:
-    return [(t.tokens, t.is_smalltalk) for t in threads]
+def _vocabulary(docs: Sequence[LabeledDoc], tokens: TokenTable, vocab: Sequence[str] | None):
+    """Sorted vocabulary (the docs' words, or ``vocab``) and each table id's position (len if absent)."""
+    table_words = list(tokens.index)
+    if vocab is None:
+        used = np.unique(np.concatenate([ids for ids, _ in docs]))
+        words = sorted(table_words[i] for i in used.tolist())
+    else:
+        words = sorted(set(vocab))
+    position = {w: i for i, w in enumerate(words)}
+    return words, np.array([position.get(w, len(words)) for w in table_words], dtype=np.intp)
+
+
+def _decoded(rows: Iterable[np.ndarray], tokens: TokenTable):
+    """Each id row as its words, one row at a time (every row is encoded before decoding starts)."""
+    rows = list(rows)
+    table_words = np.array(list(tokens.index), dtype=object)
+    return (table_words[ids].tolist() for ids in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +158,7 @@ def labeled_docs_from_sampled(threads: Iterable[SampledThread]) -> list[LabeledD
 
 def train_nb_docs(
     docs: Sequence[LabeledDoc],
+    tokens: TokenTable,
     pseudocount: float = 1.0,
     vocab: Sequence[str] | None = None,
     mode: NbMode = NbMode.AGGREGATE,
@@ -163,18 +170,11 @@ def train_nb_docs(
     n_neg = len(docs) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MissingClass(course_id)
-    if vocab is None:
-        words = sorted({w for tokens, _ in docs for w in tokens})
-    else:
-        words = sorted(set(vocab))
-    index = {w: i for i, w in enumerate(words)}
+    words, position = _vocabulary(docs, tokens, vocab)
     counts = np.zeros((2, len(words)))
-    for tokens, positive in docs:
-        row = counts[1 if positive else 0]
-        for w, c in Counter(tokens).items():
-            i = index.get(w)
-            if i is not None:
-                row[i] += c
+    for positive in (False, True):
+        class_ids = np.concatenate([ids for ids, pos in docs if pos == positive])
+        counts[int(positive)] = np.bincount(position[class_ids], minlength=len(words) + 1)[: len(words)]
     smoothed = counts + pseudocount
     log_cond = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     return NbModel(
@@ -192,21 +192,17 @@ def train_nb(
     corpus: Corpus,
     mode: NbMode = NbMode.AGGREGATE,
     pseudocount: float = 1.0,
-    vocab: Sequence[str] | None = None,
-    stopwords: frozenset[str] | None = None,
-    include_staff: bool = True,
+    tokens: TokenTable | None = None,
 ):
-    """Train on labeled threads; PER_COURSE returns {course_id: NbModel}."""
+    """Train on labeled threads read through ``tokens``; PER_COURSE returns {course_id: NbModel}."""
+    tokens = TokenTable() if tokens is None else tokens
     if mode == NbMode.AGGREGATE:
-        docs = labeled_docs(corpus, stopwords=stopwords, include_staff=include_staff)
-        return train_nb_docs(docs, pseudocount, vocab, mode)
-    models = {}
-    for course in corpus.courses:
-        docs = labeled_docs(corpus, course.course_id, stopwords=stopwords, include_staff=include_staff)
-        models[course.course_id] = train_nb_docs(
-            docs, pseudocount, vocab, mode, course_id=course.course_id
-        )
-    return models
+        return train_nb_docs(labeled_docs(corpus, tokens), tokens, pseudocount, mode=mode)
+    return {
+        c.course_id: train_nb_docs(labeled_docs(corpus, tokens, c.course_id), tokens, pseudocount,
+                                   mode=mode, course_id=c.course_id)
+        for c in corpus.courses
+    }
 
 
 def predict_nb(model: NbModel, tokens: Sequence[str]) -> NbPrediction:
@@ -228,18 +224,9 @@ def predict_nb(model: NbModel, tokens: Sequence[str]) -> NbPrediction:
 # ---------------------------------------------------------------------------
 
 
-def _doc_vectors(docs: Sequence[LabeledDoc], index: dict[str, int]):
-    rows = []
-    for tokens, positive in docs:
-        cnt = Counter(tok for tok in tokens if tok in index)
-        idx = np.array([index[w] for w in cnt], dtype=np.intp)
-        val = np.array(list(cnt.values()), dtype=float)
-        rows.append((idx, val, 1.0 if positive else -1.0))
-    return rows
-
-
 def train_svm(
     docs: Sequence[LabeledDoc],
+    tokens: TokenTable,
     lambda_: float = 1e-4,
     epochs: int = 50,
     vocab: Sequence[str] | None = None,
@@ -257,12 +244,14 @@ def train_svm(
         raise InvariantViolation("svm", "lambda and epochs must be positive")
     if not any(pos for _, pos in docs) or not any(not pos for _, pos in docs):
         raise MissingClass(None)
-    if vocab is None:
-        words = sorted({w for tokens, _ in docs for w in tokens})
-    else:
-        words = sorted(set(vocab))
-    index = {w: i for i, w in enumerate(words)}
-    rows = _doc_vectors(docs, index)
+    words, position = _vocabulary(docs, tokens, vocab)
+    rows = []
+    for ids, positive in docs:
+        # term counts in order of first occurrence, out-of-vocabulary words dropped
+        distinct, counts = first_counts(ids)
+        idx = position[distinct]
+        keep = idx < len(words)
+        rows.append((idx[keep], counts[keep].astype(float), 1.0 if positive else -1.0))
     w = np.zeros(len(words))
     t = 0
     for _ in range(epochs):
@@ -273,19 +262,21 @@ def train_svm(
             w *= 1.0 - eta * lambda_
             if margin < 1.0:
                 w[idx] += eta * y * val
-    weights = {word: float(w[i]) for word, i in index.items() if w[i] != 0.0}
+    weights = {word: float(w[i]) for i, word in enumerate(words) if w[i] != 0.0}
     return SvmModel(weights=weights, bias=0.0, theta=0.0)
 
 
-def svm_objective(model: SvmModel, docs: Sequence[LabeledDoc], lambda_: float) -> float:
+def svm_objective(
+    model: SvmModel, docs: Sequence[LabeledDoc], tokens: TokenTable, lambda_: float
+) -> float:
     """Average hinge loss plus (lambda/2)||w||^2 for the model on the docs."""
     if not docs:
         raise InvariantViolation("svm", "objective needs at least one document")
     hinge = 0.0
-    for tokens, positive in docs:
+    for (_, positive), words in zip(docs, _decoded((ids for ids, _ in docs), tokens)):
         y = 1.0 if positive else -1.0
-        hinge += max(0.0, 1.0 - y * model.score(tokens))
-    reg = 0.5 * lambda_ * sum(v * v for v in model.weights.values())
+        hinge += max(0.0, 1.0 - y * model.score(words))
+    reg = 0.5 * lambda_ * sequential_sum(v * v for v in model.weights.values())
     return hinge / len(docs) + reg
 
 
@@ -304,35 +295,40 @@ def _confusion(flagged, positive) -> EvalReport:
     return EvalReport(tp, fp, positive.size - tp - fp - fn, fn)
 
 
-def decisions(model, token_lists: Iterable[Sequence[str]], theta: float | None = None) -> list[bool]:
-    """Small-talk decision for each document, scored one document at a time.
+def decisions(
+    model, rows: Iterable[np.ndarray], tokens: TokenTable, theta: float | None = None
+) -> list[bool]:
+    """Small-talk decision for each id row of ``tokens``, scored one document at a time.
 
     For an SvmModel the decision is score > theta (default: model.theta); the
     naive Bayes decision ignores theta.
     """
     if isinstance(model, dict):
         raise ConfigError("a per-course model decides one course at a time")
+    docs = _decoded(rows, tokens)
     if isinstance(model, SvmModel):
         thr = model.theta if theta is None else theta
-        return [model.score(tokens) > thr for tokens in token_lists]
-    return [predict_nb(model, tokens).positive for tokens in token_lists]
+        return [model.score(words) > thr for words in docs]
+    return [predict_nb(model, words).positive for words in docs]
 
 
-def evaluate(model, docs: Sequence[LabeledDoc], theta: float | None = None) -> EvalReport:
+def evaluate(
+    model, docs: Sequence[LabeledDoc], tokens: TokenTable, theta: float | None = None
+) -> EvalReport:
     """TPR/FPR with small-talk as positive, deciding as ``decisions`` does."""
     if not docs:
         raise InvariantViolation("eval", "test set must be nonempty")
-    flagged = decisions(model, [tokens for tokens, _ in docs], theta)
+    flagged = decisions(model, [ids for ids, _ in docs], tokens, theta)
     return _confusion(flagged, [positive for _, positive in docs])
 
 
 def roc_sweep(
-    model: SvmModel, docs: Sequence[LabeledDoc], thresholds: Sequence[float]
+    model: SvmModel, docs: Sequence[LabeledDoc], tokens: TokenTable, thresholds: Sequence[float]
 ) -> list[tuple[float, EvalReport]]:
     """Evaluate at each threshold; TPR and FPR are non-increasing in theta."""
     if list(thresholds) != sorted(thresholds):
         raise InvariantViolation("roc", "thresholds must be sorted ascending")
-    scores = np.array([model.score(tokens) for tokens, _ in docs])
+    scores = np.array([model.score(words) for words in _decoded((ids for ids, _ in docs), tokens)])
     positive = np.array([positive for _, positive in docs], dtype=bool)
     return [(theta, _confusion(scores > theta, positive)) for theta in thresholds]
 
@@ -389,8 +385,8 @@ def load_model(path):
             return SvmModel(weights=dict(obj["weights"]), bias=obj["bias"], theta=obj["theta"])
         if kind == "nb-percourse":
             return {cid: _nb_from_obj(m) for cid, m in obj["models"].items()}
-    except KeyError as exc:
-        raise ParseError(1, f"{kind} model is missing field {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # a missing or wrong-typed field
+        raise ParseError(1, f"{kind} model has a missing or malformed field: {exc}") from None
     raise ParseError(1, f"unknown model kind {kind!r}")
 
 
@@ -433,10 +429,11 @@ def small_sample_fpr_trials(
     results: list[float | None] = []
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.Generator(np.random.PCG64(child))
+        tokens = TokenTable()
         train = [sample_thread(spec, course, rng) for _ in range(b)]
-        docs = labeled_docs_from_sampled(train)
+        docs = [(tokens.encode(t.tokens), t.is_smalltalk) for t in train]
         try:
-            model = train_nb_docs(docs, pseudocount=pseudocount, vocab=spec.background.vocab)
+            model = train_nb_docs(docs, tokens, pseudocount=pseudocount, vocab=spec.background.vocab)
         except MissingClass:
             results.append(None)
             continue
@@ -470,8 +467,10 @@ def plane_and_svm_errors(
     train_rng = np.random.Generator(np.random.PCG64(ss[0]))
     eval_rng = np.random.Generator(np.random.PCG64(ss[1]))
 
+    tokens = TokenTable()
     train = [sample_thread(spec, course, train_rng) for _ in range(svm_training_threads)]
-    svm = train_svm(labeled_docs_from_sampled(train), lambda_=lambda_, epochs=epochs)
+    docs = [(tokens.encode(t.tokens), t.is_smalltalk) for t in train]
+    svm = train_svm(docs, tokens, lambda_=lambda_, epochs=epochs)
 
     plane_errors = svm_errors = 0
     for _ in range(n_eval):

@@ -32,7 +32,7 @@ from .corpus import (
     load_json_object,
     load_stopwords,
     serialize_corpus,
-    thread_tokens,
+    thread_tokens,  # not called here, but bench/tracing.py rebinds cli.thread_tokens
 )
 from .classify import (
     NbMode,
@@ -47,18 +47,7 @@ from .classify import (
     train_nb,
     train_svm,
 )
-from .errors import (
-    ConfigError,
-    DegenerateDesign,
-    DegenerateGroup,
-    DomainMismatch,
-    EmptyCorpus,
-    InvariantViolation,
-    MissingClass,
-    ParseError,
-    RankDeficient,
-    SampleSizeError,
-)
+from .errors import ConfigError, EmptyCorpus, ForumlensError, ParseError, RankDeficient
 from .genmodel import GenerativeSpec, adversarial_spec, make_spec, sample_corpus
 from .ranking import (
     RankedList,
@@ -84,18 +73,6 @@ from .stats import (
     two_sample_tests,
 )
 from .topics import KeywordFit, TokenTable, convergence_series, extract_keywords
-
-_DATA_ERRORS = (
-    ParseError,
-    InvariantViolation,
-    EmptyCorpus,
-    MissingClass,
-    DomainMismatch,
-    DegenerateDesign,
-    DegenerateGroup,
-    SampleSizeError,
-)
-
 
 def _fmt(value):
     if isinstance(value, float):
@@ -172,8 +149,8 @@ def _load_spec(path) -> GenerativeSpec:
             )
         if kind == "explicit":
             return GenerativeSpec.from_json(json.dumps(obj["spec"]))
-    except KeyError as exc:
-        raise ParseError(1, f"{kind} spec is missing field {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # a missing or wrong-typed field
+        raise ParseError(1, f"{kind} spec has a missing or malformed field: {exc}") from None
     raise ParseError(1, f"unknown spec kind {kind!r}")
 
 
@@ -183,10 +160,10 @@ def _background_ids(args):
     return [c.strip() for c in args.background.split(",") if c.strip()]
 
 
-def _text_options(args) -> tuple[frozenset | None, bool]:
-    """(stopwords, include_staff) resolved from the shared text flags."""
+def _tokens(args) -> TokenTable:
+    """The command's one token table, built from the shared text flags."""
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    return stopwords, not args.exclude_staff
+    return TokenTable(stopwords, include_staff=not args.exclude_staff)
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +203,27 @@ def _cmd_ingest(args, corpus) -> int:
 
 
 def _cmd_classify_train(args, corpus) -> int:
-    stopwords, include_staff = _text_options(args)
+    tokens = _tokens(args)
     if args.algo == "nb":
-        model = train_nb(corpus, NbMode(args.mode), pseudocount=args.pseudocount,
-                         stopwords=stopwords, include_staff=include_staff)
+        model = train_nb(corpus, NbMode(args.mode), args.pseudocount, tokens)
     else:
-        docs = labeled_docs(corpus, stopwords=stopwords, include_staff=include_staff)
-        model = train_svm(docs, lambda_=args.lam, epochs=args.epochs)
+        model = train_svm(labeled_docs(corpus, tokens), tokens, lambda_=args.lam, epochs=args.epochs)
     save_model(model, os.path.join(args.out, "model.json"))
     return 0
 
 
 def _cmd_classify_eval(args, corpus) -> int:
-    stopwords, include_staff = _text_options(args)
+    tokens = _tokens(args)
     model = load_model(args.model)
+    # a per-course model skips courses without labeled threads; the aggregate one needs some
+    scopes = sorted(model.items()) if isinstance(model, dict) else [(None, model)]
     rows = []
-    if isinstance(model, dict):
-        for course_id, sub in sorted(model.items()):
-            docs = labeled_docs(corpus, course_id, stopwords=stopwords, include_staff=include_staff)
-            if not docs:
-                continue
-            rep = evaluate(sub, docs, theta=args.theta)
-            rows.append((course_id, rep.tp, rep.fp, rep.tn, rep.fn, rep.tpr, rep.fpr))
-    else:
-        docs = labeled_docs(corpus, stopwords=stopwords, include_staff=include_staff)
-        rep = evaluate(model, docs, theta=args.theta)
-        rows.append(("all", rep.tp, rep.fp, rep.tn, rep.fn, rep.tpr, rep.fpr))
+    for course_id, sub in scopes:
+        docs = labeled_docs(corpus, tokens, course_id)
+        if docs or course_id is None:
+            rep = evaluate(sub, docs, tokens, theta=args.theta)
+            scope = "all" if course_id is None else course_id
+            rows.append((scope, rep.tp, rep.fp, rep.tn, rep.fn, rep.tpr, rep.fpr))
     _write_csv(
         os.path.join(args.out, "eval.csv"),
         ["scope", "tp", "fp", "tn", "fn", "tpr", "fpr"],
@@ -261,13 +233,12 @@ def _cmd_classify_eval(args, corpus) -> int:
 
 
 def _cmd_classify_roc(args, corpus) -> int:
-    stopwords, include_staff = _text_options(args)
+    tokens = _tokens(args)
     model = load_model(args.model)
     if not isinstance(model, SvmModel):
         raise ConfigError("roc sweeps require an SVM model")
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps).tolist()
-    docs = labeled_docs(corpus, stopwords=stopwords, include_staff=include_staff)
-    reports = roc_sweep(model, docs, thetas)
+    reports = roc_sweep(model, labeled_docs(corpus, tokens), tokens, thetas)
     _write_csv(
         os.path.join(args.out, "roc.csv"),
         ["theta", "tpr", "fpr", "tp", "fp", "tn", "fn"],
@@ -277,10 +248,8 @@ def _cmd_classify_roc(args, corpus) -> int:
 
 
 def _cmd_topics_extract(args, corpus) -> int:
-    stopwords, include_staff = _text_options(args)
     ranking = extract_keywords(
-        corpus, args.course, _background_ids(args), warmup_days=args.warmup_days,
-        stopwords=stopwords, include_staff=include_staff,
+        corpus, args.course, _background_ids(args), warmup_days=args.warmup_days, tokens=_tokens(args)
     )
     rows = [(r, w, g) for r, (w, g) in enumerate(ranking.entries[: args.k], start=1)]
     _write_csv(os.path.join(args.out, "keywords.csv"), ["rank", "word", "gamma"], rows)
@@ -288,10 +257,9 @@ def _cmd_topics_extract(args, corpus) -> int:
 
 
 def _cmd_topics_converge(args, corpus) -> int:
-    stopwords, include_staff = _text_options(args)
     points = convergence_series(
         corpus, args.course, _background_ids(args), k=args.k, max_days=args.max_days,
-        stopwords=stopwords, include_staff=include_staff,
+        tokens=_tokens(args),
     )
     _write_csv(
         os.path.join(args.out, "convergence.csv"),
@@ -304,19 +272,19 @@ def _cmd_topics_converge(args, corpus) -> int:
 class _CourseRanker:
     """Ranks one course's query threads for the windows of one command.
 
-    Every ranking reads its tokens from the same tables, and the keyword fit
-    (background counts and accumulated course counts) is built on first use
-    and shared by every warm-up length.  ``--exclude-staff`` drops staff
+    Every ranking reads its tokens from the command's table, and the keyword
+    fit (background counts and accumulated course counts) is built on first
+    use and shared by every warm-up length.  ``--exclude-staff`` drops staff
     posts from the keyword fit only: topical and tf-idf scores read staff text.
     """
 
-    def __init__(self, corpus, course_id, stopwords, include_staff, alpha, keyword_k):
+    def __init__(self, corpus, course_id, tokens, alpha, keyword_k):
         self.corpus = corpus
         self.course = corpus.course(course_id)
         self.alpha = alpha
         self.keyword_k = keyword_k
-        self.fit_tokens = TokenTable(stopwords, include_staff)
-        self.score_tokens = self.fit_tokens if include_staff else TokenTable(stopwords)
+        self.fit_tokens = tokens
+        self.score_tokens = tokens if tokens.include_staff else TokenTable(tokens.stopwords)
         self._fit = None
 
     def rank(self, algo, window) -> RankedList:
@@ -344,8 +312,7 @@ class _CourseRanker:
 
 
 def _cmd_rank(args, corpus) -> int:
-    stopwords, include_staff = _text_options(args)
-    ranker = _CourseRanker(corpus, args.course, stopwords, include_staff, args.alpha, args.keyword_k)
+    ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
     ranked = ranker.rank(args.algo, RankWindow(args.warmup, args.query))
     _write_csv(
         os.path.join(args.out, "ranked.csv"),
@@ -356,8 +323,7 @@ def _cmd_rank(args, corpus) -> int:
 
 
 def _cmd_compare(args, corpus) -> int:
-    stopwords, include_staff = _text_options(args)
-    ranker = _CourseRanker(corpus, args.course, stopwords, include_staff, args.alpha, args.keyword_k)
+    ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
     irrelevant_ids = {t.thread_id for t in ranker.course.threads if t.label == ThreadLabel.SMALL_TALK}
     days = sample_query_days(args.low, args.high, args.extra_days, seed=args.seed or 0)
     rows = []
@@ -488,9 +454,8 @@ def _cmd_stats_moving_avg(args, corpus) -> int:
         if t.created_at - course.start_date <= args.max_days * 86400
     ]
     if args.model:
-        stopwords, include_staff = _text_options(args)
-        tokens = (thread_tokens(t, stopwords, include_staff) for _, _, t in picked)
-        flags = decisions(load_model(args.model), tokens)
+        tokens = _tokens(args)
+        flags = decisions(load_model(args.model), [tokens.ids(t) for _, _, t in picked], tokens)
     else:
         picked = [p for p in picked if p[2].label != ThreadLabel.UNLABELED]
         flags = [p[2].label == ThreadLabel.SMALL_TALK for p in picked]
@@ -534,8 +499,15 @@ _RANK_STAFF_HELP = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError (the JSON error object); subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="forumlens", description=__doc__)
+    parser = _Parser(prog="forumlens", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, default=None, help="seed override for seeded commands")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -672,15 +644,12 @@ def _dests(parser) -> set[str]:
 
 def _config_path(argv) -> str | None:
     """The ``--config`` value, read the way the top-level parser reads it."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
     # declared so that a --seed value is not taken for the subcommand
     pre.add_argument("--seed")
     pre.add_argument("command", nargs=argparse.REMAINDER)
-    try:
-        return pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError as exc:
-        raise ConfigError(str(exc)) from None
+    return pre.parse_known_args(argv)[0].config
 
 
 def _apply_config(parser, path):
@@ -731,12 +700,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _emit_error(ConfigError(f"input not found: {exc.filename}"))
         return 2
-    except _DATA_ERRORS as exc:
-        _emit_error(exc)
-        return 3
     except (RankDeficient, FloatingPointError, np.linalg.LinAlgError) as exc:
         _emit_error(exc)
         return 4
+    except ForumlensError as exc:  # every other toolkit error is about the data
+        _emit_error(exc)
+        return 3
 
 
 def _emit_error(exc) -> None:

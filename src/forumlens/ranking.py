@@ -1,8 +1,8 @@
 """Thread relevance ranking: keyword ranker plus tf-idf and HITS baselines.
 
 A thread's text is the concatenation of all its posts at query time.  The
-text rankers read tokens from a TokenTable; a caller that ranks the same
-threads more than once passes one table so that each thread is tokenized once.
+text rankers read it from the command's TokenTable, the one text input of
+every pipeline, so a thread ranked more than once is tokenized once.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import Thread, day_index
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds ranking.thread_tokens
-from .corpus import Thread, thread_tokens  # noqa: F401
+from .corpus import thread_tokens  # noqa: F401
 from .errors import InvariantViolation
-from .topics import KeywordRanking, TokenTable, top_k
+from .topics import KeywordRanking, TokenTable, first_counts, sequential_sum, top_k
 
 
 @dataclass(frozen=True)
@@ -85,31 +86,27 @@ def topical_rank(
     query_threads: Sequence[Thread],
     alpha: float = 0.96,
     k: int = 50,
-    stopwords: frozenset[str] | None = None,
     tokens: TokenTable | None = None,
 ) -> RankedList:
     """Score each thread as the sum of its tokens' keyword weights (with repetition).
 
-    Tokens come from ``tokens`` when given (its stopwords apply), else from a
-    fresh table over ``stopwords`` with staff text included.
+    Tokens come from ``tokens`` (default: a fresh TokenTable).
     """
-    if tokens is None:
-        tokens = TokenTable(stopwords)
+    tokens = TokenTable() if tokens is None else tokens
     rows = [tokens.ids(t) for t in query_threads]
     weights = np.zeros(len(tokens))
     for w, weight in keyword_weights(keywords, alpha, k).items():
         i = tokens.index.get(w)
         if i is not None:
             weights[i] = weight
-    # Python's sequential sum in token order, not np.sum's pairwise one, fixes each score's last bit
-    scores = {t.thread_id: float(sum(weights[ids].tolist())) for t, ids in zip(query_threads, rows)}
+    # a left-to-right sum in token order, not np.sum's pairwise one, fixes each score's last bit
+    scores = {t.thread_id: sequential_sum(weights[ids].tolist()) for t, ids in zip(query_threads, rows)}
     return _ranked(query_threads, scores)
 
 
 def tfidf_rank(
     window_threads: Sequence[Thread],
     query_threads: Sequence[Thread],
-    stopwords: frozenset[str] | None = None,
     tokens: TokenTable | None = None,
 ) -> RankedList:
     """Treat each thread as a document; score = sum over tokens of tf * idf.
@@ -120,8 +117,7 @@ def tfidf_rank(
     """
     if not window_threads:
         raise InvariantViolation("tfidf", "window must be nonempty")
-    if tokens is None:
-        tokens = TokenTable(stopwords)
+    tokens = TokenTable() if tokens is None else tokens
     doc_ids = {t.thread_id: tokens.ids(t) for t in window_threads}
     for t in query_threads:
         if t.thread_id not in doc_ids:
@@ -135,10 +131,8 @@ def tfidf_rank(
     idf[seen] = [math.log(n_docs / c) for c in df[seen].tolist()]
     scores = {}
     for t in query_threads:
-        words, first, counts = np.unique(doc_ids[t.thread_id], return_index=True, return_counts=True)
-        order = np.argsort(first)
-        # summed sequentially over words in order of first occurrence
-        scores[t.thread_id] = float(sum((counts[order] * idf[words[order]]).tolist()))
+        words, counts = first_counts(doc_ids[t.thread_id])
+        scores[t.thread_id] = sequential_sum((counts * idf[words]).tolist())
     return _ranked(query_threads, scores)
 
 
@@ -210,8 +204,6 @@ def split_window(
     threads: Sequence[Thread], start_date: int, window: RankWindow
 ) -> tuple[list[Thread], list[Thread]]:
     """(window threads, query threads) for a course given day-based boundaries."""
-    from .corpus import day_index
-
     window_threads = []
     query_threads = []
     for t in threads:

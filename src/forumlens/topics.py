@@ -10,9 +10,9 @@ the background token count.  Words whose course frequency stands far above
 their global frequency score high; globally common words are discounted by
 the square-root denominator.
 
-A command tokenizes each thread once, into a TokenTable that its topics and
-ranking steps share; KeywordFit counts the background once and accumulates
-the course counts day by day.
+A command tokenizes each thread once, into one TokenTable that every
+pipeline it runs reads (keywords, ranking and the classifiers); KeywordFit
+counts the background once and accumulates the course counts day by day.
 """
 
 from __future__ import annotations
@@ -150,19 +150,37 @@ class TokenTable:
     def __len__(self) -> int:
         return len(self.index)
 
+    def encode(self, tokens: Sequence[str]) -> np.ndarray:
+        """``tokens`` as int32 ids; new words take the next ids, in order of appearance."""
+        index = self.index
+        try:
+            ids = list(map(index.__getitem__, tokens))
+        except KeyError:
+            for w in tokens:
+                index.setdefault(w, len(index))
+            ids = list(map(index.__getitem__, tokens))
+        return np.array(ids, dtype=np.int32)
+
     def ids(self, thread: Thread) -> np.ndarray:
         row = self._rows.get(id(thread))
         if row is None:
-            index = self.index
             tokens = thread_tokens(thread, self.stopwords, self.include_staff)
-            try:
-                ids = list(map(index.__getitem__, tokens))
-            except KeyError:  # new words take the next ids, in order of appearance
-                for w in tokens:
-                    index.setdefault(w, len(index))
-                ids = list(map(index.__getitem__, tokens))
-            row = self._rows[id(thread)] = (thread, np.array(ids, dtype=np.int32))
+            row = self._rows[id(thread)] = (thread, self.encode(tokens))
         return row[1]
+
+
+def first_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids of ``ids`` in order of first occurrence, and how often each occurs."""
+    distinct = np.array(list(dict.fromkeys(ids.tolist())), dtype=ids.dtype)
+    return distinct, np.bincount(ids)[distinct]
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0; from Python 3.12 the built-in sum() compensates."""
+    total = 0.0
+    for v in values:
+        total += v
+    return float(total)
 
 
 def _bincount(rows: list[np.ndarray], size: int) -> np.ndarray:
@@ -283,15 +301,15 @@ def extract_keywords(
     course_id: str,
     background_ids: Sequence[str] | None = None,
     warmup_days: int = 10,
-    stopwords: frozenset[str] | None = None,
-    include_staff: bool = True,
+    tokens: TokenTable | None = None,
 ) -> KeywordRanking:
     """Surprise-weight ranking for one course.
 
     Background data is the full text of the other (or the given) courses;
     course-specific data is the target course's first ``warmup_days`` days.
+    Text is read through ``tokens`` (default: a fresh TokenTable).
     """
-    fit = KeywordFit(TokenTable(stopwords, include_staff), corpus, course_id, background_ids)
+    fit = KeywordFit(TokenTable() if tokens is None else tokens, corpus, course_id, background_ids)
     return fit.keywords(warmup_days)
 
 
@@ -301,16 +319,15 @@ def convergence_series(
     background_ids: Sequence[str] | None = None,
     k: int = 50,
     max_days: int | None = None,
-    stopwords: frozenset[str] | None = None,
-    include_staff: bool = True,
+    tokens: TokenTable | None = None,
 ) -> list[ConvergencePoint]:
     """Day-over-day stability of the top-k ranking as course data accumulates.
 
     For each day d >= 2 the point compares the ranking fitted on days <= d-1
     with the one fitted on days <= d: top-k set churn and the Kendall tau on
-    the common top-k words.  Only course days >= 1 count.
+    the common top-k words.  Only course days >= 1 count.  ``tokens`` as in extract_keywords.
     """
-    fit = KeywordFit(TokenTable(stopwords, include_staff), corpus, course_id, background_ids)
+    fit = KeywordFit(TokenTable() if tokens is None else tokens, corpus, course_id, background_ids)
     return fit.convergence(k, max_days)
 
 

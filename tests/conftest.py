@@ -11,7 +11,7 @@ import pytest
 from forumlens.corpus import Course, Corpus, Post, Thread, ThreadLabel, UnigramModel
 from forumlens.genmodel import make_spec, sample_tokens
 from forumlens.ranking import hits_rank, tfidf_rank, topical_rank
-from forumlens.topics import surprise_weights
+from forumlens.topics import TokenTable, surprise_weights
 
 
 def make_post(pid, author, ts, text, staff=False):
@@ -110,7 +110,7 @@ def noise_discrimination_trial(seed: int) -> tuple[int, int, int]:
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     spec = make_spec(n=2000, num_courses=2, epsilon=0.4, p=0.3, s=200, seed=seed)
-    stopwords = frozenset()
+    table = TokenTable(frozenset())
 
     bg_counts: Counter = Counter()
     for _ in range(150):
@@ -152,8 +152,8 @@ def noise_discrimination_trial(seed: int) -> tuple[int, int, int]:
         threads.append(multi_user_thread(tid, base + 200 + j, tokens, users(int(rng.integers(8, 21)))))
         irrelevant.add(tid)
 
-    ours = topical_rank(keywords, threads, alpha=0.96, k=50, stopwords=stopwords)
-    tfidf = tfidf_rank(threads, threads, stopwords=stopwords)
+    ours = topical_rank(keywords, threads, alpha=0.96, k=50, tokens=table)
+    tfidf = tfidf_rank(threads, threads, tokens=table)
     hits = hits_rank(threads)
 
     def admitted(ranked):

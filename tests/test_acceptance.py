@@ -36,6 +36,7 @@ from forumlens.stats import (
 )
 from forumlens.topics import (
     KeywordRanking,
+    TokenTable,
     convergence_series,
     support_recovery_recall,
     surprise_weights,
@@ -128,7 +129,7 @@ class TestCriterion3RankingConvergence:
             )
             corpus = sample_corpus(spec, [1500, 1000], threads_per_day=day_threads)
             points = convergence_series(
-                corpus, "course00", ["course01"], k=50, stopwords=frozenset()
+                corpus, "course00", ["course01"], k=50, tokens=TokenTable(frozenset())
             )
             day_tokens = day_threads * spec.s
             late = [
@@ -330,7 +331,7 @@ class TestCriterion7FormulaExactness:
         # keyword weight alpha**rank
         keywords = KeywordRanking((("kw1", 2.0), ("kw2", 1.0)))
         thread = single_post_thread("t1", 1, "kw1 kw1")
-        ranked = topical_rank(keywords, [thread], alpha=0.5, k=50, stopwords=frozenset())
+        ranked = topical_rank(keywords, [thread], alpha=0.5, k=50, tokens=TokenTable(frozenset()))
         assert abs(ranked.entries[0][1] - 1.0) <= 1e-9
 
         # tf-idf with natural log
@@ -340,7 +341,7 @@ class TestCriterion7FormulaExactness:
             single_post_thread("d3", 3, "common x3"),
             single_post_thread("d4", 4, "common x4"),
         ]
-        scored = tfidf_rank(threads, [threads[0]], stopwords=frozenset())
+        scored = tfidf_rank(threads, [threads[0]], tokens=TokenTable(frozenset()))
         assert abs(scored.entries[0][1] - 2 * np.log(4)) <= 1e-9
 
         # thread neighborhood at hour offsets 0, 12, 36

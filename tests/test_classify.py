@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from forumlens.classify import (
     EvalReport,
     NbMode,
+    NbModel,
     SvmModel,
+    _confusion,
     evaluate,
     labeled_docs,
-    labeled_docs_from_sampled,
     load_model,
     plane_and_svm_errors,
     predict_nb,
@@ -27,10 +29,21 @@ from forumlens.classify import (
 from forumlens.corpus import ingest_corpus
 from forumlens.errors import InvariantViolation, MissingClass
 from forumlens.genmodel import adversarial_spec, make_spec, sample_thread, separating_plane
+from forumlens.topics import TokenTable
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _encoded(docs):
+    """(word tuple, label) docs as (id array, label) docs, and the table they were encoded with."""
+    tokens = TokenTable()
+    return [(tokens.encode(words), positive) for words, positive in docs], tokens
+
+
+def _sampled(threads):
+    return _encoded([(t.tokens, t.is_smalltalk) for t in threads])
 
 
 FOUR_DOCS = [
@@ -62,12 +75,12 @@ def _hand_nb_posteriors(docs, tokens, pseudocount=1.0):
 
 class TestNaiveBayes:
     def test_single_word_docs(self):
-        model = train_nb_docs([(("aa",), True), (("bb",), False)])
+        model = train_nb_docs(*_encoded([(("aa",), True), (("bb",), False)]))
         i_a = model.vocab.index("aa")
         assert model.log_cond_pos[i_a] > model.log_cond_neg[i_a]
 
     def test_hand_computed_posteriors(self):
-        model = train_nb_docs(FOUR_DOCS)
+        model = train_nb_docs(*_encoded(FOUR_DOCS))
         # smoothed conditionals: pos counts (a3,b1,c1)/N=5, neg (a0,b2,c2)/N=4
         i = {w: k for k, w in enumerate(model.vocab)}
         assert math.exp(model.log_cond_pos[i["aa"]]) == pytest.approx(4 / 8)
@@ -82,18 +95,18 @@ class TestNaiveBayes:
 
     def test_training_set_accuracy_on_separable_fixture(self):
         docs = [(("xx", "yy"), True)] * 3 + [(("uu", "vv"), False)] * 3
-        model = train_nb_docs(docs)
+        model = train_nb_docs(*_encoded(docs))
         assert all(predict_nb(model, toks).positive == pos for toks, pos in docs)
 
     def test_empty_tokens_fall_back_to_prior(self):
         docs = [(("aa",), True), (("aa",), True), (("bb",), False)]
-        model = train_nb_docs(docs)
+        model = train_nb_docs(*_encoded(docs))
         assert predict_nb(model, ()).positive  # prior favors positive
-        balanced = train_nb_docs(FOUR_DOCS)
+        balanced = train_nb_docs(*_encoded(FOUR_DOCS))
         assert not predict_nb(balanced, ()).positive  # tie goes negative
 
     def test_unseen_tokens_decided_by_smoothing(self):
-        model = train_nb_docs(FOUR_DOCS)
+        model = train_nb_docs(*_encoded(FOUR_DOCS))
         # "aa" never appears in the negative class: smoothing mass decides
         pred = predict_nb(model, ("aa",))
         hand = _hand_nb_posteriors(FOUR_DOCS, ("aa",))
@@ -107,7 +120,7 @@ class TestNaiveBayes:
 
     def test_missing_class(self):
         with pytest.raises(MissingClass):
-            train_nb_docs([(("aa",), True)])
+            train_nb_docs(*_encoded([(("aa",), True)]))
 
     def test_per_course_mode(self, tiny_jsonl):
         corpus = ingest_corpus(tiny_jsonl)
@@ -130,7 +143,7 @@ class TestNaiveBayes:
     )
     def test_oracle_equivalence(self, docs, query):
         docs = [(tuple(toks), pos) for toks, pos in docs]
-        model = train_nb_docs(docs)
+        model = train_nb_docs(*_encoded(docs))
         pred = predict_nb(model, tuple(query))
         hand = _hand_nb_posteriors(docs, tuple(query))
         assert pred.log_posterior_pos == pytest.approx(hand[True], abs=1e-9)
@@ -140,18 +153,18 @@ class TestNaiveBayes:
 class TestSvm:
     def test_separates_one_hot_pair(self):
         docs = [(("xx",), True), (("yy",), False)]
-        model = train_svm(docs, lambda_=0.1, epochs=200)
+        model = train_svm(*_encoded(docs), lambda_=0.1, epochs=200)
         assert model.score(("xx",)) > 0 > model.score(("yy",))
 
     def test_duplication_replays_identically(self):
-        docs = [
+        docs, tokens = _encoded([
             (("aa", "aa", "bb"), True),
             (("cc", "dd"), False),
             (("aa", "ee"), True),
             (("cc", "cc", "ff"), False),
-        ]
-        m1 = train_svm(docs, lambda_=0.1, epochs=400)
-        m2 = train_svm(docs + docs, lambda_=0.1, epochs=200)
+        ])
+        m1 = train_svm(docs, tokens, lambda_=0.1, epochs=400)
+        m2 = train_svm(docs + docs, tokens, lambda_=0.1, epochs=200)
         words = set(m1.weights) | set(m2.weights)
         assert max(abs(m1.weights.get(w, 0.0) - m2.weights.get(w, 0.0)) for w in words) <= 1e-6
 
@@ -159,45 +172,51 @@ class TestSvm:
         # noisy regime: classes overlap so hinge losses are bounded away from 0
         spec = make_spec(n=2000, num_courses=1, epsilon=0.1, p=0.5, s=30, seed=5)
         rng = _rng(2)
-        train = labeled_docs_from_sampled([sample_thread(spec, 0, rng) for _ in range(200)])
+        train, tokens = _sampled([sample_thread(spec, 0, rng) for _ in range(200)])
         lam = 1e-3
-        svm = train_svm(train, lambda_=lam, epochs=200, vocab=spec.background.vocab)
+        svm = train_svm(train, tokens, lambda_=lam, epochs=200, vocab=spec.background.vocab)
         weights, tau = separating_plane(spec)
         oracle = min(
             svm_objective(
-                SvmModel({w: b * v for w, v in weights.items()}, bias=-b * tau), train, lam
+                SvmModel({w: b * v for w, v in weights.items()}, bias=-b * tau), train, tokens, lam
             )
             for b in np.geomspace(0.01, 100.0, 200)
         )
-        assert svm_objective(svm, train, lam) <= 1.05 * oracle
+        assert svm_objective(svm, train, tokens, lam) <= 1.05 * oracle
+
+    def test_score_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the left-to-right sum is 0.0; fsum gives 1.0
+        model = SvmModel({"aa": 1e16, "bb": 1.0, "cc": -1e16}, bias=0.5)
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        assert model.score(("aa", "bb", "cc")) == ((1e16 + 1.0) - 1e16) + 0.5 == 0.5
 
     def test_missing_class(self):
         with pytest.raises(MissingClass):
-            train_svm([(("aa",), True), (("bb",), True)])
+            train_svm(*_encoded([(("aa",), True), (("bb",), True)]))
 
 
 class TestEvaluate:
     def test_perfect_classifier(self):
         model = SvmModel({"xx": 1.0, "yy": -1.0})
         docs = [(("xx",), True), (("yy",), False)]
-        report = evaluate(model, docs)
+        report = evaluate(model, *_encoded(docs))
         assert (report.tpr, report.fpr) == (1.0, 0.0)
 
     def test_constant_positive(self):
         model = SvmModel({}, bias=1.0)
         docs = [(("xx",), True), (("yy",), False)]
-        report = evaluate(model, docs)
+        report = evaluate(model, *_encoded(docs))
         assert (report.tpr, report.fpr) == (1.0, 1.0)
 
     def test_tie_at_theta_is_negative(self):
         model = SvmModel({"xx": 1.0}, theta=1.0)
-        report = evaluate(model, [(("xx",), True)])
+        report = evaluate(model, *_encoded([(("xx",), True)]))
         assert report.tpr == 0.0
 
     def test_roc_extremes_and_monotonicity(self):
         model = SvmModel({"xx": 1.0, "yy": -0.5})
         docs = [(("xx",), True), (("xx", "yy"), True), (("yy",), False), ((), False)]
-        sweep = roc_sweep(model, docs, [-math.inf, -1.0, 0.0, 0.25, math.inf])
+        sweep = roc_sweep(model, *_encoded(docs), [-math.inf, -1.0, 0.0, 0.25, math.inf])
         assert (sweep[0][1].tpr, sweep[0][1].fpr) == (1.0, 1.0)
         assert (sweep[-1][1].tpr, sweep[-1][1].fpr) == (0.0, 0.0)
         tprs = [r.tpr for _, r in sweep]
@@ -212,13 +231,13 @@ class TestEvaluate:
     )
     def test_evaluate_matches_roc_at_model_theta(self, scored, theta):
         model = SvmModel({f"w{i}": s for i, (s, _) in enumerate(scored)}, theta=theta)
-        docs = [((f"w{i}",), pos) for i, (_, pos) in enumerate(scored)]
-        [(_, swept)] = roc_sweep(model, docs, [theta])
-        assert evaluate(model, docs) == swept
+        docs, tokens = _encoded([((f"w{i}",), pos) for i, (_, pos) in enumerate(scored)])
+        [(_, swept)] = roc_sweep(model, docs, tokens, [theta])
+        assert evaluate(model, docs, tokens) == swept
 
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(InvariantViolation):
-            roc_sweep(SvmModel({}), [(("aa",), True)], [1.0, 0.0])
+            roc_sweep(SvmModel({}), *_encoded([(("aa",), True)]), [1.0, 0.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -233,7 +252,7 @@ class TestEvaluate:
         model = SvmModel({f"w{i}": s for i, (s, _) in enumerate(scored)})
         docs = [((f"w{i}",), pos) for i, (_, pos) in enumerate(scored)]
         thresholds = sorted({s for s, _ in scored} | {-10.0, 10.0})
-        sweep = roc_sweep(model, docs, thresholds)
+        sweep = roc_sweep(model, *_encoded(docs), thresholds)
         tprs = [r.tpr for _, r in sweep]
         fprs = [r.fpr for _, r in sweep]
         assert all(a >= b - 1e-12 for a, b in zip(tprs, tprs[1:]))
@@ -242,7 +261,7 @@ class TestEvaluate:
 
 class TestPersistence:
     def test_nb_round_trip(self, tmp_path):
-        model = train_nb_docs(FOUR_DOCS)
+        model = train_nb_docs(*_encoded(FOUR_DOCS))
         path = tmp_path / "nb.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -283,10 +302,10 @@ class TestThreadModelExperiments:
     def test_roc_reaches_good_operating_point(self):
         spec = adversarial_spec(2500, seed=3)
         rng = _rng(8)
-        train = labeled_docs_from_sampled([sample_thread(spec, 0, rng) for _ in range(250)])
-        svm = train_svm(train, lambda_=1e-4, epochs=50)
-        test = labeled_docs_from_sampled([sample_thread(spec, 0, rng) for _ in range(2000)])
-        sweep = roc_sweep(svm, test, np.linspace(-3, 3, 61).tolist())
+        train = _sampled([sample_thread(spec, 0, rng) for _ in range(250)])
+        svm = train_svm(*train, lambda_=1e-4, epochs=50)
+        test = _sampled([sample_thread(spec, 0, rng) for _ in range(2000)])
+        sweep = roc_sweep(svm, *test, np.linspace(-3, 3, 61).tolist())
         assert any(r.tpr >= 0.95 and r.fpr <= 0.05 for _, r in sweep)
 
     def test_aggregate_prior_distortion(self):
@@ -299,10 +318,8 @@ class TestThreadModelExperiments:
         )
         vocab = spec.background.vocab
         rng0 = _rng(999)
-        ample_docs = labeled_docs_from_sampled(
-            [sample_thread(spec, 1, rng0) for _ in range(2000)]
-        )
-        ample = train_nb_docs(ample_docs, pseudocount=1.0, vocab=vocab)
+        ample_docs, ample_tokens = _sampled([sample_thread(spec, 1, rng0) for _ in range(2000)])
+        ample = train_nb_docs(ample_docs, ample_tokens, pseudocount=1.0, vocab=vocab)
 
         def fpr(model, rng, n_eval=60):
             flagged = 0
@@ -321,9 +338,7 @@ class TestThreadModelExperiments:
             pooled = [sample_thread(spec, 0, rng) for _ in range(4)]
             pooled += [sample_thread(spec, 1, rng) for _ in range(4)]
             try:
-                aggregate = train_nb_docs(
-                    labeled_docs_from_sampled(pooled), pseudocount=1.0, vocab=vocab
-                )
+                aggregate = train_nb_docs(*_sampled(pooled), pseudocount=1.0, vocab=vocab)
             except MissingClass:
                 continue
             total += 1
@@ -340,7 +355,7 @@ class TestThreadModelExperiments:
 class TestCorpusAdapter:
     def test_labeled_docs_skips_unlabeled(self, tiny_jsonl):
         corpus = ingest_corpus(tiny_jsonl)
-        docs = labeled_docs(corpus)
+        docs = labeled_docs(corpus, TokenTable())
         assert len(docs) == 4  # one thread is unlabeled
         assert sum(1 for _, pos in docs if pos) == 2
 
@@ -348,3 +363,134 @@ class TestCorpusAdapter:
         report = EvalReport(tp=3, fp=1, tn=5, fn=2)
         assert report.tpr == pytest.approx(3 / 5)
         assert report.fpr == pytest.approx(1 / 6)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the word-list Counter training and per-document dispatch that the
+# TokenTable id arrays replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_words(docs, vocab):
+    return sorted({w for tokens, _ in docs for w in tokens}) if vocab is None else sorted(set(vocab))
+
+
+def _oracle_train_nb_docs(docs, pseudocount, vocab):
+    n_pos = sum(1 for _, positive in docs if positive)
+    n_neg = len(docs) - n_pos
+    words = _oracle_words(docs, vocab)
+    index = {w: i for i, w in enumerate(words)}
+    counts = np.zeros((2, len(words)))
+    for tokens, positive in docs:
+        row = counts[1 if positive else 0]
+        for w, c in Counter(tokens).items():
+            i = index.get(w)
+            if i is not None:
+                row[i] += c
+    smoothed = counts + pseudocount
+    log_cond = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+    return NbModel(
+        vocab=tuple(words),
+        log_prior_neg=math.log(n_neg / len(docs)),
+        log_prior_pos=math.log(n_pos / len(docs)),
+        log_cond_neg=log_cond[0],
+        log_cond_pos=log_cond[1],
+        pseudocount=pseudocount,
+    )
+
+
+def _oracle_doc_vectors(docs, index):
+    rows = []
+    for tokens, positive in docs:
+        cnt = Counter(tok for tok in tokens if tok in index)
+        idx = np.array([index[w] for w in cnt], dtype=np.intp)
+        val = np.array(list(cnt.values()), dtype=float)
+        rows.append((idx, val, 1.0 if positive else -1.0))
+    return rows
+
+
+def _oracle_train_svm(docs, lambda_, epochs, vocab):
+    words = _oracle_words(docs, vocab)
+    index = {w: i for i, w in enumerate(words)}
+    rows = _oracle_doc_vectors(docs, index)
+    w = np.zeros(len(words))
+    t = 0
+    for _ in range(epochs):
+        for idx, val, y in rows:
+            t += 1
+            eta = 1.0 / (lambda_ * t)
+            margin = y * float(w[idx] @ val)
+            w *= 1.0 - eta * lambda_
+            if margin < 1.0:
+                w[idx] += eta * y * val
+    return SvmModel({word: float(w[i]) for word, i in index.items() if w[i] != 0.0})
+
+
+def _oracle_decisions(model, token_lists, theta=None):
+    if isinstance(model, SvmModel):
+        thr = model.theta if theta is None else theta
+        return [model.score(tokens) > thr for tokens in token_lists]
+    return [predict_nb(model, tokens).positive for tokens in token_lists]
+
+
+def _oracle_evaluate(model, docs, theta=None):
+    flagged = _oracle_decisions(model, [tokens for tokens, _ in docs], theta)
+    return _confusion(flagged, [positive for _, positive in docs])
+
+
+def _oracle_roc_sweep(model, docs, thresholds):
+    scores = np.array([model.score(tokens) for tokens, _ in docs])
+    positive = np.array([positive for _, positive in docs], dtype=bool)
+    return [(theta, _confusion(scores > theta, positive)) for theta in thresholds]
+
+
+# "qq" and "zz" never occur in training docs: out of vocabulary, or only in a given vocab
+_DOC_WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"]
+_docs = st.lists(
+    st.tuples(st.lists(st.sampled_from(_DOC_WORDS), max_size=12), st.booleans()),
+    min_size=2,
+    max_size=10,
+)
+
+
+class TestTableMatchesOracle:
+    """Training and evaluation on id arrays equal the word-list code they replaced."""
+
+    # training docs that are all empty leave an empty vocabulary, whose log-normalizer is log(0)
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _docs.filter(lambda d: len({pos for _, pos in d}) == 2),
+        st.one_of(st.none(), st.lists(st.sampled_from(_DOC_WORDS + ["zz"]), min_size=1, max_size=6)),
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(_DOC_WORDS + ["qq", "zz"]), max_size=7), st.booleans()),
+            min_size=1,
+            max_size=10,
+        ),
+        st.sampled_from([0.1, 1.0]),
+        st.integers(1, 4),
+        st.sampled_from([None, -0.5, 0.0, 0.25]),
+    )
+    def test_equal_to_oracle(self, docs, vocab, test_docs, pseudocount, epochs, theta):
+        encoded, tokens = _encoded(docs)
+        test_encoded = [(tokens.encode(words), positive) for words, positive in test_docs]
+
+        nb = train_nb_docs(encoded, tokens, pseudocount, vocab)
+        nb_oracle = _oracle_train_nb_docs(docs, pseudocount, vocab)
+        assert nb.vocab == nb_oracle.vocab
+        assert (nb.log_prior_neg, nb.log_prior_pos) == (nb_oracle.log_prior_neg, nb_oracle.log_prior_pos)
+        assert np.array_equal(nb.log_cond_neg, nb_oracle.log_cond_neg)
+        assert np.array_equal(nb.log_cond_pos, nb_oracle.log_cond_pos)
+
+        svm = train_svm(encoded, tokens, lambda_=0.1, epochs=epochs, vocab=vocab)
+        svm_oracle = _oracle_train_svm(docs, 0.1, epochs, vocab)
+        assert list(svm.weights.items()) == list(svm_oracle.weights.items())
+
+        for model in (nb, svm):
+            assert evaluate(model, test_encoded, tokens, theta) == _oracle_evaluate(
+                model, test_docs, theta
+            )
+        thresholds = [-1.0, -0.25, 0.0, 0.25, 1.0]
+        assert roc_sweep(svm, test_encoded, tokens, thresholds) == _oracle_roc_sweep(
+            svm, test_docs, thresholds
+        )

@@ -242,6 +242,25 @@ class TestTokenizeOnce:
         assert set(calls) == window_ids
         assert max(calls.values()) == 1
 
+    @pytest.mark.parametrize("algo, mode", [("nb", "aggregate"), ("nb", "percourse"), ("svm", "aggregate")])
+    def test_classify_and_moving_avg(self, tmp_path, gen_corpus, calls, algo, mode):
+        model = tmp_path / "m" / "model.json"
+        corpus = ["--threads", str(gen_corpus)]
+        commands = [
+            ["classify", "train", *corpus, "--algo", algo, "--mode", mode, "--epochs", "2",
+             "--out", str(model.parent)],
+            ["classify", "eval", *corpus, "--model", str(model), "--out", str(tmp_path / "e")],
+        ]
+        if algo == "svm":
+            commands += [
+                ["classify", "roc", *corpus, "--model", str(model), "--out", str(tmp_path / "r")],
+                ["stats", "moving-avg", *corpus, "--model", str(model), "--out", str(tmp_path / "ma")],
+            ]
+        for argv in commands:
+            calls.clear()
+            assert main(argv) == 0
+            assert calls and max(calls.values()) == 1, argv
+
     def test_rank_hits_tokenizes_nothing(self, tmp_path, gen_corpus, calls):
         rc = main(["rank", "--threads", str(gen_corpus), "--course", "course00", "--algo", "hits",
                    "--warmup", "1", "--query", "1", "--out", str(tmp_path / "r")])
@@ -475,10 +494,24 @@ class TestBadInput:
             (["ingest", "--threads", "FILE"], _BAD_LABEL, 3, "ParseError"),
             (["stats", "moving-avg", "--threads", "CORPUS", "--model", "FILE"],
              '{"kind": "nb-percourse", "models": {"course00": %s}}' % _NB, 2, "ConfigError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": [1], "bias": 0, "theta": 0}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": ["x"]'), 3, "ParseError"),
+            (["gen", "--spec", "FILE"], json.dumps(
+                {"kind": "uniform", "n": "100", "num_courses": 2, "epsilon": 0.3, "p": 0.5, "s": 60}
+            ), 3, "ParseError"),
+            # usage errors
+            (["--config", "FILE", "topics", "extract", "--threads", "CORPUS", "--course", "course00"],
+             '{"k": "x"}', 2, "ConfigError"),
+            (["classify", "train", "--threads", "CORPUS", "--epochs", "x"], None, 2, "ConfigError"),
+            (["rank", "--threads", "CORPUS"], None, 2, "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
-             "spec-invalid-json", "label-not-a-string", "moving-avg-percourse-model"],
+             "spec-invalid-json", "label-not-a-string", "moving-avg-percourse-model",
+             "svm-weights-not-a-mapping", "nb-conditional-not-a-number", "spec-n-not-an-int",
+             "config-value-not-an-int", "flag-value-not-an-int", "required-flag-missing"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -491,6 +524,11 @@ class TestBadInput:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == error
         assert not (out / "manifest.json").exists()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["rank", "--help"]) == 0
+    assert "--course" in capsys.readouterr().out
 
 
 class TestConfigScope:

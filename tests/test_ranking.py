@@ -17,7 +17,7 @@ from forumlens.ranking import (
     topical_rank,
     topk_diff,
 )
-from forumlens.topics import KeywordRanking
+from forumlens.topics import KeywordRanking, TokenTable, sequential_sum
 
 from conftest import multi_user_thread, noise_discrimination_trial, single_post_thread
 
@@ -31,12 +31,12 @@ KEYWORDS = KeywordRanking(
 class TestTopicalRank:
     def test_no_keywords_scores_zero(self):
         threads = [single_post_thread("t1", 10, "plain words only here")]
-        ranked = topical_rank(KEYWORDS, threads, alpha=0.96, k=50, stopwords=SW)
+        ranked = topical_rank(KEYWORDS, threads, alpha=0.96, k=50, tokens=TokenTable(SW))
         assert ranked.entries[0][1] == 0.0
 
     def test_repeated_rank_one_word(self):
         threads = [single_post_thread("t1", 10, "kw01 kw01")]
-        ranked = topical_rank(KEYWORDS, threads, alpha=0.5, k=50, stopwords=SW)
+        ranked = topical_rank(KEYWORDS, threads, alpha=0.5, k=50, tokens=TokenTable(SW))
         assert ranked.entries[0][1] == pytest.approx(1.0)  # 2 * 0.5**1
 
     def test_words_outside_top_k_weightless(self):
@@ -47,7 +47,7 @@ class TestTopicalRank:
     def test_appending_rank_one_word_increases_score(self):
         base = single_post_thread("t1", 10, "kw10 filler")
         more = single_post_thread("t2", 10, "kw10 filler kw01")
-        ranked = topical_rank(KEYWORDS, [base, more], alpha=0.9, k=50, stopwords=SW)
+        ranked = topical_rank(KEYWORDS, [base, more], alpha=0.9, k=50, tokens=TokenTable(SW))
         scores = dict(ranked.entries)
         assert scores["t2"] > scores["t1"]
 
@@ -57,20 +57,20 @@ class TestTopicalRank:
             single_post_thread("aa", 9, "kw01"),
             single_post_thread("bb", 5, "kw01"),
         ]
-        ranked = topical_rank(KEYWORDS, threads, alpha=0.9, k=50, stopwords=SW)
+        ranked = topical_rank(KEYWORDS, threads, alpha=0.9, k=50, tokens=TokenTable(SW))
         assert ranked.thread_ids == ("bb", "zz", "aa")
 
     @settings(max_examples=40)
     @given(st.permutations(["kw01", "kw02", "kw07", "other", "kw01", "words"]))
     def test_bag_of_words_invariance(self, tokens):
         thread = single_post_thread("t1", 1, " ".join(tokens))
-        ranked = topical_rank(KEYWORDS, [thread], alpha=0.9, k=50, stopwords=SW)
+        ranked = topical_rank(KEYWORDS, [thread], alpha=0.9, k=50, tokens=TokenTable(SW))
         baseline = topical_rank(
             KEYWORDS,
             [single_post_thread("t1", 1, "kw01 kw01 kw02 kw07 other words")],
             alpha=0.9,
             k=50,
-            stopwords=SW,
+            tokens=TokenTable(SW),
         )
         assert ranked.entries[0][1] == pytest.approx(baseline.entries[0][1])
 
@@ -81,7 +81,7 @@ class TestTfidfRank:
             single_post_thread("t1", 1, "shared unique1"),
             single_post_thread("t2", 2, "shared shared"),
         ]
-        ranked = tfidf_rank(threads, threads, stopwords=SW)
+        ranked = tfidf_rank(threads, threads, tokens=TokenTable(SW))
         scores = dict(ranked.entries)
         assert scores["t2"] == pytest.approx(0.0)  # only the shared term
         assert scores["t1"] == pytest.approx(math.log(2))
@@ -93,14 +93,52 @@ class TestTfidfRank:
             single_post_thread("t3", 3, "common filler3"),
             single_post_thread("t4", 4, "common filler4"),
         ]
-        ranked = tfidf_rank(threads, [threads[0]], stopwords=SW)
+        ranked = tfidf_rank(threads, [threads[0]], tokens=TokenTable(SW))
         # rare: tf 2, idf log(4/1); common: idf log(4/4) = 0
         assert ranked.entries[0][1] == pytest.approx(2 * math.log(4))
 
     def test_single_document_corpus_scores_zero(self):
         threads = [single_post_thread("t1", 1, "every word once")]
-        ranked = tfidf_rank(threads, threads, stopwords=SW)
+        ranked = tfidf_rank(threads, threads, tokens=TokenTable(SW))
         assert ranked.entries[0][1] == 0.0
+
+
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestLeftToRightSums:
+    """Scores add their terms left to right, whatever the Python version.
+
+    Each case picks terms whose left-to-right sum differs from the exactly
+    rounded one (math.fsum), which Python 3.12's compensated sum() can return.
+    """
+
+    def test_topical_score(self):
+        # weights 0.5, 2**-54, 2**-54: each addition rounds back to 0.5
+        thread = single_post_thread("t1", 1, "kw01 kw54 kw54")
+        ranked = topical_rank(KEYWORDS, [thread], alpha=0.5, k=55, tokens=TokenTable(SW))
+        terms = [0.5, 0.5**54, 0.5**54]
+        assert _left_to_right(terms) != math.fsum(terms)
+        assert ranked.entries[0][1] == _left_to_right(terms)
+
+    def test_tfidf_score(self):
+        texts = ["ff dd dd ff ee dd bb", "aa aa bb dd bb cc", "ff cc dd ee dd ee cc",
+                 "ee bb cc ff aa cc ee", "ff cc ee", "ff ff"]
+        threads = [single_post_thread(f"t{i}", i, text) for i, text in enumerate(texts)]
+        ranked = tfidf_rank(threads, [threads[0]], tokens=TokenTable(SW))
+        # tf * idf in order of first occurrence: ff (df 5), dd (df 3), ee (df 4), bb (df 3)
+        terms = [2 * math.log(6 / 5), 3 * math.log(6 / 3), math.log(6 / 4), math.log(6 / 3)]
+        assert _left_to_right(terms) != math.fsum(terms)
+        assert ranked.entries[0][1] == _left_to_right(terms)
+
+    def test_empty_and_signed_zero_sums(self):
+        # what sum() returns on Python 3.11: float 0.0, and +0.0 from negative zeros
+        assert sequential_sum([]) == 0.0 and type(sequential_sum([])) is float
+        assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
 
 
 class TestHitsRank:
@@ -180,7 +218,7 @@ class TestHitsRank:
         relevant = multi_user_thread("rel", 2, ["kw01", "kw02", "kw03"], ["u99"])
         threads = [popular, relevant]
         hits = hits_rank(threads)
-        topical = topical_rank(KEYWORDS, threads, alpha=0.9, k=50, stopwords=SW)
+        topical = topical_rank(KEYWORDS, threads, alpha=0.9, k=50, tokens=TokenTable(SW))
         assert hits.thread_ids.index("pop") < hits.thread_ids.index("rel")
         assert topical.thread_ids.index("rel") < topical.thread_ids.index("pop")
 

@@ -16,6 +16,7 @@ from forumlens.topics import (
     TokenTable,
     convergence_series,
     extract_keywords,
+    first_counts,
     normalized_kendall_tau,
     support_recovery_recall,
     surprise_weights,
@@ -150,7 +151,7 @@ class TestPipeline:
     def test_extract_keywords_recovers_support(self):
         spec, corpus = self._corpus()
         ranking = extract_keywords(
-            corpus, "course00", ["course01"], warmup_days=10, stopwords=frozenset()
+            corpus, "course00", ["course01"], warmup_days=10, tokens=TokenTable(frozenset())
         )
         recovered = set(top_k(ranking, 50))
         truth = spec.course_topics[0].support
@@ -159,7 +160,7 @@ class TestPipeline:
     def test_streaming_convergence(self):
         spec, corpus = self._corpus()
         points = convergence_series(
-            corpus, "course00", ["course01"], k=50, stopwords=frozenset()
+            corpus, "course00", ["course01"], k=50, tokens=TokenTable(frozenset())
         )
         day_tokens = 100 * spec.s
         late = [
@@ -171,9 +172,19 @@ class TestPipeline:
 
     def test_convergence_reports_set_churn(self):
         _, corpus = self._corpus()
-        points = convergence_series(corpus, "course00", ["course01"], k=50, stopwords=frozenset())
+        points = convergence_series(corpus, "course00", ["course01"], k=50, tokens=TokenTable(frozenset()))
         assert all(p.new_words >= 0 for p in points)
         assert points[-1].new_words <= 2
+
+
+class TestFirstCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=12))
+    def test_matches_a_count_in_first_occurrence_order(self, ids):
+        distinct, counts = first_counts(np.array(ids, dtype=np.int32))
+        expected = Counter(ids)  # insertion order is first-occurrence order
+        assert distinct.tolist() == list(expected)
+        assert counts.tolist() == list(expected.values())
 
 
 class TestKeywordRankingInvariants:
@@ -325,10 +336,12 @@ class TestFitMatchesOracle:
     def test_equal_to_oracle(self, corpus, include_staff, background_ids, k, warmup, max_days):
         stopwords = frozenset({"the"})
         args = (corpus, "c0", background_ids)
-        assert _outcome(extract_keywords, *args, warmup, stopwords, include_staff) == _outcome(
+        table = TokenTable(stopwords, include_staff)
+        assert _outcome(extract_keywords, *args, warmup, table) == _outcome(
             _oracle_extract, *args, warmup, stopwords, include_staff
         )
-        assert _outcome(convergence_series, *args, k, max_days, stopwords, include_staff) == _outcome(
+        table = TokenTable(stopwords, include_staff)
+        assert _outcome(convergence_series, *args, k, max_days, table) == _outcome(
             _oracle_convergence, *args, k, max_days, stopwords, include_staff
         )
 
