@@ -20,7 +20,7 @@ import numpy as np
 
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds classify.thread_tokens
 from .corpus import Corpus, ThreadLabel, load_json_object, thread_tokens  # noqa: F401
-from .errors import ConfigError, InvariantViolation, MissingClass, ParseError
+from .errors import ConfigError, EmptyCorpus, InvariantViolation, MissingClass, ParseError
 from .genmodel import GenerativeSpec, sample_thread, sample_tokens, separating_plane
 from .topics import TokenTable, first_counts, sequential_sum
 
@@ -171,6 +171,8 @@ def train_nb_docs(
     if n_pos == 0 or n_neg == 0:
         raise MissingClass(course_id)
     words, position = _vocabulary(docs, tokens, vocab)
+    if not words:  # every training token was a stopword or too short
+        raise EmptyCorpus("naive Bayes training threads have no tokens")
     counts = np.zeros((2, len(words)))
     for positive in (False, True):
         class_ids = np.concatenate([ids for ids, pos in docs if pos == positive])

@@ -652,13 +652,40 @@ def _config_path(argv) -> str | None:
     return pre.parse_known_args(argv)[0].config
 
 
+def _config_default(action, value):
+    """A config value as the default of one flag, read the way the flag's text is read.
+
+    A value the flag cannot take becomes a ConfigError, which main raises only
+    when the parsed subcommand reads it.
+    """
+    if action.nargs == 0:  # a switch such as --exclude-staff
+        if isinstance(value, bool):
+            return value
+    elif value is None:
+        if action.default is None:
+            return None
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            text = value if isinstance(value, str) else json.dumps(value)
+            if "\0" in text:  # a command line holds no NUL byte ...
+                raise ValueError(text)
+            os.fsencode(text)  # ... and no character the file system cannot encode
+            converted = action.type(text) if action.type else text
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            pass
+        else:
+            if action.choices is None or converted in action.choices:
+                return converted
+    return ConfigError(f"config key {action.dest!r} cannot take the value {value!r}")
+
+
 def _apply_config(parser, path):
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -670,8 +697,11 @@ def _apply_config(parser, path):
     # one, so each key becomes a default only of the parsers that declare it:
     # an explicit flag still wins, and no key reaches a subcommand without it
     for sub in parsers:
-        declared = _dests(sub)
-        sub.set_defaults(**{k: v for k, v in config.items() if k in declared})
+        sub.set_defaults(**{
+            a.dest: _config_default(a, config[a.dest])
+            for a in sub._actions
+            if a.option_strings and a.dest in config
+        })
 
 
 def main(argv=None) -> int:
@@ -685,6 +715,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        for value in vars(args).values():
+            if isinstance(value, ConfigError):  # a config value this subcommand cannot take
+                raise value
         # read the corpus before creating --out: a bad corpus leaves no --out behind
         corpus = _load_corpus(args) if hasattr(args, "threads") else None
         manifest = _manifest(args)
@@ -697,9 +730,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error(exc)
         return 2
-    except FileNotFoundError as exc:
-        _emit_error(ConfigError(f"input not found: {exc.filename}"))
+    except OSError as exc:  # a path that is missing, unreadable or not a file
+        _emit_error(ConfigError(str(exc)))
         return 2
+    except UnicodeDecodeError as exc:
+        _emit_error(ParseError(0, f"input is not UTF-8 text: {exc.reason} at byte {exc.start}"))
+        return 3
     except (RankDeficient, FloatingPointError, np.linalg.LinAlgError) as exc:
         _emit_error(exc)
         return 4

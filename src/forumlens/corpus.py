@@ -306,29 +306,38 @@ _LABELS = {lab.value: lab for lab in ThreadLabel}
 _CATEGORIES = {cat.value: cat for cat in CourseCategory}
 
 
-def _require(obj: dict, key: str, lineno: int):
-    if key not in obj:
-        raise ParseError(lineno, f"missing field {key!r}")
-    return obj[key]
+_ID = (str, int)
+_TYPE_NAMES = {_ID: "a string or an integer", (int,): "an integer", (str,): "a string"}
+# a JSON escape of a UTF-16 surrogate: alone, it is a string no UTF-8 output can hold
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _require_int(obj: dict, key: str, lineno: int) -> int:
-    val = _require(obj, key, lineno)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ParseError(lineno, f"field {key!r} must be an integer, got {val!r}")
+def _field(obj: dict, key: str, types: tuple, lineno: int):
+    """``obj[key]``, which must be present and of one of ``types``."""
+    try:
+        val = obj[key]
+    except KeyError:
+        raise ParseError(lineno, f"missing field {key!r}") from None
+    if type(val) not in types:  # json.loads makes exact types, so a bool is not an int here
+        raise ParseError(lineno, f"field {key!r} must be {_TYPE_NAMES[types]}, got {val!r}")
     return val
 
 
 def _parse_thread_line(line: str, lineno: int) -> tuple[str, Thread]:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+        raise ParseError(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(obj, dict):
         raise ParseError(lineno, "each line must be a JSON object")
-    course_id = str(_require(obj, "course_id", lineno))
-    thread_id = str(_require(obj, "thread_id", lineno))
-    created_at = _require_int(obj, "created_at", lineno)
+    if "\\" in line and _SURROGATE_ESCAPE.search(line):
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(lineno, "a string holds a lone surrogate escape") from None
+    course_id = str(_field(obj, "course_id", _ID, lineno))
+    thread_id = str(_field(obj, "thread_id", _ID, lineno))
+    created_at = _field(obj, "created_at", (int,), lineno)
     raw_label = obj.get("label")
     if raw_label is None:
         label = ThreadLabel.UNLABELED
@@ -336,20 +345,23 @@ def _parse_thread_line(line: str, lineno: int) -> tuple[str, Thread]:
         label = _LABELS[raw_label]
     else:
         raise ParseError(lineno, f"unknown label {raw_label!r}")
-    raw_posts = _require(obj, "posts", lineno)
-    if not isinstance(raw_posts, list) or not raw_posts:
+    raw_posts = obj.get("posts")
+    if type(raw_posts) is not list or not raw_posts:
         raise ParseError(lineno, "posts must be a nonempty list")
     posts = []
     for rp in raw_posts:
         if not isinstance(rp, dict):
             raise ParseError(lineno, "each post must be a JSON object")
+        is_staff = rp.get("is_staff", False)
+        if type(is_staff) is not bool:
+            raise ParseError(lineno, f"field 'is_staff' must be true or false, got {is_staff!r}")
         posts.append(
             Post(
-                post_id=str(_require(rp, "post_id", lineno)),
-                author_id=str(_require(rp, "author_id", lineno)),
-                timestamp=_require_int(rp, "timestamp", lineno),
-                text=str(_require(rp, "text", lineno)),
-                is_staff=bool(rp.get("is_staff", False)),
+                str(_field(rp, "post_id", _ID, lineno)),
+                str(_field(rp, "author_id", _ID, lineno)),
+                _field(rp, "timestamp", (int,), lineno),
+                _field(rp, "text", (str,), lineno),
+                is_staff,
             )
         )
     return course_id, Thread(thread_id, created_at, tuple(posts), label)
@@ -385,8 +397,9 @@ def load_json_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer past Python's digit limit
+            line, reason = getattr(exc, "lineno", 1), getattr(exc, "msg", exc)
+            raise ParseError(line, f"invalid JSON: {reason}") from None
     if not isinstance(obj, dict):
         raise ParseError(1, "the file must hold one JSON object")
     return obj

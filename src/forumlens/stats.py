@@ -11,6 +11,12 @@ Numerical conventions, fixed so results are platform-stable:
   3 <= n <= 5000.
 
 Per-course computations are independent; all outputs are immutable.
+
+scipy is imported inside the routines that call it (``normal_sf``,
+``student_t_sf``, ``ols``, the Shapiro-Wilk coefficients and ``qq_points``),
+so only ``ols``, ``shapiro_wilk``, ``qq_points`` and ``two_sample_tests`` load
+it: the CLI's ``stats panel``, ``stats shapiro`` and ``stats ttest``.  Every
+other command starts without it.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.special import erfc, ndtri, stdtr
 
 from .corpus import (
     Corpus,
@@ -64,11 +68,15 @@ __all__ = [
 
 def normal_sf(z: float) -> float:
     """Upper tail of the standard normal distribution."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(z / math.sqrt(2.0))
 
 
 def student_t_sf(t: float, df: float) -> float:
     """Upper tail of Student's t via the incomplete-beta representation."""
+    from scipy.special import stdtr
+
     return float(stdtr(df, -t))
 
 
@@ -162,6 +170,8 @@ class OlsFit:
 
 def ols(X: np.ndarray, y: np.ndarray, terms: Sequence[str] | None = None) -> OlsFit:
     """Classical OLS with t-tests on n - p degrees of freedom."""
+    from scipy.linalg import qr, solve_triangular
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -386,6 +396,8 @@ _SW_STQR = 1.04719755119660  # asin(sqrt(3/4))
 
 
 def _sw_coefficients(n: int) -> np.ndarray:
+    from scipy.special import ndtri
+
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     mss = float(m @ m)
     a = np.zeros(n)
@@ -456,6 +468,8 @@ def qq_points(sample, trim_frac: float = 0.0) -> np.ndarray:
     levels, so the plot stays linear for normal data instead of curving at
     the truncation points.
     """
+    from scipy.special import ndtri
+
     if not 0.0 <= trim_frac < 0.5:
         raise InvariantViolation("trim", "trim fraction must be in [0, 0.5)")
     x = np.sort(np.asarray(sample, dtype=float))

@@ -1,15 +1,24 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forumlens.cli import _INPUT_FLAGS, _all_parsers, build_parser, main
-from forumlens.corpus import ingest_corpus
-from forumlens.errors import DegenerateGroup
+import forumlens
+from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, build_parser, main
+from forumlens.corpus import _parse_thread_line, ingest_corpus
+from forumlens.errors import DegenerateGroup, InvariantViolation, ParseError
 from forumlens.ranking import RankWindow, split_window
 
 
@@ -148,6 +157,16 @@ class TestClassifyCommands:
         assert rc == 0
         obj = json.loads((out / "model.json").read_text())
         assert obj["kind"] == "nb-percourse"
+
+    def test_nb_on_stopword_only_threads_is_a_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(_thread_line(thread_id="t1", text="a b the", label="SmallTalk") + "\n"
+                          + _thread_line(thread_id="t2", text="x y and", label="Logistics") + "\n")
+        out = tmp_path / "m"
+        rc = main(["classify", "train", "--threads", str(corpus), "--algo", "nb", "--out", str(out)])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "EmptyCorpus"
+        assert not (out / "manifest.json").exists()
 
     def test_roc_rejects_nb_model(self, tmp_path, gen_corpus):
         out = tmp_path / "m"
@@ -471,6 +490,17 @@ class TestDefaults:
 _NB = ('{"kind": "nb", "mode": "aggregate", "pseudocount": 1.0, "vocab": ["aa"], '
        '"log_prior": [-0.6931471805599453, -0.6931471805599453], '
        '"log_cond_neg": [0.0], "log_cond_pos": [0.0]}')
+
+
+def _thread_line(**fields):
+    """One corpus line whose thread and post fields are overridden by ``fields``."""
+    post = {"post_id": "p", "author_id": "u", "timestamp": 0, "text": "hi"}
+    thread = {"course_id": "c", "thread_id": "t", "created_at": 0}
+    for key, value in fields.items():
+        (post if key in post or key == "is_staff" else thread)[key] = value
+    return json.dumps({**thread, "posts": [post]})
+
+
 _BAD_LABEL = ('{"course_id": "c", "thread_id": "t", "created_at": 0, "label": ["x"], '
               '"posts": [{"post_id": "p", "author_id": "u", "timestamp": 0, "text": "hi"}]}')
 
@@ -478,7 +508,8 @@ _BAD_LABEL = ('{"course_id": "c", "thread_id": "t", "created_at": 0, "label": ["
 class TestBadInput:
     """Bad input ends in exit 2 or 3 with the JSON error object, never a traceback."""
 
-    # CORPUS stands for a valid corpus, FILE for a file holding the given text
+    # CORPUS stands for a valid corpus, FILE for a file holding the given text, DIR for a
+    # directory and BINARY for a file that is not UTF-8
     @pytest.mark.parametrize(
         "argv, text, code, error",
         [
@@ -506,18 +537,38 @@ class TestBadInput:
              '{"k": "x"}', 2, "ConfigError"),
             (["classify", "train", "--threads", "CORPUS", "--epochs", "x"], None, 2, "ConfigError"),
             (["rank", "--threads", "CORPUS"], None, 2, "ConfigError"),
+            (["ingest", "--threads", "DIR"], None, 2, "ConfigError"),
+            (["ingest", "--threads", "BINARY"], None, 3, "ParseError"),
+            (["--config", "FILE", "classify", "train", "--threads", "CORPUS"],
+             '{"algo": "bogus"}', 2, "ConfigError"),
+            (["--config", "FILE", "stats", "series", "--threads", "CORPUS"],
+             '{"meta": true}', 2, "ConfigError"),
+            (["--config", "FILE", "stats", "series", "--threads", "CORPUS"],
+             '{"meta": "a\\u0000b"}', 2, "ConfigError"),
+            # wrong-typed thread fields
+            (["ingest", "--threads", "FILE"], _thread_line(is_staff="no"), 3, "ParseError"),
+            (["ingest", "--threads", "FILE"], _thread_line(text=None), 3, "ParseError"),
+            (["ingest", "--threads", "FILE"], _thread_line(course_id=None), 3, "ParseError"),
+            (["ingest", "--threads", "FILE"], _thread_line(thread_id=[1]), 3, "ParseError"),
+            (["ingest", "--threads", "FILE"], _thread_line(author_id=False), 3, "ParseError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
              "spec-invalid-json", "label-not-a-string", "moving-avg-percourse-model",
              "svm-weights-not-a-mapping", "nb-conditional-not-a-number", "spec-n-not-an-int",
-             "config-value-not-an-int", "flag-value-not-an-int", "required-flag-missing"],
+             "config-value-not-an-int", "flag-value-not-an-int", "required-flag-missing",
+             "threads-is-a-directory", "threads-not-utf8", "config-value-not-a-choice",
+             "config-path-not-a-string", "config-path-holds-nul", "is-staff-not-a-bool", "text-null", "course-id-null",
+             "thread-id-a-list", "author-id-a-bool"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
         if text is not None:
             path.write_text(text)
-        given = {"CORPUS": str(gen_corpus), "FILE": str(path)}
+        binary = tmp_path / "binary"
+        binary.write_bytes(b'{"course_id": "\xff"}\n')
+        given = {"CORPUS": str(gen_corpus), "FILE": str(path), "DIR": str(tmp_path),
+                 "BINARY": str(binary)}
         out = tmp_path / "o"
         assert main([given.get(a, a) for a in argv] + ["--out", str(out)]) == code
         err = capsys.readouterr().err
@@ -626,3 +677,166 @@ class TestRunner:
         assert main(self._argv(command, flags, extra, inputs, out)) == 3
         assert (out / "partial.csv").exists()
         assert not (out / "manifest.json").exists()
+
+
+# Runs argv lists through main in a fresh interpreter and prints the scipy modules it loaded.
+_FRESH_RUN = """
+import json, sys
+import forumlens, forumlens.cli
+for argv in json.loads(sys.argv[1]):
+    rc = forumlens.cli.main(argv)
+    if rc:
+        sys.exit(f"exit {rc}: {argv}")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def _scipy_modules_after(commands, cwd):
+    src = str(Path(forumlens.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(commands)], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    """Only the stats routines that call scipy import it: every other command starts without it."""
+
+    def test_commands_without_scipy(self, tmp_path):
+        _write_spec(tmp_path / "spec.json")
+        c = ["--threads", "gen/corpus.jsonl"]
+        window = ["--course", "course00", "--warmup", "1", "--query", "1"]
+        commands = [
+            ["gen", "--spec", "spec.json", "--counts", "60,60", "--out", "gen"],
+            ["ingest", *c, "--out", "ingest"],
+            ["classify", "train", *c, "--algo", "nb", "--out", "nb"],
+            ["classify", "train", *c, "--algo", "svm", "--epochs", "2", "--out", "svm"],
+            ["classify", "eval", *c, "--model", "nb/model.json", "--out", "eval"],
+            ["classify", "roc", *c, "--model", "svm/model.json", "--out", "roc"],
+            ["topics", "extract", *c, "--course", "course00", "--out", "kw"],
+            ["topics", "converge", *c, "--course", "course00", "--out", "cv"],
+            *(["rank", *c, *window, "--algo", algo, "--out", algo]
+              for algo in ("topical", "tfidf", "hits")),
+            ["--seed", "4", "compare", *c, "--course", "course00", "--low", "1", "--high", "2",
+             "--extra-days", "1", "--query", "1", "--out", "cmp"],
+            ["stats", "series", *c, "--out", "series"],
+            ["stats", "trend", *c, "--out", "trend"],
+            ["stats", "moving-avg", *c, "--out", "ma"],
+        ]
+        assert _scipy_modules_after(commands, tmp_path) == []
+
+    def test_panel_loads_scipy(self, tmp_path, twelve_courses):
+        _, corpus_path, meta = twelve_courses
+        modules = _scipy_modules_after(
+            [["stats", "panel", "--threads", str(corpus_path), "--meta", str(meta), "--out", "panel"]],
+            tmp_path,
+        )
+        assert "scipy.linalg" in modules
+
+
+# JSON values of every type, strings with any code point a JSON escape can spell
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=()), max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _valid_or_any(valid):
+    return st.one_of(valid, _json_values)
+
+
+_posts = st.lists(
+    st.fixed_dictionaries(
+        {
+            "post_id": _valid_or_any(st.sampled_from(["p1", "p2", 3])),
+            "author_id": _valid_or_any(st.sampled_from(["u1", 7])),
+            "timestamp": _valid_or_any(st.integers(0, 10**6)),
+            "text": _valid_or_any(st.text(max_size=12)),
+        },
+        optional={"is_staff": _valid_or_any(st.booleans())},
+    ),
+    min_size=1,
+    max_size=3,
+)
+_thread_objects = st.fixed_dictionaries(
+    {
+        "course_id": _valid_or_any(st.sampled_from(["c", 4])),
+        "thread_id": _valid_or_any(st.sampled_from(["t", 5])),
+        "created_at": _valid_or_any(st.integers(0, 10**6)),
+        "posts": _valid_or_any(_posts),
+    },
+    optional={"label": _valid_or_any(st.sampled_from(["SmallTalk", "Logistics", None]))},
+)
+
+
+def _run_quietly(argv):
+    """main's exit code and stderr, for use inside a hypothesis test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_clean_exit(rc, err, codes):
+    assert rc in codes, err
+    if rc:
+        assert "Traceback" not in err
+        assert set(json.loads(err)["error"]) == {"message", "type"}
+
+
+class TestFuzzedInput:
+    """Arbitrary input ends in exit 0, 2 or 3, and a failure prints only the JSON error object."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_thread_objects, _json_values))
+    def test_thread_line(self, obj):
+        line = json.dumps(obj)
+        try:
+            _, thread = _parse_thread_line(line, 1)
+        except (ParseError, InvariantViolation):
+            thread = None
+        else:
+            assert isinstance(thread.thread_id, str)
+            for post in thread.posts:
+                assert all(isinstance(v, str) for v in (post.post_id, post.author_id, post.text))
+                assert isinstance(post.is_staff, bool)
+        with tempfile.TemporaryDirectory() as root:
+            corpus = Path(root) / "c.jsonl"
+            corpus.write_text(line + "\n")
+            rc, err = _run_quietly(["ingest", "--threads", str(corpus),
+                                    "--out", str(Path(root) / "o")])
+        _assert_clean_exit(rc, err, (0, 3) if thread is not None else (3,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=64) | _json_values.map(lambda v: json.dumps(v).encode()))
+    def test_json_object_file(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            spec = Path(root) / "spec.json"
+            spec.write_bytes(data)
+            rc, err = _run_quietly(["gen", "--spec", str(spec), "--counts", "2",
+                                    "--out", str(Path(root) / "o")])
+        _assert_clean_exit(rc, err, (0, 2, 3))
+
+    # keys that `stats series` reads, every key some subcommand declares, and unknown keys
+    _keys = (
+        st.sampled_from(["meta", "seed", "threads", "out"])
+        | st.sampled_from(sorted(set().union(*map(_dests, _all_parsers(build_parser())))))
+        | st.text(max_size=4)
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_json_values | st.dictionaries(_keys, _json_values, max_size=4))
+    def test_config_file(self, config):
+        # a fresh working directory, so that a relative path in the config names nothing
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(root)
+            Path("c.jsonl").write_text(_thread_line() + "\n")
+            Path("config.json").write_text(json.dumps(config))
+            rc, err = _run_quietly(["--config", "config.json", "stats", "series",
+                                    "--threads", "c.jsonl", "--out", "o"])
+        _assert_clean_exit(rc, err, (0, 2, 3))

@@ -75,6 +75,14 @@ class TestIngest:
             lambda row: row.__setitem__("created_at", "soon"),
             lambda row: row.__setitem__("label", "Gossip"),
             lambda row: row.__setitem__("posts", []),
+            lambda row: row.__setitem__("course_id", None),
+            lambda row: row.__setitem__("thread_id", 1.5),
+            lambda row: row["posts"][0].__setitem__("post_id", True),
+            lambda row: row["posts"][0].__setitem__("author_id", ["u"]),
+            lambda row: row["posts"][0].__setitem__("text", None),
+            lambda row: row["posts"][0].__setitem__("is_staff", "no"),
+            lambda row: row["posts"][0].__setitem__("is_staff", None),
+            lambda row: row.__setitem__("course_id", "c\ud800"),
         ],
     )
     def test_parse_errors(self, tmp_path, mutate):
@@ -90,6 +98,20 @@ class TestIngest:
         path.write_text(json.dumps(row) + "\n")
         with pytest.raises(ParseError):
             ingest_corpus(path)
+
+    def test_integer_ids_read_as_strings(self, tmp_path):
+        row = {
+            "course_id": 3,
+            "thread_id": 7,
+            "created_at": 1,
+            "posts": [{"post_id": 0, "author_id": 42, "timestamp": 1, "text": "hi there", "is_staff": True}],
+        }
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        course = ingest_corpus(path).course("3")
+        post = course.threads[0].posts[0]
+        assert course.threads[0].thread_id == "7"
+        assert (post.post_id, post.author_id, post.is_staff) == ("0", "42", True)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
