@@ -47,7 +47,14 @@ from .classify import (
     train_nb,
     train_svm,
 )
-from .errors import ConfigError, EmptyCorpus, ForumlensError, ParseError, RankDeficient
+from .errors import (
+    ConfigError,
+    EmptyCorpus,
+    ForumlensError,
+    InvariantViolation,
+    ParseError,
+    RankDeficient,
+)
 from .genmodel import GenerativeSpec, adversarial_spec, make_spec, sample_corpus
 from .ranking import (
     RankedList,
@@ -307,7 +314,7 @@ class _CourseRanker:
             ranked = hits_rank(window_threads)
             query_ids = {t.thread_id for t in query_threads}
             entries = tuple(e for e in ranked.entries if e[0] in query_ids)
-            return RankedList(entries, ranked.converged)
+            return dataclasses.replace(ranked, entries=entries)
         raise ConfigError(f"unknown ranking algorithm {algo!r}")
 
 
@@ -408,11 +415,19 @@ def _cmd_stats_shapiro(args, corpus) -> int:
             continue
         res = shapiro_wilk(diffs)
         rows.append((course_id, diffs.size, res.statistic, res.pvalue))
-        qq[course_id] = qq_points(diffs)
+        qq[_qq_file_name(course_id)] = qq_points(diffs)
     _write_csv(os.path.join(args.out, "shapiro.csv"), ["course_id", "n", "W", "p"], rows)
-    for course_id, points in qq.items():
-        _write_csv(os.path.join(args.out, f"qq_{course_id}.csv"), ["theoretical", "sample"], points)
+    for name, points in qq.items():
+        _write_csv(os.path.join(args.out, name), ["theoretical", "sample"], points)
     return 0
+
+
+def _qq_file_name(course_id: str) -> str:
+    """``qq_<course_id>.csv``, refused unless it names one file directly under --out."""
+    name = f"qq_{course_id}.csv"
+    if any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")) or name in (".", ".."):
+        raise InvariantViolation("course id", f"{course_id!r} cannot name a Q-Q file under --out")
+    return name
 
 
 def _cmd_stats_ttest(args, corpus) -> int:

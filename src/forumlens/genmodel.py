@@ -413,8 +413,10 @@ def separating_plane(spec: GenerativeSpec) -> tuple[dict[str, float], float]:
     and the expected course-thread hit count s*(1-eps)*Pr_B(S0).  A thread is
     called small-talk iff its bag-of-words score strictly exceeds tau.
     """
+    from .topics import sequential_sum  # topics imports this module
+
     support = spec.smalltalk_topic.vocab
     weights = {w: 1.0 for w in support}
-    bg_mass = sum(spec.background.prob(w) for w in support)
+    bg_mass = sequential_sum(spec.background.prob(w) for w in support)
     tau = spec.s * (0.5 * spec.epsilon + (1.0 - spec.epsilon) * bg_mass)
     return weights, tau

@@ -41,12 +41,15 @@ class RankWindow:
 class RankedList:
     """Thread ids with non-increasing scores.
 
-    Ties are broken by earlier creation time, then by thread id; the
-    ``converged`` flag is only meaningful for iterative rankers.
+    Ties are broken by earlier creation time, then by thread id.  The
+    ``converged`` flag, the ``iterations`` run and the final ``residual`` (the
+    larger l2 move of the last round) are only meaningful for iterative rankers.
     """
 
     entries: tuple[tuple[str, float], ...]
     converged: bool = True
+    iterations: int = 0
+    residual: float = 0.0
 
     def __post_init__(self):
         scores = [s for _, s in self.entries]
@@ -61,9 +64,9 @@ class RankedList:
         return list(self.thread_ids[:k])
 
 
-def _ranked(threads: Sequence[Thread], scores: dict[str, float], converged: bool = True) -> RankedList:
+def _ranked(threads: Sequence[Thread], scores: dict[str, float], **diagnostics) -> RankedList:
     order = sorted(threads, key=lambda t: (-scores[t.thread_id], t.created_at, t.thread_id))
-    return RankedList(tuple((t.thread_id, scores[t.thread_id]) for t in order), converged)
+    return RankedList(tuple((t.thread_id, scores[t.thread_id]) for t in order), **diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -146,40 +149,51 @@ def hits_rank(
     A user is connected to a thread iff they posted in it (edges unweighted).
     Authorities start uniform; each round sets every hub to the sum of its
     neighbors' weights, l2-normalizes, then does the same for authorities.
+    The graph is its edge list, one (user, thread) pair per participant, so
+    each half-step is one weighted bincount: O(edges) time and memory.
     Iteration stops when both vectors move less than ``tolerance`` in l2; if
     ``max_iters`` is hit first, the last iterate is returned with
-    ``converged=False`` and a warning.
+    ``converged=False`` and a warning.  The result records the rounds run and
+    the last move.
     """
     if not window_threads:
         raise InvariantViolation("hits", "graph must be nonempty")
-    users = sorted({u for t in window_threads for u in t.participants})
+    # a frozenset iterates in hash-seed order: sorted edges make every process add in one order
+    members = [sorted(t.participants) for t in window_threads]
+    users = sorted({u for m in members for u in m})
     uidx = {u: i for i, u in enumerate(users)}
-    n_threads = len(window_threads)
-    # adjacency: users x threads
-    adj = np.zeros((len(users), n_threads))
-    for j, t in enumerate(window_threads):
-        for u in t.participants:
-            adj[uidx[u], j] = 1.0
+    n_users, n_threads = len(users), len(window_threads)
+    edge_users = np.fromiter((uidx[u] for m in members for u in m), dtype=np.intp)
+    edge_threads = np.repeat(np.arange(n_threads), [len(m) for m in members])
 
     def normalize(v: np.ndarray) -> np.ndarray:
         norm = np.linalg.norm(v)
         return v / norm if norm > 0 else v
 
     authority = np.full(n_threads, 1.0 / math.sqrt(n_threads))
-    hub = np.zeros(len(users))
+    hub = np.zeros(n_users)
     converged = False
-    for _ in range(max_iters):
-        new_hub = normalize(adj @ authority)
-        new_authority = normalize(adj.T @ new_hub)
+    iterations, moved = 0, math.inf
+    for iterations in range(1, max_iters + 1):
+        new_hub = normalize(np.bincount(edge_users, weights=authority[edge_threads], minlength=n_users))
+        new_authority = normalize(
+            np.bincount(edge_threads, weights=new_hub[edge_users], minlength=n_threads)
+        )
         moved = max(np.linalg.norm(new_hub - hub), np.linalg.norm(new_authority - authority))
         hub, authority = new_hub, new_authority
         if moved < tolerance:
             converged = True
             break
     if not converged:
-        warnings.warn(f"HITS did not converge within {max_iters} iterations", RuntimeWarning)
+        warnings.warn(
+            f"HITS did not converge within {iterations} iterations: "
+            f"residual {moved:.3g}, tolerance {tolerance:.3g}",
+            RuntimeWarning,
+        )
     scores = {t.thread_id: float(authority[j]) for j, t in enumerate(window_threads)}
-    return _ranked(window_threads, scores, converged)
+    return _ranked(
+        window_threads, scores, converged=converged, iterations=iterations, residual=float(moved)
+    )
 
 
 def topk_diff(

@@ -360,29 +360,33 @@ class TestStatsCommands:
         assert not (out / "manifest.json").exists()
 
     def test_shapiro_outputs_qq(self, tmp_path):
-        # corpus with fluctuating daily volume so count differences vary
-        rng = np.random.default_rng(13)
-        rows = []
-        for i, ts in enumerate(sorted(rng.integers(0, 40 * 86400, size=400).tolist())):
-            rows.append(
-                {
-                    "course_id": "solo",
-                    "thread_id": f"t{i:04d}",
-                    "created_at": ts,
-                    "label": None,
-                    "posts": [
-                        {"post_id": "p0", "author_id": f"u{i % 17}", "timestamp": ts,
-                         "text": "some words here", "is_staff": False}
-                    ],
-                }
-            )
-        corpus_path = tmp_path / "fluct.jsonl"
-        corpus_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        corpus_path = _fluctuating_corpus(tmp_path / "fluct.jsonl", "solo")
         out = tmp_path / "sh"
         rc = main(["stats", "shapiro", "--threads", str(corpus_path), "--out", str(out)])
         assert rc == 0
         assert _read_csv(out / "shapiro.csv")[0]["course_id"] == "solo"
         assert (out / "qq_solo.csv").exists()
+
+
+def _fluctuating_corpus(path, course_id):
+    """One course whose daily volume fluctuates, so count differences vary and Q-Q points exist."""
+    rng = np.random.default_rng(13)
+    rows = []
+    for i, ts in enumerate(sorted(rng.integers(0, 40 * 86400, size=400).tolist())):
+        rows.append(
+            {
+                "course_id": course_id,
+                "thread_id": f"t{i:04d}",
+                "created_at": ts,
+                "label": None,
+                "posts": [
+                    {"post_id": "p0", "author_id": f"u{i % 17}", "timestamp": ts,
+                     "text": "some words here", "is_staff": False}
+                ],
+            }
+        )
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return path
 
 
 class TestConfigAndErrors:
@@ -575,6 +579,17 @@ class TestBadInput:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == error
         assert not (out / "manifest.json").exists()
+
+
+    @pytest.mark.parametrize("course_id", ["../esc", "a/b", "nul\0id", "x/../../y"])
+    def test_qq_file_names_checked_before_writing(self, tmp_path, capsys, course_id):
+        corpus = _fluctuating_corpus(tmp_path / "corpus.jsonl", course_id)
+        out = tmp_path / "o"
+        assert main(["stats", "shapiro", "--threads", str(corpus), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "InvariantViolation"
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_help_exits_zero(capsys):

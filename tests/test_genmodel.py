@@ -207,6 +207,19 @@ class TestSeparatingPlane:
         sd_mean = math.sqrt(s * q * (1 - q) / len(scores))
         assert abs(np.mean(scores) - expected) <= 3 * sd_mean
 
+    def test_background_mass_adds_left_to_right(self):
+        # 50 support words at background probability 0.005: left to right they add to
+        # 0.2500000000000001, while a compensated sum (sum() from Python 3.12) gives 0.25
+        spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=30)
+        probs = [spec.background.prob(w) for w in spec.smalltalk_topic.vocab]
+        left_to_right = 0.0
+        for prob in probs:
+            left_to_right += prob
+        assert left_to_right != math.fsum(probs)
+        _, tau = separating_plane(spec)
+        assert tau == spec.s * (0.5 * spec.epsilon + (1.0 - spec.epsilon) * left_to_right)
+        assert tau != spec.s * (0.5 * spec.epsilon + (1.0 - spec.epsilon) * math.fsum(probs))
+
     def test_smalltalk_scores_dominate(self):
         spec = make_spec(n=500, num_courses=1, epsilon=0.3, p=0.5, s=60, seed=12)
         weights, _ = separating_plane(spec)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +143,54 @@ class TestLeftToRightSums:
         assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
 
 
+def _dense_hits(window_threads, tolerance=1e-10, max_iters=1000):
+    """The dense users x threads HITS that hits_rank replaced: (authority by thread id, converged)."""
+    users = sorted({u for t in window_threads for u in t.participants})
+    uidx = {u: i for i, u in enumerate(users)}
+    n_threads = len(window_threads)
+    adj = np.zeros((len(users), n_threads))
+    for j, t in enumerate(window_threads):
+        for u in t.participants:
+            adj[uidx[u], j] = 1.0
+
+    def normalize(v):
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 0 else v
+
+    authority = np.full(n_threads, 1.0 / math.sqrt(n_threads))
+    hub = np.zeros(len(users))
+    converged = False
+    for _ in range(max_iters):
+        new_hub = normalize(adj @ authority)
+        new_authority = normalize(adj.T @ new_hub)
+        moved = max(np.linalg.norm(new_hub - hub), np.linalg.norm(new_authority - authority))
+        hub, authority = new_hub, new_authority
+        if moved < tolerance:
+            converged = True
+            break
+    return {t.thread_id: float(authority[j]) for j, t in enumerate(window_threads)}, converged
+
+
+@st.composite
+def participation_graphs(draw):
+    """Threads drawn from a few participant sets, so that sets repeat and scores tie exactly.
+
+    Sets of one user give single-user threads, and ``u0`` joins a drawn share of
+    the threads, so one user is spread over many of them.
+    """
+    users = [f"u{i}" for i in range(draw(st.integers(1, 8)))]
+    pool = draw(st.lists(st.sets(st.sampled_from(users), min_size=1, max_size=4), min_size=1, max_size=4))
+    n_threads = draw(st.integers(1, 14))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n_threads, max_size=n_threads))
+    with_u0 = draw(st.lists(st.booleans(), min_size=n_threads, max_size=n_threads))
+    created = draw(st.lists(st.integers(0, 3), min_size=n_threads, max_size=n_threads))
+    threads = []
+    for j, (members, spread, day) in enumerate(zip(picks, with_u0, created)):
+        members = sorted(members | {"u0"} if spread else members)
+        threads.append(multi_user_thread(f"t{j:02d}", day, ["xx"] * len(members), members))
+    return threads
+
+
 class TestHitsRank:
     def test_complete_bipartite_uniform(self):
         users = ["u1", "u2", "u3"]
@@ -212,6 +262,63 @@ class TestHitsRank:
         with pytest.warns(RuntimeWarning):
             ranked = hits_rank(threads, tolerance=0.0, max_iters=3)
         assert not ranked.converged
+
+    def test_star_converges_below_tolerance(self):
+        threads = [multi_user_thread(f"t{j}", j, ["xx"], ["hub"]) for j in range(5)]
+        ranked = hits_rank(threads, tolerance=1e-10)
+        assert ranked.converged
+        assert ranked.iterations == 2  # the hub moves from 0 to 1, then nothing moves
+        assert ranked.residual < 1e-10
+
+    def test_unconverged_reports_iterations_and_residual(self):
+        threads = [
+            multi_user_thread("t1", 1, ["xx"], ["u1"]),
+            multi_user_thread("t2", 2, ["yy", "zz"], ["u1", "u2"]),
+        ]
+        assert hits_rank(threads).iterations > 1
+        with pytest.warns(RuntimeWarning, match=r"within 1 iterations: residual 1, tolerance 1e-10"):
+            ranked = hits_rank(threads, tolerance=1e-10, max_iters=1)
+        assert not ranked.converged
+        assert ranked.iterations == 1
+        assert ranked.residual >= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(participation_graphs())
+    def test_matches_dense_oracle(self, threads):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # slow graphs: compare the last iterates
+            expected, converged = _dense_hits(threads)
+            ranked = hits_rank(threads)
+        assert ranked.converged == converged
+        scores = dict(ranked.entries)
+        for tid, score in expected.items():
+            assert math.isclose(scores[tid], score, rel_tol=1e-12, abs_tol=0.0)
+        position = {tid: i for i, tid in enumerate(ranked.thread_ids)}
+        for a, score_a in expected.items():
+            for b, score_b in expected.items():
+                if score_a - score_b > 1e-9:
+                    assert position[a] < position[b]
+        # equal participant sets add the same terms in the same order: an exact tie
+        by_set = {}
+        for t in threads:
+            by_set.setdefault(t.participants, []).append(scores[t.thread_id])
+        assert all(len(set(tied)) == 1 for tied in by_set.values())
+
+    def test_sparse_graph_memory(self):
+        # 4,000 threads x 4,000 users on a ring of 8,000 edges: the dense matrix alone is 128 MB
+        n = 4000
+        threads = [
+            multi_user_thread(f"t{j:04d}", j, ["xx", "xx"], [f"u{j:04d}", f"u{(j + 1) % n:04d}"])
+            for j in range(n)
+        ]
+        tracemalloc.start()
+        try:
+            ranked = hits_rank(threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ranked.converged
+        assert peak < 8 * 2**20
 
     def test_popularity_beats_relevance_only_under_hits(self):
         popular = multi_user_thread("pop", 1, ["noise"] * 12, [f"u{i}" for i in range(12)])
