@@ -178,7 +178,7 @@ def _tokens(args) -> TokenTable:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args, _corpus) -> int:
+def _cmd_gen(args, _corpus) -> None:
     spec = _load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -192,10 +192,9 @@ def _cmd_gen(args, _corpus) -> int:
     serialize_corpus(corpus, os.path.join(args.out, args.name))
     with open(os.path.join(args.out, "spec.json"), "w", encoding="utf-8") as fh:
         fh.write(spec.to_json())
-    return 0
 
 
-def _cmd_ingest(args, corpus) -> int:
+def _cmd_ingest(args, corpus) -> None:
     rows = [
         (c.course_id, c.num_threads, sum(t.length for t in c.threads), c.start_date, c.category.value)
         for c in corpus.courses
@@ -206,20 +205,18 @@ def _cmd_ingest(args, corpus) -> int:
         rows,
     )
     serialize_corpus(corpus, os.path.join(args.out, "normalized.jsonl"))
-    return 0
 
 
-def _cmd_classify_train(args, corpus) -> int:
+def _cmd_classify_train(args, corpus) -> None:
     tokens = _tokens(args)
     if args.algo == "nb":
         model = train_nb(corpus, NbMode(args.mode), args.pseudocount, tokens)
     else:
         model = train_svm(labeled_docs(corpus, tokens), tokens, lambda_=args.lam, epochs=args.epochs)
     save_model(model, os.path.join(args.out, "model.json"))
-    return 0
 
 
-def _cmd_classify_eval(args, corpus) -> int:
+def _cmd_classify_eval(args, corpus) -> None:
     tokens = _tokens(args)
     model = load_model(args.model)
     # a per-course model skips courses without labeled threads; the aggregate one needs some
@@ -236,10 +233,9 @@ def _cmd_classify_eval(args, corpus) -> int:
         ["scope", "tp", "fp", "tn", "fn", "tpr", "fpr"],
         rows,
     )
-    return 0
 
 
-def _cmd_classify_roc(args, corpus) -> int:
+def _cmd_classify_roc(args, corpus) -> None:
     tokens = _tokens(args)
     model = load_model(args.model)
     if not isinstance(model, SvmModel):
@@ -251,19 +247,17 @@ def _cmd_classify_roc(args, corpus) -> int:
         ["theta", "tpr", "fpr", "tp", "fp", "tn", "fn"],
         [(th, r.tpr, r.fpr, r.tp, r.fp, r.tn, r.fn) for th, r in reports],
     )
-    return 0
 
 
-def _cmd_topics_extract(args, corpus) -> int:
+def _cmd_topics_extract(args, corpus) -> None:
     ranking = extract_keywords(
         corpus, args.course, _background_ids(args), warmup_days=args.warmup_days, tokens=_tokens(args)
     )
     rows = [(r, w, g) for r, (w, g) in enumerate(ranking.entries[: args.k], start=1)]
     _write_csv(os.path.join(args.out, "keywords.csv"), ["rank", "word", "gamma"], rows)
-    return 0
 
 
-def _cmd_topics_converge(args, corpus) -> int:
+def _cmd_topics_converge(args, corpus) -> None:
     points = convergence_series(
         corpus, args.course, _background_ids(args), k=args.k, max_days=args.max_days,
         tokens=_tokens(args),
@@ -273,7 +267,6 @@ def _cmd_topics_converge(args, corpus) -> int:
         ["day", "new_words", "kendall_tau", "cumulative_tokens"],
         [(p.day, p.new_words, p.kendall_tau, p.cumulative_tokens) for p in points],
     )
-    return 0
 
 
 class _CourseRanker:
@@ -318,7 +311,7 @@ class _CourseRanker:
         raise ConfigError(f"unknown ranking algorithm {algo!r}")
 
 
-def _cmd_rank(args, corpus) -> int:
+def _cmd_rank(args, corpus) -> None:
     ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
     ranked = ranker.rank(args.algo, RankWindow(args.warmup, args.query))
     _write_csv(
@@ -326,10 +319,9 @@ def _cmd_rank(args, corpus) -> int:
         ["rank", "thread_id", "score"],
         [(i, tid, s) for i, (tid, s) in enumerate(ranked.entries, start=1)],
     )
-    return 0
 
 
-def _cmd_compare(args, corpus) -> int:
+def _cmd_compare(args, corpus) -> None:
     ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
     irrelevant_ids = {t.thread_id for t in ranker.course.threads if t.label == ThreadLabel.SMALL_TALK}
     days = sample_query_days(args.low, args.high, args.extra_days, seed=args.seed or 0)
@@ -357,10 +349,9 @@ def _cmd_compare(args, corpus) -> int:
         ["warmup_day", "baseline", "diff_size", "ours_irrelevant", "baseline_irrelevant"],
         rows,
     )
-    return 0
 
 
-def _cmd_stats_series(args, corpus) -> int:
+def _cmd_stats_series(args, corpus) -> None:
     series = build_series(corpus)
     rows = []
     for course_id in sorted(series):
@@ -368,20 +359,18 @@ def _cmd_stats_series(args, corpus) -> int:
         for t in range(1, s.days + 1):
             rows.append((course_id, t, s.y[t - 1], s.z[t - 1]))
     _write_csv(os.path.join(args.out, "series.csv"), ["course_id", "day", "posts", "users"], rows)
-    return 0
 
 
-def _cmd_stats_trend(args, corpus) -> int:
+def _cmd_stats_trend(args, corpus) -> None:
     series = build_series(corpus)
     rows = []
     for course_id in sorted(series):
         slope, intercept = fit_course_trend(series[course_id])
         rows.append((course_id, slope, intercept))
     _write_csv(os.path.join(args.out, "trend.csv"), ["course_id", "slope", "intercept"], rows)
-    return 0
 
 
-def _cmd_stats_panel(args, corpus) -> int:
+def _cmd_stats_panel(args, corpus) -> None:
     if not args.meta:
         raise ConfigError("panel regression requires --meta course metadata")
     series = build_series(corpus)
@@ -401,10 +390,9 @@ def _cmd_stats_panel(args, corpus) -> int:
         ["r_squared", "adj_r_squared", "n_obs", "dropped_rows"],
         [(fit.r_squared, fit.adj_r_squared, fit.n_obs, fit.dropped_rows)],
     )
-    return 0
 
 
-def _cmd_stats_shapiro(args, corpus) -> int:
+def _cmd_stats_shapiro(args, corpus) -> None:
     series = build_series(corpus)
     rows = []
     qq = {}
@@ -419,7 +407,6 @@ def _cmd_stats_shapiro(args, corpus) -> int:
     _write_csv(os.path.join(args.out, "shapiro.csv"), ["course_id", "n", "W", "p"], rows)
     for name, points in qq.items():
         _write_csv(os.path.join(args.out, name), ["theoretical", "sample"], points)
-    return 0
 
 
 def _qq_file_name(course_id: str) -> str:
@@ -430,7 +417,7 @@ def _qq_file_name(course_id: str) -> str:
     return name
 
 
-def _cmd_stats_ttest(args, corpus) -> int:
+def _cmd_stats_ttest(args, corpus) -> None:
     f_values = []
     lengths = []
     for course in corpus.courses:
@@ -458,10 +445,9 @@ def _cmd_stats_ttest(args, corpus) -> int:
         ],
         [dataclasses.astuple(result)],
     )
-    return 0
 
 
-def _cmd_stats_moving_avg(args, corpus) -> int:
+def _cmd_stats_moving_avg(args, corpus) -> None:
     picked = [
         (course.category.value, t.created_at - course.start_date, t)
         for course in corpus.courses
@@ -489,7 +475,6 @@ def _cmd_stats_moving_avg(args, corpus) -> int:
         ["category", "seq", "elapsed_days", "s_t"],
         rows,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +722,10 @@ def main(argv=None) -> int:
         corpus = _load_corpus(args) if hasattr(args, "threads") else None
         manifest = _manifest(args)
         os.makedirs(args.out, exist_ok=True)
-        rc = args.func(args, corpus)
-        if rc == 0:
-            with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, sort_keys=True, indent=2)
-        return rc
+        args.func(args, corpus)
+        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+        return 0
     except ConfigError as exc:
         _emit_error(exc)
         return 2

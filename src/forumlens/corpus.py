@@ -58,6 +58,11 @@ def day_index(timestamp: int, start_date: int) -> int:
     return (timestamp - start_date) // SECONDS_PER_DAY + 1
 
 
+def _first_duplicate(ids: Iterable[str]) -> str | None:
+    """The first listed id that occurs more than once, or None."""
+    return next((i for i, n in Counter(ids).items() if n > 1), None)
+
+
 @dataclass(frozen=True)
 class Post:
     post_id: str
@@ -135,9 +140,9 @@ class Course:
     category: CourseCategory = CourseCategory.HUMANITIES_SOCIAL
 
     def __post_init__(self):
-        ids = [t.thread_id for t in self.threads]
-        if len(set(ids)) != len(ids):
-            raise InvariantViolation(self.course_id, "duplicate thread ids")
+        dup = _first_duplicate(t.thread_id for t in self.threads)
+        if dup is not None:
+            raise InvariantViolation(self.course_id, f"duplicate thread id {dup!r}")
 
     @property
     def num_threads(self) -> int:
@@ -149,9 +154,9 @@ class Corpus:
     courses: tuple[Course, ...]
 
     def __post_init__(self):
-        ids = [c.course_id for c in self.courses]
-        if len(set(ids)) != len(ids):
-            raise InvariantViolation("corpus", "duplicate course ids")
+        dup = _first_duplicate(c.course_id for c in self.courses)
+        if dup is not None:
+            raise InvariantViolation("corpus", f"duplicate course id {dup!r}")
 
     @property
     def num_courses(self) -> int:
@@ -374,16 +379,11 @@ def ingest_corpus(path) -> Corpus:
     attach_metadata can override them.
     """
     by_course: dict[str, list[Thread]] = {}
-    seen: dict[str, set[str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             course_id, thread = _parse_thread_line(line, lineno)
-            bucket = seen.setdefault(course_id, set())
-            if thread.thread_id in bucket:
-                raise InvariantViolation(thread.thread_id, f"duplicate thread id in {course_id}")
-            bucket.add(thread.thread_id)
             by_course.setdefault(course_id, []).append(thread)
     courses = []
     for course_id, threads in by_course.items():
@@ -428,14 +428,10 @@ def _parse_meta_row(row: dict, lineno: int) -> tuple[str, int, CourseFactors, Co
 
 def _ingest_csv(path) -> Corpus:
     courses = []
-    seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for lineno, row in enumerate(reader, start=2):
             course_id, start_date, factors, category = _parse_meta_row(row, lineno)
-            if course_id in seen:
-                raise InvariantViolation(course_id, "duplicate course id in metadata")
-            seen.add(course_id)
             courses.append(Course(course_id, start_date, (), factors, category))
     return Corpus(tuple(courses))
 

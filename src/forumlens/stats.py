@@ -164,9 +164,6 @@ class OlsFit:
         if np.any(self.p_values < 0) or np.any(self.p_values > 1):
             raise InvariantViolation("ols", "p-values must lie in [0, 1]")
 
-    def coefficient(self, term: str) -> float:
-        return float(self.coefficients[self.terms.index(term)])
-
 
 def ols(X: np.ndarray, y: np.ndarray, terms: Sequence[str] | None = None) -> OlsFit:
     """Classical OLS with t-tests on n - p degrees of freedom."""
@@ -249,28 +246,10 @@ class PanelTarget(Enum):
     LOG_Z = "logz"
 
 
-_FULL_TERMS = (
-    "(intercept)",
-    "Q:t",
-    "V:t",
-    "L:t",
-    "D:t",
-    "P:t",
-    "S:t",
-    "H:t",
-    "M:t",
-    "Q",
-    "V",
-    "L",
-    "D",
-    "P",
-    "S",
-    "H",
-    "M",
-    "t",
-)
+_FACTORS = ("Q", "V", "L", "D", "P", "S", "H", "M")
+_FULL_TERMS = ("(intercept)", *(f"{f}:t" for f in _FACTORS), *_FACTORS, "t")
 # The log model drops the video-length and graded-homework terms.
-_LOG_TERMS = tuple(t for t in _FULL_TERMS if t not in ("L:t", "H:t", "L", "H"))
+_LOG_COLUMNS = [j for j, term in enumerate(_FULL_TERMS) if term not in ("L:t", "H:t", "L", "H")]
 
 
 def assemble_panel(
@@ -289,8 +268,8 @@ def assemble_panel(
     (default: hundreds of posts).  The log target drops days with zero users
     and returns how many rows that removed.
     """
-    terms = _LOG_TERMS if target == PanelTarget.LOG_Z else _FULL_TERMS
-    rows: list[list[float]] = []
+    columns = _LOG_COLUMNS if target == PanelTarget.LOG_Z else range(len(_FULL_TERMS))
+    blocks: list[np.ndarray] = []
     ys: list[float] = []
     dropped = 0
     for course_id in sorted(series_map):
@@ -299,44 +278,23 @@ def assemble_panel(
             raise InvariantViolation(course_id, "missing course factors")
         f = factors_map[course_id]
         m = series.median_first3_posts if target == PanelTarget.Y else float(series.distinct_users_first3)
-        s_scaled = f.staff_posts / staff_scale
-        base = {
-            "Q": float(f.quantitative),
-            "V": float(f.vocational),
-            "L": float(f.video_hours),
-            "D": float(f.duration_days),
-            "P": float(f.peer_graded),
-            "S": s_scaled,
-            "H": float(f.graded_homework),
-            "M": m,
-        }
-        for t in range(1, series.days + 1):
-            if target == PanelTarget.Y:
-                value = float(series.y[t - 1])
-            else:
-                z = series.z[t - 1]
-                if target == PanelTarget.LOG_Z:
-                    if z <= 0:
-                        dropped += 1
-                        continue
-                    value = math.log(z)
-                else:
-                    value = float(z)
-            row = []
-            for term in terms:
-                if term == "(intercept)":
-                    row.append(1.0)
-                elif term == "t":
-                    row.append(float(t))
-                elif term.endswith(":t"):
-                    row.append(base[term[:-2]] * t)
-                else:
-                    row.append(base[term])
-            rows.append(row)
-            ys.append(value)
-    if not rows:
+        base = np.array([f.quantitative, f.vocational, f.video_hours, f.duration_days, f.peer_graded,
+                         f.staff_posts / staff_scale, f.graded_homework, m], dtype=float)
+        counts = series.y if target == PanelTarget.Y else series.z
+        if target == PanelTarget.LOG_Z:
+            days = [d for d, z in enumerate(counts, start=1) if z > 0]
+            dropped += series.days - len(days)
+            ys.extend(math.log(counts[d - 1]) for d in days)
+        else:
+            days = range(1, series.days + 1)
+            ys.extend(map(float, counts))
+        t = np.array(days, dtype=float)
+        block = np.column_stack([np.ones_like(t), np.outer(t, base), np.tile(base, (t.size, 1)), t])
+        # C order, unlike block[:, columns]: BLAS may round ols's X @ beta differently per layout
+        blocks.append(block.take(columns, axis=1))
+    if not ys:
         raise DegenerateDesign("panel has no usable rows")
-    return np.asarray(rows), np.asarray(ys), terms, dropped
+    return np.concatenate(blocks), np.asarray(ys), tuple(_FULL_TERMS[j] for j in columns), dropped
 
 
 def fit_panel_ols(
@@ -489,16 +447,13 @@ def qq_points(sample, trim_frac: float = 0.0) -> np.ndarray:
 
 
 def neighborhood_counts(course: Course, t_days: float = 1.0) -> dict[str, int]:
-    """f(h, t_days) for every thread, via one sweep over sorted creation times."""
-    times = sorted(t.created_at for t in course.threads)
-    arr = np.asarray(times, dtype=float)
+    """f(h, t_days) for every thread, via two searches of the sorted creation times."""
+    created = np.array([t.created_at for t in course.threads], dtype=float)
+    times = np.sort(created)
     window = t_days * SECONDS_PER_DAY
-    out = {}
-    for t in course.threads:
-        lo = np.searchsorted(arr, t.created_at - window, side="left")
-        hi = np.searchsorted(arr, t.created_at + window, side="right")
-        out[t.thread_id] = int(hi - lo - 1)
-    return out
+    lo = np.searchsorted(times, created - window, side="left")
+    hi = np.searchsorted(times, created + window, side="right")
+    return {t.thread_id: int(n) for t, n in zip(course.threads, hi - lo - 1)}
 
 
 def partition_by_threshold(items: Sequence, f_values: Sequence[float], threshold: float = 140.0):

@@ -509,6 +509,10 @@ _BAD_LABEL = ('{"course_id": "c", "thread_id": "t", "created_at": 0, "label": ["
               '"posts": [{"post_id": "p", "author_id": "u", "timestamp": 0, "text": "hi"}]}')
 
 
+_META_HEADER = "course_id,start_date,Q,V,L,D,P,S,H,category\n"
+_META_ROW = "course00,0,1,0,5.5,30,0,100,2,HumanitiesSocial\n"
+
+
 class TestBadInput:
     """Bad input ends in exit 2 or 3 with the JSON error object, never a traceback."""
 
@@ -555,6 +559,11 @@ class TestBadInput:
             (["ingest", "--threads", "FILE"], _thread_line(course_id=None), 3, "ParseError"),
             (["ingest", "--threads", "FILE"], _thread_line(thread_id=[1]), 3, "ParseError"),
             (["ingest", "--threads", "FILE"], _thread_line(author_id=False), 3, "ParseError"),
+            # a repeated id
+            (["ingest", "--threads", "FILE"], _thread_line() + "\n" + _thread_line(), 3,
+             "InvariantViolation"),
+            (["stats", "series", "--threads", "CORPUS", "--meta", "FILE"], _META_HEADER + _META_ROW * 2,
+             3, "InvariantViolation"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -563,7 +572,7 @@ class TestBadInput:
              "config-value-not-an-int", "flag-value-not-an-int", "required-flag-missing",
              "threads-is-a-directory", "threads-not-utf8", "config-value-not-a-choice",
              "config-path-not-a-string", "config-path-holds-nul", "is-staff-not-a-bool", "text-null", "course-id-null",
-             "thread-id-a-list", "author-id-a-bool"],
+             "thread-id-a-list", "author-id-a-bool", "thread-line-repeated", "meta-course-repeated"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"

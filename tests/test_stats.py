@@ -353,6 +353,124 @@ class TestOls:
         assert (per / reps).min() >= 0.97
 
 
+_ORACLE_TERMS = (
+    "(intercept)", "Q:t", "V:t", "L:t", "D:t", "P:t", "S:t", "H:t", "M:t",
+    "Q", "V", "L", "D", "P", "S", "H", "M", "t",
+)
+
+
+def _oracle_panel(series_map, factors_map, target=PanelTarget.Y, staff_scale=100.0):
+    """Reference design: one row at a time, each cell chosen by its term name."""
+    terms = _ORACLE_TERMS
+    if target == PanelTarget.LOG_Z:
+        terms = tuple(t for t in terms if t not in ("L:t", "H:t", "L", "H"))
+    rows, ys = [], []
+    dropped = 0
+    for course_id in sorted(series_map):
+        series = series_map[course_id]
+        if course_id not in factors_map:
+            raise InvariantViolation(course_id, "missing course factors")
+        f = factors_map[course_id]
+        m = series.median_first3_posts if target == PanelTarget.Y else float(series.distinct_users_first3)
+        base = {
+            "Q": float(f.quantitative),
+            "V": float(f.vocational),
+            "L": float(f.video_hours),
+            "D": float(f.duration_days),
+            "P": float(f.peer_graded),
+            "S": f.staff_posts / staff_scale,
+            "H": float(f.graded_homework),
+            "M": m,
+        }
+        for t in range(1, series.days + 1):
+            if target == PanelTarget.Y:
+                value = float(series.y[t - 1])
+            else:
+                z = series.z[t - 1]
+                if target == PanelTarget.LOG_Z:
+                    if z <= 0:
+                        dropped += 1
+                        continue
+                    value = math.log(z)
+                else:
+                    value = float(z)
+            row = []
+            for term in terms:
+                if term == "(intercept)":
+                    row.append(1.0)
+                elif term == "t":
+                    row.append(float(t))
+                elif term.endswith(":t"):
+                    row.append(base[term[:-2]] * t)
+                else:
+                    row.append(base[term])
+            rows.append(row)
+            ys.append(value)
+    if not rows:
+        raise DegenerateDesign("panel has no usable rows")
+    return np.asarray(rows), np.asarray(ys), terms, dropped
+
+
+@st.composite
+def _panel_inputs(draw):
+    """0-6 courses of 0-12 days, zero-user days included, and maybe one course without factors."""
+    series, factors = {}, {}
+    for i in range(draw(st.integers(0, 6))):
+        cid = f"c{i}"
+        z = draw(st.lists(st.integers(0, 6), max_size=12))
+        y = [v + draw(st.integers(0, 4)) for v in z]
+        series[cid] = ActivitySeries(
+            cid, tuple(y), tuple(z), draw(st.integers(0, 80)) / 2, draw(st.integers(0, 30))
+        )
+        factors[cid] = CourseFactors(
+            draw(st.integers(0, 1)),
+            draw(st.integers(0, 1)),
+            draw(st.floats(0, 60, allow_nan=False)),
+            draw(st.integers(0, 90)),
+            draw(st.integers(0, 1)),
+            draw(st.integers(0, 3000)),
+            draw(st.integers(0, 20)),
+        )
+    if factors and draw(st.integers(0, 7)) == 0:
+        factors.pop(draw(st.sampled_from(sorted(factors))))
+    return series, factors
+
+
+def _panel_outcome(assemble, *args):
+    try:
+        return assemble(*args)
+    except (DegenerateDesign, InvariantViolation) as exc:
+        return type(exc)
+
+
+class TestPanelMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _panel_inputs(),
+        st.sampled_from(list(PanelTarget)),
+        st.sampled_from([100.0, 1.0, 7.0, 0.3, 250.5]),
+    )
+    def test_same_bytes(self, inputs, target, staff_scale):
+        args = (*inputs, target, staff_scale)
+        want = _panel_outcome(_oracle_panel, *args)
+        got = _panel_outcome(assemble_panel, *args)
+        if isinstance(want, type):
+            assert got is want
+            return
+        (X0, y0, terms0, dropped0), (X, y, terms, dropped) = want, got
+        assert X.shape == X0.shape and y.shape == y0.shape
+        assert X.tobytes() == X0.tobytes() and y.tobytes() == y0.tobytes()
+        assert X.flags["C_CONTIGUOUS"]
+        assert terms == terms0 and dropped == dropped0
+
+    @pytest.mark.parametrize("assemble", [_oracle_panel, assemble_panel])
+    def test_empty_map_and_missing_factors(self, assemble):
+        with pytest.raises(DegenerateDesign):
+            assemble({}, {})
+        with pytest.raises(InvariantViolation):
+            assemble({"c": _series([1, 2, 3], course_id="c")}, {})
+
+
 def _exact_u_enumeration(g1, g2):
     """Independent oracle: U from pairwise comparisons, p over all splits."""
     pooled = list(g1) + list(g2)
