@@ -494,6 +494,19 @@ def _add_text_args(p, staff_help="drop staff posts from text"):
     p.add_argument("--exclude-staff", action="store_true", help=staff_help)
 
 
+def _positive(kind):
+    """An argparse type that reads a ``kind`` and refuses one that is not above zero."""
+
+    def parse(text):
+        value = kind(text)
+        if not value > 0:  # NaN is refused too
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value" errors
+    return parse
+
+
 _RANK_STAFF_HELP = (
     "drop staff posts when fitting keywords; topical and tf-idf scores still use staff text"
 )
@@ -557,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(te)
     te.add_argument("--course", required=True)
     te.add_argument("--background", default=None, help="comma-separated background course ids")
-    te.add_argument("--k", type=int, default=50)
+    te.add_argument("--k", type=_positive(int), default=50)
     te.add_argument("--warmup-days", type=int, default=10)
     te.set_defaults(func=_cmd_topics_extract)
     tc = tsub.add_parser("converge")
@@ -565,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(tc)
     tc.add_argument("--course", required=True)
     tc.add_argument("--background", default=None)
-    tc.add_argument("--k", type=int, default=50)
+    tc.add_argument("--k", type=_positive(int), default=50)
     tc.add_argument("--max-days", type=int, default=None)
     tc.set_defaults(func=_cmd_topics_converge)
 
@@ -578,16 +591,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", type=int, default=2)
     p.add_argument("--k", type=int, default=15)
     p.add_argument("--alpha", type=float, default=0.96)
-    p.add_argument("--keyword-k", type=int, default=50)
+    p.add_argument("--keyword-k", type=_positive(int), default=50)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("compare", help="top-k differences against the baselines")
     _add_corpus_args(p, meta=False)
     _add_text_args(p, _RANK_STAFF_HELP)
     p.add_argument("--course", required=True)
-    p.add_argument("--k", type=int, default=15)
+    p.add_argument("--k", type=_positive(int), default=15)
     p.add_argument("--alpha", type=float, default=0.96)
-    p.add_argument("--keyword-k", type=int, default=50)
+    p.add_argument("--keyword-k", type=_positive(int), default=50)
     p.add_argument("--query", type=int, default=2)
     p.add_argument("--low", type=int, default=10)
     p.add_argument("--high", type=int, default=30)
@@ -603,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = ssub.add_parser("panel")
     _add_corpus_args(pp)
     pp.add_argument("--target", choices=[t.value for t in PanelTarget], default="y")
-    pp.add_argument("--scale-staff", type=float, default=100.0)
+    pp.add_argument("--scale-staff", type=_positive(float), default=100.0)
     pp.set_defaults(func=_cmd_stats_panel)
     psh = ssub.add_parser("shapiro")
     _add_corpus_args(psh)
@@ -611,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     psh.set_defaults(func=_cmd_stats_shapiro)
     ptt = ssub.add_parser("ttest")
     _add_corpus_args(ptt)
-    ptt.add_argument("--t-days", type=float, default=1.0)
+    ptt.add_argument("--t-days", type=_positive(float), default=1.0)
     ptt.add_argument("--threshold", type=float, default=140.0)
     ptt.set_defaults(func=_cmd_stats_ttest)
     pma = ssub.add_parser("moving-avg")

@@ -29,6 +29,10 @@ SECONDS_PER_DAY = 86400
 # Unicode alphanumeric runs; underscore is excluded because it is not
 # alphanumeric.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# On lowercase ASCII text the runs above are exactly the runs of [a-z0-9], so
+# mapping every other byte to a space and splitting finds the same tokens.
+_ASCII_ALNUM = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_ASCII_TOKEN_TABLE = bytes(c if c in _ASCII_ALNUM else 0x20 for c in range(256))
 
 
 class ThreadLabel(Enum):
@@ -190,19 +194,22 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w.strip() for w in fh if w.strip())
+    """One word per line, lowercased as ``tokenize`` lowercases text; a UTF-8 BOM is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return frozenset(w.strip().lower() for w in fh if w.strip())
 
 
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop stopwords and 1-char tokens."""
     if stopwords is None:
         stopwords = default_stopwords()
-    return [
-        tok
-        for tok in _TOKEN_RE.findall(text.lower())
-        if len(tok) >= 2 and tok not in stopwords
-    ]
+    # the table reads lowered text, so test the lowered text (the Kelvin sign lowers to ASCII)
+    text = text.lower()
+    if text.isascii():
+        words = text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
+    else:
+        words = _TOKEN_RE.findall(text)
+    return [tok for tok in words if len(tok) >= 2 and tok not in stopwords]
 
 
 def thread_text(thread: Thread, include_staff: bool = True) -> str:

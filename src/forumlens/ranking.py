@@ -61,6 +61,8 @@ class RankedList:
         return tuple(tid for tid, _ in self.entries)
 
     def top(self, k: int) -> list[str]:
+        if k < 0:
+            raise ValueError("k must be >= 0")
         return list(self.thread_ids[:k])
 
 

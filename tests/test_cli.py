@@ -490,6 +490,21 @@ class TestDefaults:
         assert not any(int(w[1:]) % 2 == 0 for w in words2)
         assert main(base + ["--exclude-staff", "--out", str(tmp_path / "k3")]) == 0
 
+    def test_stopword_file_matches_regardless_of_case(self, tmp_path):
+        # tokens are lowercased, so a listed "The" drops "the"; a BOM does not hide the first word
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([
+            _thread_line(thread_id="t1", post_id="p1", label="SmallTalk", text="The cat IS here"),
+            _thread_line(thread_id="t2", post_id="p2", label="Logistics", text="the exam is due"),
+        ]))
+        sw = tmp_path / "sw.txt"
+        sw.write_text("\ufeffThe\nIS\n", encoding="utf-8")
+        out = tmp_path / "nb"
+        assert main(["classify", "train", "--threads", str(corpus), "--stopwords", str(sw),
+                     "--out", str(out)]) == 0
+        vocab = json.loads((out / "model.json").read_text())["vocab"]
+        assert sorted(vocab) == ["cat", "due", "exam", "here"]
+
 
 _NB = ('{"kind": "nb", "mode": "aggregate", "pseudocount": 1.0, "vocab": ["aa"], '
        '"log_prior": [-0.6931471805599453, -0.6931471805599453], '
@@ -564,6 +579,25 @@ class TestBadInput:
              "InvariantViolation"),
             (["stats", "series", "--threads", "CORPUS", "--meta", "FILE"], _META_HEADER + _META_ROW * 2,
              3, "InvariantViolation"),
+            # sizes and windows that must be positive
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE", "--scale-staff", "0"],
+             _META_HEADER + _META_ROW, 2, "ConfigError"),
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE", "--scale-staff", "-100"],
+             _META_HEADER + _META_ROW, 2, "ConfigError"),
+            (["stats", "ttest", "--threads", "CORPUS", "--t-days", "-1"], None, 2, "ConfigError"),
+            (["stats", "ttest", "--threads", "CORPUS", "--t-days", "0"], None, 2, "ConfigError"),
+            (["topics", "extract", "--threads", "CORPUS", "--course", "course00", "--k", "-3"],
+             None, 2, "ConfigError"),
+            (["topics", "converge", "--threads", "CORPUS", "--course", "course00", "--k", "0"],
+             None, 2, "ConfigError"),
+            (["rank", "--threads", "CORPUS", "--course", "course00", "--keyword-k", "-1"],
+             None, 2, "ConfigError"),
+            (["compare", "--threads", "CORPUS", "--course", "course00", "--keyword-k", "0"],
+             None, 2, "ConfigError"),
+            (["compare", "--threads", "CORPUS", "--course", "course00", "--k", "-3"],
+             None, 2, "ConfigError"),
+            (["--config", "FILE", "topics", "extract", "--threads", "CORPUS", "--course", "course00"],
+             '{"k": -3}', 2, "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -572,7 +606,10 @@ class TestBadInput:
              "config-value-not-an-int", "flag-value-not-an-int", "required-flag-missing",
              "threads-is-a-directory", "threads-not-utf8", "config-value-not-a-choice",
              "config-path-not-a-string", "config-path-holds-nul", "is-staff-not-a-bool", "text-null", "course-id-null",
-             "thread-id-a-list", "author-id-a-bool", "thread-line-repeated", "meta-course-repeated"],
+             "thread-id-a-list", "author-id-a-bool", "thread-line-repeated", "meta-course-repeated",
+             "scale-staff-zero", "scale-staff-negative", "t-days-negative", "t-days-zero",
+             "extract-k-negative", "converge-k-zero", "rank-keyword-k-negative",
+             "compare-keyword-k-zero", "compare-k-negative", "config-k-negative"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"

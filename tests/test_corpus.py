@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,7 +160,44 @@ class TestInvariants:
         assert day_index(86400, 0) == 2
 
 
+# The Unicode-regex tokenizer that tokenize's ASCII byte path must agree with.
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def _oracle_tokenize(text, stopwords):
+    if stopwords is None:
+        stopwords = default_stopwords()
+    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2 and t not in stopwords]
+
+
 class TestTokenize:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u212a\u212aelvin",  # the Kelvin sign lowers to ASCII "k"
+            "\u0130stanbul \u0130\u0130",  # "İ" lowers to "i" plus a combining dot
+            "x\u00b2 m\u00b2\u00b2",  # superscript two is a digit
+            "\ufb01le \ufb01\ufb01",  # the "ﬁ" ligature is a letter
+            "\uff21\uff22\uff23\uff11\uff12 ABC12",  # full-width letters and digits
+            "a_b snake_case __init__",
+            "ab\tcd\nef\x1cgh\x00ij\x1f\x7fkl",
+            "3d abc123 x86 2nd 1234 a1",  # digits run into letters
+            "Gradient DESCENT, gradient! it's the theta-is 'th3ta'",
+        ],
+    )
+    @pytest.mark.parametrize("stopwords", [frozenset({"the", "is", "ij", "k"}), None])
+    def test_matches_regex_oracle_on_edge_cases(self, text, stopwords):
+        assert tokenize(text, stopwords) == _oracle_tokenize(text, stopwords)
+
+    @settings(max_examples=500)
+    @given(
+        st.text(st.characters(max_codepoint=127), max_size=200)
+        | st.text(st.characters(max_codepoint=0x2200), max_size=200),
+        st.none() | st.frozensets(st.text("abcdefgh_k\u0307", min_size=1, max_size=3)),
+    )
+    def test_matches_regex_oracle(self, text, stopwords):
+        assert tokenize(text, stopwords) == _oracle_tokenize(text, stopwords)
+
     def test_empty(self):
         assert tokenize("", frozenset()) == []
 

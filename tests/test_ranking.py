@@ -356,6 +356,11 @@ class TestTopkDiff:
         d1, d2 = topk_diff(a, b, 10)
         assert d1 == frozenset({"t1"}) and d2 == frozenset({"t3"})
 
+    def test_negative_k_rejected(self):
+        # a negative slice bound would keep all but the last |k| threads
+        with pytest.raises(ValueError):
+            topk_diff(self._ranked(["t1", "t2"]), self._ranked(["t2", "t1"]), -1)
+
 
 class TestWindows:
     def test_rank_window_validation(self):

@@ -89,6 +89,11 @@ class TestTopK:
         ranking = KeywordRanking((("aa", 2.0), ("bb", 1.0)))
         assert top_k(ranking, 10) == ["aa", "bb"]
 
+    def test_negative_k_rejected(self):
+        # a negative slice bound would keep all but the last |k| words
+        with pytest.raises(ValueError):
+            top_k(KeywordRanking((("aa", 2.0), ("bb", 1.0))), -1)
+
 
 class TestSetDifference:
     def test_identical(self):
