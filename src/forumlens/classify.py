@@ -57,12 +57,14 @@ class NbModel:
     _index: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if abs(math.exp(self.log_prior_neg) + math.exp(self.log_prior_pos) - 1.0) > 1e-9:
+        # each check states what must hold, so that a NaN fails it; log-probabilities are <= 0
+        priors = np.array([self.log_prior_neg, self.log_prior_pos])
+        if not ((priors <= 0).all() and abs(np.exp(priors).sum() - 1.0) <= 1e-9):
             raise InvariantViolation("nb", "class priors must sum to 1")
         for cond in (self.log_cond_neg, self.log_cond_pos):
             if cond.size != len(self.vocab):
                 raise InvariantViolation("nb", "conditional size mismatch")
-            if cond.size and abs(np.exp(cond).sum() - 1.0) > 1e-9:
+            if cond.size and not ((cond <= 0).all() and abs(np.exp(cond).sum() - 1.0) <= 1e-9):
                 raise InvariantViolation("nb", "conditionals must sum to 1 over vocab")
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.vocab)})
 

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -129,31 +130,21 @@ def _load_corpus(args) -> Corpus:
     return corpus
 
 
+# each spec kind's builder, which holds every default, and the fields a spec file may pass it
+_SPEC_BUILDERS = {
+    "adversarial": (adversarial_spec, ("n", "c", "d", "epsilon", "smalltalk_support_size", "seed")),
+    "uniform": (make_spec, ("n", "num_courses", "epsilon", "p", "s", "support_size",
+                            "smalltalk_support_size", "seed", "training_counts")),
+}
+
+
 def _load_spec(path) -> GenerativeSpec:
     obj = load_json_object(path)
     kind = obj.get("kind", "explicit")
     try:
-        if kind == "adversarial":
-            return adversarial_spec(
-                n=obj["n"],
-                c=obj.get("c", 4.0),
-                d=obj.get("d", 2.0),
-                epsilon=obj.get("epsilon", 0.5),
-                smalltalk_support_size=obj.get("smalltalk_support_size", 50),
-                seed=obj.get("seed", 0),
-            )
-        if kind == "uniform":
-            return make_spec(
-                n=obj["n"],
-                num_courses=obj["num_courses"],
-                epsilon=obj["epsilon"],
-                p=obj["p"],
-                s=obj["s"],
-                support_size=obj.get("support_size", 50),
-                smalltalk_support_size=obj.get("smalltalk_support_size"),
-                seed=obj.get("seed", 0),
-                training_counts=obj.get("training_counts"),
-            )
+        if kind in _SPEC_BUILDERS:
+            build, fields = _SPEC_BUILDERS[kind]
+            return build(**{f: obj[f] for f in fields if f in obj})
         if kind == "explicit":
             return GenerativeSpec.from_json(json.dumps(obj["spec"]))
     except (KeyError, TypeError, ValueError) as exc:  # a missing or wrong-typed field
@@ -273,8 +264,8 @@ class _CourseRanker:
     """Ranks one course's query threads for the windows of one command.
 
     Every ranking reads its tokens from the command's table, and the keyword
-    fit (background counts and accumulated course counts) is built on first
-    use and shared by every warm-up length.  ``--exclude-staff`` drops staff
+    fit (background counts and the course's ids in day order) is built on
+    first use and shared by every warm-up length.  ``--exclude-staff`` drops staff
     posts from the keyword fit only: topical and tf-idf scores read staff text.
     """
 
@@ -335,15 +326,8 @@ def _cmd_compare(args, corpus) -> None:
         for baseline_name in ("tfidf", "hits"):
             baseline = ranker.rank(baseline_name, window)
             d1, d2 = topk_diff(ours, baseline, args.k)
-            rows.append(
-                (
-                    day,
-                    baseline_name,
-                    len(d1),
-                    sum(1 for tid in d1 if tid in irrelevant_ids),
-                    sum(1 for tid in d2 if tid in irrelevant_ids),
-                )
-            )
+            irrelevant = [sum(1 for tid in d if tid in irrelevant_ids) for d in (d1, d2)]
+            rows.append((day, baseline_name, len(d1), *irrelevant))
     _write_csv(
         os.path.join(args.out, "compare.csv"),
         ["warmup_day", "baseline", "diff_size", "ours_irrelevant", "baseline_irrelevant"],
@@ -409,10 +393,16 @@ def _cmd_stats_shapiro(args, corpus) -> None:
         _write_csv(os.path.join(args.out, name), ["theoretical", "sample"], points)
 
 
+def _plain_file_name(name: str) -> bool:
+    """Whether ``name`` names one file directly inside a directory."""
+    separators = ("/", os.sep, os.altsep, "\0")
+    return name not in ("", ".", "..") and not any(s and s in name for s in separators)
+
+
 def _qq_file_name(course_id: str) -> str:
     """``qq_<course_id>.csv``, refused unless it names one file directly under --out."""
     name = f"qq_{course_id}.csv"
-    if any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")) or name in (".", ".."):
+    if not _plain_file_name(name):
         raise InvariantViolation("course id", f"{course_id!r} cannot name a Q-Q file under --out")
     return name
 
@@ -494,17 +484,32 @@ def _add_text_args(p, staff_help="drop staff posts from text"):
     p.add_argument("--exclude-staff", action="store_true", help=staff_help)
 
 
-def _positive(kind):
-    """An argparse type that reads a ``kind`` and refuses one that is not above zero."""
+def _checked(kind, test, requirement):
+    """An argparse type that reads a ``kind`` and refuses one that fails ``test``."""
 
     def parse(text):
         value = kind(text)
-        if not value > 0:  # NaN is refused too
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value" errors
     return parse
+
+
+# the float tests are written to fail on NaN and on infinities
+_finite = _checked(float, math.isfinite, "finite")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_positive_int = _checked(int, lambda v: v > 0, "positive")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_corpus_name = _checked(str, lambda t: _plain_file_name(t) and t not in ("spec.json", "manifest.json"),
+                        "one file name other than spec.json and manifest.json")
+
+
+def _counts(text):
+    """Comma-separated integers, kept as the text that the manifest records."""
+    [int(c) for c in text.split(",")]  # argparse reports the ValueError of a bad entry
+    return text
 
 
 _RANK_STAFF_HELP = (
@@ -522,14 +527,14 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="forumlens", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, default=None, help="seed override for seeded commands")
+    parser.add_argument("--seed", type=_non_negative_int, help="seed override for seeded commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample a synthetic corpus from a generative spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--counts", default=None, help="comma-separated threads per course")
-    p.add_argument("--threads-per-day", type=int, default=24)
-    p.add_argument("--name", default="corpus.jsonl")
+    p.add_argument("--counts", type=_counts, default=None, help="comma-separated threads per course")
+    p.add_argument("--threads-per-day", type=_positive_int, default=24)
+    p.add_argument("--name", type=_corpus_name, default="corpus.jsonl")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -544,23 +549,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(pt)
     pt.add_argument("--algo", choices=["nb", "svm"], default="nb")
     pt.add_argument("--mode", choices=[m.value for m in NbMode], default="aggregate")
-    pt.add_argument("--pseudocount", type=float, default=1.0)
-    pt.add_argument("--lambda", dest="lam", type=float, default=1e-4)
+    pt.add_argument("--pseudocount", type=_finite, default=1.0)
+    pt.add_argument("--lambda", dest="lam", type=_finite, default=1e-4)
     pt.add_argument("--epochs", type=int, default=50)
     pt.set_defaults(func=_cmd_classify_train)
     pe = csub.add_parser("eval")
     _add_corpus_args(pe, meta=False)
     _add_text_args(pe)
     pe.add_argument("--model", required=True)
-    pe.add_argument("--theta", type=float, default=None)
+    pe.add_argument("--theta", type=_finite, default=None)
     pe.set_defaults(func=_cmd_classify_eval)
     pr = csub.add_parser("roc")
     _add_corpus_args(pr, meta=False)
     _add_text_args(pr)
     pr.add_argument("--model", required=True)
-    pr.add_argument("--theta-min", type=float, default=-5.0)
-    pr.add_argument("--theta-max", type=float, default=5.0)
-    pr.add_argument("--theta-steps", type=int, default=21)
+    pr.add_argument("--theta-min", type=_finite, default=-5.0)
+    pr.add_argument("--theta-max", type=_finite, default=5.0)
+    pr.add_argument("--theta-steps", type=_positive_int, default=21)
     pr.set_defaults(func=_cmd_classify_roc)
 
     p = sub.add_parser("topics", help="surprise-weight keywords and convergence")
@@ -570,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(te)
     te.add_argument("--course", required=True)
     te.add_argument("--background", default=None, help="comma-separated background course ids")
-    te.add_argument("--k", type=_positive(int), default=50)
+    te.add_argument("--k", type=_positive_int, default=50)
     te.add_argument("--warmup-days", type=int, default=10)
     te.set_defaults(func=_cmd_topics_extract)
     tc = tsub.add_parser("converge")
@@ -578,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(tc)
     tc.add_argument("--course", required=True)
     tc.add_argument("--background", default=None)
-    tc.add_argument("--k", type=_positive(int), default=50)
+    tc.add_argument("--k", type=_positive_int, default=50)
     tc.add_argument("--max-days", type=int, default=None)
     tc.set_defaults(func=_cmd_topics_converge)
 
@@ -590,21 +595,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=12)
     p.add_argument("--query", type=int, default=2)
     p.add_argument("--k", type=int, default=15)
-    p.add_argument("--alpha", type=float, default=0.96)
-    p.add_argument("--keyword-k", type=_positive(int), default=50)
+    p.add_argument("--alpha", type=_finite, default=0.96)
+    p.add_argument("--keyword-k", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("compare", help="top-k differences against the baselines")
     _add_corpus_args(p, meta=False)
     _add_text_args(p, _RANK_STAFF_HELP)
     p.add_argument("--course", required=True)
-    p.add_argument("--k", type=_positive(int), default=15)
-    p.add_argument("--alpha", type=float, default=0.96)
-    p.add_argument("--keyword-k", type=_positive(int), default=50)
+    p.add_argument("--k", type=_positive_int, default=15)
+    p.add_argument("--alpha", type=_finite, default=0.96)
+    p.add_argument("--keyword-k", type=_positive_int, default=50)
     p.add_argument("--query", type=int, default=2)
     p.add_argument("--low", type=int, default=10)
     p.add_argument("--high", type=int, default=30)
-    p.add_argument("--extra-days", type=int, default=5)
+    p.add_argument("--extra-days", type=_non_negative_int, default=5)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("stats", help="activity statistics pipelines")
@@ -616,21 +621,21 @@ def build_parser() -> argparse.ArgumentParser:
     pp = ssub.add_parser("panel")
     _add_corpus_args(pp)
     pp.add_argument("--target", choices=[t.value for t in PanelTarget], default="y")
-    pp.add_argument("--scale-staff", type=_positive(float), default=100.0)
+    pp.add_argument("--scale-staff", type=_positive_float, default=100.0)
     pp.set_defaults(func=_cmd_stats_panel)
     psh = ssub.add_parser("shapiro")
     _add_corpus_args(psh)
-    psh.add_argument("--trim", type=float, default=0.03)
+    psh.add_argument("--trim", type=_finite, default=0.03)
     psh.set_defaults(func=_cmd_stats_shapiro)
     ptt = ssub.add_parser("ttest")
     _add_corpus_args(ptt)
-    ptt.add_argument("--t-days", type=_positive(float), default=1.0)
-    ptt.add_argument("--threshold", type=float, default=140.0)
+    ptt.add_argument("--t-days", type=_positive_float, default=1.0)
+    ptt.add_argument("--threshold", type=_finite, default=140.0)
     ptt.set_defaults(func=_cmd_stats_ttest)
     pma = ssub.add_parser("moving-avg")
     _add_corpus_args(pma)
     _add_text_args(pma)
-    pma.add_argument("--alpha-ma", type=float, default=0.99)
+    pma.add_argument("--alpha-ma", type=_finite, default=0.99)
     pma.add_argument("--denominator", choices=["printed", "timealigned"], default="printed")
     pma.add_argument("--model", default=None, help="classifier model for unlabeled threads")
     pma.add_argument("--max-days", type=int, default=35)

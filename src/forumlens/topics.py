@@ -12,7 +12,7 @@ the square-root denominator.
 
 A command tokenizes each thread once, into one TokenTable that every
 pipeline it runs reads (keywords, ranking and the classifiers); KeywordFit
-counts the background once and accumulates the course counts day by day.
+counts the background once and takes the course counts as prefix counts.
 """
 
 from __future__ import annotations
@@ -183,12 +183,6 @@ def sequential_sum(values: Iterable[float]) -> float:
     return float(total)
 
 
-def _bincount(rows: list[np.ndarray], size: int) -> np.ndarray:
-    if not rows:
-        return np.zeros(size, dtype=np.int64)
-    return np.bincount(np.concatenate(rows), minlength=size)
-
-
 @dataclass(frozen=True)
 class ConvergencePoint:
     day: int
@@ -201,10 +195,9 @@ class KeywordFit:
     """Surprise-weight rankings of one course against a fixed background.
 
     Building the fit tokenizes the background and the whole course through
-    ``tokens`` and counts the background once.  The course counts up to a
-    day are a prefix of the course's day-sorted threads, so asking for
-    non-decreasing days (as the convergence series and the warm-up days of a
-    comparison do) adds each thread's counts once.
+    ``tokens``, counts the background once, and lays the course's token ids
+    out in one array in day order.  The course counts up to a day are then
+    prefix counts of that array; the fit holds no state that changes.
     """
 
     def __init__(
@@ -216,34 +209,27 @@ class KeywordFit:
     ):
         if background_ids is None:
             background_ids = [c.course_id for c in corpus.courses if c.course_id != course_id]
+        empty = np.zeros(0, dtype=np.int32)
         background = [tokens.ids(t) for cid in background_ids for t in corpus.course(cid).threads]
         course = corpus.course(course_id)
         days = [day_index(t.created_at, course.start_date) for t in course.threads]
         order = sorted(range(len(days)), key=days.__getitem__)
+        rows = [tokens.ids(course.threads[i]) for i in order]
         self.course_id = course_id
         self._days = np.array([days[i] for i in order], dtype=np.int64)
-        self._rows = [tokens.ids(course.threads[i]) for i in order]
+        self._ids = np.concatenate([empty, *rows])
+        self._ends = np.cumsum([0, *(r.size for r in rows)])
         self._size = size = len(tokens)
-        self.background = _bincount(background, size)
+        self.background = np.bincount(np.concatenate([empty, *background]), minlength=size)
         self.background_tokens = int(self.background.sum())
         words = list(tokens.index)
         self._words = np.array(words, dtype=object)
         self._word_rank = np.empty(size, dtype=np.int64)
         self._word_rank[sorted(range(size), key=words.__getitem__)] = np.arange(size)
-        self._start = self._end = 0
-        self._counts = np.zeros(size, dtype=np.int64)
 
-    def _course_counts(self, first_day: int | None, last_day: int) -> np.ndarray:
-        """Course token counts of the days in [first_day, last_day] (no lower bound if None)."""
-        start = 0 if first_day is None else int(np.searchsorted(self._days, first_day, "left"))
-        end = int(np.searchsorted(self._days, last_day, "right"))
-        if start != self._start or end < self._end:
-            self._start = self._end = start
-            self._counts = np.zeros(self._size, dtype=np.int64)
-        if end > self._end:
-            self._counts = self._counts + _bincount(self._rows[self._end : end], self._size)
-            self._end = end
-        return self._counts
+    def _end(self, day: int) -> int:
+        """The offset in ``_ids`` just past the course threads of days <= ``day``."""
+        return int(self._ends[np.searchsorted(self._days, day, "right")])
 
     def _ranking(self, counts: np.ndarray) -> KeywordRanking:
         support = np.flatnonzero(counts)
@@ -260,7 +246,7 @@ class KeywordFit:
 
     def keywords(self, warmup_days: int) -> KeywordRanking:
         """Ranking fitted on the course's threads of days <= ``warmup_days``."""
-        counts = self._course_counts(None, warmup_days)
+        counts = np.bincount(self._ids[: self._end(warmup_days)], minlength=self._size)
         if not counts.any():
             raise EmptyCorpus(
                 f"no course tokens in the first {warmup_days} days of {self.course_id}"
@@ -273,13 +259,16 @@ class KeywordFit:
         """See convergence_series."""
         if not self.background_tokens:
             raise EmptyCorpus("background courses contributed no tokens")
-        if not self._rows:
+        if not self._days.size:
             raise EmptyCorpus(f"course {self.course_id} has no tokens")
         last_day = int(self._days[-1]) if max_days is None else max_days
         points = []
         prev_ranking = None
+        counts = np.zeros(self._size, dtype=np.int64)
+        end = self._end(0)
         for day in range(1, last_day + 1):
-            counts = self._course_counts(1, day)
+            start, end = end, self._end(day)
+            counts += np.bincount(self._ids[start:end], minlength=self._size)
             if not counts.any():
                 continue
             ranking = self._ranking(counts)

@@ -524,6 +524,8 @@ _BAD_LABEL = ('{"course_id": "c", "thread_id": "t", "created_at": 0, "label": ["
               '"posts": [{"post_id": "p", "author_id": "u", "timestamp": 0, "text": "hi"}]}')
 
 
+_SPEC = json.dumps({"kind": "uniform", "n": 400, "num_courses": 2, "epsilon": 0.3, "p": 0.5, "s": 20})
+
 _META_HEADER = "course_id,start_date,Q,V,L,D,P,S,H,category\n"
 _META_ROW = "course00,0,1,0,5.5,30,0,100,2,HumanitiesSocial\n"
 
@@ -598,6 +600,35 @@ class TestBadInput:
              None, 2, "ConfigError"),
             (["--config", "FILE", "topics", "extract", "--threads", "CORPUS", "--course", "course00"],
              '{"k": -3}', 2, "ConfigError"),
+            # counts, seeds and steps out of range
+            (["gen", "--spec", "FILE", "--counts", "5,5", "--threads-per-day", "0"], _SPEC, 2,
+             "ConfigError"),
+            (["--seed", "-1", "gen", "--spec", "FILE", "--counts", "5,5"], _SPEC, 2, "ConfigError"),
+            (["--seed", "-1", "compare", "--threads", "CORPUS", "--course", "course00"], None, 2,
+             "ConfigError"),
+            (["compare", "--threads", "CORPUS", "--course", "course00", "--extra-days", "-1"], None, 2,
+             "ConfigError"),
+            (["classify", "roc", "--threads", "CORPUS", "--model", "FILE", "--theta-steps", "-1"],
+             '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": 0}', 2, "ConfigError"),
+            (["gen", "--spec", "FILE", "--counts", "a,b,c"], _SPEC, 2, "ConfigError"),
+            (["gen", "--spec", "FILE", "--counts", "5,,5"], _SPEC, 2, "ConfigError"),
+            # floats that are not finite
+            (["classify", "train", "--threads", "CORPUS", "--pseudocount", "nan"], None, 2, "ConfigError"),
+            (["classify", "train", "--threads", "CORPUS", "--pseudocount", "inf"], None, 2, "ConfigError"),
+            (["classify", "train", "--threads", "CORPUS", "--algo", "svm", "--lambda", "nan"], None, 2,
+             "ConfigError"),
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE", "--scale-staff", "inf"],
+             _META_HEADER + _META_ROW, 2, "ConfigError"),
+            (["--config", "FILE", "classify", "train", "--threads", "CORPUS"],
+             '{"pseudocount": NaN}', 2, "ConfigError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": [NaN]'), 3, "InvariantViolation"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace("-0.6931471805599453]", "NaN]"), 3, "InvariantViolation"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace("-0.6931471805599453]", "1000.0]"), 3, "InvariantViolation"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": [1000.0]'), 3, "InvariantViolation"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -609,7 +640,11 @@ class TestBadInput:
              "thread-id-a-list", "author-id-a-bool", "thread-line-repeated", "meta-course-repeated",
              "scale-staff-zero", "scale-staff-negative", "t-days-negative", "t-days-zero",
              "extract-k-negative", "converge-k-zero", "rank-keyword-k-negative",
-             "compare-keyword-k-zero", "compare-k-negative", "config-k-negative"],
+             "compare-keyword-k-zero", "compare-k-negative", "config-k-negative",
+             "threads-per-day-zero", "seed-negative-gen", "seed-negative-compare",
+             "extra-days-negative", "theta-steps-negative", "counts-not-integers", "counts-empty-field",
+             "pseudocount-nan", "pseudocount-inf", "lambda-nan", "scale-staff-inf", "config-nan",
+             "nb-conditional-nan", "nb-prior-nan", "nb-prior-overflows", "nb-conditional-overflows"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -626,6 +661,17 @@ class TestBadInput:
         assert json.loads(err)["error"]["type"] == error
         assert not (out / "manifest.json").exists()
 
+    # corpus names that leave --out or take the name of another artifact
+    @pytest.mark.parametrize("name", ["../escaped.jsonl", "ABS", "a/b.jsonl", "", ".", "..",
+                                      "spec.json", "manifest.json"])
+    def test_gen_writes_only_inside_out(self, tmp_path, capsys, name):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(_SPEC)
+        name = str(tmp_path / "abs.jsonl") if name == "ABS" else name
+        argv = ["gen", "--spec", str(spec), "--counts", "5,5", "--name", name]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.txt"]
 
     @pytest.mark.parametrize("course_id", ["../esc", "a/b", "nul\0id", "x/../../y"])
     def test_qq_file_names_checked_before_writing(self, tmp_path, capsys, course_id):
@@ -666,6 +712,20 @@ class TestConfigScope:
         assert set(manifest["inputs"]) == {str(gen_corpus)}
 
 
+@pytest.fixture(scope="module")
+def command_inputs(twelve_courses, tmp_path_factory):
+    """Every input file a subcommand reads: spec, corpus, metadata, an SVM model and stopwords."""
+    spec, corpus_path, meta = twelve_courses
+    root = tmp_path_factory.mktemp("runner")
+    rc = main(["classify", "train", "--threads", str(corpus_path), "--algo", "svm",
+               "--epochs", "2", "--out", str(root / "svm")])
+    assert rc == 0
+    stopwords = root / "stopwords.txt"
+    stopwords.write_text("w000\nw001\n")
+    return {"spec": spec, "threads": corpus_path, "meta": meta,
+            "model": root / "svm" / "model.json", "stopwords": stopwords}
+
+
 class TestRunner:
     """main loads, hashes and records every command; the handlers only compute."""
 
@@ -690,17 +750,9 @@ class TestRunner:
         (["stats", "moving-avg"], ["threads", "meta", "model", "stopwords"], []),
     ]
 
-    @pytest.fixture(scope="class")
-    def inputs(self, twelve_courses, tmp_path_factory):
-        spec, corpus_path, meta = twelve_courses
-        root = tmp_path_factory.mktemp("runner")
-        rc = main(["classify", "train", "--threads", str(corpus_path), "--algo", "svm",
-                   "--epochs", "2", "--out", str(root / "svm")])
-        assert rc == 0
-        stopwords = root / "stopwords.txt"
-        stopwords.write_text("w000\nw001\n")
-        return {"spec": spec, "threads": corpus_path, "meta": meta,
-                "model": root / "svm" / "model.json", "stopwords": stopwords}
+    @pytest.fixture
+    def inputs(self, command_inputs):
+        return command_inputs
 
     @staticmethod
     def _argv(command, flags, extra, inputs, out):
@@ -738,6 +790,59 @@ class TestRunner:
         assert main(self._argv(command, flags, extra, inputs, out)) == 3
         assert (out / "partial.csv").exists()
         assert not (out / "manifest.json").exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _numeric_flags():
+    """(command words, flag) for every int and float flag; top-level flags go with gen and compare."""
+    cases = []
+    for parser in _all_parsers(build_parser()):
+        words = parser.prog.split()[1:]
+        for action in parser._actions:
+            if getattr(action.type, "__name__", None) in ("int", "float"):
+                for command in [words] if words else [["gen"], ["compare"]]:
+                    cases.append((command, action.option_strings[0], bool(words)))
+    return cases
+
+
+class TestNumericFlagSweep:
+    """Every int and float flag given -1, 0, nan or inf exits cleanly and writes valid JSON."""
+
+    # a run of each subcommand on command_inputs, apart from the swept flag
+    BASE = {
+        "gen": ["--spec", "spec", "--counts", ",".join(["3"] * 12)],
+        "classify eval": ["--threads", "threads", "--model", "model"],
+        "classify roc": ["--threads", "threads", "--model", "model"],
+        "topics extract": ["--threads", "threads", "--course", "course00"],
+        "topics converge": ["--threads", "threads", "--course", "course00"],
+        "rank": ["--threads", "threads", "--course", "course00", "--warmup", "1", "--query", "1"],
+        "compare": ["--threads", "threads", "--course", "course00", "--low", "1", "--high", "2",
+                    "--extra-days", "1", "--query", "1"],
+        "stats panel": ["--threads", "threads", "--meta", "meta"],
+    }
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command, flag, after", _numeric_flags(),
+                             ids=[" ".join([*c, f]) for c, f, _ in _numeric_flags()])
+    def test_clean_exit_and_valid_manifest(self, tmp_path, capsys, command_inputs,
+                                           command, flag, after, value):
+        base = self.BASE.get(" ".join(command), ["--threads", "threads"])
+        base = [str(command_inputs.get(a, a)) for a in base]
+        swept = [flag, value]
+        argv = [*command, *base, *swept] if after else [*swept, *command, *base]
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc in (0, 2, 3, 4), captured.err
+        assert "Traceback" not in captured.err
+        if rc:
+            assert set(json.loads(captured.err)["error"]) == {"message", "type"}
+        else:
+            assert captured.err == ""
+            json.loads((out / "manifest.json").read_text(), parse_constant=_refuse_constant)
 
 
 # Runs argv lists through main in a fresh interpreter and prints the scipy modules it loaded.

@@ -350,12 +350,20 @@ class TestFitMatchesOracle:
             _oracle_convergence, *args, k, max_days, stopwords, include_staff
         )
 
+    # a warm-up day for keywords(), or a (k, max_days) pair for convergence()
+    _calls = st.integers(0, 7) | st.tuples(st.integers(1, 6), st.none() | st.integers(0, 8))
+
     @settings(max_examples=60, deadline=None)
-    @given(_small_corpora(), st.lists(st.integers(0, 7), min_size=2, max_size=5))
-    def test_one_fit_serves_days_in_any_order(self, corpus, warmups):
+    @given(_small_corpora(), st.lists(_calls, min_size=2, max_size=6))
+    def test_one_fit_serves_days_in_any_order(self, corpus, calls):
         stopwords = frozenset({"the"})
         fit = KeywordFit(TokenTable(stopwords), corpus, "c0")
-        for warmup in warmups:
-            assert _outcome(fit.keywords, warmup) == _outcome(
-                _oracle_extract, corpus, "c0", None, warmup, stopwords, True
-            )
+        for call in calls:
+            if isinstance(call, tuple):
+                assert _outcome(fit.convergence, *call) == _outcome(
+                    _oracle_convergence, corpus, "c0", None, *call, stopwords, True
+                )
+            else:
+                assert _outcome(fit.keywords, call) == _outcome(
+                    _oracle_extract, corpus, "c0", None, call, stopwords, True
+                )
