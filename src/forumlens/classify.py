@@ -175,6 +175,8 @@ def train_nb_docs(
     words, position = _vocabulary(docs, tokens, vocab)
     if not words:  # every training token was a stopword or too short
         raise EmptyCorpus("naive Bayes training threads have no tokens")
+    if not math.isfinite(pseudocount * len(words)):  # the smoothed class totals would overflow
+        raise ConfigError(f"pseudocount {pseudocount!r} times the {len(words)}-word vocabulary is not finite")
     counts = np.zeros((2, len(words)))
     for positive in (False, True):
         class_ids = np.concatenate([ids for ids, pos in docs if pos == positive])

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -187,7 +188,7 @@ def _cmd_gen(args, _corpus) -> None:
 
 def _cmd_ingest(args, corpus) -> None:
     rows = [
-        (c.course_id, c.num_threads, sum(t.length for t in c.threads), c.start_date, c.category.value)
+        (c.course_id, c.num_threads, c.num_posts, c.start_date, c.category.value)
         for c in corpus.courses
     ]
     _write_csv(
@@ -210,6 +211,8 @@ def _cmd_classify_train(args, corpus) -> None:
 def _cmd_classify_eval(args, corpus) -> None:
     tokens = _tokens(args)
     model = load_model(args.model)
+    if args.theta is not None and not isinstance(model, SvmModel):
+        raise ConfigError("--theta applies only to an SVM model; naive Bayes decisions have no threshold")
     # a per-course model skips courses without labeled threads; the aggregate one needs some
     scopes = sorted(model.items()) if isinstance(model, dict) else [(None, model)]
     rows = []
@@ -411,10 +414,8 @@ def _cmd_stats_ttest(args, corpus) -> None:
     f_values = []
     lengths = []
     for course in corpus.courses:
-        counts = neighborhood_counts(course, args.t_days)
-        for t in course.threads:
-            f_values.append(counts[t.thread_id])
-            lengths.append(t.length)
+        f_values.extend(neighborhood_counts(course, args.t_days).values())  # in thread order
+        lengths.extend(course.columns.lengths.tolist())
     g1, g2 = partition_by_threshold(lengths, f_values, args.threshold)
     result = two_sample_tests(g1, g2)
     _write_csv(
@@ -438,20 +439,24 @@ def _cmd_stats_ttest(args, corpus) -> None:
 
 
 def _cmd_stats_moving_avg(args, corpus) -> None:
-    picked = [
-        (course.category.value, t.created_at - course.start_date, t)
+    if not args.model and (args.stopwords or args.exclude_staff):
+        flag = "--stopwords" if args.stopwords else "--exclude-staff"
+        raise ConfigError(f"{flag} applies only with --model: thread labels need no text")
+    picked = [  # (category, seconds since the course start, course, thread row)
+        (course.category.value, created - course.start_date, course, row)
         for course in corpus.courses
-        for t in course.threads
-        if t.created_at - course.start_date <= args.max_days * 86400
+        for row, created in enumerate(course.columns.created_at.tolist())
+        if created - course.start_date <= args.max_days * 86400
     ]
     if args.model:
         tokens = _tokens(args)
-        flags = decisions(load_model(args.model), [tokens.ids(t) for _, _, t in picked], tokens)
+        ids = [tokens.ids(course.threads[row]) for _, _, course, row in picked]
+        flags = decisions(load_model(args.model), ids, tokens)
     else:
-        picked = [p for p in picked if p[2].label != ThreadLabel.UNLABELED]
-        flags = [p[2].label == ThreadLabel.SMALL_TALK for p in picked]
+        picked = [p for p in picked if p[2].columns.labels[p[3]] != ThreadLabel.UNLABELED]
+        flags = [course.columns.labels[row] == ThreadLabel.SMALL_TALK for _, _, course, row in picked]
     by_category: dict[str, list[tuple[int, int]]] = {}
-    for (category, elapsed, _), flag in zip(picked, flags):
+    for (category, elapsed, _, _), flag in zip(picked, flags):
         by_category.setdefault(category, []).append((elapsed, int(flag)))
     rows = []
     for category in sorted(by_category):
@@ -520,6 +525,11 @@ _RANK_STAFF_HELP = (
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ConfigError (the JSON error object); subparsers share the class."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so "-1e-3" would be read as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -549,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(pt)
     pt.add_argument("--algo", choices=["nb", "svm"], default="nb")
     pt.add_argument("--mode", choices=[m.value for m in NbMode], default="aggregate")
-    pt.add_argument("--pseudocount", type=_finite, default=1.0)
+    pt.add_argument("--pseudocount", type=_positive_float, default=1.0)
     pt.add_argument("--lambda", dest="lam", type=_finite, default=1e-4)
     pt.add_argument("--epochs", type=int, default=50)
     pt.set_defaults(func=_cmd_classify_train)

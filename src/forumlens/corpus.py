@@ -6,6 +6,18 @@ is a pure function.
 Day indexing convention: timestamps are integer UTC seconds and the day index
 of a timestamp ``ts`` within a course is ``floor((ts - start_date) / 86400) + 1``,
 i.e. 1-based with day 1 starting at ``start_date``.
+
+Column layout: a course keeps its threads in ``Course.columns``, a
+``ThreadColumns`` of parallel arrays.  Per post there is an int64 timestamp,
+an int32 author code into ``author_names``, a bool staff flag and the
+``post_id`` and ``text`` strings; per thread there is the ``thread_id``, an
+int64 ``created_at``, the label and an offset into the post arrays.
+``ingest_corpus`` parses each line straight into corpus-wide columns, running
+every check that ``Post`` and ``Thread`` run, and hands each course its rows.
+``Course.threads`` is built from the columns on first use, without running
+those checks again; the activity statistics, the ingest summary and
+``serialize_corpus`` read the columns and never build it.  A course built from
+``Thread`` objects works out its columns once, at construction.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -62,12 +74,47 @@ def day_index(timestamp: int, start_date: int) -> int:
     return (timestamp - start_date) // SECONDS_PER_DAY + 1
 
 
+def day_indices(timestamps: np.ndarray, start_date: int) -> np.ndarray:
+    """``day_index`` of every int64 timestamp, for any integer ``start_date``.
+
+    Exact wherever the day lies within +-2**51, which every series that fits in
+    memory does; a day further out stays further out, on the same side.
+    """
+    # (ts - start) // day, split so that no int64 step overflows: ts // day < 2**47
+    q, r = divmod(start_date, SECONDS_PER_DAY)
+    q = min(max(q, -(2**52)), 2**52)
+    return timestamps // SECONDS_PER_DAY - q + 1 - (timestamps % SECONDS_PER_DAY < r)
+
+
 def _first_duplicate(ids: Iterable[str]) -> str | None:
     """The first listed id that occurs more than once, or None."""
     return next((i for i, n in Counter(ids).items() if n > 1), None)
 
 
-@dataclass(frozen=True)
+# timestamps are stored as int64
+_TIMESTAMP_END = 2**63
+
+
+def _check_post(post_id: str, timestamp: int) -> None:
+    if timestamp < 0:
+        raise InvariantViolation(post_id, "timestamp must be >= 0")
+    if timestamp >= _TIMESTAMP_END:
+        raise InvariantViolation(post_id, "timestamp must be < 2**63")
+
+
+def _check_thread(thread_id: str, created_at: int, times: Sequence[int], ids: Sequence[str]) -> None:
+    """The invariants of a thread whose posts have these timestamps and ids, in order."""
+    if not times:
+        raise InvariantViolation(thread_id, "thread has no posts")
+    if times != sorted(times):
+        raise InvariantViolation(thread_id, "posts not sorted by timestamp")
+    if len(set(ids)) != len(ids):
+        raise InvariantViolation(thread_id, "duplicate post ids")
+    if created_at != times[0]:
+        raise InvariantViolation(thread_id, "created_at differs from first post timestamp")
+
+
+@dataclass(frozen=True, slots=True)
 class Post:
     post_id: str
     author_id: str
@@ -76,11 +123,10 @@ class Post:
     is_staff: bool = False
 
     def __post_init__(self):
-        if self.timestamp < 0:
-            raise InvariantViolation(self.post_id, "timestamp must be >= 0")
+        _check_post(self.post_id, self.timestamp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Thread:
     thread_id: str
     created_at: int
@@ -88,18 +134,8 @@ class Thread:
     label: ThreadLabel = ThreadLabel.UNLABELED
 
     def __post_init__(self):
-        if not self.posts:
-            raise InvariantViolation(self.thread_id, "thread has no posts")
         times = [p.timestamp for p in self.posts]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise InvariantViolation(self.thread_id, "posts not sorted by timestamp")
-        ids = [p.post_id for p in self.posts]
-        if len(set(ids)) != len(ids):
-            raise InvariantViolation(self.thread_id, "duplicate post ids")
-        if self.created_at != self.posts[0].timestamp:
-            raise InvariantViolation(
-                self.thread_id, "created_at differs from first post timestamp"
-            )
+        _check_thread(self.thread_id, self.created_at, times, [p.post_id for p in self.posts])
 
     @property
     def length(self) -> int:
@@ -109,6 +145,99 @@ class Thread:
     @property
     def participants(self) -> frozenset[str]:
         return frozenset(p.author_id for p in self.posts)
+
+
+@dataclass(frozen=True, eq=False)
+class ThreadColumns:
+    """Threads and their posts as parallel columns, in thread order.
+
+    Thread ``i`` owns post rows ``offsets[i]:offsets[i + 1]``.  ``authors``
+    holds codes into ``author_names``; the courses of one parsed corpus share
+    that list.
+    """
+
+    thread_ids: list[str]
+    created_at: np.ndarray  # int64 per thread
+    labels: list[ThreadLabel]
+    offsets: np.ndarray  # int64, one more than there are threads
+    post_ids: list[str]
+    authors: np.ndarray  # int32 per post
+    author_names: list[str]
+    timestamps: np.ndarray  # int64 per post
+    texts: list[str]
+    is_staff: np.ndarray  # bool per post
+
+    @classmethod
+    def from_threads(cls, threads: Sequence[Thread]) -> "ThreadColumns":
+        posts = [p for t in threads for p in t.posts]
+        codes: dict[str, int] = {}
+        authors = np.array([codes.setdefault(p.author_id, len(codes)) for p in posts], dtype=np.int32)
+        return cls(
+            thread_ids=[t.thread_id for t in threads],
+            created_at=np.array([t.created_at for t in threads], dtype=np.int64),
+            labels=[t.label for t in threads],
+            offsets=np.cumsum([0] + [len(t.posts) for t in threads], dtype=np.int64),
+            post_ids=[p.post_id for p in posts],
+            authors=authors,
+            author_names=list(codes),
+            timestamps=np.array([p.timestamp for p in posts], dtype=np.int64),
+            texts=[p.text for p in posts],
+            is_staff=np.array([p.is_staff for p in posts], dtype=bool),
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Posts per thread."""
+        return np.diff(self.offsets)
+
+    def take(self, rows: Sequence[int]) -> "ThreadColumns":
+        """The columns of threads ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        post_rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        picked = post_rows.tolist()
+        return ThreadColumns(
+            thread_ids=[self.thread_ids[i] for i in rows.tolist()],
+            created_at=self.created_at[rows],
+            labels=[self.labels[i] for i in rows.tolist()],
+            offsets=offsets,
+            post_ids=[self.post_ids[i] for i in picked],
+            authors=self.authors[post_rows],
+            author_names=self.author_names,
+            timestamps=self.timestamps[post_rows],
+            texts=[self.texts[i] for i in picked],
+            is_staff=self.is_staff[post_rows],
+        )
+
+    def threads(self) -> tuple[Thread, ...]:
+        """``Thread`` objects over these rows, built without re-running the checks the rows passed."""
+        new, put = object.__new__, object.__setattr__  # what the frozen dataclasses' __init__ does
+        names = self.author_names
+        posts = []
+        for pid, a, ts, text, staff in zip(
+            self.post_ids, self.authors.tolist(), self.timestamps.tolist(), self.texts, self.is_staff.tolist()
+        ):
+            p = new(Post)
+            put(p, "post_id", pid)
+            put(p, "author_id", names[a])
+            put(p, "timestamp", ts)
+            put(p, "text", text)
+            put(p, "is_staff", staff)
+            posts.append(p)
+        ends = self.offsets.tolist()
+        threads = []
+        for tid, created, label, a, b in zip(
+            self.thread_ids, self.created_at.tolist(), self.labels, ends, ends[1:]
+        ):
+            t = new(Thread)
+            put(t, "thread_id", tid)
+            put(t, "created_at", created)
+            put(t, "posts", tuple(posts[a:b]))
+            put(t, "label", label)
+            threads.append(t)
+        return tuple(threads)
 
 
 @dataclass(frozen=True)
@@ -135,22 +264,66 @@ class CourseFactors:
                 raise InvariantViolation("factors", f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
 class Course:
-    course_id: str
-    start_date: int
-    threads: tuple[Thread, ...]
-    factors: CourseFactors | None = None
-    category: CourseCategory = CourseCategory.HUMANITIES_SOCIAL
+    """One course's threads, start date, factors and category.
 
-    def __post_init__(self):
-        dup = _first_duplicate(t.thread_id for t in self.threads)
+    The threads live in ``columns``.  A course built from ``Thread`` objects
+    keeps them as ``threads``; a parsed one builds them on first use.
+    """
+
+    def __init__(
+        self,
+        course_id: str,
+        start_date: int,
+        threads: Sequence[Thread],
+        factors: CourseFactors | None = None,
+        category: CourseCategory = CourseCategory.HUMANITIES_SOCIAL,
+    ):
+        threads = tuple(threads)
+        self.__dict__["threads"] = threads  # what the cached property would build
+        self._fill(course_id, start_date, ThreadColumns.from_threads(threads), factors, category)
+
+    @classmethod
+    def _from_columns(cls, course_id, start_date, columns, factors=None,
+                      category=CourseCategory.HUMANITIES_SOCIAL) -> "Course":
+        """A course over ``columns``, whose rows passed the post and thread checks."""
+        course = cls.__new__(cls)
+        course._fill(course_id, start_date, columns, factors, category)
+        return course
+
+    def _fill(self, course_id, start_date, columns, factors, category) -> None:
+        self.__dict__.update(course_id=course_id, start_date=start_date, columns=columns, factors=factors,
+                             category=category)
+        dup = _first_duplicate(columns.thread_ids)
         if dup is not None:
-            raise InvariantViolation(self.course_id, f"duplicate thread id {dup!r}")
+            raise InvariantViolation(course_id, f"duplicate thread id {dup!r}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Course")
+
+    @cached_property
+    def threads(self) -> tuple[Thread, ...]:
+        return self.columns.threads()
 
     @property
     def num_threads(self) -> int:
-        return len(self.threads)
+        return len(self.columns.thread_ids)
+
+    @property
+    def num_posts(self) -> int:
+        return len(self.columns.timestamps)
+
+    def _key(self) -> tuple:
+        return (self.course_id, self.start_date, self.threads, self.factors, self.category)
+
+    def __eq__(self, other):
+        if not isinstance(other, Course):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (f"Course(course_id={self.course_id!r}, start_date={self.start_date!r}, "
+                f"threads={self.threads!r}, factors={self.factors!r}, category={self.category!r})")
 
 
 @dataclass(frozen=True)
@@ -172,7 +345,7 @@ class Corpus:
 
     @property
     def num_posts(self) -> int:
-        return sum(t.length for c in self.courses for t in c.threads)
+        return sum(c.num_posts for c in self.courses)
 
     def course(self, course_id: str) -> Course:
         for c in self.courses:
@@ -335,68 +508,126 @@ def _field(obj: dict, key: str, types: tuple, lineno: int):
     return val
 
 
-def _parse_thread_line(line: str, lineno: int) -> tuple[str, Thread]:
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
-        raise ParseError(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(lineno, "each line must be a JSON object")
-    if "\\" in line and _SURROGATE_ESCAPE.search(line):
+def _post_fields(rp: dict, lineno: int) -> tuple[str, str, int, str]:
+    """A post's id, author, timestamp and text, checked one field at a time; ids become strings."""
+    return (
+        str(_field(rp, "post_id", _ID, lineno)),
+        str(_field(rp, "author_id", _ID, lineno)),
+        _field(rp, "timestamp", (int,), lineno),
+        _field(rp, "text", (str,), lineno),
+    )
+
+
+class _CorpusParser:
+    """Corpus-wide columns, filled one JSON line (one thread) at a time.
+
+    ``add_line`` runs the checks of ``Post`` and ``Thread`` on its line, in
+    their order, so a file's first error is the one that building those
+    objects line by line would raise.  ``corpus`` runs the course checks.
+    """
+
+    def __init__(self):
+        self.course_rows: dict[str, list[int]] = {}  # each course's thread rows
+        self.thread_ids: list[str] = []
+        self.created_at: list[int] = []
+        self.labels: list[ThreadLabel] = []
+        self.offsets = [0]
+        self.post_ids: list[str] = []
+        self.author_codes: dict[str, int] = {}
+        self.authors: list[int] = []
+        self.timestamps: list[int] = []
+        self.texts: list[str] = []
+        self.is_staff: list[bool] = []
+
+    def add_line(self, line: str, lineno: int) -> None:
         try:
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError(lineno, "a string holds a lone surrogate escape") from None
-    course_id = str(_field(obj, "course_id", _ID, lineno))
-    thread_id = str(_field(obj, "thread_id", _ID, lineno))
-    created_at = _field(obj, "created_at", (int,), lineno)
-    raw_label = obj.get("label")
-    if raw_label is None:
-        label = ThreadLabel.UNLABELED
-    elif isinstance(raw_label, str) and raw_label in _LABELS:
-        label = _LABELS[raw_label]
-    else:
-        raise ParseError(lineno, f"unknown label {raw_label!r}")
-    raw_posts = obj.get("posts")
-    if type(raw_posts) is not list or not raw_posts:
-        raise ParseError(lineno, "posts must be a nonempty list")
-    posts = []
-    for rp in raw_posts:
-        if not isinstance(rp, dict):
-            raise ParseError(lineno, "each post must be a JSON object")
-        is_staff = rp.get("is_staff", False)
-        if type(is_staff) is not bool:
-            raise ParseError(lineno, f"field 'is_staff' must be true or false, got {is_staff!r}")
-        posts.append(
-            Post(
-                str(_field(rp, "post_id", _ID, lineno)),
-                str(_field(rp, "author_id", _ID, lineno)),
-                _field(rp, "timestamp", (int,), lineno),
-                _field(rp, "text", (str,), lineno),
-                is_staff,
-            )
+            obj = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+            raise ParseError(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(lineno, "each line must be a JSON object")
+        if "\\" in line and _SURROGATE_ESCAPE.search(line):
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(lineno, "a string holds a lone surrogate escape") from None
+        course_id = str(_field(obj, "course_id", _ID, lineno))
+        thread_id = str(_field(obj, "thread_id", _ID, lineno))
+        created_at = _field(obj, "created_at", (int,), lineno)
+        raw_label = obj.get("label")
+        if raw_label is None:
+            label = ThreadLabel.UNLABELED
+        elif isinstance(raw_label, str) and raw_label in _LABELS:
+            label = _LABELS[raw_label]
+        else:
+            raise ParseError(lineno, f"unknown label {raw_label!r}")
+        raw_posts = obj.get("posts")
+        if type(raw_posts) is not list or not raw_posts:
+            raise ParseError(lineno, "posts must be a nonempty list")
+        post_ids, codes, authors = self.post_ids, self.author_codes, self.authors
+        timestamps, texts, is_staff = self.timestamps, self.texts, self.is_staff
+        start = len(timestamps)
+        for rp in raw_posts:
+            if not isinstance(rp, dict):
+                raise ParseError(lineno, "each post must be a JSON object")
+            staff = rp.get("is_staff", False)
+            if type(staff) is not bool:
+                raise ParseError(lineno, f"field 'is_staff' must be true or false, got {staff!r}")
+            try:
+                post_id, author_id = rp["post_id"], rp["author_id"]
+                timestamp, text = rp["timestamp"], rp["text"]
+            except KeyError:
+                post_id = None
+            # string ids take the fast path; anything else is checked field by field
+            if not (type(post_id) is str and type(author_id) is str and type(timestamp) is int
+                    and type(text) is str):
+                post_id, author_id, timestamp, text = _post_fields(rp, lineno)
+            if not 0 <= timestamp < _TIMESTAMP_END:
+                _check_post(post_id, timestamp)
+            post_ids.append(post_id)
+            authors.append(codes.setdefault(author_id, len(codes)))
+            timestamps.append(timestamp)
+            texts.append(text)
+            is_staff.append(staff)
+        _check_thread(thread_id, created_at, timestamps[start:], post_ids[start:])
+        self.course_rows.setdefault(course_id, []).append(len(self.thread_ids))
+        self.thread_ids.append(thread_id)
+        self.created_at.append(created_at)
+        self.labels.append(label)
+        self.offsets.append(len(timestamps))
+
+    def corpus(self) -> Corpus:
+        table = ThreadColumns(
+            thread_ids=self.thread_ids,
+            created_at=np.array(self.created_at, dtype=np.int64),
+            labels=self.labels,
+            offsets=np.array(self.offsets, dtype=np.int64),
+            post_ids=self.post_ids,
+            authors=np.array(self.authors, dtype=np.int32),
+            author_names=list(self.author_codes),
+            timestamps=np.array(self.timestamps, dtype=np.int64),
+            texts=self.texts,
+            is_staff=np.array(self.is_staff, dtype=bool),
         )
-    return course_id, Thread(thread_id, created_at, tuple(posts), label)
+        courses = []
+        for course_id, rows in self.course_rows.items():
+            columns = table.take(rows)
+            courses.append(Course._from_columns(course_id, int(columns.created_at.min()), columns))
+        return Corpus(tuple(courses))
 
 
 def ingest_corpus(path) -> Corpus:
-    """Read a JSON-lines corpus, one thread per line.
+    """Read a JSON-lines corpus, one thread per line, into columns.
 
     Course start dates default to each course's earliest thread;
     attach_metadata can override them.
     """
-    by_course: dict[str, list[Thread]] = {}
+    parser = _CorpusParser()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            course_id, thread = _parse_thread_line(line, lineno)
-            by_course.setdefault(course_id, []).append(thread)
-    courses = []
-    for course_id, threads in by_course.items():
-        start = min(t.created_at for t in threads)
-        courses.append(Course(course_id, start, tuple(threads)))
-    return Corpus(tuple(courses))
+            if line.strip():
+                parser.add_line(line, lineno)
+    return parser.corpus()
 
 
 def load_json_object(path) -> dict:
@@ -456,7 +687,7 @@ def attach_metadata(corpus: Corpus, path) -> Corpus:
         if m is None:
             courses.append(c)
         else:
-            courses.append(Course(c.course_id, m.start_date, c.threads, m.factors, m.category))
+            courses.append(Course._from_columns(c.course_id, m.start_date, c.columns, m.factors, m.category))
     courses.extend(by_id.values())
     return Corpus(tuple(courses))
 
@@ -465,22 +696,25 @@ def serialize_corpus(corpus: Corpus, path) -> None:
     """Write threads in the JSON-lines interchange format (round-trips with ingest)."""
     with open(path, "w", encoding="utf-8") as fh:
         for course in corpus.courses:
-            for t in course.threads:
+            cols = course.columns
+            names = cols.author_names
+            posts = [
+                {"post_id": pid, "author_id": names[a], "timestamp": ts, "text": text, "is_staff": staff}
+                for pid, a, ts, text, staff in zip(
+                    cols.post_ids, cols.authors.tolist(), cols.timestamps.tolist(), cols.texts,
+                    cols.is_staff.tolist(),
+                )
+            ]
+            ends = cols.offsets.tolist()
+            for tid, created, label, a, b in zip(
+                cols.thread_ids, cols.created_at.tolist(), cols.labels, ends, ends[1:]
+            ):
                 obj = {
                     "course_id": course.course_id,
-                    "thread_id": t.thread_id,
-                    "created_at": t.created_at,
-                    "label": t.label.value,
-                    "posts": [
-                        {
-                            "post_id": p.post_id,
-                            "author_id": p.author_id,
-                            "timestamp": p.timestamp,
-                            "text": p.text,
-                            "is_staff": p.is_staff,
-                        }
-                        for p in t.posts
-                    ],
+                    "thread_id": tid,
+                    "created_at": created,
+                    "label": label.value,
+                    "posts": posts[a:b],
                 }
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
 

@@ -34,7 +34,7 @@ from .corpus import (
     Course,
     CourseFactors,
     SECONDS_PER_DAY,
-    day_index,
+    day_indices,
 )
 from .errors import (
     DegenerateDesign,
@@ -111,25 +111,23 @@ class ActivitySeries:
 
 
 def _course_series(course: Course) -> ActivitySeries:
-    posts = [(p.timestamp, p.author_id) for t in course.threads for p in t.posts]
+    cols = course.columns
+    days = day_indices(cols.timestamps, course.start_date)
     if course.factors is not None:
         duration = max(course.factors.duration_days, 1)
-    elif posts:
-        duration = max(max(day_index(ts, course.start_date) for ts, _ in posts), 1)
+    elif days.size:
+        duration = max(int(days.max()), 1)
     else:
         duration = 1
-    y = [0] * duration
-    users: list[set[str]] = [set() for _ in range(duration)]
-    for ts, author in posts:
-        day = day_index(ts, course.start_date)
-        if 1 <= day <= duration:
-            y[day - 1] += 1
-            users[day - 1].add(author)
-    z = [len(u) for u in users]
-    first3 = y[: min(3, duration)]
-    median3 = float(np.median(first3)) if first3 else 0.0
-    distinct3 = len(set().union(*users[: min(3, duration)])) if users else 0
-    return ActivitySeries(course.course_id, tuple(y), tuple(z), median3, distinct3)
+    keep = (days >= 1) & (days <= duration)
+    day0, authors = days[keep] - 1, cols.authors[keep].astype(np.int64)
+    y = np.bincount(day0, minlength=duration)
+    # distinct (day, author) pairs, found by sorting: np.unique's first call imports numpy.ma
+    keys = np.sort(day0 * len(cols.author_names) + authors)
+    z = np.bincount(keys[np.diff(keys, prepend=-1) != 0] // len(cols.author_names), minlength=duration)
+    median3 = float(np.median(y[:3]))
+    distinct3 = int(np.count_nonzero(np.bincount(authors[day0 < 3])))
+    return ActivitySeries(course.course_id, tuple(y.tolist()), tuple(z.tolist()), median3, distinct3)
 
 
 def build_series(corpus: Corpus) -> dict[str, ActivitySeries]:
@@ -448,12 +446,12 @@ def qq_points(sample, trim_frac: float = 0.0) -> np.ndarray:
 
 def neighborhood_counts(course: Course, t_days: float = 1.0) -> dict[str, int]:
     """f(h, t_days) for every thread, via two searches of the sorted creation times."""
-    created = np.array([t.created_at for t in course.threads], dtype=float)
+    created = course.columns.created_at.astype(float)
     times = np.sort(created)
     window = t_days * SECONDS_PER_DAY
     lo = np.searchsorted(times, created - window, side="left")
     hi = np.searchsorted(times, created + window, side="right")
-    return {t.thread_id: int(n) for t, n in zip(course.threads, hi - lo - 1)}
+    return dict(zip(course.columns.thread_ids, (hi - lo - 1).tolist()))
 
 
 def partition_by_threshold(items: Sequence, f_values: Sequence[float], threshold: float = 140.0):

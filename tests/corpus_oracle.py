@@ -1,0 +1,146 @@
+"""Object-at-a-time reference implementations for the columnar corpus.
+
+The parser builds one ``Post`` and one ``Thread`` per line through the public
+constructors, so every check runs in the order the constructors run it.  The
+stats loops and the serializer read ``Thread`` objects.  Tests hold the
+columnar code in ``forumlens.corpus`` and ``forumlens.stats`` to these.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from forumlens.corpus import (
+    _ID,
+    _LABELS,
+    _SURROGATE_ESCAPE,
+    SECONDS_PER_DAY,
+    Corpus,
+    Course,
+    Post,
+    Thread,
+    ThreadLabel,
+    _field,
+    day_index,
+)
+from forumlens.errors import ParseError
+from forumlens.stats import ActivitySeries
+
+
+def parse_thread_line(line: str, lineno: int) -> tuple[str, Thread]:
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+        raise ParseError(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(lineno, "each line must be a JSON object")
+    if "\\" in line and _SURROGATE_ESCAPE.search(line):
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(lineno, "a string holds a lone surrogate escape") from None
+    course_id = str(_field(obj, "course_id", _ID, lineno))
+    thread_id = str(_field(obj, "thread_id", _ID, lineno))
+    created_at = _field(obj, "created_at", (int,), lineno)
+    raw_label = obj.get("label")
+    if raw_label is None:
+        label = ThreadLabel.UNLABELED
+    elif isinstance(raw_label, str) and raw_label in _LABELS:
+        label = _LABELS[raw_label]
+    else:
+        raise ParseError(lineno, f"unknown label {raw_label!r}")
+    raw_posts = obj.get("posts")
+    if type(raw_posts) is not list or not raw_posts:
+        raise ParseError(lineno, "posts must be a nonempty list")
+    posts = []
+    for rp in raw_posts:
+        if not isinstance(rp, dict):
+            raise ParseError(lineno, "each post must be a JSON object")
+        is_staff = rp.get("is_staff", False)
+        if type(is_staff) is not bool:
+            raise ParseError(lineno, f"field 'is_staff' must be true or false, got {is_staff!r}")
+        posts.append(
+            Post(
+                str(_field(rp, "post_id", _ID, lineno)),
+                str(_field(rp, "author_id", _ID, lineno)),
+                _field(rp, "timestamp", (int,), lineno),
+                _field(rp, "text", (str,), lineno),
+                is_staff,
+            )
+        )
+    return course_id, Thread(thread_id, created_at, tuple(posts), label)
+
+
+def ingest_corpus(path) -> Corpus:
+    by_course: dict[str, list[Thread]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            course_id, thread = parse_thread_line(line, lineno)
+            by_course.setdefault(course_id, []).append(thread)
+    courses = []
+    for course_id, threads in by_course.items():
+        start = min(t.created_at for t in threads)
+        courses.append(Course(course_id, start, tuple(threads)))
+    return Corpus(tuple(courses))
+
+
+def course_series(course: Course) -> ActivitySeries:
+    posts = [(p.timestamp, p.author_id) for t in course.threads for p in t.posts]
+    if course.factors is not None:
+        duration = max(course.factors.duration_days, 1)
+    elif posts:
+        duration = max(max(day_index(ts, course.start_date) for ts, _ in posts), 1)
+    else:
+        duration = 1
+    y = [0] * duration
+    users: list[set[str]] = [set() for _ in range(duration)]
+    for ts, author in posts:
+        day = day_index(ts, course.start_date)
+        if 1 <= day <= duration:
+            y[day - 1] += 1
+            users[day - 1].add(author)
+    z = [len(u) for u in users]
+    first3 = y[: min(3, duration)]
+    median3 = float(np.median(first3)) if first3 else 0.0
+    distinct3 = len(set().union(*users[: min(3, duration)])) if users else 0
+    return ActivitySeries(course.course_id, tuple(y), tuple(z), median3, distinct3)
+
+
+def build_series(corpus: Corpus) -> dict[str, ActivitySeries]:
+    return {c.course_id: course_series(c) for c in corpus.courses}
+
+
+def neighborhood_counts(course: Course, t_days: float = 1.0) -> dict[str, int]:
+    created = np.array([t.created_at for t in course.threads], dtype=float)
+    times = np.sort(created)
+    window = t_days * SECONDS_PER_DAY
+    lo = np.searchsorted(times, created - window, side="left")
+    hi = np.searchsorted(times, created + window, side="right")
+    return {t.thread_id: int(n) for t, n in zip(course.threads, hi - lo - 1)}
+
+
+def serialize_corpus(corpus: Corpus, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for course in corpus.courses:
+            for t in course.threads:
+                obj = {
+                    "course_id": course.course_id,
+                    "thread_id": t.thread_id,
+                    "created_at": t.created_at,
+                    "label": t.label.value,
+                    "posts": [
+                        {
+                            "post_id": p.post_id,
+                            "author_id": p.author_id,
+                            "timestamp": p.timestamp,
+                            "text": p.text,
+                            "is_staff": p.is_staff,
+                        }
+                        for p in t.posts
+                    ],
+                }
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 
 import forumlens
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, build_parser, main
-from forumlens.corpus import _parse_thread_line, ingest_corpus
-from forumlens.errors import DegenerateGroup, InvariantViolation, ParseError
+from forumlens.corpus import ThreadColumns, _CorpusParser, ingest_corpus
+from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
 from forumlens.ranking import RankWindow, split_window
+from forumlens.stats import neighborhood_counts
 
 
 def _write_spec(path, **overrides):
@@ -368,6 +370,31 @@ class TestStatsCommands:
         assert (out / "qq_solo.csv").exists()
 
 
+class TestStatsBuildNoThreads:
+    """Every stats command but moving-avg --model reads the corpus columns and builds no Thread."""
+
+    def test_no_thread_objects(self, tmp_path, twelve_courses, monkeypatch):
+        _, corpus_path, meta = twelve_courses
+        f_values = [f for c in ingest_corpus(corpus_path).courses for f in neighborhood_counts(c).values()]
+
+        def refuse(self):
+            raise AssertionError("a thread object was built")
+
+        monkeypatch.setattr(ThreadColumns, "threads", refuse)
+        corpus = ingest_corpus(corpus_path)
+        assert corpus.num_posts == 360
+        with pytest.raises(AssertionError):
+            corpus.courses[0].threads
+        commands = [["ingest"], ["stats", "series"], ["stats", "trend"], ["stats", "panel"],
+                    ["stats", "shapiro"], ["stats", "ttest", "--threshold", str(min(f_values))],
+                    ["stats", "moving-avg"]]
+        for i, command in enumerate(commands):
+            out = tmp_path / str(i)
+            argv = [*command, "--threads", str(corpus_path), "--meta", str(meta), "--out", str(out)]
+            assert main(argv) == 0, command
+            assert (out / "manifest.json").exists()
+
+
 def _fluctuating_corpus(path, course_id):
     """One course whose daily volume fluctuates, so count differences vary and Q-Q points exist."""
     rng = np.random.default_rng(13)
@@ -629,6 +656,18 @@ class TestBadInput:
              _NB.replace("-0.6931471805599453]", "1000.0]"), 3, "InvariantViolation"),
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
              _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": [1000.0]'), 3, "InvariantViolation"),
+            # pseudocounts that are not positive, or whose smoothed totals overflow
+            (["classify", "train", "--threads", "CORPUS", "--pseudocount", "1e308"], None, 2, "ConfigError"),
+            (["classify", "train", "--threads", "CORPUS", "--pseudocount", "0"], None, 2, "ConfigError"),
+            (["classify", "train", "--threads", "CORPUS", "--pseudocount", "-1"], None, 2, "ConfigError"),
+            # flags that the given command would ignore
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE", "--theta", "0.5"], _NB, 2,
+             "ConfigError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE", "--theta", "0.5"],
+             '{"kind": "nb-percourse", "models": {"course00": %s}}' % _NB, 2, "ConfigError"),
+            (["stats", "moving-avg", "--threads", "CORPUS", "--stopwords", "FILE"], "the\n", 2,
+             "ConfigError"),
+            (["stats", "moving-avg", "--threads", "CORPUS", "--exclude-staff"], None, 2, "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -644,7 +683,10 @@ class TestBadInput:
              "threads-per-day-zero", "seed-negative-gen", "seed-negative-compare",
              "extra-days-negative", "theta-steps-negative", "counts-not-integers", "counts-empty-field",
              "pseudocount-nan", "pseudocount-inf", "lambda-nan", "scale-staff-inf", "config-nan",
-             "nb-conditional-nan", "nb-prior-nan", "nb-prior-overflows", "nb-conditional-overflows"],
+             "nb-conditional-nan", "nb-prior-nan", "nb-prior-overflows", "nb-conditional-overflows",
+             "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative", "theta-with-nb",
+             "theta-with-percourse-nb", "moving-avg-stopwords-without-model",
+             "moving-avg-exclude-staff-without-model"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -845,6 +887,32 @@ class TestNumericFlagSweep:
             json.loads((out / "manifest.json").read_text(), parse_constant=_refuse_constant)
 
 
+def _float_flags():
+    """(command words, flag action, the subcommand's required flags) for every float flag."""
+    cases = []
+    for parser in _all_parsers(build_parser()):
+        required = [w for a in parser._actions if a.required and a.option_strings
+                    for w in (a.option_strings[0], "x")]
+        for action in parser._actions:
+            if getattr(action.type, "__name__", None) == "float":
+                cases.append((parser.prog.split()[1:], action, required))
+    return cases
+
+
+@pytest.mark.parametrize("words, action, required", _float_flags(),
+                         ids=[" ".join([*w, a.option_strings[0]]) for w, a, _ in _float_flags()])
+def test_negative_float_in_exponent_form_is_a_value(words, action, required):
+    argv = [*words, *required, action.option_strings[0], "-1e-3"]
+    try:
+        want = action.type("-1e-3")
+    except argparse.ArgumentTypeError:  # a flag that must be positive refuses the value itself
+        with pytest.raises(ConfigError, match="must be positive"):
+            build_parser().parse_args(argv)
+    else:
+        assert want == -0.001
+        assert getattr(build_parser().parse_args(argv), action.dest) == -0.001
+
+
 # Runs argv lists through main in a fresh interpreter and prints the scipy modules it loaded.
 _FRESH_RUN = """
 import json, sys
@@ -962,11 +1030,13 @@ class TestFuzzedInput:
     @given(st.one_of(_thread_objects, _json_values))
     def test_thread_line(self, obj):
         line = json.dumps(obj)
+        parser = _CorpusParser()
         try:
-            _, thread = _parse_thread_line(line, 1)
+            parser.add_line(line, 1)
         except (ParseError, InvariantViolation):
             thread = None
         else:
+            ((thread,),) = [c.threads for c in parser.corpus().courses]
             assert isinstance(thread.thread_id, str)
             for post in thread.posts:
                 assert all(isinstance(v, str) for v in (post.post_id, post.author_id, post.text))
