@@ -316,6 +316,8 @@ def _cmd_rank(args, corpus) -> None:
 
 
 def _cmd_compare(args, corpus) -> None:
+    if args.high < args.low:
+        raise ConfigError(f"--high {args.high} is below --low {args.low}")
     ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
     irrelevant_ids = {t.thread_id for t in ranker.course.threads if t.label == ThreadLabel.SMALL_TALK}
     days = sample_query_days(args.low, args.high, args.extra_days, seed=args.seed or 0)
@@ -506,6 +508,8 @@ def _checked(kind, test, requirement):
 _finite = _checked(float, math.isfinite, "finite")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _positive_int = _checked(int, lambda v: v > 0, "positive")
+_fraction = _checked(float, lambda v: 0 < v < 1, "positive and below 1")
+_trim_fraction = _checked(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 _corpus_name = _checked(str, lambda t: _plain_file_name(t) and t not in ("spec.json", "manifest.json"),
                         "one file name other than spec.json and manifest.json")
@@ -560,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--algo", choices=["nb", "svm"], default="nb")
     pt.add_argument("--mode", choices=[m.value for m in NbMode], default="aggregate")
     pt.add_argument("--pseudocount", type=_positive_float, default=1.0)
-    pt.add_argument("--lambda", dest="lam", type=_finite, default=1e-4)
-    pt.add_argument("--epochs", type=int, default=50)
+    pt.add_argument("--lambda", dest="lam", type=_positive_float, default=1e-4)
+    pt.add_argument("--epochs", type=_positive_int, default=50)
     pt.set_defaults(func=_cmd_classify_train)
     pe = csub.add_parser("eval")
     _add_corpus_args(pe, meta=False)
@@ -602,10 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(p, _RANK_STAFF_HELP)
     p.add_argument("--course", required=True)
     p.add_argument("--algo", choices=["topical", "tfidf", "hits"], default="topical")
-    p.add_argument("--warmup", type=int, default=12)
-    p.add_argument("--query", type=int, default=2)
-    p.add_argument("--k", type=int, default=15)
-    p.add_argument("--alpha", type=_finite, default=0.96)
+    p.add_argument("--warmup", type=_positive_int, default=12)
+    p.add_argument("--query", type=_positive_int, default=2)
+    p.add_argument("--k", type=int, default=15, help="not read: rank writes every query thread")
+    p.add_argument("--alpha", type=_fraction, default=0.96)
     p.add_argument("--keyword-k", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_rank)
 
@@ -614,11 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_args(p, _RANK_STAFF_HELP)
     p.add_argument("--course", required=True)
     p.add_argument("--k", type=_positive_int, default=15)
-    p.add_argument("--alpha", type=_finite, default=0.96)
+    p.add_argument("--alpha", type=_fraction, default=0.96)
     p.add_argument("--keyword-k", type=_positive_int, default=50)
-    p.add_argument("--query", type=int, default=2)
-    p.add_argument("--low", type=int, default=10)
-    p.add_argument("--high", type=int, default=30)
+    p.add_argument("--query", type=_positive_int, default=2)
+    p.add_argument("--low", type=_positive_int, default=10)
+    p.add_argument("--high", type=int, default=30, help="last warm-up day sampled; at least --low")
     p.add_argument("--extra-days", type=_non_negative_int, default=5)
     p.set_defaults(func=_cmd_compare)
 
@@ -635,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_stats_panel)
     psh = ssub.add_parser("shapiro")
     _add_corpus_args(psh)
-    psh.add_argument("--trim", type=_finite, default=0.03)
+    psh.add_argument("--trim", type=_trim_fraction, default=0.03)
     psh.set_defaults(func=_cmd_stats_shapiro)
     ptt = ssub.add_parser("ttest")
     _add_corpus_args(ptt)
@@ -645,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     pma = ssub.add_parser("moving-avg")
     _add_corpus_args(pma)
     _add_text_args(pma)
-    pma.add_argument("--alpha-ma", type=_finite, default=0.99)
+    pma.add_argument("--alpha-ma", type=_fraction, default=0.99)
     pma.add_argument("--denominator", choices=["printed", "timealigned"], default="printed")
     pma.add_argument("--model", default=None, help="classifier model for unlabeled threads")
     pma.add_argument("--max-days", type=int, default=35)

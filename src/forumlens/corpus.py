@@ -12,12 +12,14 @@ Column layout: a course keeps its threads in ``Course.columns``, a
 an int32 author code into ``author_names``, a bool staff flag and the
 ``post_id`` and ``text`` strings; per thread there is the ``thread_id``, an
 int64 ``created_at``, the label and an offset into the post arrays.
-``ingest_corpus`` parses each line straight into corpus-wide columns, running
-every check that ``Post`` and ``Thread`` run, and hands each course its rows.
-``Course.threads`` is built from the columns on first use, without running
-those checks again; the activity statistics, the ingest summary and
-``serialize_corpus`` read the columns and never build it.  A course built from
-``Thread`` objects works out its columns once, at construction.
+Each course's columns are filled by one builder, a thread at a time:
+``ingest_corpus`` parses each line straight into its course's builder, running
+every check that ``Post`` and ``Thread`` run, and a course built from
+``Thread`` objects feeds them to a builder at construction.  The courses of one
+parse share their author codes.  ``Course.threads`` of a parsed course is
+built from the columns on first use, without running those checks again; the
+activity statistics, the ingest summary and ``serialize_corpus`` read the
+columns and never build it.
 """
 
 from __future__ import annotations
@@ -167,49 +169,10 @@ class ThreadColumns:
     texts: list[str]
     is_staff: np.ndarray  # bool per post
 
-    @classmethod
-    def from_threads(cls, threads: Sequence[Thread]) -> "ThreadColumns":
-        posts = [p for t in threads for p in t.posts]
-        codes: dict[str, int] = {}
-        authors = np.array([codes.setdefault(p.author_id, len(codes)) for p in posts], dtype=np.int32)
-        return cls(
-            thread_ids=[t.thread_id for t in threads],
-            created_at=np.array([t.created_at for t in threads], dtype=np.int64),
-            labels=[t.label for t in threads],
-            offsets=np.cumsum([0] + [len(t.posts) for t in threads], dtype=np.int64),
-            post_ids=[p.post_id for p in posts],
-            authors=authors,
-            author_names=list(codes),
-            timestamps=np.array([p.timestamp for p in posts], dtype=np.int64),
-            texts=[p.text for p in posts],
-            is_staff=np.array([p.is_staff for p in posts], dtype=bool),
-        )
-
     @property
     def lengths(self) -> np.ndarray:
         """Posts per thread."""
         return np.diff(self.offsets)
-
-    def take(self, rows: Sequence[int]) -> "ThreadColumns":
-        """The columns of threads ``rows``, in that order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        post_rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-        picked = post_rows.tolist()
-        return ThreadColumns(
-            thread_ids=[self.thread_ids[i] for i in rows.tolist()],
-            created_at=self.created_at[rows],
-            labels=[self.labels[i] for i in rows.tolist()],
-            offsets=offsets,
-            post_ids=[self.post_ids[i] for i in picked],
-            authors=self.authors[post_rows],
-            author_names=self.author_names,
-            timestamps=self.timestamps[post_rows],
-            texts=[self.texts[i] for i in picked],
-            is_staff=self.is_staff[post_rows],
-        )
 
     def threads(self) -> tuple[Thread, ...]:
         """``Thread`` objects over these rows, built without re-running the checks the rows passed."""
@@ -238,6 +201,47 @@ class ThreadColumns:
             put(t, "label", label)
             threads.append(t)
         return tuple(threads)
+
+
+class _ColumnBuilder:
+    """One course's columns as lists, filled one thread at a time.
+
+    ``add_post`` each post of a thread, then ``end_thread``.  Author codes come
+    from ``codes``, which the builders of one parse share.
+    """
+
+    def __init__(self, codes: dict[str, int]):
+        self.codes = codes
+        self.thread_ids, self.created_at, self.labels, self.offsets = [], [], [], [0]
+        self.post_ids, self.authors, self.timestamps, self.texts, self.is_staff = [], [], [], [], []
+
+    def add_post(self, post_id: str, author_id: str, timestamp: int, text: str, is_staff: bool) -> None:
+        self.post_ids.append(post_id)
+        self.authors.append(self.codes.setdefault(author_id, len(self.codes)))
+        self.timestamps.append(timestamp)
+        self.texts.append(text)
+        self.is_staff.append(is_staff)
+
+    def end_thread(self, thread_id: str, created_at: int, label: ThreadLabel) -> None:
+        """Close a thread over the posts added since the last one."""
+        self.thread_ids.append(thread_id)
+        self.created_at.append(created_at)
+        self.labels.append(label)
+        self.offsets.append(len(self.timestamps))
+
+    def build(self, author_names: list[str]) -> ThreadColumns:
+        return ThreadColumns(
+            thread_ids=self.thread_ids,
+            created_at=np.array(self.created_at, dtype=np.int64),
+            labels=self.labels,
+            offsets=np.array(self.offsets, dtype=np.int64),
+            post_ids=self.post_ids,
+            authors=np.array(self.authors, dtype=np.int32),
+            author_names=author_names,
+            timestamps=np.array(self.timestamps, dtype=np.int64),
+            texts=self.texts,
+            is_staff=np.array(self.is_staff, dtype=bool),
+        )
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,12 @@ class Course:
     ):
         threads = tuple(threads)
         self.__dict__["threads"] = threads  # what the cached property would build
-        self._fill(course_id, start_date, ThreadColumns.from_threads(threads), factors, category)
+        builder = _ColumnBuilder({})
+        for t in threads:
+            for p in t.posts:
+                builder.add_post(p.post_id, p.author_id, p.timestamp, p.text, p.is_staff)
+            builder.end_thread(t.thread_id, t.created_at, t.label)
+        self._fill(course_id, start_date, builder.build(list(builder.codes)), factors, category)
 
     @classmethod
     def _from_columns(cls, course_id, start_date, columns, factors=None,
@@ -519,7 +528,7 @@ def _post_fields(rp: dict, lineno: int) -> tuple[str, str, int, str]:
 
 
 class _CorpusParser:
-    """Corpus-wide columns, filled one JSON line (one thread) at a time.
+    """Each course's columns, filled one JSON line (one thread) at a time.
 
     ``add_line`` runs the checks of ``Post`` and ``Thread`` on its line, in
     their order, so a file's first error is the one that building those
@@ -527,17 +536,8 @@ class _CorpusParser:
     """
 
     def __init__(self):
-        self.course_rows: dict[str, list[int]] = {}  # each course's thread rows
-        self.thread_ids: list[str] = []
-        self.created_at: list[int] = []
-        self.labels: list[ThreadLabel] = []
-        self.offsets = [0]
-        self.post_ids: list[str] = []
-        self.author_codes: dict[str, int] = {}
-        self.authors: list[int] = []
-        self.timestamps: list[int] = []
-        self.texts: list[str] = []
-        self.is_staff: list[bool] = []
+        self.author_codes: dict[str, int] = {}  # shared by every course
+        self.courses: dict[str, _ColumnBuilder] = {}
 
     def add_line(self, line: str, lineno: int) -> None:
         try:
@@ -564,9 +564,10 @@ class _CorpusParser:
         raw_posts = obj.get("posts")
         if type(raw_posts) is not list or not raw_posts:
             raise ParseError(lineno, "posts must be a nonempty list")
-        post_ids, codes, authors = self.post_ids, self.author_codes, self.authors
-        timestamps, texts, is_staff = self.timestamps, self.texts, self.is_staff
-        start = len(timestamps)
+        course = self.courses.get(course_id)
+        if course is None:
+            course = self.courses[course_id] = _ColumnBuilder(self.author_codes)
+        add_post, start = course.add_post, len(course.timestamps)
         for rp in raw_posts:
             if not isinstance(rp, dict):
                 raise ParseError(lineno, "each post must be a JSON object")
@@ -584,36 +585,14 @@ class _CorpusParser:
                 post_id, author_id, timestamp, text = _post_fields(rp, lineno)
             if not 0 <= timestamp < _TIMESTAMP_END:
                 _check_post(post_id, timestamp)
-            post_ids.append(post_id)
-            authors.append(codes.setdefault(author_id, len(codes)))
-            timestamps.append(timestamp)
-            texts.append(text)
-            is_staff.append(staff)
-        _check_thread(thread_id, created_at, timestamps[start:], post_ids[start:])
-        self.course_rows.setdefault(course_id, []).append(len(self.thread_ids))
-        self.thread_ids.append(thread_id)
-        self.created_at.append(created_at)
-        self.labels.append(label)
-        self.offsets.append(len(timestamps))
+            add_post(post_id, author_id, timestamp, text, staff)
+        _check_thread(thread_id, created_at, course.timestamps[start:], course.post_ids[start:])
+        course.end_thread(thread_id, created_at, label)
 
     def corpus(self) -> Corpus:
-        table = ThreadColumns(
-            thread_ids=self.thread_ids,
-            created_at=np.array(self.created_at, dtype=np.int64),
-            labels=self.labels,
-            offsets=np.array(self.offsets, dtype=np.int64),
-            post_ids=self.post_ids,
-            authors=np.array(self.authors, dtype=np.int32),
-            author_names=list(self.author_codes),
-            timestamps=np.array(self.timestamps, dtype=np.int64),
-            texts=self.texts,
-            is_staff=np.array(self.is_staff, dtype=bool),
-        )
-        courses = []
-        for course_id, rows in self.course_rows.items():
-            columns = table.take(rows)
-            courses.append(Course._from_columns(course_id, int(columns.created_at.min()), columns))
-        return Corpus(tuple(courses))
+        names = list(self.author_codes)
+        return Corpus(tuple(Course._from_columns(course_id, min(course.created_at), course.build(names))
+                            for course_id, course in self.courses.items()))
 
 
 def ingest_corpus(path) -> Corpus:

@@ -668,6 +668,11 @@ class TestBadInput:
             (["stats", "moving-avg", "--threads", "CORPUS", "--stopwords", "FILE"], "the\n", 2,
              "ConfigError"),
             (["stats", "moving-avg", "--threads", "CORPUS", "--exclude-staff"], None, 2, "ConfigError"),
+            # ranges that a config value must meet too, and flags that must agree
+            (["--config", "FILE", "rank", "--threads", "CORPUS", "--course", "course00"],
+             '{"alpha": 1.5}', 2, "ConfigError"),
+            (["compare", "--threads", "CORPUS", "--course", "course00", "--low", "3", "--high", "1"],
+             None, 2, "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -686,7 +691,7 @@ class TestBadInput:
              "nb-conditional-nan", "nb-prior-nan", "nb-prior-overflows", "nb-conditional-overflows",
              "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative", "theta-with-nb",
              "theta-with-percourse-nb", "moving-avg-stopwords-without-model",
-             "moving-avg-exclude-staff-without-model"],
+             "moving-avg-exclude-staff-without-model", "config-alpha-above-one", "compare-high-below-low"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -724,6 +729,32 @@ class TestBadInput:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "InvariantViolation"
         assert not out.exists() or not any(out.iterdir())
+
+    # values that the library would refuse only after the corpus is read
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "train", "--epochs", "0"],
+            ["classify", "train", "--algo", "svm", "--lambda", "0"],
+            ["classify", "train", "--algo", "svm", "--lambda", "-1"],
+            ["rank", "--course", "course00", "--warmup", "0"],
+            ["rank", "--course", "course00", "--query", "0"],
+            ["compare", "--course", "course00", "--query", "0"],
+            ["compare", "--course", "course00", "--low", "0"],
+            *([cmd, "--course", "course00", "--alpha", alpha]
+              for cmd in ("rank", "compare") for alpha in ("0", "1.0", "1.5")),
+            ["stats", "moving-avg", "--alpha-ma", "1.0"],
+            ["stats", "shapiro", "--trim", "0.7"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flag_value_refused_when_parsed(self, tmp_path, gen_corpus, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--threads", str(gen_corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+        assert not out.exists()
 
 
 def test_help_exits_zero(capsys):
@@ -903,10 +934,12 @@ def _float_flags():
                          ids=[" ".join([*w, a.option_strings[0]]) for w, a, _ in _float_flags()])
 def test_negative_float_in_exponent_form_is_a_value(words, action, required):
     argv = [*words, *required, action.option_strings[0], "-1e-3"]
+    # --trim allows 0, so it states its own range
+    requirement = {"--trim": r"must be in \[0, 0\.5\)"}.get(action.option_strings[0], "must be positive")
     try:
         want = action.type("-1e-3")
     except argparse.ArgumentTypeError:  # a flag that must be positive refuses the value itself
-        with pytest.raises(ConfigError, match="must be positive"):
+        with pytest.raises(ConfigError, match=requirement):
             build_parser().parse_args(argv)
     else:
         assert want == -0.001

@@ -1,5 +1,6 @@
 """The columnar corpus against the object-at-a-time reference in corpus_oracle."""
 
+import dataclasses
 import itertools
 import json
 import tempfile
@@ -17,6 +18,7 @@ from forumlens.corpus import (
     CourseFactors,
     Post,
     Thread,
+    ThreadColumns,
     ThreadLabel,
     attach_metadata,
     day_index,
@@ -217,6 +219,33 @@ class TestColumnsMatchThreads:
             assert neighborhood_counts(got, t_days) == neighborhood_counts(want, t_days) \
                 == oracle.neighborhood_counts(want, t_days)
         assert parsed == corpus
+
+
+class TestParsedColumnsMatchBuilt:
+    @settings(max_examples=150, deadline=None)
+    @given(_thread_corpora())
+    def test_parse_and_threads_fill_the_same_columns(self, corpus):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "c.jsonl"
+            serialize_corpus(corpus, path)
+            parsed = ingest_corpus(path)
+        assert len(parsed.courses) == len(corpus.courses)
+        names = parsed.courses[0].columns.author_names
+        for got_course, course in zip(parsed.courses, corpus.courses):
+            got = got_course.columns
+            want = Course(course.course_id, course.start_date, course.threads).columns
+            assert got.author_names is names  # one list for the courses of a parse
+            assert [got.author_names[a] for a in got.authors.tolist()] == \
+                [want.author_names[a] for a in want.authors.tolist()]
+            assert got.authors.dtype == want.authors.dtype
+            for f in dataclasses.fields(ThreadColumns):
+                if f.name in ("authors", "author_names"):
+                    continue
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
+                else:
+                    assert type(a) is type(b) and a == b, f.name
 
 
 class TestDayIndices:
