@@ -1,11 +1,14 @@
 """Command-line interface: every analysis pipeline behind one executable.
 
-Every subcommand takes ``--out DIR``, writes its artifacts (CSV or JSON)
-there and never writes outside it.  A run that succeeds also writes
+Every subcommand takes ``--out DIR``.  Its handler computes the command's
+artifacts (CSV or JSON) and returns them by file name; only after it returns
+does ``main`` create ``--out``, write every artifact there, and then write
 ``manifest.json``: the resolved configuration and the SHA-256 of each input
 file given by ``--spec``, ``--threads``, ``--meta``, ``--model`` or
-``--stopwords``.  Runs are deterministic given the manifest, so re-running a
-command reproduces byte-identical artifacts.
+``--stopwords``.  Nothing is written outside ``--out``, and a failed command
+creates no ``--out`` and leaves an existing one untouched.  Runs are
+deterministic given the manifest, so re-running a command reproduces
+byte-identical artifacts.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
 Errors are reported as a JSON object on stderr.
@@ -22,6 +25,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -89,12 +93,17 @@ def _fmt(value):
     return value
 
 
-def _write_csv(path, header, rows):
+def _write_csv(header, rows, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_text(text, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _sha256(path) -> str:
@@ -166,49 +175,52 @@ def _tokens(args) -> TokenTable:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its artifacts as {file name: writer} in
+# write order, and main calls each writer with the artifact's path
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args, _corpus) -> None:
+def _cmd_gen(args, _corpus) -> dict:
     spec = _load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     if args.counts:
         counts = [int(c) for c in args.counts.split(",")]
+        if len(counts) != spec.num_courses:
+            raise ConfigError(f"--counts gives {len(counts)} counts for {spec.num_courses} courses")
     elif spec.training_counts is not None:
         counts = list(spec.training_counts)
     else:
         raise ConfigError("no --counts given and the spec carries no training counts")
     corpus = sample_corpus(spec, counts, threads_per_day=args.threads_per_day)
-    serialize_corpus(corpus, os.path.join(args.out, args.name))
-    with open(os.path.join(args.out, "spec.json"), "w", encoding="utf-8") as fh:
-        fh.write(spec.to_json())
+    return {
+        args.name: partial(serialize_corpus, corpus),
+        "spec.json": partial(_write_text, spec.to_json()),
+    }
 
 
-def _cmd_ingest(args, corpus) -> None:
+def _cmd_ingest(args, corpus) -> dict:
     rows = [
         (c.course_id, c.num_threads, c.num_posts, c.start_date, c.category.value)
         for c in corpus.courses
     ]
-    _write_csv(
-        os.path.join(args.out, "summary.csv"),
-        ["course_id", "threads", "posts", "start_date", "category"],
-        rows,
-    )
-    serialize_corpus(corpus, os.path.join(args.out, "normalized.jsonl"))
+    header = ["course_id", "threads", "posts", "start_date", "category"]
+    return {
+        "summary.csv": partial(_write_csv, header, rows),
+        "normalized.jsonl": partial(serialize_corpus, corpus),
+    }
 
 
-def _cmd_classify_train(args, corpus) -> None:
+def _cmd_classify_train(args, corpus) -> dict:
     tokens = _tokens(args)
     if args.algo == "nb":
         model = train_nb(corpus, NbMode(args.mode), args.pseudocount, tokens)
     else:
         model = train_svm(labeled_docs(corpus, tokens), tokens, lambda_=args.lam, epochs=args.epochs)
-    save_model(model, os.path.join(args.out, "model.json"))
+    return {"model.json": partial(save_model, model)}
 
 
-def _cmd_classify_eval(args, corpus) -> None:
+def _cmd_classify_eval(args, corpus) -> dict:
     tokens = _tokens(args)
     model = load_model(args.model)
     if args.theta is not None and not isinstance(model, SvmModel):
@@ -222,45 +234,36 @@ def _cmd_classify_eval(args, corpus) -> None:
             rep = evaluate(sub, docs, tokens, theta=args.theta)
             scope = "all" if course_id is None else course_id
             rows.append((scope, rep.tp, rep.fp, rep.tn, rep.fn, rep.tpr, rep.fpr))
-    _write_csv(
-        os.path.join(args.out, "eval.csv"),
-        ["scope", "tp", "fp", "tn", "fn", "tpr", "fpr"],
-        rows,
-    )
+    return {"eval.csv": partial(_write_csv, ["scope", "tp", "fp", "tn", "fn", "tpr", "fpr"], rows)}
 
 
-def _cmd_classify_roc(args, corpus) -> None:
+def _cmd_classify_roc(args, corpus) -> dict:
     tokens = _tokens(args)
     model = load_model(args.model)
     if not isinstance(model, SvmModel):
         raise ConfigError("roc sweeps require an SVM model")
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps).tolist()
     reports = roc_sweep(model, labeled_docs(corpus, tokens), tokens, thetas)
-    _write_csv(
-        os.path.join(args.out, "roc.csv"),
-        ["theta", "tpr", "fpr", "tp", "fp", "tn", "fn"],
-        [(th, r.tpr, r.fpr, r.tp, r.fp, r.tn, r.fn) for th, r in reports],
-    )
+    rows = [(th, r.tpr, r.fpr, r.tp, r.fp, r.tn, r.fn) for th, r in reports]
+    return {"roc.csv": partial(_write_csv, ["theta", "tpr", "fpr", "tp", "fp", "tn", "fn"], rows)}
 
 
-def _cmd_topics_extract(args, corpus) -> None:
+def _cmd_topics_extract(args, corpus) -> dict:
     ranking = extract_keywords(
         corpus, args.course, _background_ids(args), warmup_days=args.warmup_days, tokens=_tokens(args)
     )
     rows = [(r, w, g) for r, (w, g) in enumerate(ranking.entries[: args.k], start=1)]
-    _write_csv(os.path.join(args.out, "keywords.csv"), ["rank", "word", "gamma"], rows)
+    return {"keywords.csv": partial(_write_csv, ["rank", "word", "gamma"], rows)}
 
 
-def _cmd_topics_converge(args, corpus) -> None:
+def _cmd_topics_converge(args, corpus) -> dict:
     points = convergence_series(
         corpus, args.course, _background_ids(args), k=args.k, max_days=args.max_days,
         tokens=_tokens(args),
     )
-    _write_csv(
-        os.path.join(args.out, "convergence.csv"),
-        ["day", "new_words", "kendall_tau", "cumulative_tokens"],
-        [(p.day, p.new_words, p.kendall_tau, p.cumulative_tokens) for p in points],
-    )
+    header = ["day", "new_words", "kendall_tau", "cumulative_tokens"]
+    rows = [(p.day, p.new_words, p.kendall_tau, p.cumulative_tokens) for p in points]
+    return {"convergence.csv": partial(_write_csv, header, rows)}
 
 
 class _CourseRanker:
@@ -305,17 +308,14 @@ class _CourseRanker:
         raise ConfigError(f"unknown ranking algorithm {algo!r}")
 
 
-def _cmd_rank(args, corpus) -> None:
+def _cmd_rank(args, corpus) -> dict:
     ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
     ranked = ranker.rank(args.algo, RankWindow(args.warmup, args.query))
-    _write_csv(
-        os.path.join(args.out, "ranked.csv"),
-        ["rank", "thread_id", "score"],
-        [(i, tid, s) for i, (tid, s) in enumerate(ranked.entries, start=1)],
-    )
+    rows = [(i, tid, s) for i, (tid, s) in enumerate(ranked.entries, start=1)]
+    return {"ranked.csv": partial(_write_csv, ["rank", "thread_id", "score"], rows)}
 
 
-def _cmd_compare(args, corpus) -> None:
+def _cmd_compare(args, corpus) -> dict:
     if args.high < args.low:
         raise ConfigError(f"--high {args.high} is below --low {args.low}")
     ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
@@ -333,58 +333,53 @@ def _cmd_compare(args, corpus) -> None:
             d1, d2 = topk_diff(ours, baseline, args.k)
             irrelevant = [sum(1 for tid in d if tid in irrelevant_ids) for d in (d1, d2)]
             rows.append((day, baseline_name, len(d1), *irrelevant))
-    _write_csv(
-        os.path.join(args.out, "compare.csv"),
-        ["warmup_day", "baseline", "diff_size", "ours_irrelevant", "baseline_irrelevant"],
-        rows,
-    )
+    header = ["warmup_day", "baseline", "diff_size", "ours_irrelevant", "baseline_irrelevant"]
+    return {"compare.csv": partial(_write_csv, header, rows)}
 
 
-def _cmd_stats_series(args, corpus) -> None:
+def _cmd_stats_series(args, corpus) -> dict:
     series = build_series(corpus)
     rows = []
     for course_id in sorted(series):
         s = series[course_id]
         for t in range(1, s.days + 1):
             rows.append((course_id, t, s.y[t - 1], s.z[t - 1]))
-    _write_csv(os.path.join(args.out, "series.csv"), ["course_id", "day", "posts", "users"], rows)
+    return {"series.csv": partial(_write_csv, ["course_id", "day", "posts", "users"], rows)}
 
 
-def _cmd_stats_trend(args, corpus) -> None:
+def _cmd_stats_trend(args, corpus) -> dict:
     series = build_series(corpus)
     rows = []
     for course_id in sorted(series):
         slope, intercept = fit_course_trend(series[course_id])
         rows.append((course_id, slope, intercept))
-    _write_csv(os.path.join(args.out, "trend.csv"), ["course_id", "slope", "intercept"], rows)
+    return {"trend.csv": partial(_write_csv, ["course_id", "slope", "intercept"], rows)}
 
 
-def _cmd_stats_panel(args, corpus) -> None:
+def _cmd_stats_panel(args, corpus) -> dict:
     if not args.meta:
         raise ConfigError("panel regression requires --meta course metadata")
     series = build_series(corpus)
     factors = {c.course_id: c.factors for c in corpus.courses if c.factors is not None}
     series = {cid: s for cid, s in series.items() if cid in factors}
     fit = fit_panel_ols(series, factors, PanelTarget(args.target), staff_scale=args.scale_staff)
-    _write_csv(
-        os.path.join(args.out, "panel.csv"),
-        ["term", "estimate", "std_error", "t", "p"],
-        [
-            (term, fit.coefficients[i], fit.standard_errors[i], fit.t_stats[i], fit.p_values[i])
-            for i, term in enumerate(fit.terms)
-        ],
-    )
-    _write_csv(
-        os.path.join(args.out, "panel_summary.csv"),
-        ["r_squared", "adj_r_squared", "n_obs", "dropped_rows"],
-        [(fit.r_squared, fit.adj_r_squared, fit.n_obs, fit.dropped_rows)],
-    )
+    terms = [
+        (term, fit.coefficients[i], fit.standard_errors[i], fit.t_stats[i], fit.p_values[i])
+        for i, term in enumerate(fit.terms)
+    ]
+    summary = [(fit.r_squared, fit.adj_r_squared, fit.n_obs, fit.dropped_rows)]
+    return {
+        "panel.csv": partial(_write_csv, ["term", "estimate", "std_error", "t", "p"], terms),
+        "panel_summary.csv": partial(
+            _write_csv, ["r_squared", "adj_r_squared", "n_obs", "dropped_rows"], summary
+        ),
+    }
 
 
-def _cmd_stats_shapiro(args, corpus) -> None:
+def _cmd_stats_shapiro(args, corpus) -> dict:
     series = build_series(corpus)
-    rows = []
-    qq = {}
+    rows = []  # filled below; shapiro.csv is written first
+    artifacts = {"shapiro.csv": partial(_write_csv, ["course_id", "n", "W", "p"], rows)}
     for course_id in sorted(series):
         diffs = trim_and_diff(series[course_id], args.trim)
         if diffs.size < 3 or np.ptp(diffs) == 0:
@@ -392,27 +387,12 @@ def _cmd_stats_shapiro(args, corpus) -> None:
             continue
         res = shapiro_wilk(diffs)
         rows.append((course_id, diffs.size, res.statistic, res.pvalue))
-        qq[_qq_file_name(course_id)] = qq_points(diffs)
-    _write_csv(os.path.join(args.out, "shapiro.csv"), ["course_id", "n", "W", "p"], rows)
-    for name, points in qq.items():
-        _write_csv(os.path.join(args.out, name), ["theoretical", "sample"], points)
+        qq = qq_points(diffs)
+        artifacts[f"qq_{course_id}.csv"] = partial(_write_csv, ["theoretical", "sample"], qq)
+    return artifacts
 
 
-def _plain_file_name(name: str) -> bool:
-    """Whether ``name`` names one file directly inside a directory."""
-    separators = ("/", os.sep, os.altsep, "\0")
-    return name not in ("", ".", "..") and not any(s and s in name for s in separators)
-
-
-def _qq_file_name(course_id: str) -> str:
-    """``qq_<course_id>.csv``, refused unless it names one file directly under --out."""
-    name = f"qq_{course_id}.csv"
-    if not _plain_file_name(name):
-        raise InvariantViolation("course id", f"{course_id!r} cannot name a Q-Q file under --out")
-    return name
-
-
-def _cmd_stats_ttest(args, corpus) -> None:
+def _cmd_stats_ttest(args, corpus) -> dict:
     f_values = []
     lengths = []
     for course in corpus.courses:
@@ -420,27 +400,12 @@ def _cmd_stats_ttest(args, corpus) -> None:
         lengths.extend(course.columns.lengths.tolist())
     g1, g2 = partition_by_threshold(lengths, f_values, args.threshold)
     result = two_sample_tests(g1, g2)
-    _write_csv(
-        os.path.join(args.out, "ttest.csv"),
-        [
-            "t",
-            "t_p_one_sided",
-            "t_p_two_sided",
-            "df",
-            "U",
-            "U_p_one_sided",
-            "U_p_two_sided",
-            "u_method",
-            "n1",
-            "n2",
-            "var1",
-            "var2",
-        ],
-        [dataclasses.astuple(result)],
-    )
+    header = ["t", "t_p_one_sided", "t_p_two_sided", "df", "U", "U_p_one_sided", "U_p_two_sided",
+              "u_method", "n1", "n2", "var1", "var2"]
+    return {"ttest.csv": partial(_write_csv, header, [dataclasses.astuple(result)])}
 
 
-def _cmd_stats_moving_avg(args, corpus) -> None:
+def _cmd_stats_moving_avg(args, corpus) -> dict:
     if not args.model and (args.stopwords or args.exclude_staff):
         flag = "--stopwords" if args.stopwords else "--exclude-staff"
         raise ConfigError(f"{flag} applies only with --model: thread labels need no text")
@@ -467,11 +432,7 @@ def _cmd_stats_moving_avg(args, corpus) -> None:
         avg = smalltalk_moving_average(flags, alpha=args.alpha_ma, denominator=args.denominator)
         for i, ((elapsed, _), s) in enumerate(zip(ordered, avg), start=1):
             rows.append((category, i, elapsed / 86400.0, s))
-    _write_csv(
-        os.path.join(args.out, "moving_avg.csv"),
-        ["category", "seq", "elapsed_days", "s_t"],
-        rows,
-    )
+    return {"moving_avg.csv": partial(_write_csv, ["category", "seq", "elapsed_days", "s_t"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +465,12 @@ def _checked(kind, test, requirement):
     return parse
 
 
+def _plain_file_name(name: str) -> bool:
+    """Whether ``name`` names one file directly inside a directory."""
+    separators = ("/", os.sep, os.altsep, "\0")
+    return name not in ("", ".", "..") and not any(s and s in name for s in separators)
+
+
 # the float tests are written to fail on NaN and on infinities
 _finite = _checked(float, math.isfinite, "finite")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
@@ -516,8 +483,8 @@ _corpus_name = _checked(str, lambda t: _plain_file_name(t) and t not in ("spec.j
 
 
 def _counts(text):
-    """Comma-separated integers, kept as the text that the manifest records."""
-    [int(c) for c in text.split(",")]  # argparse reports the ValueError of a bad entry
+    """Comma-separated non-negative integers, kept as the text that the manifest records."""
+    [_non_negative_int(c) for c in text.split(",")]  # argparse reports a bad entry's error
     return text
 
 
@@ -590,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     te.add_argument("--course", required=True)
     te.add_argument("--background", default=None, help="comma-separated background course ids")
     te.add_argument("--k", type=_positive_int, default=50)
-    te.add_argument("--warmup-days", type=int, default=10)
+    te.add_argument("--warmup-days", type=_positive_int, default=10)
     te.set_defaults(func=_cmd_topics_extract)
     tc = tsub.add_parser("converge")
     _add_corpus_args(tc, meta=False)
@@ -598,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--course", required=True)
     tc.add_argument("--background", default=None)
     tc.add_argument("--k", type=_positive_int, default=50)
-    tc.add_argument("--max-days", type=int, default=None)
+    tc.add_argument("--max-days", type=_positive_int, default=None)
     tc.set_defaults(func=_cmd_topics_converge)
 
     p = sub.add_parser("rank", help="rank query-period threads")
@@ -652,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     pma.add_argument("--alpha-ma", type=_fraction, default=0.99)
     pma.add_argument("--denominator", choices=["printed", "timealigned"], default="printed")
     pma.add_argument("--model", default=None, help="classifier model for unlabeled threads")
-    pma.add_argument("--max-days", type=int, default=35)
+    pma.add_argument("--max-days", type=_positive_int, default=35)
     pma.set_defaults(func=_cmd_stats_moving_avg)
 
     return parser
@@ -750,13 +717,18 @@ def main(argv=None) -> int:
         for value in vars(args).values():
             if isinstance(value, ConfigError):  # a config value this subcommand cannot take
                 raise value
-        # read the corpus before creating --out: a bad corpus leaves no --out behind
         corpus = _load_corpus(args) if hasattr(args, "threads") else None
-        manifest = _manifest(args)
+        manifest = json.dumps(_manifest(args), sort_keys=True, indent=2)
+        artifacts = args.func(args, corpus)
+        # --out is created only after the command succeeded and every name passed, so a
+        # failed command creates no --out and leaves an existing one as it was
+        for name in artifacts:
+            if not _plain_file_name(name):
+                raise InvariantViolation("artifact", f"{name!r} does not name one file under --out")
         os.makedirs(args.out, exist_ok=True)
-        args.func(args, corpus)
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
+        for name, write in artifacts.items():
+            write(os.path.join(args.out, name))
+        _write_text(manifest, os.path.join(args.out, "manifest.json"))
         return 0
     except ConfigError as exc:
         _emit_error(exc)

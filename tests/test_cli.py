@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forumlens
+import forumlens.cli
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, build_parser, main
 from forumlens.corpus import ThreadColumns, _CorpusParser, ingest_corpus
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
@@ -359,7 +361,7 @@ class TestStatsCommands:
         out = tmp_path / "tt"
         rc = main(["stats", "ttest", "--threads", str(gen_corpus), "--out", str(out)])
         assert rc == 3
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_shapiro_outputs_qq(self, tmp_path):
         corpus_path = _fluctuating_corpus(tmp_path / "fluct.jsonl", "solo")
@@ -639,6 +641,21 @@ class TestBadInput:
              '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": 0}', 2, "ConfigError"),
             (["gen", "--spec", "FILE", "--counts", "a,b,c"], _SPEC, 2, "ConfigError"),
             (["gen", "--spec", "FILE", "--counts", "5,,5"], _SPEC, 2, "ConfigError"),
+            (["gen", "--spec", "FILE", "--counts=-1,5"], _SPEC, 2, "ConfigError"),
+            (["--config", "FILE", "gen", "--spec", "FILE"], '{"counts": "5,-1"}', 2, "ConfigError"),
+            (["gen", "--spec", "FILE", "--counts", "5,5,5"], _SPEC, 2, "ConfigError"),
+            (["gen", "--spec", "FILE"], _SPEC[:-1] + ', "training_counts": [5, 5, 5]}', 3,
+             "InvariantViolation"),
+            # windows that must be positive
+            (["topics", "extract", "--threads", "CORPUS", "--course", "course00", "--warmup-days", "-1"],
+             None, 2, "ConfigError"),
+            (["topics", "extract", "--threads", "CORPUS", "--course", "course00", "--warmup-days", "0"],
+             None, 2, "ConfigError"),
+            (["topics", "converge", "--threads", "CORPUS", "--course", "course00", "--max-days", "-2"],
+             None, 2, "ConfigError"),
+            (["stats", "moving-avg", "--threads", "CORPUS", "--max-days", "-1"], None, 2, "ConfigError"),
+            (["--config", "FILE", "stats", "moving-avg", "--threads", "CORPUS"], '{"max_days": 0}', 2,
+             "ConfigError"),
             # floats that are not finite
             (["classify", "train", "--threads", "CORPUS", "--pseudocount", "nan"], None, 2, "ConfigError"),
             (["classify", "train", "--threads", "CORPUS", "--pseudocount", "inf"], None, 2, "ConfigError"),
@@ -687,6 +704,9 @@ class TestBadInput:
              "compare-keyword-k-zero", "compare-k-negative", "config-k-negative",
              "threads-per-day-zero", "seed-negative-gen", "seed-negative-compare",
              "extra-days-negative", "theta-steps-negative", "counts-not-integers", "counts-empty-field",
+             "counts-negative", "config-counts-negative", "counts-one-per-course",
+             "spec-training-counts-one-per-course", "warmup-days-negative", "warmup-days-zero",
+             "converge-max-days-negative", "moving-avg-max-days-negative", "config-max-days-zero",
              "pseudocount-nan", "pseudocount-inf", "lambda-nan", "scale-staff-inf", "config-nan",
              "nb-conditional-nan", "nb-prior-nan", "nb-prior-overflows", "nb-conditional-overflows",
              "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative", "theta-with-nb",
@@ -706,7 +726,18 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == error
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_failed_command_leaves_existing_out_untouched(self, tmp_path, gen_corpus, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.csv").write_text("a\n1\n")
+        before = (out.stat().st_mtime_ns, _hash_dir(out))
+        argv = ["compare", "--threads", str(gen_corpus), "--course", "course00", "--low", "3",
+                "--high", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+        assert (out.stat().st_mtime_ns, _hash_dir(out)) == before
 
     # corpus names that leave --out or take the name of another artifact
     @pytest.mark.parametrize("name", ["../escaped.jsonl", "ABS", "a/b.jsonl", "", ".", "..",
@@ -728,7 +759,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "InvariantViolation"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     # values that the library would refuse only after the corpus is read
     @pytest.mark.parametrize(
@@ -848,7 +879,6 @@ class TestRunner:
     def test_failed_handler_leaves_no_manifest(self, tmp_path, inputs, monkeypatch,
                                                command, flags, extra):
         def failing(args, corpus):
-            (Path(args.out) / "partial.csv").write_text("x\n")
             raise DegenerateGroup("handler failed")
 
         def failing_parser():
@@ -861,8 +891,18 @@ class TestRunner:
         monkeypatch.setattr("forumlens.cli.build_parser", failing_parser)
         out = tmp_path / "out"
         assert main(self._argv(command, flags, extra, inputs, out)) == 3
-        assert (out / "partial.csv").exists()
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+
+def test_only_main_reads_the_out_dir():
+    """Handlers return their artifacts; main alone joins --out, so no handler can write there."""
+    tree = ast.parse(Path(forumlens.cli.__file__).read_text(encoding="utf-8"))
+    readers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if any(isinstance(n, ast.Attribute) and n.attr == "out" for n in ast.walk(func)):
+                readers.add(getattr(func, "name", "<lambda>"))
+    assert readers == {"main"}
 
 
 def _refuse_constant(name):

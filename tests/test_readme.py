@@ -31,7 +31,7 @@ def test_every_flag_that_refuses_zero_is_listed():
                     action.type("0")
                 except (argparse.ArgumentTypeError, ValueError):
                     refusing.add(action.option_strings[0])
-    assert "--epochs" in refusing
+    assert {"--epochs", "--warmup-days", "--max-days"} <= refusing
     notes = _reproducibility_notes()
     missing = sorted(f for f in refusing if not re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", notes))
     assert not missing, f"README's reproducibility notes do not name {missing}"
