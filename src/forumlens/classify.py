@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import Corpus, ThreadLabel, load_json_object, thread_tokens  # noqa: F401
 from .errors import ConfigError, EmptyCorpus, InvariantViolation, MissingClass, ParseError
 from .genmodel import GenerativeSpec, sample_thread, sample_tokens, separating_plane
-from .topics import TokenTable, first_counts, sequential_sum
+from .topics import TokenTable, sequential_sum
 
 # (token ids from a TokenTable, is_smalltalk) pairs
 LabeledDoc = tuple[np.ndarray, bool]
@@ -138,7 +138,8 @@ def _vocabulary(docs: Sequence[LabeledDoc], tokens: TokenTable, vocab: Sequence[
     """Sorted vocabulary (the docs' words, or ``vocab``) and each table id's position (len if absent)."""
     table_words = list(tokens.index)
     if vocab is None:
-        used = np.unique(np.concatenate([ids for ids, _ in docs]))
+        counts = np.bincount(np.concatenate([ids for ids, _ in docs]), minlength=len(table_words))
+        used = np.flatnonzero(counts)
         words = sorted(table_words[i] for i in used.tolist())
     else:
         words = sorted(set(vocab))
@@ -146,11 +147,89 @@ def _vocabulary(docs: Sequence[LabeledDoc], tokens: TokenTable, vocab: Sequence[
     return words, np.array([position.get(w, len(words)) for w in table_words], dtype=np.intp)
 
 
-def _decoded(rows: Iterable[np.ndarray], tokens: TokenTable):
-    """Each id row as its words, one row at a time (every row is encoded before decoding starts)."""
-    rows = list(rows)
-    table_words = np.array(list(tokens.index), dtype=object)
-    return (table_words[ids].tolist() for ids in rows)
+# ---------------------------------------------------------------------------
+# Id rows in chunks
+#
+# Scoring and SVM row building take documents a chunk at a time.  A chunk's
+# ids are concatenated, and each token gets its row and its column.  A row sum
+# lays each row's terms out in one zero-padded matrix behind a lead term and
+# takes np.add.accumulate along the rows: accumulate adds left to right, and
+# the padding adds +0.0, so each sum equals the sequential one of the word-list
+# code (predict_nb, SvmModel.score) bit for bit.
+# ---------------------------------------------------------------------------
+
+# padded cells (rows x (1 + longest row)) per chunk; this bounds a chunk's tokens too
+_CHUNK_CELLS = 1 << 14
+
+
+class _Chunk:
+    """Consecutive id rows laid out as one array, with each token's row and column."""
+
+    def __init__(self, rows: Sequence[np.ndarray]):
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        self.rows = len(rows)
+        self.ids = np.concatenate(rows)
+        self.row = np.repeat(np.arange(self.rows), lengths)
+        self.col = np.arange(self.ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's distinct ids in order of first occurrence: (position of the first
+        occurrence in ``ids``, column among its row's distinct ids, count)."""
+        key = self.row.astype(np.int64) * (int(self.ids.max(initial=0)) + 1) + self.ids
+        order = np.argsort(key, kind="stable")  # a group's first element is its first occurrence
+        key = key[order]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(new)
+        counts = np.zeros(key.size, dtype=np.intp)  # each group's count, at its first occurrence
+        counts[order[starts]] = np.diff(np.append(starts, key.size))
+        first = np.flatnonzero(counts)
+        counts = counts[first]
+        per_row = np.bincount(self.row[first], minlength=self.rows)
+        col = np.arange(first.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        return first, col, counts
+
+
+def _chunks(rows: Sequence[np.ndarray]):
+    """``rows`` in consecutive chunks whose padded matrices fit _CHUNK_CELLS (or hold one row)."""
+    start, width = 0, 1
+    for end, ids in enumerate(rows):
+        if end > start and (end - start + 1) * max(width, len(ids) + 1) > _CHUNK_CELLS:
+            yield _Chunk(rows[start:end])
+            start, width = end, 1
+        width = max(width, len(ids) + 1)
+    if start < len(rows):
+        yield _Chunk(rows[start:])
+
+
+def _row_sums(lead: float, rows: int, row: np.ndarray, col: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per row, ``lead`` plus its ``terms`` (at their columns) added left to right."""
+    matrix = np.zeros((rows, 2 + int(col.max(initial=-1))))
+    matrix[:, 0] = lead
+    matrix[row, col + 1] = terms
+    return np.add.accumulate(matrix, axis=1)[:, -1].copy()  # not a view that keeps the matrix alive
+
+
+def _nb_log_posteriors(model: NbModel, rows: Sequence[np.ndarray], tokens: TokenTable):
+    """(log posterior pos, log posterior neg) per id row, equal to predict_nb's on the rows' words."""
+    absent = len(model.vocab)  # a word outside the model adds a zero term
+    position = np.array([model._index.get(w, absent) for w in tokens.index], dtype=np.intp)
+    cond_pos = np.append(model.log_cond_pos, 0.0)
+    cond_neg = np.append(model.log_cond_neg, 0.0)
+    pos, neg = [], []
+    for chunk in _chunks(rows):
+        first, col, counts = chunk.distinct()
+        term, row, counts = position[chunk.ids[first]], chunk.row[first], counts.astype(float)
+        pos.append(_row_sums(model.log_prior_pos, chunk.rows, row, col, counts * cond_pos[term]))
+        neg.append(_row_sums(model.log_prior_neg, chunk.rows, row, col, counts * cond_neg[term]))
+    return np.concatenate(pos or [[]]), np.concatenate(neg or [[]])
+
+
+def _svm_scores(model: SvmModel, rows: Sequence[np.ndarray], tokens: TokenTable) -> np.ndarray:
+    """Score per id row, equal to SvmModel.score on the rows' words."""
+    w = np.array([model.weights.get(word, 0.0) for word in tokens.index], dtype=float)
+    scores = [_row_sums(0.0, c.rows, c.row, c.col, w[c.ids]) for c in _chunks(rows)]
+    return np.concatenate(scores or [[]]) + model.bias
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +330,16 @@ def train_svm(
     if not any(pos for _, pos in docs) or not any(not pos for _, pos in docs):
         raise MissingClass(None)
     words, position = _vocabulary(docs, tokens, vocab)
-    rows = []
-    for ids, positive in docs:
-        # term counts in order of first occurrence, out-of-vocabulary words dropped
-        distinct, counts = first_counts(ids)
-        idx = position[distinct]
-        keep = idx < len(words)
-        rows.append((idx[keep], counts[keep].astype(float), 1.0 if positive else -1.0))
+    labels = [1.0 if positive else -1.0 for _, positive in docs]
+    rows = []  # (vocabulary positions, counts, label): the terms in order of first occurrence
+    for chunk in _chunks([ids for ids, _ in docs]):
+        first, _, counts = chunk.distinct()
+        idx = position[chunk.ids[first]]
+        keep = idx < len(words)  # out-of-vocabulary words dropped
+        idx, val = idx[keep], counts[keep].astype(float)
+        ends = np.cumsum(np.bincount(chunk.row[first][keep], minlength=chunk.rows)).tolist()
+        ys = labels[len(rows) : len(rows) + chunk.rows]
+        rows += [(idx[a:b], val[a:b], y) for a, b, y in zip([0] + ends[:-1], ends, ys)]
     w = np.zeros(len(words))
     t = 0
     for _ in range(epochs):
@@ -278,10 +360,9 @@ def svm_objective(
     """Average hinge loss plus (lambda/2)||w||^2 for the model on the docs."""
     if not docs:
         raise InvariantViolation("svm", "objective needs at least one document")
-    hinge = 0.0
-    for (_, positive), words in zip(docs, _decoded((ids for ids, _ in docs), tokens)):
-        y = 1.0 if positive else -1.0
-        hinge += max(0.0, 1.0 - y * model.score(words))
+    y = np.array([1.0 if positive else -1.0 for _, positive in docs])
+    scores = _svm_scores(model, [ids for ids, _ in docs], tokens)
+    hinge = sequential_sum(np.maximum(0.0, 1.0 - y * scores).tolist())
     reg = 0.5 * lambda_ * sequential_sum(v * v for v in model.weights.values())
     return hinge / len(docs) + reg
 
@@ -304,18 +385,20 @@ def _confusion(flagged, positive) -> EvalReport:
 def decisions(
     model, rows: Iterable[np.ndarray], tokens: TokenTable, theta: float | None = None
 ) -> list[bool]:
-    """Small-talk decision for each id row of ``tokens``, scored one document at a time.
+    """Small-talk decision for each id row of ``tokens``, scored in chunks of rows.
 
     For an SvmModel the decision is score > theta (default: model.theta); the
-    naive Bayes decision ignores theta.
+    naive Bayes decision ignores theta.  Scores and log posteriors equal those
+    of SvmModel.score and predict_nb on the rows' words, bit for bit.
     """
     if isinstance(model, dict):
         raise ConfigError("a per-course model decides one course at a time")
-    docs = _decoded(rows, tokens)
+    rows = list(rows)  # a lazy iterable may still add words to the table
     if isinstance(model, SvmModel):
         thr = model.theta if theta is None else theta
-        return [model.score(words) > thr for words in docs]
-    return [predict_nb(model, words).positive for words in docs]
+        return (_svm_scores(model, rows, tokens) > thr).tolist()
+    log_pos, log_neg = _nb_log_posteriors(model, rows, tokens)
+    return (log_pos > log_neg).tolist()
 
 
 def evaluate(
@@ -334,7 +417,7 @@ def roc_sweep(
     """Evaluate at each threshold; TPR and FPR are non-increasing in theta."""
     if list(thresholds) != sorted(thresholds):
         raise InvariantViolation("roc", "thresholds must be sorted ascending")
-    scores = np.array([model.score(words) for words in _decoded((ids for ids, _ in docs), tokens)])
+    scores = _svm_scores(model, [ids for ids, _ in docs], tokens)
     positive = np.array([positive for _, positive in docs], dtype=bool)
     return [(theta, _confusion(scores > theta, positive)) for theta in thresholds]
 
@@ -377,8 +460,9 @@ def save_model(model, path) -> None:
         obj = {"kind": "nb-percourse", "models": {cid: _nb_to_obj(m) for cid, m in model.items()}}
     else:
         raise TypeError(f"cannot save {type(model)!r}")
+    text = json.dumps(obj, sort_keys=True)  # the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        fh.write(text)
 
 
 def load_model(path):

@@ -238,6 +238,8 @@ def _cmd_classify_eval(args, corpus) -> dict:
 
 
 def _cmd_classify_roc(args, corpus) -> dict:
+    if args.theta_max < args.theta_min:
+        raise ConfigError(f"--theta-max {args.theta_max} is below --theta-min {args.theta_min}")
     tokens = _tokens(args)
     model = load_model(args.model)
     if not isinstance(model, SvmModel):

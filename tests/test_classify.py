@@ -1,17 +1,23 @@
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumlens import classify
 from forumlens.classify import (
     EvalReport,
     NbMode,
     NbModel,
     SvmModel,
     _confusion,
+    _nb_log_posteriors,
+    _svm_scores,
+    decisions,
     evaluate,
     labeled_docs,
     load_model,
@@ -29,7 +35,7 @@ from forumlens.classify import (
 from forumlens.corpus import ingest_corpus
 from forumlens.errors import EmptyCorpus, InvariantViolation, MissingClass
 from forumlens.genmodel import adversarial_spec, make_spec, sample_thread, separating_plane
-from forumlens.topics import TokenTable
+from forumlens.topics import TokenTable, sequential_sum
 
 
 def _rng(seed):
@@ -499,3 +505,127 @@ class TestTableMatchesOracle:
         assert roc_sweep(svm, test_encoded, tokens, thresholds) == _oracle_roc_sweep(
             svm, test_docs, thresholds
         )
+
+
+def _oracle_svm_objective(model, docs, lambda_):
+    hinge = 0.0
+    for words, positive in docs:
+        y = 1.0 if positive else -1.0
+        hinge += max(0.0, 1.0 - y * model.score(words))
+    return hinge / len(docs) + 0.5 * lambda_ * sequential_sum(v * v for v in model.weights.values())
+
+
+def _nb_model(vocab, masses_pos, masses_neg, p_pos):
+    log_cond = np.log(np.array([masses_neg, masses_pos]))
+    log_cond -= np.log(np.exp(log_cond).sum(axis=1, keepdims=True))
+    return NbModel(vocab=tuple(vocab), log_prior_neg=math.log1p(-p_pos), log_prior_pos=math.log(p_pos),
+                   log_cond_neg=log_cond[0], log_cond_pos=log_cond[1], pseudocount=1.0)
+
+
+# "dd" and "qq" are table words that no model knows; "zz" is a model word that no document has
+_MODEL_WORDS = ["aa", "bb", "cc", "zz"]
+_ROW_WORDS = ["aa", "bb", "cc", "dd", "qq"]
+# weights whose sums change with the order of the additions
+_WEIGHTS = st.one_of(st.sampled_from([1e16, -1e16, 1.0, 0.5, -3.25]), st.floats(-1e6, 1e6))
+
+
+class TestBatchedScoresMatchWords:
+    """Chunked id-matrix sums equal the word-list scoring (predict_nb, SvmModel.score) bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(_ROW_WORDS), max_size=12), max_size=12),
+        st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+        st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+        st.sampled_from([0.5, 0.3, 0.9]),
+        st.booleans(),
+        st.dictionaries(st.sampled_from(_MODEL_WORDS), _WEIGHTS),
+        st.floats(-10, 10),
+        st.sampled_from([-1.0, 0.0, 0.5]),
+        st.sampled_from([1, 2, 5, 13, classify._CHUNK_CELLS]),
+    )
+    def test_log_posteriors_and_scores(self, rows, m_pos, m_neg, p_pos, tie, weights, bias, theta, cells):
+        # an empty row and a row of words outside every model come first
+        rows = [[], ["qq", "dd", "qq"], *rows]
+        if tie:  # equal priors and conditionals: every posterior ties, and a tie is negative
+            m_neg, p_pos = m_pos, 0.5
+        nb = _nb_model(_MODEL_WORDS, m_pos, m_neg, p_pos)
+        svm = SvmModel(weights, bias=bias)
+        tokens = TokenTable()
+        ids = [tokens.encode(words) for words in rows]
+        oracle = [predict_nb(nb, words) for words in rows]
+        with mock.patch.object(classify, "_CHUNK_CELLS", cells):  # a small budget splits the rows
+            log_pos, log_neg = _nb_log_posteriors(nb, ids, tokens)
+            scores = _svm_scores(svm, ids, tokens)
+            nb_flags = decisions(nb, iter(ids), tokens)
+            svm_flags = decisions(svm, ids, tokens, theta)
+        assert np.array_equal(log_pos, [p.log_posterior_pos for p in oracle])
+        assert np.array_equal(log_neg, [p.log_posterior_neg for p in oracle])
+        assert nb_flags == [p.positive for p in oracle]
+        if tie:
+            assert not any(nb_flags)
+        assert np.array_equal(scores, [svm.score(words) for words in rows])
+        assert svm_flags == [svm.score(words) > theta for words in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _docs.filter(lambda d: len({pos for _, pos in d}) == 2),
+        st.one_of(st.none(), st.lists(st.sampled_from(_DOC_WORDS + ["zz"]), min_size=1, max_size=6)),
+        st.dictionaries(st.sampled_from(_DOC_WORDS + ["zz"]), _WEIGHTS),
+        st.sampled_from([1, 3, 8, classify._CHUNK_CELLS]),
+    )
+    def test_svm_training_and_objective(self, docs, vocab, weights, cells):
+        encoded, tokens = _encoded(docs)
+        with mock.patch.object(classify, "_CHUNK_CELLS", cells):
+            svm = train_svm(encoded, tokens, lambda_=0.1, epochs=2, vocab=vocab)
+            objectives = [svm_objective(m, encoded, tokens, 0.1) for m in (svm, SvmModel(weights, bias=0.5))]
+        assert list(svm.weights.items()) == list(_oracle_train_svm(docs, 0.1, 2, vocab).weights.items())
+        assert objectives == [_oracle_svm_objective(m, docs, 0.1) for m in (svm, SvmModel(weights, bias=0.5))]
+
+
+def _decoded_docs(docs, tokens):
+    words = list(tokens.index)
+    return [([words[i] for i in ids.tolist()], positive) for ids, positive in docs]
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedMemory:
+    """Scoring and SVM row building work a bounded chunk at a time, so 4x the documents of the
+    same length stays under 1.5x the peak allocation, beyond the rows that SVM epochs replay."""
+
+    V, LENGTH = 2000, 32
+
+    def _docs(self, n):
+        rng = _rng(11)
+        tokens = TokenTable()
+        tokens.encode([f"w{i}" for i in range(self.V)])
+        return [(rng.integers(0, self.V, self.LENGTH).astype(np.int32), i % 2 == 0) for i in range(n)], tokens
+
+    def test_decisions(self):
+        peaks = []
+        for n in (1000, 4000):
+            docs, tokens = self._docs(n)
+            rows = [ids for ids, _ in docs]
+            models = (train_nb_docs(docs, tokens), SvmModel({f"w{i}": 0.5 - i % 2 for i in range(self.V)}))
+            peaks.append(max(_peak_bytes(lambda: decisions(m, rows, tokens)) for m in models))
+        assert peaks[1] < 1.5 * peaks[0]
+
+    def test_train_svm(self):
+        peaks, replayed = [], []
+        for n in (1000, 4000):
+            docs, tokens = self._docs(n)
+            peaks.append(_peak_bytes(lambda: train_svm(docs, tokens, epochs=1)))
+            # what the epochs replay: one (positions, counts, label) row per document
+            index = {w: i for i, w in enumerate(tokens.index)}
+            words = _decoded_docs(docs, tokens)
+            replayed.append(_peak_bytes(lambda: _oracle_doc_vectors(words, index)))
+        assert peaks[1] - replayed[1] < 1.5 * (peaks[0] - replayed[0])
+

@@ -153,6 +153,12 @@ class TestClassifyCommands:
         rows = _read_csv(out_roc / "roc.csv")
         tprs = [float(r["tpr"]) for r in rows]
         assert tprs == sorted(tprs, reverse=True)
+        # an equal --theta-min and --theta-max sweep one threshold, --theta-steps times
+        rc = main(["classify", "roc", "--threads", str(gen_corpus), "--model", str(model),
+                   "--theta-min", "0.5", "--theta-max", "0.5", "--theta-steps", "2",
+                   "--out", str(tmp_path / "r1")])
+        assert rc == 0
+        assert [r["theta"] for r in _read_csv(tmp_path / "r1" / "roc.csv")] == ["0.5", "0.5"]
 
     def test_nb_percourse(self, tmp_path, gen_corpus):
         out = tmp_path / "m"
@@ -690,6 +696,9 @@ class TestBadInput:
              '{"alpha": 1.5}', 2, "ConfigError"),
             (["compare", "--threads", "CORPUS", "--course", "course00", "--low", "3", "--high", "1"],
              None, 2, "ConfigError"),
+            (["classify", "roc", "--threads", "CORPUS", "--model", "FILE", "--theta-min", "1",
+              "--theta-max", "-1"], '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": 0}', 2,
+             "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -711,7 +720,8 @@ class TestBadInput:
              "nb-conditional-nan", "nb-prior-nan", "nb-prior-overflows", "nb-conditional-overflows",
              "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative", "theta-with-nb",
              "theta-with-percourse-nb", "moving-avg-stopwords-without-model",
-             "moving-avg-exclude-staff-without-model", "config-alpha-above-one", "compare-high-below-low"],
+             "moving-avg-exclude-staff-without-model", "config-alpha-above-one", "compare-high-below-low",
+             "roc-theta-max-below-min"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
