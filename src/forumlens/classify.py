@@ -3,8 +3,10 @@
 Small-talk is the positive class throughout.  Feature vectors are raw term
 counts over the model vocabulary; tokens outside the vocabulary are ignored
 at prediction time.  Documents are token-id arrays from the command's
-TokenTable, the one text input that every pipeline reads.  Trained models are
-immutable and safe to share; evaluation is pure.
+TokenTable, the one text input that every pipeline reads, and are scored
+through the topics row kernel (term_sums for naive Bayes, token_sums for the
+SVM), whose sums equal predict_nb and SvmModel.score on the words bit for bit.
+Trained models are immutable and safe to share; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .corpus import Corpus, ThreadLabel, load_json_object, thread_tokens  # noqa: F401
 from .errors import ConfigError, EmptyCorpus, InvariantViolation, MissingClass, ParseError
 from .genmodel import GenerativeSpec, sample_thread, sample_tokens, separating_plane
-from .topics import TokenTable, sequential_sum
+from .topics import TokenTable, distinct_terms, sequential_sum, term_sums, token_sums
 
 # (token ids from a TokenTable, is_smalltalk) pairs
 LabeledDoc = tuple[np.ndarray, bool]
@@ -147,89 +149,19 @@ def _vocabulary(docs: Sequence[LabeledDoc], tokens: TokenTable, vocab: Sequence[
     return words, np.array([position.get(w, len(words)) for w in table_words], dtype=np.intp)
 
 
-# ---------------------------------------------------------------------------
-# Id rows in chunks
-#
-# Scoring and SVM row building take documents a chunk at a time.  A chunk's
-# ids are concatenated, and each token gets its row and its column.  A row sum
-# lays each row's terms out in one zero-padded matrix behind a lead term and
-# takes np.add.accumulate along the rows: accumulate adds left to right, and
-# the padding adds +0.0, so each sum equals the sequential one of the word-list
-# code (predict_nb, SvmModel.score) bit for bit.
-# ---------------------------------------------------------------------------
-
-# padded cells (rows x (1 + longest row)) per chunk; this bounds a chunk's tokens too
-_CHUNK_CELLS = 1 << 14
-
-
-class _Chunk:
-    """Consecutive id rows laid out as one array, with each token's row and column."""
-
-    def __init__(self, rows: Sequence[np.ndarray]):
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        self.rows = len(rows)
-        self.ids = np.concatenate(rows)
-        self.row = np.repeat(np.arange(self.rows), lengths)
-        self.col = np.arange(self.ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's distinct ids in order of first occurrence: (position of the first
-        occurrence in ``ids``, column among its row's distinct ids, count)."""
-        key = self.row.astype(np.int64) * (int(self.ids.max(initial=0)) + 1) + self.ids
-        order = np.argsort(key, kind="stable")  # a group's first element is its first occurrence
-        key = key[order]
-        new = np.ones(key.size, dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(new)
-        counts = np.zeros(key.size, dtype=np.intp)  # each group's count, at its first occurrence
-        counts[order[starts]] = np.diff(np.append(starts, key.size))
-        first = np.flatnonzero(counts)
-        counts = counts[first]
-        per_row = np.bincount(self.row[first], minlength=self.rows)
-        col = np.arange(first.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-        return first, col, counts
-
-
-def _chunks(rows: Sequence[np.ndarray]):
-    """``rows`` in consecutive chunks whose padded matrices fit _CHUNK_CELLS (or hold one row)."""
-    start, width = 0, 1
-    for end, ids in enumerate(rows):
-        if end > start and (end - start + 1) * max(width, len(ids) + 1) > _CHUNK_CELLS:
-            yield _Chunk(rows[start:end])
-            start, width = end, 1
-        width = max(width, len(ids) + 1)
-    if start < len(rows):
-        yield _Chunk(rows[start:])
-
-
-def _row_sums(lead: float, rows: int, row: np.ndarray, col: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Per row, ``lead`` plus its ``terms`` (at their columns) added left to right."""
-    matrix = np.zeros((rows, 2 + int(col.max(initial=-1))))
-    matrix[:, 0] = lead
-    matrix[row, col + 1] = terms
-    return np.add.accumulate(matrix, axis=1)[:, -1].copy()  # not a view that keeps the matrix alive
-
-
 def _nb_log_posteriors(model: NbModel, rows: Sequence[np.ndarray], tokens: TokenTable):
     """(log posterior pos, log posterior neg) per id row, equal to predict_nb's on the rows' words."""
     absent = len(model.vocab)  # a word outside the model adds a zero term
     position = np.array([model._index.get(w, absent) for w in tokens.index], dtype=np.intp)
-    cond_pos = np.append(model.log_cond_pos, 0.0)
-    cond_neg = np.append(model.log_cond_neg, 0.0)
-    pos, neg = [], []
-    for chunk in _chunks(rows):
-        first, col, counts = chunk.distinct()
-        term, row, counts = position[chunk.ids[first]], chunk.row[first], counts.astype(float)
-        pos.append(_row_sums(model.log_prior_pos, chunk.rows, row, col, counts * cond_pos[term]))
-        neg.append(_row_sums(model.log_prior_neg, chunk.rows, row, col, counts * cond_neg[term]))
-    return np.concatenate(pos or [[]]), np.concatenate(neg or [[]])
+    cond_pos = np.append(model.log_cond_pos, 0.0)[position]
+    cond_neg = np.append(model.log_cond_neg, 0.0)[position]
+    return term_sums(rows, [cond_pos, cond_neg], [model.log_prior_pos, model.log_prior_neg])
 
 
 def _svm_scores(model: SvmModel, rows: Sequence[np.ndarray], tokens: TokenTable) -> np.ndarray:
     """Score per id row, equal to SvmModel.score on the rows' words."""
     w = np.array([model.weights.get(word, 0.0) for word in tokens.index], dtype=float)
-    scores = [_row_sums(0.0, c.rows, c.row, c.col, w[c.ids]) for c in _chunks(rows)]
-    return np.concatenate(scores or [[]]) + model.bias
+    return token_sums(rows, w) + model.bias
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +264,12 @@ def train_svm(
     words, position = _vocabulary(docs, tokens, vocab)
     labels = [1.0 if positive else -1.0 for _, positive in docs]
     rows = []  # (vocabulary positions, counts, label): the terms in order of first occurrence
-    for chunk in _chunks([ids for ids, _ in docs]):
-        first, _, counts = chunk.distinct()
-        idx = position[chunk.ids[first]]
+    for terms, counts in distinct_terms([ids for ids, _ in docs]):
+        idx = position[terms.ids]
         keep = idx < len(words)  # out-of-vocabulary words dropped
         idx, val = idx[keep], counts[keep].astype(float)
-        ends = np.cumsum(np.bincount(chunk.row[first][keep], minlength=chunk.rows)).tolist()
-        ys = labels[len(rows) : len(rows) + chunk.rows]
+        ends = np.cumsum(np.bincount(terms.row[keep], minlength=terms.rows)).tolist()
+        ys = labels[len(rows) : len(rows) + terms.rows]
         rows += [(idx[a:b], val[a:b], y) for a, b, y in zip([0] + ends[:-1], ends, ys)]
     w = np.zeros(len(words))
     t = 0
@@ -527,12 +458,9 @@ def small_sample_fpr_trials(
         except MissingClass:
             results.append(None)
             continue
-        false_pos = 0
-        for _ in range(eval_negatives):
-            tokens = sample_tokens(spec, course, False, s, rng)
-            if predict_nb(model, tokens).positive:
-                false_pos += 1
-        results.append(false_pos / eval_negatives)
+        negatives = [(tokens.encode(sample_tokens(spec, course, False, s, rng)), False)
+                     for _ in range(eval_negatives)]
+        results.append(evaluate(model, negatives, tokens).fpr)
     return results
 
 
@@ -562,11 +490,7 @@ def plane_and_svm_errors(
     docs = [(tokens.encode(t.tokens), t.is_smalltalk) for t in train]
     svm = train_svm(docs, tokens, lambda_=lambda_, epochs=epochs)
 
-    plane_errors = svm_errors = 0
-    for _ in range(n_eval):
-        thread = sample_thread(spec, course, eval_rng)
-        if (plane.score(thread.tokens) > plane.theta) != thread.is_smalltalk:
-            plane_errors += 1
-        if (svm.score(thread.tokens) > svm.theta) != thread.is_smalltalk:
-            svm_errors += 1
-    return plane_errors / n_eval, svm_errors / n_eval, svm
+    test = [(tokens.encode(t.tokens), t.is_smalltalk)
+            for t in (sample_thread(spec, course, eval_rng) for _ in range(n_eval))]
+    plane_report, svm_report = (evaluate(m, test, tokens) for m in (plane, svm))
+    return (plane_report.fp + plane_report.fn) / n_eval, (svm_report.fp + svm_report.fn) / n_eval, svm

@@ -640,7 +640,7 @@ def _all_parsers(parser) -> list[argparse.ArgumentParser]:
 
 
 def _dests(parser) -> set[str]:
-    return {a.dest for a in parser._actions if a.dest not in (argparse.SUPPRESS, "help")}
+    return {a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
 
 
 def _config_path(argv) -> str | None:

@@ -2,7 +2,9 @@
 
 A thread's text is the concatenation of all its posts at query time.  The
 text rankers read it from the command's TokenTable, the one text input of
-every pipeline, so a thread ranked more than once is tokenized once.
+every pipeline, so a thread ranked more than once is tokenized once, and sum
+their scores through the topics row kernel: token_sums for the keyword ranker,
+term_sums (and its distinct pass for document frequencies) for tf-idf.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .corpus import Thread, day_index
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds ranking.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import InvariantViolation
-from .topics import KeywordRanking, TokenTable, first_counts, sequential_sum, top_k
+from .topics import KeywordRanking, TokenTable, distinct_terms, term_sums, token_sums, top_k
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,9 @@ class RankedList:
         return list(self.thread_ids[:k])
 
 
-def _ranked(threads: Sequence[Thread], scores: dict[str, float], **diagnostics) -> RankedList:
-    order = sorted(threads, key=lambda t: (-scores[t.thread_id], t.created_at, t.thread_id))
-    return RankedList(tuple((t.thread_id, scores[t.thread_id]) for t in order), **diagnostics)
+def _ranked(threads: Sequence[Thread], scores: Sequence[float], **diagnostics) -> RankedList:
+    order = sorted(zip(scores, threads), key=lambda st: (-st[0], st[1].created_at, st[1].thread_id))
+    return RankedList(tuple((t.thread_id, s) for s, t in order), **diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +101,10 @@ def topical_rank(
     """
     tokens = TokenTable() if tokens is None else tokens
     rows = [tokens.ids(t) for t in query_threads]
-    weights = np.zeros(len(tokens))
-    for w, weight in keyword_weights(keywords, alpha, k).items():
-        i = tokens.index.get(w)
-        if i is not None:
-            weights[i] = weight
-    # a left-to-right sum in token order, not np.sum's pairwise one, fixes each score's last bit
-    scores = {t.thread_id: sequential_sum(weights[ids].tolist()) for t, ids in zip(query_threads, rows)}
-    return _ranked(query_threads, scores)
+    weights = np.zeros(len(tokens) + 1)  # keywords outside the table land in the last cell, which no id reads
+    for w, v in keyword_weights(keywords, alpha, k).items():
+        weights[tokens.index.get(w, -1)] = v
+    return _ranked(query_threads, token_sums(rows, weights).tolist())
 
 
 def tfidf_rank(
@@ -128,17 +126,13 @@ def tfidf_rank(
         if t.thread_id not in doc_ids:
             doc_ids[t.thread_id] = tokens.ids(t)
     n_docs = len(doc_ids)
-    df = np.bincount(
-        np.concatenate([np.unique(ids) for ids in doc_ids.values()]), minlength=len(tokens)
-    )
+    distinct = [terms.ids for terms, _ in distinct_terms(list(doc_ids.values()))]
+    df = np.bincount(np.concatenate([np.zeros(0, np.int32), *distinct]), minlength=len(tokens))
     idf = np.zeros(df.size)
     seen = np.flatnonzero(df)
     idf[seen] = [math.log(n_docs / c) for c in df[seen].tolist()]
-    scores = {}
-    for t in query_threads:
-        words, counts = first_counts(doc_ids[t.thread_id])
-        scores[t.thread_id] = sequential_sum((counts * idf[words]).tolist())
-    return _ranked(query_threads, scores)
+    (scores,) = term_sums([doc_ids[t.thread_id] for t in query_threads], [idf], [0.0])
+    return _ranked(query_threads, scores.tolist())
 
 
 def hits_rank(
@@ -192,9 +186,8 @@ def hits_rank(
             f"residual {moved:.3g}, tolerance {tolerance:.3g}",
             RuntimeWarning,
         )
-    scores = {t.thread_id: float(authority[j]) for j, t in enumerate(window_threads)}
     return _ranked(
-        window_threads, scores, converged=converged, iterations=iterations, residual=float(moved)
+        window_threads, authority.tolist(), converged=converged, iterations=iterations, residual=float(moved)
     )
 
 

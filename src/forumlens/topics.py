@@ -13,6 +13,9 @@ the square-root denominator.
 A command tokenizes each thread once, into one TokenTable that every
 pipeline it runs reads (keywords, ranking and the classifiers); KeywordFit
 counts the background once and takes the course counts as prefix counts.
+All four text scores (topical and tf-idf ranking, naive Bayes, the SVM) sum
+their terms over token-id rows through one kernel here: token_sums (a weight
+per token) or term_sums (count times weight per distinct id).
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Thread, UnigramModel, day_index, thread_tokens
-from .errors import DomainMismatch, EmptyCorpus, InvariantViolation
+from .errors import ConfigError, DomainMismatch, EmptyCorpus, InvariantViolation
 from .genmodel import GenerativeSpec, marginal_token_mass
 
 
@@ -169,10 +172,87 @@ class TokenTable:
         return row[1]
 
 
-def first_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ids of ``ids`` in order of first occurrence, and how often each occurs."""
-    distinct = np.array(list(dict.fromkeys(ids.tolist())), dtype=ids.dtype)
-    return distinct, np.bincount(ids)[distinct]
+# ---------------------------------------------------------------------------
+# Id rows in chunks
+#
+# A text score is taken over id rows, one per document, a chunk at a time.  A
+# row sum lays each row's terms out in one zero-padded matrix behind a lead term
+# and takes np.add.accumulate along the rows: accumulate adds left to right, and
+# the padding adds +0.0, so each sum equals sequential_sum over the row's terms
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+# padded cells (rows x (1 + longest row)) per chunk; this bounds a chunk's tokens too
+_CHUNK_CELLS = 1 << 14
+
+
+class IdRows(NamedTuple):
+    """Consecutive id rows as one array, each entry with its row and column."""
+
+    rows: int
+    row: np.ndarray
+    col: np.ndarray
+    ids: np.ndarray
+
+
+def _laid_out(lengths: np.ndarray, ids: np.ndarray) -> IdRows:
+    """``ids`` as consecutive rows of ``lengths`` entries."""
+    row = np.repeat(np.arange(lengths.size), lengths)
+    return IdRows(lengths.size, row, np.arange(ids.size) - (np.cumsum(lengths) - lengths)[row], ids)
+
+
+def _chunks(rows: Sequence[np.ndarray]) -> Iterator[IdRows]:
+    """``rows`` in consecutive chunks whose padded matrices fit _CHUNK_CELLS (or hold one row)."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    start, width = 0, 1
+    for end, n in enumerate(lengths.tolist()):
+        if end > start and (end - start + 1) * max(width, n + 1) > _CHUNK_CELLS:
+            yield _laid_out(lengths[start:end], np.concatenate(rows[start:end]))
+            start, width = end, 1
+        width = max(width, n + 1)
+    if start < len(rows):
+        yield _laid_out(lengths[start:], np.concatenate(rows[start:]))
+
+
+def _row_sums(lead: float, chunk: IdRows, terms: np.ndarray) -> np.ndarray:
+    """Per row of ``chunk``, ``lead`` plus the row's ``terms`` (one per entry) added left to right."""
+    matrix = np.zeros((chunk.rows, 2 + int(chunk.col.max(initial=-1))))
+    matrix[:, 0] = lead
+    matrix[chunk.row, chunk.col + 1] = terms
+    return np.add.accumulate(matrix, axis=1)[:, -1].copy()  # not a view that keeps the matrix alive
+
+
+def _distinct(chunk: IdRows) -> tuple[IdRows, np.ndarray]:
+    """Each row's distinct ids in order of first occurrence, and their counts."""
+    key = chunk.row.astype(np.int64) * (int(chunk.ids.max(initial=0)) + 1) + chunk.ids
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)  # keys sort by row, then by id: back to first occurrences
+    first = first[order]
+    return _laid_out(np.bincount(chunk.row[first], minlength=chunk.rows), chunk.ids[first]), counts[order]
+
+
+def distinct_terms(rows: Sequence[np.ndarray]) -> Iterator[tuple[IdRows, np.ndarray]]:
+    """Each id row's distinct ids and their counts, a chunk at a time; a chunk's sort keys are
+    freed before the caller gets it, so they leave no holes between what the caller keeps."""
+    return map(_distinct, _chunks(rows))
+
+
+def token_sums(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Per id row, ``weights[id]`` for each of its tokens, added in token order from 0.0."""
+    sums = [_row_sums(0.0, chunk, weights[chunk.ids]) for chunk in _chunks(rows)]
+    return np.concatenate(sums or [[]])
+
+
+def term_sums(
+    rows: Sequence[np.ndarray], weight_vectors: Sequence[np.ndarray], leads: Sequence[float]
+) -> list[np.ndarray]:
+    """Per weight vector and id row, its lead plus count * weight for each distinct id of
+    the row, added in order of first occurrence; one distinct pass serves every vector."""
+    sums: list[list[np.ndarray]] = [[] for _ in weight_vectors]
+    for terms, counts in distinct_terms(rows):
+        for out, weights, lead in zip(sums, weight_vectors, leads):
+            out.append(_row_sums(lead, terms, counts * weights[terms.ids]))
+    return [np.concatenate(s or [[]]) for s in sums]
 
 
 def sequential_sum(values: Iterable[float]) -> float:
@@ -209,6 +289,8 @@ class KeywordFit:
     ):
         if background_ids is None:
             background_ids = [c.course_id for c in corpus.courses if c.course_id != course_id]
+        elif not background_ids or len(set(background_ids)) < len(background_ids):
+            raise ConfigError(f"background {list(background_ids)} must name courses, each once")
         empty = np.zeros(0, dtype=np.int32)
         background = [tokens.ids(t) for cid in background_ids for t in corpus.course(cid).threads]
         course = corpus.course(course_id)

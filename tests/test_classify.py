@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumlens import classify
+from forumlens import topics
 from forumlens.classify import (
     EvalReport,
     NbMode,
@@ -34,7 +34,7 @@ from forumlens.classify import (
 )
 from forumlens.corpus import ingest_corpus
 from forumlens.errors import EmptyCorpus, InvariantViolation, MissingClass
-from forumlens.genmodel import adversarial_spec, make_spec, sample_thread, separating_plane
+from forumlens.genmodel import adversarial_spec, make_spec, sample_thread, sample_tokens, separating_plane
 from forumlens.topics import TokenTable, sequential_sum
 
 
@@ -357,6 +357,57 @@ class TestThreadModelExperiments:
         spec = make_spec(n=400, num_courses=1, epsilon=0.3, p=0.5, s=10)
         assert reference_pseudocount(spec) == pytest.approx(2.0 / 400)
 
+    def test_experiments_match_word_list_scoring(self):
+        # the same draws in the same order, decided one word list at a time
+        spec = adversarial_spec(300)
+        pseudocount = reference_pseudocount(spec)
+        trials = small_sample_fpr_trials(spec, trials=12, eval_negatives=25, pseudocount=pseudocount, seed=4)
+        assert trials == _oracle_fpr_trials(spec, 12, 25, pseudocount, seed=4)
+        assert None in trials and len({f for f in trials if f is not None}) > 1
+        plane_err, svm_err, svm = plane_and_svm_errors(
+            spec, n_eval=400, svm_training_threads=40, epochs=3, seed=2
+        )
+        assert (plane_err, svm_err) == _oracle_errors(spec, svm, n_eval=400, svm_training_threads=40, seed=2)
+        assert svm_err > 0
+
+
+def _oracle_fpr_trials(spec, trials, eval_negatives, pseudocount, seed, course=0):
+    """small_sample_fpr_trials deciding each negative's words with predict_nb."""
+    b, s = spec.training_counts[course], spec.thread_length(course)
+    results = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.PCG64(child))
+        docs, tokens = _sampled([sample_thread(spec, course, rng) for _ in range(b)])
+        try:
+            model = train_nb_docs(docs, tokens, pseudocount=pseudocount, vocab=spec.background.vocab)
+        except MissingClass:
+            results.append(None)
+            continue
+        flagged = 0
+        for _ in range(eval_negatives):
+            if predict_nb(model, sample_tokens(spec, course, False, s, rng)).positive:
+                flagged += 1
+        results.append(flagged / eval_negatives)
+    return results
+
+
+def _oracle_errors(spec, svm, n_eval, svm_training_threads, seed, course=0):
+    """plane_and_svm_errors' error rates, scoring each thread's words with SvmModel.score."""
+    weights, tau = separating_plane(spec)
+    plane = SvmModel(weights=weights, bias=0.0, theta=tau)
+    train_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
+    train_rng, eval_rng = (np.random.Generator(np.random.PCG64(ss)) for ss in (train_ss, eval_ss))
+    train = [sample_thread(spec, course, train_rng) for _ in range(svm_training_threads)]
+    # the svm is retrained on the same draws: its weights must be the function's
+    assert train_svm(*_sampled(train), lambda_=1e-4, epochs=3).weights == svm.weights
+    errors = [0, 0]
+    for _ in range(n_eval):
+        thread = sample_thread(spec, course, eval_rng)
+        for i, model in enumerate((plane, svm)):
+            if (model.score(thread.tokens) > model.theta) != thread.is_smalltalk:
+                errors[i] += 1
+    return errors[0] / n_eval, errors[1] / n_eval
+
 
 class TestCorpusAdapter:
     def test_labeled_docs_skips_unlabeled(self, tiny_jsonl):
@@ -542,7 +593,7 @@ class TestBatchedScoresMatchWords:
         st.dictionaries(st.sampled_from(_MODEL_WORDS), _WEIGHTS),
         st.floats(-10, 10),
         st.sampled_from([-1.0, 0.0, 0.5]),
-        st.sampled_from([1, 2, 5, 13, classify._CHUNK_CELLS]),
+        st.sampled_from([1, 2, 5, 13, topics._CHUNK_CELLS]),
     )
     def test_log_posteriors_and_scores(self, rows, m_pos, m_neg, p_pos, tie, weights, bias, theta, cells):
         # an empty row and a row of words outside every model come first
@@ -554,7 +605,7 @@ class TestBatchedScoresMatchWords:
         tokens = TokenTable()
         ids = [tokens.encode(words) for words in rows]
         oracle = [predict_nb(nb, words) for words in rows]
-        with mock.patch.object(classify, "_CHUNK_CELLS", cells):  # a small budget splits the rows
+        with mock.patch.object(topics, "_CHUNK_CELLS", cells):  # a small budget splits the rows
             log_pos, log_neg = _nb_log_posteriors(nb, ids, tokens)
             scores = _svm_scores(svm, ids, tokens)
             nb_flags = decisions(nb, iter(ids), tokens)
@@ -572,11 +623,11 @@ class TestBatchedScoresMatchWords:
         _docs.filter(lambda d: len({pos for _, pos in d}) == 2),
         st.one_of(st.none(), st.lists(st.sampled_from(_DOC_WORDS + ["zz"]), min_size=1, max_size=6)),
         st.dictionaries(st.sampled_from(_DOC_WORDS + ["zz"]), _WEIGHTS),
-        st.sampled_from([1, 3, 8, classify._CHUNK_CELLS]),
+        st.sampled_from([1, 3, 8, topics._CHUNK_CELLS]),
     )
     def test_svm_training_and_objective(self, docs, vocab, weights, cells):
         encoded, tokens = _encoded(docs)
-        with mock.patch.object(classify, "_CHUNK_CELLS", cells):
+        with mock.patch.object(topics, "_CHUNK_CELLS", cells):
             svm = train_svm(encoded, tokens, lambda_=0.1, epochs=2, vocab=vocab)
             objectives = [svm_objective(m, encoded, tokens, 0.1) for m in (svm, SvmModel(weights, bias=0.5))]
         assert list(svm.weights.items()) == list(_oracle_train_svm(docs, 0.1, 2, vocab).weights.items())

@@ -699,6 +699,18 @@ class TestBadInput:
             (["classify", "roc", "--threads", "CORPUS", "--model", "FILE", "--theta-min", "1",
               "--theta-max", "-1"], '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": 0}', 2,
              "ConfigError"),
+            # config keys that name no flag: the subcommand words and --config itself
+            (["--config", "FILE", "stats", "series", "--threads", "CORPUS"], '{"command": "rank"}', 2,
+             "ConfigError"),
+            (["--config", "FILE", "stats", "series", "--threads", "CORPUS"], '{"subcommand": "x"}', 2,
+             "ConfigError"),
+            (["--config", "FILE", "stats", "series", "--threads", "CORPUS"], '{"config": "nope.json"}', 2,
+             "ConfigError"),
+            # background lists that repeat a course or name none
+            (["topics", "extract", "--threads", "CORPUS", "--course", "course00", "--background",
+              "course01,course01"], None, 2, "ConfigError"),
+            (["topics", "converge", "--threads", "CORPUS", "--course", "course00", "--background", ",,"],
+             None, 2, "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -721,7 +733,8 @@ class TestBadInput:
              "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative", "theta-with-nb",
              "theta-with-percourse-nb", "moving-avg-stopwords-without-model",
              "moving-avg-exclude-staff-without-model", "config-alpha-above-one", "compare-high-below-low",
-             "roc-theta-max-below-min"],
+             "roc-theta-max-below-min", "config-key-command", "config-key-subcommand", "config-key-config",
+             "background-repeated", "background-empty"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"

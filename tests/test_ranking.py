@@ -1,12 +1,16 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumlens import topics
+from forumlens.corpus import thread_tokens
 from forumlens.errors import InvariantViolation
 from forumlens.ranking import (
     RankWindow,
@@ -112,6 +116,37 @@ def _left_to_right(values):
     return total
 
 
+# keyword weights alpha**1, alpha**2, alpha**53 and alpha**54, and words of no weight
+_RANK_WORDS = ["kw01", "kw02", "kw53", "kw54", "aa", "bb", "cc"]
+
+
+@st.composite
+def _rank_inputs(draw):
+    """(window threads, query threads): empty threads, and query threads inside and outside the window."""
+    texts = draw(st.lists(st.lists(st.sampled_from(_RANK_WORDS), max_size=9), min_size=1, max_size=10))
+    threads = [single_post_thread(f"t{i:02d}", i, " ".join(words)) for i, words in enumerate(texts)]
+    window = threads[: draw(st.integers(1, len(threads)))]
+    query = draw(st.lists(st.sampled_from(threads), unique_by=lambda t: t.thread_id))
+    return window, query
+
+
+def _oracle_topical(query, alpha):
+    """Per thread, its tokens' keyword weights added left to right."""
+    weights = keyword_weights(KEYWORDS, alpha, 55)
+    return {t.thread_id: _left_to_right(weights.get(w, 0.0) for w in thread_tokens(t, SW)) for t in query}
+
+
+def _oracle_tfidf(window, query):
+    """Per thread, count * idf of its distinct words in order of first occurrence, added left to right."""
+    docs = {t.thread_id: thread_tokens(t, SW) for t in window}
+    for t in query:
+        docs.setdefault(t.thread_id, thread_tokens(t, SW))
+    df = Counter(w for words in docs.values() for w in set(words))
+    idf = {w: math.log(len(docs) / n) for w, n in df.items()}
+    counts = {tid: Counter(words) for tid, words in docs.items()}
+    return {t.thread_id: _left_to_right(c * idf[w] for w, c in counts[t.thread_id].items()) for t in query}
+
+
 class TestLeftToRightSums:
     """Scores add their terms left to right, whatever the Python version.
 
@@ -141,6 +176,17 @@ class TestLeftToRightSums:
         # what sum() returns on Python 3.11: float 0.0, and +0.0 from negative zeros
         assert sequential_sum([]) == 0.0 and type(sequential_sum([])) is float
         assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rank_inputs(), st.sampled_from([0.5, 0.9]), st.sampled_from([1, 2, 5, 13, topics._CHUNK_CELLS]))
+    def test_scores_across_chunks(self, inputs, alpha, cells):
+        window, query = inputs
+        with mock.patch.object(topics, "_CHUNK_CELLS", cells):  # a small budget splits the rows
+            topical = topical_rank(KEYWORDS, query, alpha=alpha, k=55, tokens=TokenTable(SW))
+            tfidf = tfidf_rank(window, query, tokens=TokenTable(SW))
+        assert dict(topical.entries) == _oracle_topical(query, alpha)
+        assert dict(tfidf.entries) == _oracle_tfidf(window, query)
+        assert len(topical.entries) == len(tfidf.entries) == len(query)
 
 
 def _dense_hits(window_threads, tolerance=1e-10, max_iters=1000):

@@ -1,13 +1,17 @@
+import ast
 import math
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumlens import topics
 from forumlens.corpus import Corpus, Course, Post, Thread, UnigramModel, day_index, thread_tokens
-from forumlens.errors import DomainMismatch, EmptyCorpus
+from forumlens.errors import ConfigError, DomainMismatch, EmptyCorpus
 from forumlens.genmodel import make_spec, sample_corpus
 from forumlens.topics import (
     ConvergencePoint,
@@ -16,7 +20,7 @@ from forumlens.topics import (
     TokenTable,
     convergence_series,
     extract_keywords,
-    first_counts,
+    distinct_terms,
     normalized_kendall_tau,
     support_recovery_recall,
     surprise_weights,
@@ -182,14 +186,44 @@ class TestPipeline:
         assert points[-1].new_words <= 2
 
 
+class TestBackgroundList:
+    """A given background list must name each course once, and at least one course."""
+
+    @pytest.mark.parametrize("background", [[], ["course01", "course01"]])
+    def test_refused(self, background):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.4, s=20, seed=3)
+        corpus = sample_corpus(spec, [20, 20], threads_per_day=5)
+        with pytest.raises(ConfigError):
+            KeywordFit(TokenTable(), corpus, "course00", background)
+        with pytest.raises(ConfigError):
+            extract_keywords(corpus, "course00", background)
+
+
 class TestFirstCounts:
+    """The shared distinct pass: each row's ids in order of first occurrence, with their counts."""
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 6), max_size=12))
     def test_matches_a_count_in_first_occurrence_order(self, ids):
-        distinct, counts = first_counts(np.array(ids, dtype=np.int32))
+        ((terms, counts),) = distinct_terms([np.array(ids, dtype=np.int32)])
         expected = Counter(ids)  # insertion order is first-occurrence order
-        assert distinct.tolist() == list(expected)
+        assert terms.ids.tolist() == list(expected)
         assert counts.tolist() == list(expected.values())
+        assert terms.col.tolist() == list(range(len(expected)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 6), max_size=9), max_size=8), st.sampled_from([1, 2, 5, 13]))
+    def test_rows_across_chunks(self, rows, cells):
+        with mock.patch.object(topics, "_CHUNK_CELLS", cells):  # a small budget splits the rows
+            chunks = list(distinct_terms([np.array(ids, dtype=np.int32) for ids in rows]))
+        assert sum(t.rows for t, _ in chunks) == len(rows)
+        got, offset = [[] for _ in rows], 0
+        for t, counts in chunks:
+            for r, c, i, n in zip(t.row.tolist(), t.col.tolist(), t.ids.tolist(), counts.tolist()):
+                assert c == len(got[offset + r])
+                got[offset + r].append((i, n))
+            offset += t.rows
+        assert got == [list(Counter(ids).items()) for ids in rows]
 
 
 class TestKeywordRankingInvariants:
@@ -341,6 +375,12 @@ class TestFitMatchesOracle:
     def test_equal_to_oracle(self, corpus, include_staff, background_ids, k, warmup, max_days):
         stopwords = frozenset({"the"})
         args = (corpus, "c0", background_ids)
+        if background_ids == []:  # a background list that names no course is refused
+            with pytest.raises(ConfigError):
+                extract_keywords(*args, warmup, TokenTable(stopwords, include_staff))
+            with pytest.raises(ConfigError):
+                convergence_series(*args, k, max_days, TokenTable(stopwords, include_staff))
+            return
         table = TokenTable(stopwords, include_staff)
         assert _outcome(extract_keywords, *args, warmup, table) == _outcome(
             _oracle_extract, *args, warmup, stopwords, include_staff
@@ -367,3 +407,36 @@ class TestFitMatchesOracle:
                 assert _outcome(fit.keywords, call) == _outcome(
                     _oracle_extract, corpus, "c0", None, call, stopwords, True
                 )
+
+
+def _calls_outside(tree, names):
+    """(name, line) of every call to a function or method in ``names`` outside the definitions
+    of that name."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in names and name not in inside:
+                found.append((name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_one_scoring_path():
+    """Text scores go through topics' chunked row sums: no package code scores a word list
+    (predict_nb, SvmModel.score), no module but topics builds a padded row-sum matrix
+    (np.add.accumulate), and no module that reads token ids calls np.unique on them."""
+    for path in sorted(Path(topics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        banned = {"predict_nb", "score"}
+        if path.stem != "topics":
+            banned.add("accumulate")
+            if any(isinstance(n, ast.alias) and n.name == "TokenTable" for n in ast.walk(tree)):
+                banned.add("unique")
+        assert _calls_outside(tree, banned) == [], path.name
