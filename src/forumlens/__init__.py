@@ -10,6 +10,7 @@ from .corpus import (
     Post,
     Thread,
     ThreadLabel,
+    ThreadRows,
     UnigramModel,
     ingest_corpus,
     serialize_corpus,

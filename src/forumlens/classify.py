@@ -129,10 +129,11 @@ def labeled_docs(corpus: Corpus, tokens: TokenTable, course_id: str | None = Non
     for course in corpus.courses:
         if course_id is not None and course.course_id != course_id:
             continue
-        for t in course.threads:
-            positive = t.label == ThreadLabel.SMALL_TALK
-            if positive or t.label in _NEGATIVE_LABELS:
-                docs.append((tokens.ids(t), positive))
+        columns = course.columns
+        for row, label in enumerate(columns.labels):
+            positive = label == ThreadLabel.SMALL_TALK
+            if positive or label in _NEGATIVE_LABELS:
+                docs.append((tokens.ids(columns, row), positive))
     return docs
 
 

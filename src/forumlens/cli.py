@@ -33,6 +33,7 @@ from . import __version__
 from .corpus import (
     Corpus,
     ThreadLabel,
+    ThreadRows,
     attach_metadata,
     ingest_corpus,
     load_json_object,
@@ -280,6 +281,7 @@ class _CourseRanker:
     def __init__(self, corpus, course_id, tokens, alpha, keyword_k):
         self.corpus = corpus
         self.course = corpus.course(course_id)
+        self.threads = ThreadRows(self.course.columns, np.arange(self.course.num_threads))
         self.alpha = alpha
         self.keyword_k = keyword_k
         self.fit_tokens = tokens
@@ -288,8 +290,8 @@ class _CourseRanker:
 
     def rank(self, algo, window) -> RankedList:
         course = self.course
-        window_threads, query_threads = split_window(course.threads, course.start_date, window)
-        if not query_threads:
+        window_rows, query_rows = split_window(self.threads, course.start_date, window)
+        if not query_rows.rows.size:
             raise EmptyCorpus(
                 f"no query threads in days {window.warmup_days + 1}..{window.window_days}"
             )
@@ -298,13 +300,13 @@ class _CourseRanker:
                 self._fit = KeywordFit(self.fit_tokens, self.corpus, course.course_id)
             keywords = self._fit.keywords(window.warmup_days)
             return topical_rank(
-                keywords, query_threads, alpha=self.alpha, k=self.keyword_k, tokens=self.score_tokens
+                keywords, query_rows, alpha=self.alpha, k=self.keyword_k, tokens=self.score_tokens
             )
         if algo == "tfidf":
-            return tfidf_rank(window_threads, query_threads, tokens=self.score_tokens)
-        if algo == "hits":
-            ranked = hits_rank(window_threads)
-            query_ids = {t.thread_id for t in query_threads}
+            return tfidf_rank(window_rows, query_rows, tokens=self.score_tokens)
+        if algo == "hits":  # HITS reads participants, not text: the one path that builds Thread objects
+            ranked = hits_rank([course.threads[row] for row in window_rows.rows.tolist()])
+            query_ids = set(query_rows.thread_ids)
             entries = tuple(e for e in ranked.entries if e[0] in query_ids)
             return dataclasses.replace(ranked, entries=entries)
         raise ConfigError(f"unknown ranking algorithm {algo!r}")
@@ -321,7 +323,10 @@ def _cmd_compare(args, corpus) -> dict:
     if args.high < args.low:
         raise ConfigError(f"--high {args.high} is below --low {args.low}")
     ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
-    irrelevant_ids = {t.thread_id for t in ranker.course.threads if t.label == ThreadLabel.SMALL_TALK}
+    columns = ranker.course.columns
+    irrelevant_ids = {
+        tid for tid, label in zip(columns.thread_ids, columns.labels) if label == ThreadLabel.SMALL_TALK
+    }
     days = sample_query_days(args.low, args.high, args.extra_days, seed=args.seed or 0)
     rows = []
     for day in days:
@@ -419,7 +424,7 @@ def _cmd_stats_moving_avg(args, corpus) -> dict:
     ]
     if args.model:
         tokens = _tokens(args)
-        ids = [tokens.ids(course.threads[row]) for _, _, course, row in picked]
+        ids = [tokens.ids(course.columns, row) for _, _, course, row in picked]
         flags = decisions(load_model(args.model), ids, tokens)
     else:
         picked = [p for p in picked if p[2].columns.labels[p[3]] != ThreadLabel.UNLABELED]

@@ -18,8 +18,9 @@ every check that ``Post`` and ``Thread`` run, and a course built from
 ``Thread`` objects feeds them to a builder at construction.  The courses of one
 parse share their author codes.  ``Course.threads`` of a parsed course is
 built from the columns on first use, without running those checks again; the
-activity statistics, the ingest summary and ``serialize_corpus`` read the
-columns and never build it.
+activity statistics, the ingest summary, ``serialize_corpus`` and the text
+pipelines (which read rows through ``topics.TokenTable``) read the columns
+and never build it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,6 +170,16 @@ class ThreadColumns:
     texts: list[str]
     is_staff: np.ndarray  # bool per post
 
+    @classmethod
+    def of(cls, threads: Iterable[Thread]) -> "ThreadColumns":
+        """Columns over ``threads``, in order, with author codes of their own."""
+        builder = _ColumnBuilder({})
+        for t in threads:
+            for p in t.posts:
+                builder.add_post(p.post_id, p.author_id, p.timestamp, p.text, p.is_staff)
+            builder.end_thread(t.thread_id, t.created_at, t.label)
+        return builder.build(list(builder.codes))
+
     @property
     def lengths(self) -> np.ndarray:
         """Posts per thread."""
@@ -201,6 +212,24 @@ class ThreadColumns:
             put(t, "label", label)
             threads.append(t)
         return tuple(threads)
+
+
+class ThreadRows(NamedTuple):
+    """Some threads of one ``ThreadColumns``: ``rows`` holds their thread rows, in order."""
+
+    columns: ThreadColumns
+    rows: np.ndarray  # intp
+
+    @classmethod
+    def of(cls, threads: Sequence[Thread]) -> "ThreadRows":
+        """``threads`` as every row of columns of their own."""
+        return cls(ThreadColumns.of(threads), np.arange(len(threads)))
+
+    @property
+    def thread_ids(self) -> list[str]:
+        """The rows' thread ids, in order."""
+        ids = self.columns.thread_ids
+        return [ids[r] for r in self.rows.tolist()]
 
 
 class _ColumnBuilder:
@@ -285,12 +314,7 @@ class Course:
     ):
         threads = tuple(threads)
         self.__dict__["threads"] = threads  # what the cached property would build
-        builder = _ColumnBuilder({})
-        for t in threads:
-            for p in t.posts:
-                builder.add_post(p.post_id, p.author_id, p.timestamp, p.text, p.is_staff)
-            builder.end_thread(t.thread_id, t.created_at, t.label)
-        self._fill(course_id, start_date, builder.build(list(builder.codes)), factors, category)
+        self._fill(course_id, start_date, ThreadColumns.of(threads), factors, category)
 
     @classmethod
     def _from_columns(cls, course_id, start_date, columns, factors=None,
@@ -381,17 +405,20 @@ def load_stopwords(path) -> frozenset[str]:
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
 
+def split_words(text: str) -> list[str]:
+    """``text`` lowercased and split on non-alphanumeric runs; nothing is dropped."""
+    # _ASCII_TOKEN_TABLE maps lowered text, so test the lowered text (the Kelvin sign lowers to ASCII)
+    text = text.lower()
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
+    return _TOKEN_RE.findall(text)
+
+
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop stopwords and 1-char tokens."""
     if stopwords is None:
         stopwords = default_stopwords()
-    # the table reads lowered text, so test the lowered text (the Kelvin sign lowers to ASCII)
-    text = text.lower()
-    if text.isascii():
-        words = text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
-    else:
-        words = _TOKEN_RE.findall(text)
-    return [tok for tok in words if len(tok) >= 2 and tok not in stopwords]
+    return [tok for tok in split_words(text) if len(tok) >= 2 and tok not in stopwords]
 
 
 def thread_text(thread: Thread, include_staff: bool = True) -> str:

@@ -1,10 +1,13 @@
 """Thread relevance ranking: keyword ranker plus tf-idf and HITS baselines.
 
 A thread's text is the concatenation of all its posts at query time.  The
-text rankers read it from the command's TokenTable, the one text input of
-every pipeline, so a thread ranked more than once is tokenized once, and sum
-their scores through the topics row kernel: token_sums for the keyword ranker,
-term_sums (and its distinct pass for document frequencies) for tf-idf.
+text rankers take a course's thread rows (ThreadRows), or Thread objects,
+which they lay out as rows of their own.  They read the rows' token ids from
+the command's TokenTable, the one text input of every pipeline, so a thread
+ranked more than once is tokenized once, and sum their scores through the
+topics row kernel: token_sums for the keyword ranker, term_sums (and its
+distinct pass for document frequencies) for tf-idf.  HITS reads no text: it
+takes Thread objects, whose participants make its graph.
 """
 
 from __future__ import annotations
@@ -16,11 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Thread, day_index
+from .corpus import Thread, ThreadRows, day_indices
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds ranking.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import InvariantViolation
 from .topics import KeywordRanking, TokenTable, distinct_terms, term_sums, token_sums, top_k
+
+# a course's thread rows, or Thread objects that the rankers lay out as rows of their own
+Threads = ThreadRows | Sequence[Thread]
+
+
+def _rows(threads: Threads) -> ThreadRows:
+    return threads if isinstance(threads, ThreadRows) else ThreadRows.of(threads)
 
 
 @dataclass(frozen=True)
@@ -68,9 +78,15 @@ class RankedList:
         return list(self.thread_ids[:k])
 
 
-def _ranked(threads: Sequence[Thread], scores: Sequence[float], **diagnostics) -> RankedList:
-    order = sorted(zip(scores, threads), key=lambda st: (-st[0], st[1].created_at, st[1].thread_id))
-    return RankedList(tuple((t.thread_id, s) for s, t in order), **diagnostics)
+def _ranked(
+    thread_ids: Sequence[str], created_at: Sequence[int], scores: Sequence[float], **diagnostics
+) -> RankedList:
+    order = sorted(zip(scores, created_at, thread_ids), key=lambda sct: (-sct[0], sct[1], sct[2]))
+    return RankedList(tuple((tid, s) for s, _, tid in order), **diagnostics)
+
+
+def _ranked_rows(threads: ThreadRows, scores: Sequence[float]) -> RankedList:
+    return _ranked(threads.thread_ids, threads.columns.created_at[threads.rows].tolist(), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +106,7 @@ def keyword_weights(keywords: KeywordRanking, alpha: float = 0.96, k: int = 50) 
 
 def topical_rank(
     keywords: KeywordRanking,
-    query_threads: Sequence[Thread],
+    query_threads: Threads,
     alpha: float = 0.96,
     k: int = 50,
     tokens: TokenTable | None = None,
@@ -100,16 +116,17 @@ def topical_rank(
     Tokens come from ``tokens`` (default: a fresh TokenTable).
     """
     tokens = TokenTable() if tokens is None else tokens
-    rows = [tokens.ids(t) for t in query_threads]
+    query = _rows(query_threads)
+    rows = [tokens.ids(query.columns, row) for row in query.rows.tolist()]
     weights = np.zeros(len(tokens) + 1)  # keywords outside the table land in the last cell, which no id reads
     for w, v in keyword_weights(keywords, alpha, k).items():
         weights[tokens.index.get(w, -1)] = v
-    return _ranked(query_threads, token_sums(rows, weights).tolist())
+    return _ranked_rows(query, token_sums(rows, weights).tolist())
 
 
 def tfidf_rank(
-    window_threads: Sequence[Thread],
-    query_threads: Sequence[Thread],
+    window_threads: Threads,
+    query_threads: Threads,
     tokens: TokenTable | None = None,
 ) -> RankedList:
     """Treat each thread as a document; score = sum over tokens of tf * idf.
@@ -118,21 +135,23 @@ def tfidf_rank(
     over every thread in the window of interest.  ``tokens`` is read as in
     topical_rank.
     """
-    if not window_threads:
+    window, query = _rows(window_threads), _rows(query_threads)
+    if not window.rows.size:
         raise InvariantViolation("tfidf", "window must be nonempty")
     tokens = TokenTable() if tokens is None else tokens
-    doc_ids = {t.thread_id: tokens.ids(t) for t in window_threads}
-    for t in query_threads:
-        if t.thread_id not in doc_ids:
-            doc_ids[t.thread_id] = tokens.ids(t)
+    doc_ids = {}
+    for threads in (window, query):
+        for tid, row in zip(threads.thread_ids, threads.rows.tolist()):
+            if tid not in doc_ids:
+                doc_ids[tid] = tokens.ids(threads.columns, row)
     n_docs = len(doc_ids)
     distinct = [terms.ids for terms, _ in distinct_terms(list(doc_ids.values()))]
     df = np.bincount(np.concatenate([np.zeros(0, np.int32), *distinct]), minlength=len(tokens))
     idf = np.zeros(df.size)
     seen = np.flatnonzero(df)
     idf[seen] = [math.log(n_docs / c) for c in df[seen].tolist()]
-    (scores,) = term_sums([doc_ids[t.thread_id] for t in query_threads], [idf], [0.0])
-    return _ranked(query_threads, scores.tolist())
+    (scores,) = term_sums([doc_ids[tid] for tid in query.thread_ids], [idf], [0.0])
+    return _ranked_rows(query, scores.tolist())
 
 
 def hits_rank(
@@ -187,7 +206,8 @@ def hits_rank(
             RuntimeWarning,
         )
     return _ranked(
-        window_threads, authority.tolist(), converged=converged, iterations=iterations, residual=float(moved)
+        [t.thread_id for t in window_threads], [t.created_at for t in window_threads], authority.tolist(),
+        converged=converged, iterations=iterations, residual=float(moved),
     )
 
 
@@ -210,18 +230,17 @@ def topk_diff(
 
 
 def split_window(
-    threads: Sequence[Thread], start_date: int, window: RankWindow
-) -> tuple[list[Thread], list[Thread]]:
-    """(window threads, query threads) for a course given day-based boundaries."""
-    window_threads = []
-    query_threads = []
-    for t in threads:
-        day = day_index(t.created_at, start_date)
-        if day <= window.window_days:
-            window_threads.append(t)
-            if day > window.warmup_days:
-                query_threads.append(t)
-    return window_threads, query_threads
+    threads: Threads, start_date: int, window: RankWindow
+) -> tuple[Threads, Threads]:
+    """(window threads, query threads) for a course given day-based boundaries: rows of the
+    same columns for ThreadRows, lists for Thread objects."""
+    rows = _rows(threads)
+    day = day_indices(rows.columns.created_at[rows.rows], start_date)
+    in_window = day <= window.window_days
+    picks = (in_window, in_window & (day > window.warmup_days))
+    if isinstance(threads, ThreadRows):
+        return tuple(ThreadRows(threads.columns, threads.rows[p]) for p in picks)
+    return tuple([t for t, keep in zip(threads, p.tolist()) if keep] for p in picks)
 
 
 def sample_query_days(

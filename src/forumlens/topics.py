@@ -11,8 +11,10 @@ their global frequency score high; globally common words are discounted by
 the square-root denominator.
 
 A command tokenizes each thread once, into one TokenTable that every
-pipeline it runs reads (keywords, ranking and the classifiers); KeywordFit
-counts the background once and takes the course counts as prefix counts.
+pipeline it runs reads (keywords, ranking and the classifiers).  The table
+reads thread rows straight from each course's columns, so no text pipeline
+builds Thread objects; KeywordFit counts the background once and takes the
+course counts as prefix counts.
 All four text scores (topical and tf-idf ranking, naive Bayes, the SVM) sum
 their terms over token-id rows through one kernel here: token_sums (a weight
 per token) or term_sums (count times weight per distinct id).
@@ -27,7 +29,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Thread, UnigramModel, day_index, thread_tokens
+from .corpus import Corpus, ThreadColumns, UnigramModel, day_indices, default_stopwords, split_words
+# not called here (TokenTable tokenizes), but bench/tracing.py rebinds topics.thread_tokens
+from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, DomainMismatch, EmptyCorpus, InvariantViolation
 from .genmodel import GenerativeSpec, marginal_token_mass
 
@@ -136,25 +140,32 @@ def topk_kendall_tau(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> fl
 
 
 class TokenTable:
-    """Each thread's tokens, tokenized on first access and kept while the table lives.
+    """Thread rows of course columns as token ids, each tokenized on first access and kept
+    while the table lives.
 
+    A row's text is its posts' texts joined by spaces (staff posts left out
+    unless ``include_staff``), cut into words by ``split_words``.  Each
+    distinct word is tested once against the stopwords and the length limit:
+    one map takes every word seen to its id, or to -1 for a dropped word.
     Tokens are stored in their original order as int32 ids into the table's
-    vocabulary, which grows in order of first appearance.  Threads are keyed
-    by identity, and the table holds a reference to each one it has seen.
-    A table belongs to one command: build it there and let it go with it.
+    vocabulary ``index``, which grows in order of first appearance.  Rows are
+    keyed by (columns, row), and the table holds a reference to each columns
+    it has read.  A table belongs to one command: build it there and let it
+    go with it.
     """
 
     def __init__(self, stopwords: frozenset[str] | None = None, include_staff: bool = True):
-        self.stopwords = stopwords
+        self.stopwords = default_stopwords() if stopwords is None else stopwords
         self.include_staff = include_staff
         self.index: dict[str, int] = {}
-        self._rows: dict[int, tuple[Thread, np.ndarray]] = {}
+        self._word_ids: dict[str, int] = {}
+        self._rows: dict[int, tuple[ThreadColumns, dict[int, np.ndarray]]] = {}
 
     def __len__(self) -> int:
         return len(self.index)
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        """``tokens`` as int32 ids; new words take the next ids, in order of appearance."""
+        """``tokens`` as int32 ids, none dropped; new words take the next ids, in order of appearance."""
         index = self.index
         try:
             ids = list(map(index.__getitem__, tokens))
@@ -164,12 +175,32 @@ class TokenTable:
             ids = list(map(index.__getitem__, tokens))
         return np.array(ids, dtype=np.int32)
 
-    def ids(self, thread: Thread) -> np.ndarray:
-        row = self._rows.get(id(thread))
-        if row is None:
-            tokens = thread_tokens(thread, self.stopwords, self.include_staff)
-            row = self._rows[id(thread)] = (thread, self.encode(tokens))
-        return row[1]
+    def ids(self, columns: ThreadColumns, row: int) -> np.ndarray:
+        """Thread ``row`` of ``columns`` as token ids."""
+        _, rows = self._rows.setdefault(id(columns), (columns, {}))  # held, so no other object takes its id
+        ids = rows.get(row)
+        if ids is None:
+            ids = rows[row] = self._tokenize(columns, row)
+        return ids
+
+    def _tokenize(self, columns: ThreadColumns, row: int) -> np.ndarray:
+        """Thread ``row`` of ``columns`` read and tokenized: the table's one path from text to ids."""
+        start, end = columns.offsets[row : row + 2].tolist()
+        texts = columns.texts[start:end]
+        if not self.include_staff:
+            texts = [t for t, staff in zip(texts, columns.is_staff[start:end].tolist()) if not staff]
+        words = split_words(" ".join(texts))
+        word_ids = self._word_ids
+        try:
+            ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
+        except KeyError:
+            index, stopwords = self.index, self.stopwords
+            for w in words:
+                if w not in word_ids:
+                    dropped = len(w) < 2 or w in stopwords
+                    word_ids[w] = -1 if dropped else index.setdefault(w, len(index))
+            ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
+        return ids[ids >= 0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +322,20 @@ class KeywordFit:
             background_ids = [c.course_id for c in corpus.courses if c.course_id != course_id]
         elif not background_ids or len(set(background_ids)) < len(background_ids):
             raise ConfigError(f"background {list(background_ids)} must name courses, each once")
+        elif course_id in background_ids:
+            raise ConfigError(f"background {list(background_ids)} must not name the course {course_id!r}")
         empty = np.zeros(0, dtype=np.int32)
-        background = [tokens.ids(t) for cid in background_ids for t in corpus.course(cid).threads]
+        background = [
+            tokens.ids(columns, row)
+            for columns in (corpus.course(cid).columns for cid in background_ids)
+            for row in range(len(columns.thread_ids))
+        ]
         course = corpus.course(course_id)
-        days = [day_index(t.created_at, course.start_date) for t in course.threads]
-        order = sorted(range(len(days)), key=days.__getitem__)
-        rows = [tokens.ids(course.threads[i]) for i in order]
+        days = day_indices(course.columns.created_at, course.start_date)
+        order = np.argsort(days, kind="stable")
+        rows = [tokens.ids(course.columns, row) for row in order.tolist()]
         self.course_id = course_id
-        self._days = np.array([days[i] for i in order], dtype=np.int64)
+        self._days = days[order]
         self._ids = np.concatenate([empty, *rows])
         self._ends = np.cumsum([0, *(r.size for r in rows)])
         self._size = size = len(tokens)

@@ -234,20 +234,16 @@ class TestTokenizeOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import forumlens.classify
-        import forumlens.cli
-        import forumlens.ranking
-        import forumlens.topics
-        from forumlens.corpus import thread_tokens
+        from forumlens.topics import TokenTable
 
         counts = Counter()
+        tokenize = TokenTable._tokenize  # the table's per-row path: each call tokenizes one row
 
-        def counting(thread, *args, **kwargs):
-            counts[thread.thread_id] += 1
-            return thread_tokens(thread, *args, **kwargs)
+        def counting(table, columns, row):
+            counts[columns.thread_ids[row]] += 1
+            return tokenize(table, columns, row)
 
-        for module in (forumlens.cli, forumlens.classify, forumlens.topics, forumlens.ranking):
-            monkeypatch.setattr(module, "thread_tokens", counting)
+        monkeypatch.setattr(TokenTable, "_tokenize", counting)
         return counts
 
     @pytest.mark.parametrize("extra, most", [([], 1), (["--exclude-staff"], 2)])
@@ -706,11 +702,15 @@ class TestBadInput:
              "ConfigError"),
             (["--config", "FILE", "stats", "series", "--threads", "CORPUS"], '{"config": "nope.json"}', 2,
              "ConfigError"),
-            # background lists that repeat a course or name none
+            # background lists that repeat a course, name none or name the course itself
             (["topics", "extract", "--threads", "CORPUS", "--course", "course00", "--background",
               "course01,course01"], None, 2, "ConfigError"),
             (["topics", "converge", "--threads", "CORPUS", "--course", "course00", "--background", ",,"],
              None, 2, "ConfigError"),
+            (["topics", "extract", "--threads", "CORPUS", "--course", "course00", "--background",
+              "course00"], None, 2, "ConfigError"),
+            (["topics", "converge", "--threads", "CORPUS", "--course", "course00", "--background",
+              "course01,course00"], None, 2, "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -734,7 +734,8 @@ class TestBadInput:
              "theta-with-percourse-nb", "moving-avg-stopwords-without-model",
              "moving-avg-exclude-staff-without-model", "config-alpha-above-one", "compare-high-below-low",
              "roc-theta-max-below-min", "config-key-command", "config-key-subcommand", "config-key-config",
-             "background-repeated", "background-empty"],
+             "background-repeated", "background-empty", "background-the-course",
+             "background-holds-the-course"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"

@@ -187,9 +187,9 @@ class TestPipeline:
 
 
 class TestBackgroundList:
-    """A given background list must name each course once, and at least one course."""
+    """A given background list must name each course once, at least one course, and not the course itself."""
 
-    @pytest.mark.parametrize("background", [[], ["course01", "course01"]])
+    @pytest.mark.parametrize("background", [[], ["course01", "course01"], ["course00"], ["course01", "course00"]])
     def test_refused(self, background):
         spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.4, s=20, seed=3)
         corpus = sample_corpus(spec, [20, 20], threads_per_day=5)
@@ -375,7 +375,7 @@ class TestFitMatchesOracle:
     def test_equal_to_oracle(self, corpus, include_staff, background_ids, k, warmup, max_days):
         stopwords = frozenset({"the"})
         args = (corpus, "c0", background_ids)
-        if background_ids == []:  # a background list that names no course is refused
+        if background_ids in ([], ["c0", "c1"]):  # one that names no course, or the course itself, is refused
             with pytest.raises(ConfigError):
                 extract_keywords(*args, warmup, TokenTable(stopwords, include_staff))
             with pytest.raises(ConfigError):
@@ -409,6 +409,63 @@ class TestFitMatchesOracle:
                 )
 
 
+# words that exercise the tokenizer: case, non-ASCII letters, the Kelvin sign (which lowers to an
+# ASCII "k"), digits, underscores (which separate words), one-character words and stopwords
+_TEXT_WORDS = ["The", "the", "and", "Kelvin", "\u212aelvin", "\u212a", "caf\u00e9", "na\u00efve", "\u00e9",
+               "42", "7", "x1", "a_b", "__", "x", "Zz", "zz", "?!", "\u00fcber-cool"]
+
+
+@st.composite
+def _text_courses(draw):
+    """1-2 courses of threads whose posts mix those words, some of them staff posts."""
+    courses = []
+    for c in range(draw(st.integers(1, 2))):
+        threads = []
+        for j in range(draw(st.integers(0, 5))):
+            posts = tuple(
+                Post(f"p{i}", "u", 0, " ".join(draw(st.lists(st.sampled_from(_TEXT_WORDS), max_size=6))),
+                     draw(st.booleans()))
+                for i in range(draw(st.integers(1, 3)))
+            )
+            threads.append(Thread(f"c{c}t{j}", 0, posts))
+        courses.append(Course(f"c{c}", 0, threads))
+    return courses
+
+
+class TestTableMatchesThreadTokens:
+    """A table reads each column row as the ids that encode() gives the thread's thread_tokens,
+    and grows the same vocabulary, in the same order, whatever encode() calls come between."""
+
+    # a row read (course, row), or words to encode: "the" is a stopword that encode() keeps
+    _steps = st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 4))
+        | st.lists(st.sampled_from(["the", "kelvin", "caf\u00e9", "x", "new"]), max_size=3),
+        max_size=10,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_text_courses(), st.sampled_from([None, frozenset(), frozenset({"the", "zz", "42", "kelvin"})]),
+           st.booleans(), _steps)
+    def test_rows_and_vocabulary(self, courses, stopwords, include_staff, steps):
+        table, oracle = TokenTable(stopwords, include_staff), TokenTable(stopwords, include_staff)
+
+        def read(course, row):
+            got = table.ids(course.columns, row)
+            assert got.dtype == np.int32
+            expected = oracle.encode(thread_tokens(course.threads[row], stopwords, include_staff))
+            assert got.tolist() == expected.tolist()
+
+        for step in steps:
+            if isinstance(step, list):
+                assert table.encode(step).tolist() == oracle.encode(step).tolist()
+            elif step[0] < len(courses) and step[1] < courses[step[0]].num_threads:
+                read(courses[step[0]], step[1])
+        for course in courses:
+            for row in range(course.num_threads):
+                read(course, row)
+        assert list(table.index) == list(oracle.index)
+
+
 def _calls_outside(tree, names):
     """(name, line) of every call to a function or method in ``names`` outside the definitions
     of that name."""
@@ -440,3 +497,12 @@ def test_one_scoring_path():
             if any(isinstance(n, ast.alias) and n.name == "TokenTable" for n in ast.walk(tree)):
                 banned.add("unique")
         assert _calls_outside(tree, banned) == [], path.name
+
+
+def test_one_text_path():
+    """Thread text is read in one place: no package module but corpus calls thread_tokens,
+    thread_text or tokenize; the token table reads column rows through split_words."""
+    for path in sorted(Path(topics.__file__).parent.glob("*.py")):
+        if path.stem != "corpus":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _calls_outside(tree, {"thread_tokens", "thread_text", "tokenize"}) == [], path.name
