@@ -1,9 +1,10 @@
 """Thread relevance ranking: keyword ranker plus tf-idf and HITS baselines.
 
 A thread's text is the concatenation of all its posts at query time.  The
-text rankers take a course's thread rows (ThreadRows), or Thread objects,
-which they lay out as rows of their own.  They read the rows' token ids from
-the command's TokenTable, the one text input of every pipeline, so a thread
+text rankers and split_window take thread rows (ThreadRows) only; a caller
+with Thread objects wraps them once with ThreadRows.of and passes the same
+rows to every ranker.  The rankers read the rows' token ids from the
+command's TokenTable, the one text input of every pipeline, so a thread
 ranked more than once is tokenized once, and sum their scores through the
 topics row kernel: token_sums for the keyword ranker, term_sums (and its
 distinct pass for document frequencies) for tf-idf.  HITS reads no text: it
@@ -24,14 +25,6 @@ from .corpus import Thread, ThreadRows, day_indices
 from .corpus import thread_tokens  # noqa: F401
 from .errors import InvariantViolation
 from .topics import KeywordRanking, TokenTable, distinct_terms, term_sums, token_sums, top_k
-
-# a course's thread rows, or Thread objects that the rankers lay out as rows of their own
-Threads = ThreadRows | Sequence[Thread]
-
-
-def _rows(threads: Threads) -> ThreadRows:
-    return threads if isinstance(threads, ThreadRows) else ThreadRows.of(threads)
-
 
 @dataclass(frozen=True)
 class RankWindow:
@@ -106,7 +99,7 @@ def keyword_weights(keywords: KeywordRanking, alpha: float = 0.96, k: int = 50) 
 
 def topical_rank(
     keywords: KeywordRanking,
-    query_threads: Threads,
+    query_threads: ThreadRows,
     alpha: float = 0.96,
     k: int = 50,
     tokens: TokenTable | None = None,
@@ -116,41 +109,38 @@ def topical_rank(
     Tokens come from ``tokens`` (default: a fresh TokenTable).
     """
     tokens = TokenTable() if tokens is None else tokens
-    query = _rows(query_threads)
-    rows = [tokens.ids(query.columns, row) for row in query.rows.tolist()]
+    rows = [tokens.ids(query_threads.columns, row) for row in query_threads.rows.tolist()]
     weights = np.zeros(len(tokens) + 1)  # keywords outside the table land in the last cell, which no id reads
     for w, v in keyword_weights(keywords, alpha, k).items():
         weights[tokens.index.get(w, -1)] = v
-    return _ranked_rows(query, token_sums(rows, weights).tolist())
+    return _ranked_rows(query_threads, token_sums(rows, weights).tolist())
 
 
 def tfidf_rank(
-    window_threads: Threads,
-    query_threads: Threads,
+    window_threads: ThreadRows,
+    query_threads: ThreadRows,
     tokens: TokenTable | None = None,
 ) -> RankedList:
     """Treat each thread as a document; score = sum over tokens of tf * idf.
 
-    idf(t) = log(|D| / df(t)) with natural log, document frequencies taken
-    over every thread in the window of interest.  ``tokens`` is read as in
-    topical_rank.
+    idf(t) = log(|D| / df(t)) with natural log, where the documents D are the
+    distinct rows of the window and the query, which must share columns.
+    ``tokens`` is read as in topical_rank.
     """
-    window, query = _rows(window_threads), _rows(query_threads)
+    window, query = window_threads, query_threads
     if not window.rows.size:
         raise InvariantViolation("tfidf", "window must be nonempty")
+    if query.columns is not window.columns:
+        raise InvariantViolation("tfidf", "query rows must be rows of the window's columns")
     tokens = TokenTable() if tokens is None else tokens
-    doc_ids = {}
-    for threads in (window, query):
-        for tid, row in zip(threads.thread_ids, threads.rows.tolist()):
-            if tid not in doc_ids:
-                doc_ids[tid] = tokens.ids(threads.columns, row)
-    n_docs = len(doc_ids)
-    distinct = [terms.ids for terms, _ in distinct_terms(list(doc_ids.values()))]
+    docs = np.union1d(window.rows, query.rows).tolist()
+    n_docs = len(docs)
+    distinct = [terms.ids for terms, _ in distinct_terms([tokens.ids(window.columns, r) for r in docs])]
     df = np.bincount(np.concatenate([np.zeros(0, np.int32), *distinct]), minlength=len(tokens))
     idf = np.zeros(df.size)
     seen = np.flatnonzero(df)
     idf[seen] = [math.log(n_docs / c) for c in df[seen].tolist()]
-    (scores,) = term_sums([doc_ids[tid] for tid in query.thread_ids], [idf], [0.0])
+    (scores,) = term_sums([tokens.ids(query.columns, r) for r in query.rows.tolist()], [idf], [0.0])
     return _ranked_rows(query, scores.tolist())
 
 
@@ -230,17 +220,14 @@ def topk_diff(
 
 
 def split_window(
-    threads: Threads, start_date: int, window: RankWindow
-) -> tuple[Threads, Threads]:
-    """(window threads, query threads) for a course given day-based boundaries: rows of the
-    same columns for ThreadRows, lists for Thread objects."""
-    rows = _rows(threads)
-    day = day_indices(rows.columns.created_at[rows.rows], start_date)
+    threads: ThreadRows, start_date: int, window: RankWindow
+) -> tuple[ThreadRows, ThreadRows]:
+    """(window rows, query rows) of ``threads`` for a course given day-based boundaries,
+    both rows of the same columns."""
+    day = day_indices(threads.columns.created_at[threads.rows], start_date)
     in_window = day <= window.window_days
-    picks = (in_window, in_window & (day > window.warmup_days))
-    if isinstance(threads, ThreadRows):
-        return tuple(ThreadRows(threads.columns, threads.rows[p]) for p in picks)
-    return tuple([t for t, keep in zip(threads, p.tolist()) if keep] for p in picks)
+    query = in_window & (day > window.warmup_days)
+    return threads._replace(rows=threads.rows[in_window]), threads._replace(rows=threads.rows[query])
 
 
 def sample_query_days(

@@ -149,9 +149,9 @@ class TokenTable:
     one map takes every word seen to its id, or to -1 for a dropped word.
     Tokens are stored in their original order as int32 ids into the table's
     vocabulary ``index``, which grows in order of first appearance.  Rows are
-    keyed by (columns, row), and the table holds a reference to each columns
-    it has read.  A table belongs to one command: build it there and let it
-    go with it.
+    kept per columns object (columns hash by identity), so the table holds each
+    columns it has read.  A table belongs to one command: build it there and
+    let it go with it.
     """
 
     def __init__(self, stopwords: frozenset[str] | None = None, include_staff: bool = True):
@@ -159,7 +159,7 @@ class TokenTable:
         self.include_staff = include_staff
         self.index: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
-        self._rows: dict[int, tuple[ThreadColumns, dict[int, np.ndarray]]] = {}
+        self._rows: dict[ThreadColumns, dict[int, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.index)
@@ -177,7 +177,7 @@ class TokenTable:
 
     def ids(self, columns: ThreadColumns, row: int) -> np.ndarray:
         """Thread ``row`` of ``columns`` as token ids."""
-        _, rows = self._rows.setdefault(id(columns), (columns, {}))  # held, so no other object takes its id
+        rows = self._rows.setdefault(columns, {})
         ids = rows.get(row)
         if ids is None:
             ids = rows[row] = self._tokenize(columns, row)

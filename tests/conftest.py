@@ -8,10 +8,25 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from forumlens.corpus import Course, Corpus, Post, Thread, ThreadLabel, UnigramModel
+from forumlens.corpus import Course, Corpus, Post, Thread, ThreadLabel, ThreadRows, UnigramModel
 from forumlens.genmodel import make_spec, sample_tokens
 from forumlens.ranking import hits_rank, tfidf_rank, topical_rank
 from forumlens.topics import TokenTable, surprise_weights
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Tokenizations per thread id, counted through TokenTable._tokenize, the table's per-row
+    path: each call tokenizes one row."""
+    counts = Counter()
+    tokenize = TokenTable._tokenize
+
+    def counting(table, columns, row):
+        counts[columns.thread_ids[row]] += 1
+        return tokenize(table, columns, row)
+
+    monkeypatch.setattr(TokenTable, "_tokenize", counting)
+    return counts
 
 
 def make_post(pid, author, ts, text, staff=False):
@@ -152,8 +167,9 @@ def noise_discrimination_trial(seed: int) -> tuple[int, int, int]:
         threads.append(multi_user_thread(tid, base + 200 + j, tokens, users(int(rng.integers(8, 21)))))
         irrelevant.add(tid)
 
-    ours = topical_rank(keywords, threads, alpha=0.96, k=50, tokens=table)
-    tfidf = tfidf_rank(threads, threads, tokens=table)
+    rows = ThreadRows.of(threads)
+    ours = topical_rank(keywords, rows, alpha=0.96, k=50, tokens=table)
+    tfidf = tfidf_rank(rows, rows, tokens=table)
     hits = hits_rank(threads)
 
     def admitted(ranked):

@@ -19,7 +19,7 @@ from forumlens.classify import (
     small_sample_fpr_trials,
 )
 from forumlens.cli import main as cli_main
-from forumlens.corpus import CourseFactors, UnigramModel
+from forumlens.corpus import CourseFactors, ThreadRows, UnigramModel
 from forumlens.genmodel import adversarial_spec, make_spec, sample_corpus
 from forumlens.ranking import tfidf_rank, topical_rank
 from forumlens.stats import (
@@ -331,17 +331,20 @@ class TestCriterion7FormulaExactness:
         # keyword weight alpha**rank
         keywords = KeywordRanking((("kw1", 2.0), ("kw2", 1.0)))
         thread = single_post_thread("t1", 1, "kw1 kw1")
-        ranked = topical_rank(keywords, [thread], alpha=0.5, k=50, tokens=TokenTable(frozenset()))
+        ranked = topical_rank(
+            keywords, ThreadRows.of([thread]), alpha=0.5, k=50, tokens=TokenTable(frozenset())
+        )
         assert abs(ranked.entries[0][1] - 1.0) <= 1e-9
 
         # tf-idf with natural log
-        threads = [
+        threads = ThreadRows.of([
             single_post_thread("d1", 1, "rare rare common"),
             single_post_thread("d2", 2, "common x2"),
             single_post_thread("d3", 3, "common x3"),
             single_post_thread("d4", 4, "common x4"),
-        ]
-        scored = tfidf_rank(threads, [threads[0]], tokens=TokenTable(frozenset()))
+        ])
+        first = threads._replace(rows=threads.rows[:1])
+        scored = tfidf_rank(threads, first, tokens=TokenTable(frozenset()))
         assert abs(scored.entries[0][1] - 2 * np.log(4)) <= 1e-9
 
         # thread neighborhood at hour offsets 0, 12, 36

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 import forumlens
 import forumlens.cli
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, build_parser, main
-from forumlens.corpus import ThreadColumns, _CorpusParser, ingest_corpus
+from forumlens.corpus import ThreadColumns, ThreadRows, _CorpusParser, ingest_corpus
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
 from forumlens.ranking import RankWindow, split_window
 from forumlens.stats import neighborhood_counts
@@ -232,20 +231,6 @@ class TestRankCommands:
 class TestTokenizeOnce:
     """Each command tokenizes a thread at most once per text view."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        from forumlens.topics import TokenTable
-
-        counts = Counter()
-        tokenize = TokenTable._tokenize  # the table's per-row path: each call tokenizes one row
-
-        def counting(table, columns, row):
-            counts[columns.thread_ids[row]] += 1
-            return tokenize(table, columns, row)
-
-        monkeypatch.setattr(TokenTable, "_tokenize", counting)
-        return counts
-
     @pytest.mark.parametrize("extra, most", [([], 1), (["--exclude-staff"], 2)])
     def test_compare(self, tmp_path, gen_corpus, calls, extra, most):
         rc = main(["--seed", "4", "compare", "--threads", str(gen_corpus), "--course", "course00",
@@ -261,8 +246,9 @@ class TestTokenizeOnce:
                    "--warmup", "1", "--query", "1", "--out", str(tmp_path / "r")])
         assert rc == 0
         course = ingest_corpus(gen_corpus).course("course00")
-        window, _ = split_window(course.threads, course.start_date, RankWindow(1, 1))
-        window_ids = {t.thread_id for t in window}
+        rows = ThreadRows(course.columns, np.arange(course.num_threads))
+        window, _ = split_window(rows, course.start_date, RankWindow(1, 1))
+        window_ids = set(window.thread_ids)
         assert len(window_ids) < course.num_threads
         assert set(calls) == window_ids
         assert max(calls.values()) == 1

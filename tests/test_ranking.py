@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumlens import topics
-from forumlens.corpus import thread_tokens
+from forumlens.corpus import ThreadRows, thread_tokens
 from forumlens.errors import InvariantViolation
 from forumlens.ranking import (
     RankWindow,
@@ -36,12 +36,12 @@ KEYWORDS = KeywordRanking(
 
 class TestTopicalRank:
     def test_no_keywords_scores_zero(self):
-        threads = [single_post_thread("t1", 10, "plain words only here")]
+        threads = ThreadRows.of([single_post_thread("t1", 10, "plain words only here")])
         ranked = topical_rank(KEYWORDS, threads, alpha=0.96, k=50, tokens=TokenTable(SW))
         assert ranked.entries[0][1] == 0.0
 
     def test_repeated_rank_one_word(self):
-        threads = [single_post_thread("t1", 10, "kw01 kw01")]
+        threads = ThreadRows.of([single_post_thread("t1", 10, "kw01 kw01")])
         ranked = topical_rank(KEYWORDS, threads, alpha=0.5, k=50, tokens=TokenTable(SW))
         assert ranked.entries[0][1] == pytest.approx(1.0)  # 2 * 0.5**1
 
@@ -53,16 +53,16 @@ class TestTopicalRank:
     def test_appending_rank_one_word_increases_score(self):
         base = single_post_thread("t1", 10, "kw10 filler")
         more = single_post_thread("t2", 10, "kw10 filler kw01")
-        ranked = topical_rank(KEYWORDS, [base, more], alpha=0.9, k=50, tokens=TokenTable(SW))
+        ranked = topical_rank(KEYWORDS, ThreadRows.of([base, more]), alpha=0.9, k=50, tokens=TokenTable(SW))
         scores = dict(ranked.entries)
         assert scores["t2"] > scores["t1"]
 
     def test_tie_break_by_created_then_id(self):
-        threads = [
+        threads = ThreadRows.of([
             single_post_thread("zz", 5, "kw01"),
             single_post_thread("aa", 9, "kw01"),
             single_post_thread("bb", 5, "kw01"),
-        ]
+        ])
         ranked = topical_rank(KEYWORDS, threads, alpha=0.9, k=50, tokens=TokenTable(SW))
         assert ranked.thread_ids == ("bb", "zz", "aa")
 
@@ -70,10 +70,10 @@ class TestTopicalRank:
     @given(st.permutations(["kw01", "kw02", "kw07", "other", "kw01", "words"]))
     def test_bag_of_words_invariance(self, tokens):
         thread = single_post_thread("t1", 1, " ".join(tokens))
-        ranked = topical_rank(KEYWORDS, [thread], alpha=0.9, k=50, tokens=TokenTable(SW))
+        ranked = topical_rank(KEYWORDS, ThreadRows.of([thread]), alpha=0.9, k=50, tokens=TokenTable(SW))
         baseline = topical_rank(
             KEYWORDS,
-            [single_post_thread("t1", 1, "kw01 kw01 kw02 kw07 other words")],
+            ThreadRows.of([single_post_thread("t1", 1, "kw01 kw01 kw02 kw07 other words")]),
             alpha=0.9,
             k=50,
             tokens=TokenTable(SW),
@@ -81,32 +81,53 @@ class TestTopicalRank:
         assert ranked.entries[0][1] == pytest.approx(baseline.entries[0][1])
 
 
+def _some(threads, *rows):
+    """The given rows of ``threads``, rows of the same columns."""
+    return threads._replace(rows=threads.rows[list(rows)])
+
+
 class TestTfidfRank:
     def test_ubiquitous_term_contributes_nothing(self):
-        threads = [
+        threads = ThreadRows.of([
             single_post_thread("t1", 1, "shared unique1"),
             single_post_thread("t2", 2, "shared shared"),
-        ]
+        ])
         ranked = tfidf_rank(threads, threads, tokens=TokenTable(SW))
         scores = dict(ranked.entries)
         assert scores["t2"] == pytest.approx(0.0)  # only the shared term
         assert scores["t1"] == pytest.approx(math.log(2))
 
     def test_rare_term_formula(self):
-        threads = [
+        threads = ThreadRows.of([
             single_post_thread("t1", 1, "rare rare common"),
             single_post_thread("t2", 2, "common filler2"),
             single_post_thread("t3", 3, "common filler3"),
             single_post_thread("t4", 4, "common filler4"),
-        ]
-        ranked = tfidf_rank(threads, [threads[0]], tokens=TokenTable(SW))
+        ])
+        ranked = tfidf_rank(threads, _some(threads, 0), tokens=TokenTable(SW))
         # rare: tf 2, idf log(4/1); common: idf log(4/4) = 0
         assert ranked.entries[0][1] == pytest.approx(2 * math.log(4))
 
     def test_single_document_corpus_scores_zero(self):
-        threads = [single_post_thread("t1", 1, "every word once")]
+        threads = ThreadRows.of([single_post_thread("t1", 1, "every word once")])
         ranked = tfidf_rank(threads, threads, tokens=TokenTable(SW))
         assert ranked.entries[0][1] == 0.0
+
+    def test_query_outside_window_is_a_document(self):
+        threads = ThreadRows.of([
+            single_post_thread("t1", 1, "aa bb"),
+            single_post_thread("t2", 2, "aa cc"),
+            single_post_thread("t3", 3, "bb dd dd aa"),
+        ])
+        ranked = tfidf_rank(_some(threads, 0, 1), _some(threads, 2), tokens=TokenTable(SW))
+        # |window u query| = 3 documents: bb (df 2), dd (tf 2, df 1), aa (df 3)
+        terms = [math.log(3 / 2), 2 * math.log(3), math.log(3 / 3)]
+        assert ranked.entries == (("t3", _left_to_right(terms)),)
+
+    def test_query_of_other_columns_refused(self):
+        threads = [single_post_thread("t1", 1, "aa bb"), single_post_thread("t2", 2, "aa cc")]
+        with pytest.raises(InvariantViolation):
+            tfidf_rank(ThreadRows.of(threads), ThreadRows.of(threads), tokens=TokenTable(SW))
 
 
 def _left_to_right(values):
@@ -122,12 +143,14 @@ _RANK_WORDS = ["kw01", "kw02", "kw53", "kw54", "aa", "bb", "cc"]
 
 @st.composite
 def _rank_inputs(draw):
-    """(window threads, query threads): empty threads, and query threads inside and outside the window."""
+    """(threads, window rows, query rows), the rows of one ThreadRows.of(threads): empty threads,
+    and query rows inside and outside the window."""
     texts = draw(st.lists(st.lists(st.sampled_from(_RANK_WORDS), max_size=9), min_size=1, max_size=10))
     threads = [single_post_thread(f"t{i:02d}", i, " ".join(words)) for i, words in enumerate(texts)]
-    window = threads[: draw(st.integers(1, len(threads)))]
-    query = draw(st.lists(st.sampled_from(threads), unique_by=lambda t: t.thread_id))
-    return window, query
+    rows = ThreadRows.of(threads)
+    window = _some(rows, *range(draw(st.integers(1, len(threads)))))
+    query = _some(rows, *draw(st.lists(st.sampled_from(range(len(threads))), unique=True)))
+    return threads, window, query
 
 
 def _oracle_topical(query, alpha):
@@ -157,7 +180,7 @@ class TestLeftToRightSums:
     def test_topical_score(self):
         # weights 0.5, 2**-54, 2**-54: each addition rounds back to 0.5
         thread = single_post_thread("t1", 1, "kw01 kw54 kw54")
-        ranked = topical_rank(KEYWORDS, [thread], alpha=0.5, k=55, tokens=TokenTable(SW))
+        ranked = topical_rank(KEYWORDS, ThreadRows.of([thread]), alpha=0.5, k=55, tokens=TokenTable(SW))
         terms = [0.5, 0.5**54, 0.5**54]
         assert _left_to_right(terms) != math.fsum(terms)
         assert ranked.entries[0][1] == _left_to_right(terms)
@@ -165,8 +188,8 @@ class TestLeftToRightSums:
     def test_tfidf_score(self):
         texts = ["ff dd dd ff ee dd bb", "aa aa bb dd bb cc", "ff cc dd ee dd ee cc",
                  "ee bb cc ff aa cc ee", "ff cc ee", "ff ff"]
-        threads = [single_post_thread(f"t{i}", i, text) for i, text in enumerate(texts)]
-        ranked = tfidf_rank(threads, [threads[0]], tokens=TokenTable(SW))
+        threads = ThreadRows.of([single_post_thread(f"t{i}", i, text) for i, text in enumerate(texts)])
+        ranked = tfidf_rank(threads, _some(threads, 0), tokens=TokenTable(SW))
         # tf * idf in order of first occurrence: ff (df 5), dd (df 3), ee (df 4), bb (df 3)
         terms = [2 * math.log(6 / 5), 3 * math.log(6 / 3), math.log(6 / 4), math.log(6 / 3)]
         assert _left_to_right(terms) != math.fsum(terms)
@@ -180,10 +203,11 @@ class TestLeftToRightSums:
     @settings(max_examples=150, deadline=None)
     @given(_rank_inputs(), st.sampled_from([0.5, 0.9]), st.sampled_from([1, 2, 5, 13, topics._CHUNK_CELLS]))
     def test_scores_across_chunks(self, inputs, alpha, cells):
-        window, query = inputs
+        threads, window, query = inputs
         with mock.patch.object(topics, "_CHUNK_CELLS", cells):  # a small budget splits the rows
             topical = topical_rank(KEYWORDS, query, alpha=alpha, k=55, tokens=TokenTable(SW))
             tfidf = tfidf_rank(window, query, tokens=TokenTable(SW))
+        window, query = ([threads[r] for r in rows.rows.tolist()] for rows in (window, query))
         assert dict(topical.entries) == _oracle_topical(query, alpha)
         assert dict(tfidf.entries) == _oracle_tfidf(window, query)
         assert len(topical.entries) == len(tfidf.entries) == len(query)
@@ -371,7 +395,7 @@ class TestHitsRank:
         relevant = multi_user_thread("rel", 2, ["kw01", "kw02", "kw03"], ["u99"])
         threads = [popular, relevant]
         hits = hits_rank(threads)
-        topical = topical_rank(KEYWORDS, threads, alpha=0.9, k=50, tokens=TokenTable(SW))
+        topical = topical_rank(KEYWORDS, ThreadRows.of(threads), alpha=0.9, k=50, tokens=TokenTable(SW))
         assert hits.thread_ids.index("pop") < hits.thread_ids.index("rel")
         assert topical.thread_ids.index("rel") < topical.thread_ids.index("pop")
 
@@ -415,20 +439,32 @@ class TestWindows:
         assert RankWindow(12, 3).window_days == 15
 
     def test_split_window(self):
-        threads = [
+        threads = ThreadRows.of([
             single_post_thread("w1", 0, "xx"),
             single_post_thread("q1", 12 * 86400, "yy"),
             single_post_thread("late", 30 * 86400, "zz"),
-        ]
+        ])
         window_threads, query_threads = split_window(threads, 0, RankWindow(12, 2))
-        assert {t.thread_id for t in window_threads} == {"w1", "q1"}
-        assert [t.thread_id for t in query_threads] == ["q1"]
+        assert set(window_threads.thread_ids) == {"w1", "q1"}
+        assert query_threads.thread_ids == ["q1"]
 
     def test_sample_query_days_seeded(self):
         days = sample_query_days(10, 30, 5, seed=3)
         assert days == sample_query_days(10, 30, 5, seed=3)
         assert days[0] >= 10 and all(10 <= d <= 30 for d in days)
         assert 10 in days
+
+
+class TestTokenizeOnce:
+    def test_rankers_share_one_tokenization(self, calls):
+        texts = ["kw01 aa", "bb kw02", "aa bb cc", "kw01 kw01", "cc dd"]
+        threads = ThreadRows.of([single_post_thread(f"t{i}", i, text) for i, text in enumerate(texts)])
+        table = TokenTable(SW)
+        topical_rank(KEYWORDS, threads, alpha=0.9, k=50, tokens=table)
+        tfidf_rank(threads, threads, tokens=table)
+        tfidf_rank(threads, _some(threads, 0, 1), tokens=table)
+        assert calls == {f"t{i}": 1 for i in range(5)}
+        assert list(table._rows) == [threads.columns]
 
 
 class TestNoiseDiscrimination:

@@ -506,3 +506,13 @@ def test_one_text_path():
         if path.stem != "corpus":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             assert _calls_outside(tree, {"thread_tokens", "thread_text", "tokenize"}) == [], path.name
+
+
+def test_rows_laid_out_in_corpus_only():
+    """Thread objects become rows in one place: no package module but corpus calls ``of``
+    (ThreadRows.of, ThreadColumns.of), so callers wrap their Thread objects and the rankers
+    take rows only."""
+    for path in sorted(Path(topics.__file__).parent.glob("*.py")):
+        if path.stem != "corpus":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _calls_outside(tree, {"of"}) == [], path.name
