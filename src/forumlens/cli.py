@@ -10,6 +10,11 @@ creates no ``--out`` and leaves an existing one untouched.  Runs are
 deterministic given the manifest, so re-running a command reproduces
 byte-identical artifacts.
 
+``main`` parses argv once with every default set aside, so the parsed flags
+are exactly the given ones.  It then fills each unset flag from ``--config``,
+else from its default (config keys only fill, and are never refused), and last
+refuses with exit 2 a given flag that the command path never reads.
+
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
 Errors are reported as a JSON object on stderr.
 """
@@ -514,8 +519,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="forumlens", description=__doc__)
-    parser.add_argument("--config", default=None, help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=_non_negative_int, help="seed override for seeded commands")
+    parser.add_argument("--config", default=None, help="JSON config file; it fills only unset flags")
+    parser.add_argument("--seed", type=_non_negative_int, help="seed override, read by gen and compare")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample a synthetic corpus from a generative spec")
@@ -582,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["topical", "tfidf", "hits"], default="topical")
     p.add_argument("--warmup", type=_positive_int, default=12)
     p.add_argument("--query", type=_positive_int, default=2)
-    p.add_argument("--k", type=int, default=15, help="not read: rank writes every query thread")
+    p.add_argument("--k", type=int, default=15, help="refused: rank writes every thread; manifests keep k")
     p.add_argument("--alpha", type=_fraction, default=0.96)
     p.add_argument("--keyword-k", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_rank)
@@ -648,27 +653,13 @@ def _dests(parser) -> set[str]:
     return {a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
 
 
-def _config_path(argv) -> str | None:
-    """The ``--config`` value, read the way the top-level parser reads it."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    # declared so that a --seed value is not taken for the subcommand
-    pre.add_argument("--seed")
-    pre.add_argument("command", nargs=argparse.REMAINDER)
-    return pre.parse_known_args(argv)[0].config
-
-
-def _config_default(action, value):
-    """A config value as the default of one flag, read the way the flag's text is read.
-
-    A value the flag cannot take becomes a ConfigError, which main raises only
-    when the parsed subcommand reads it.
-    """
+def _config_default(action, value, default):
+    """A config value as the value of one unset flag, read the way the flag's text is read."""
     if action.nargs == 0:  # a switch such as --exclude-staff
         if isinstance(value, bool):
             return value
     elif value is None:
-        if action.default is None:
+        if default is None:
             return None
     elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
@@ -682,10 +673,10 @@ def _config_default(action, value):
         else:
             if action.choices is None or converted in action.choices:
                 return converted
-    return ConfigError(f"config key {action.dest!r} cannot take the value {value!r}")
+    raise ConfigError(f"config key {action.dest!r} cannot take the value {value!r}")
 
 
-def _apply_config(parser, path):
+def _load_config(parser, path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -695,35 +686,62 @@ def _apply_config(parser, path):
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    parsers = _all_parsers(parser)
-    unknown = set(config).difference(*map(_dests, parsers))
+    unknown = set(config).difference(*map(_dests, _all_parsers(parser)))
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # subcommands parse into a fresh namespace that overwrites the top-level
-    # one, so each key becomes a default only of the parsers that declare it:
-    # an explicit flag still wins, and no key reaches a subcommand without it
-    for sub in parsers:
-        sub.set_defaults(**{
-            a.dest: _config_default(a, config[a.dest])
-            for a in sub._actions
-            if a.option_strings and a.dest in config
-        })
+    return config
+
+
+# The flags that a path never reads, a path being the command and, where it picks
+# one, the algorithm.  --seed is read only by gen and compare.
+_UNREAD = {
+    "rank --algo topical": ("--k",),
+    "rank --algo tfidf": ("--alpha", "--keyword-k", "--exclude-staff", "--k"),
+    "rank --algo hits": ("--alpha", "--keyword-k", "--exclude-staff", "--stopwords", "--k"),
+    "classify train --algo nb": ("--lambda", "--epochs"),
+    "classify train --algo svm": ("--mode", "--pseudocount"),
+}
+
+
+def _unread(path: str) -> tuple[str, ...]:
+    return _UNREAD.get(path, ()) + (() if path in ("gen", "compare") else ("--seed",))
+
+
+def _resolve(parser, argv) -> argparse.Namespace:
+    """Parse ``argv``, fill every flag it left unset, then refuse a given flag the path never reads."""
+    defaults = {}
+    for sub in _all_parsers(parser):
+        for action in sub._actions:
+            if action.option_strings and action.default is not argparse.SUPPRESS:
+                defaults[action], action.default = action.default, argparse.SUPPRESS
+    args = parser.parse_args(argv)
+    given = set(vars(args))
+    config = _load_config(parser, args.config) if "config" in given else {}
+    chain = [parser]  # the parsers that read argv: the top level, the command and any subcommand
+    for current in chain:
+        chain.extend(a.choices[getattr(args, a.dest)] for a in current._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    options = [a for p in chain for a in p._actions if a in defaults]
+    for action in options:
+        if action.dest not in given:
+            value = defaults[action]
+            if action.dest in config:
+                value = _config_default(action, config[action.dest], value)
+            setattr(args, action.dest, value)
+    path = chain[-1].prog.split(" ", 1)[1] + (f" --algo {args.algo}" if "algo" in args else "")
+    for action in options:
+        if action.dest in given and action.option_strings[0] in _unread(path):
+            raise ConfigError(f"{action.option_strings[0]} is not read by {path}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        path = _config_path(argv)
-        if path is not None:
-            _apply_config(parser, path)
         try:
-            args = parser.parse_args(argv)
+            args = _resolve(build_parser(), argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        for value in vars(args).values():
-            if isinstance(value, ConfigError):  # a config value this subcommand cannot take
-                raise value
         corpus = _load_corpus(args) if hasattr(args, "threads") else None
         manifest = json.dumps(_manifest(args), sort_keys=True, indent=2)
         artifacts = args.func(args, corpus)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import forumlens
 import forumlens.cli
-from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, build_parser, main
+from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, _unread, build_parser, main
 from forumlens.corpus import ThreadColumns, ThreadRows, _CorpusParser, ingest_corpus
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
 from forumlens.ranking import RankWindow, split_window
@@ -257,9 +257,10 @@ class TestTokenizeOnce:
     def test_classify_and_moving_avg(self, tmp_path, gen_corpus, calls, algo, mode):
         model = tmp_path / "m" / "model.json"
         corpus = ["--threads", str(gen_corpus)]
+        # each algorithm is given only the flags it reads
+        algo_flags = ["--mode", mode] if algo == "nb" else ["--epochs", "2"]
         commands = [
-            ["classify", "train", *corpus, "--algo", algo, "--mode", mode, "--epochs", "2",
-             "--out", str(model.parent)],
+            ["classify", "train", *corpus, "--algo", algo, *algo_flags, "--out", str(model.parent)],
             ["classify", "eval", *corpus, "--model", str(model), "--out", str(tmp_path / "e")],
         ]
         if algo == "svm":
@@ -825,6 +826,37 @@ class TestConfigScope:
         assert manifest["config"]["seed"] == 3
         assert set(manifest["inputs"]) == {str(gen_corpus)}
 
+    def test_explicit_flag_equal_to_its_default_beats_config(self, tmp_path, gen_corpus):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 25}))
+        out = tmp_path / "kw"
+        rc = main(["--config", str(cfg), "topics", "extract", "--threads", str(gen_corpus),
+                   "--course", "course00", "--k", "50", "--out", str(out)])
+        assert rc == 0
+        assert len(_read_csv(out / "keywords.csv")) == 50
+
+    def test_key_for_a_flag_the_path_never_reads_only_fills(self, tmp_path, gen_corpus):
+        # a shared config may hold keys that some paths never read; only the command line is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.5, "k": 5, "seed": 3}))
+        out = tmp_path / "r"
+        rc = main(["--config", str(cfg), "rank", "--threads", str(gen_corpus), "--course", "course00",
+                   "--algo", "hits", "--warmup", "1", "--query", "1", "--out", str(out)])
+        assert rc == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["alpha"], config["k"], config["seed"]) == (0.5, 5, 3)
+
+    def test_help_is_read_before_the_config(self, capsys):
+        assert main(["--config", "missing.json", "rank", "--help"]) == 0
+        assert "--course" in capsys.readouterr().out
+
+    def test_string_defaults_are_their_own_conversion(self):
+        # argparse ran a string default through the flag's type; the fill takes the default as it is
+        for parser in _all_parsers(build_parser()):
+            for action in parser._actions:
+                if isinstance(action.default, str) and action.type is not None:
+                    assert action.type(action.default) == action.default, action.option_strings
+
 
 @pytest.fixture(scope="module")
 def command_inputs(twelve_courses, tmp_path_factory):
@@ -920,14 +952,20 @@ def _refuse_constant(name):
 
 
 def _numeric_flags():
-    """(command words, flag) for every int and float flag; top-level flags go with gen and compare."""
+    """(command words, flag, after the words?, refused?) for every int and float flag.
+
+    Top-level flags go with gen and compare.  A flag is refused when the path
+    (the command and its default --algo) never reads it.
+    """
     cases = []
     for parser in _all_parsers(build_parser()):
         words = parser.prog.split()[1:]
+        algo = next((f" --algo {a.default}" for a in parser._actions if a.dest == "algo"), "")
         for action in parser._actions:
             if getattr(action.type, "__name__", None) in ("int", "float"):
+                flag = action.option_strings[0]
                 for command in [words] if words else [["gen"], ["compare"]]:
-                    cases.append((command, action.option_strings[0], bool(words)))
+                    cases.append((command, flag, bool(words), flag in _unread(" ".join(command) + algo)))
     return cases
 
 
@@ -948,10 +986,10 @@ class TestNumericFlagSweep:
     }
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    @pytest.mark.parametrize("command, flag, after", _numeric_flags(),
-                             ids=[" ".join([*c, f]) for c, f, _ in _numeric_flags()])
+    @pytest.mark.parametrize("command, flag, after, refused", _numeric_flags(),
+                             ids=[" ".join([*c, f]) for c, f, _, _ in _numeric_flags()])
     def test_clean_exit_and_valid_manifest(self, tmp_path, capsys, command_inputs,
-                                           command, flag, after, value):
+                                           command, flag, after, refused, value):
         base = self.BASE.get(" ".join(command), ["--threads", "threads"])
         base = [str(command_inputs.get(a, a)) for a in base]
         swept = [flag, value]
@@ -961,6 +999,8 @@ class TestNumericFlagSweep:
         captured = capsys.readouterr()
         assert rc in (0, 2, 3, 4), captured.err
         assert "Traceback" not in captured.err
+        if refused:  # a flag the path never reads exits 2 whatever its value
+            assert rc == 2, captured.err
         if rc:
             assert set(json.loads(captured.err)["error"]) == {"message", "type"}
         else:

@@ -35,3 +35,18 @@ def test_every_flag_that_refuses_zero_is_listed():
     notes = _reproducibility_notes()
     missing = sorted(f for f in refusing if not re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", notes))
     assert not missing, f"README's reproducibility notes do not name {missing}"
+
+
+def test_every_refused_pair_is_listed():
+    from forumlens.cli import _UNREAD, _all_parsers, _unread, build_parser
+
+    # the list items that open with a backquoted path or flag and a colon, joined across lines
+    item = re.compile(r"^\s*\* `([^`]+)`:(.*?)(?=^\s*\*|^$|\Z)", re.M | re.S)
+    items = {m[1]: " ".join(m[2].split()) for m in item.finditer(_reproducibility_notes())}
+    for path, flags in _UNREAD.items():
+        missing = [f for f in flags if f"`{f}`" not in items.get(path, "")]
+        assert not missing, f"README's reproducibility notes do not refuse {missing} for {path}"
+    # --seed is refused on every command but the ones that read it, which the item names
+    commands = {p.prog.split()[1] for p in _all_parsers(build_parser()) if len(p.prog.split()) == 2}
+    readers = [c for c in commands if "--seed" not in _unread(c)]
+    assert readers and all(f"`{c}`" in items["--seed"] for c in readers)
