@@ -418,9 +418,6 @@ def _cmd_stats_ttest(args, corpus) -> dict:
 
 
 def _cmd_stats_moving_avg(args, corpus) -> dict:
-    if not args.model and (args.stopwords or args.exclude_staff):
-        flag = "--stopwords" if args.stopwords else "--exclude-staff"
-        raise ConfigError(f"{flag} applies only with --model: thread labels need no text")
     picked = [  # (category, seconds since the course start, course, thread row)
         (course.category.value, created - course.start_date, course, row)
         for course in corpus.courses
@@ -692,14 +689,15 @@ def _load_config(parser, path) -> dict:
     return config
 
 
-# The flags that a path never reads, a path being the command and, where it picks
-# one, the algorithm.  --seed is read only by gen and compare.
+# The flags that a path never reads, a path being the command and, where it picks one,
+# the algorithm or (stats moving-avg) the model.  --seed is read only by gen and compare.
 _UNREAD = {
     "rank --algo topical": ("--k",),
     "rank --algo tfidf": ("--alpha", "--keyword-k", "--exclude-staff", "--k"),
     "rank --algo hits": ("--alpha", "--keyword-k", "--exclude-staff", "--stopwords", "--k"),
     "classify train --algo nb": ("--lambda", "--epochs"),
     "classify train --algo svm": ("--mode", "--pseudocount"),
+    "stats moving-avg without --model": ("--stopwords", "--exclude-staff"),
 }
 
 
@@ -729,6 +727,7 @@ def _resolve(parser, argv) -> argparse.Namespace:
                 value = _config_default(action, config[action.dest], value)
             setattr(args, action.dest, value)
     path = chain[-1].prog.split(" ", 1)[1] + (f" --algo {args.algo}" if "algo" in args else "")
+    path += " without --model" if "model" in args and not args.model else ""  # stats moving-avg
     for action in options:
         if action.dest in given and action.option_strings[0] in _unread(path):
             raise ConfigError(f"{action.option_strings[0]} is not read by {path}")

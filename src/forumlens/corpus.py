@@ -13,14 +13,14 @@ an int32 author code into ``author_names``, a bool staff flag and the
 ``post_id`` and ``text`` strings; per thread there is the ``thread_id``, an
 int64 ``created_at``, the label and an offset into the post arrays.
 Each course's columns are filled by one builder, a thread at a time:
-``ingest_corpus`` parses each line straight into its course's builder, running
-every check that ``Post`` and ``Thread`` run, and a course built from
-``Thread`` objects feeds them to a builder at construction.  The courses of one
-parse share their author codes.  ``Course.threads`` of a parsed course is
-built from the columns on first use, without running those checks again; the
-activity statistics, the ingest summary, ``serialize_corpus`` and the text
-pipelines (which read rows through ``topics.TokenTable``) read the columns
-and never build it.
+``ingest_corpus`` parses each line into it, running every check that ``Post``
+and ``Thread`` run; ``genmodel.sample_corpus`` samples threads that pass them;
+a course built from ``Thread`` objects feeds them to it.  The courses of one
+parse share their author codes.  ``Course.threads`` of a parsed or sampled
+course is built from the columns on first use, without running those checks
+again.  Only HITS ranking reads it: course equality and ``repr``, the stats,
+``serialize_corpus`` and the text pipelines (rows through ``topics.TokenTable``)
+read the columns.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ class Course:
     """One course's threads, start date, factors and category.
 
     The threads live in ``columns``.  A course built from ``Thread`` objects
-    keeps them as ``threads``; a parsed one builds them on first use.
+    keeps them as ``threads``; a parsed or sampled one builds them on first use.
     """
 
     def __init__(
@@ -347,7 +347,10 @@ class Course:
         return len(self.columns.timestamps)
 
     def _key(self) -> tuple:
-        return (self.course_id, self.start_date, self.threads, self.factors, self.category)
+        c = self.columns  # codes differ between parses, so authors compare by name
+        return (self.course_id, self.start_date, c.thread_ids, c.created_at.tolist(), c.labels,
+                c.offsets.tolist(), c.post_ids, [c.author_names[a] for a in c.authors.tolist()],
+                c.timestamps.tolist(), c.texts, c.is_staff.tolist(), self.factors, self.category)
 
     def __eq__(self, other):
         if not isinstance(other, Course):
@@ -356,7 +359,8 @@ class Course:
 
     def __repr__(self) -> str:
         return (f"Course(course_id={self.course_id!r}, start_date={self.start_date!r}, "
-                f"threads={self.threads!r}, factors={self.factors!r}, category={self.category!r})")
+                f"num_threads={self.num_threads}, num_posts={self.num_posts}, factors={self.factors!r}, "
+                f"category={self.category!r})")
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,10 @@ import numpy as np
 from .corpus import (
     Corpus,
     Course,
-    CourseCategory,
-    Post,
     SECONDS_PER_DAY,
-    Thread,
     ThreadLabel,
     UnigramModel,
+    _ColumnBuilder,
 )
 from .errors import InvariantViolation
 
@@ -372,30 +370,28 @@ def sample_corpus(
     """Sample a labeled synthetic corpus; reproducible given spec.seed.
 
     Threads within a course are spread ``threads_per_day`` per day starting at
-    timestamp 0, one single-author post per thread.
+    timestamp 0, one single-author post per thread, straight into its columns.
     """
     if any(cnt < 0 for cnt in threads_per_course):
         raise InvariantViolation("spec", "thread counts must be nonnegative")
     if len(threads_per_course) != spec.num_courses:
         raise InvariantViolation("spec", "one thread count per course required")
+    if threads_per_day < 1:
+        raise InvariantViolation("spec", "threads_per_day must be positive")
     spacing = SECONDS_PER_DAY // threads_per_day
     courses = []
     for i, count in enumerate(threads_per_course):
         rng = course_rng(spec, i)
         course_id = f"course{i:02d}"
-        threads = []
+        builder = _ColumnBuilder({})
         for j in range(count):
             sampled = sample_thread(spec, i, rng)
             created = (j // threads_per_day) * SECONDS_PER_DAY + (j % threads_per_day) * spacing
             label = ThreadLabel.SMALL_TALK if sampled.is_smalltalk else ThreadLabel.COURSE_SPECIFIC
-            post = Post(
-                post_id=f"{course_id}-t{j:05d}-p0",
-                author_id=f"{course_id}-u{j:05d}",
-                timestamp=created,
-                text=" ".join(sampled.tokens),
-            )
-            threads.append(Thread(f"{course_id}-t{j:05d}", created, (post,), label))
-        courses.append(Course(course_id, 0, tuple(threads)))
+            builder.add_post(f"{course_id}-t{j:05d}-p0", f"{course_id}-u{j:05d}", created,
+                             " ".join(sampled.tokens), False)
+            builder.end_thread(f"{course_id}-t{j:05d}", created, label)
+        courses.append(Course._from_columns(course_id, 0, builder.build(list(builder.codes))))
     return Corpus(tuple(courses))
 
 

@@ -1,9 +1,10 @@
 """Object-at-a-time reference implementations for the columnar corpus.
 
 The parser builds one ``Post`` and one ``Thread`` per line through the public
-constructors, so every check runs in the order the constructors run it.  The
-stats loops and the serializer read ``Thread`` objects.  Tests hold the
-columnar code in ``forumlens.corpus`` and ``forumlens.stats`` to these.
+constructors, so every check runs in the order the constructors run it, and
+the sampler builds one checked ``Thread`` per sampled thread.  The stats loops
+and the serializer read ``Thread`` objects.  Tests hold the columnar code in
+``forumlens.corpus``, ``forumlens.genmodel`` and ``forumlens.stats`` to these.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from forumlens.corpus import (
     day_index,
 )
 from forumlens.errors import ParseError
+from forumlens.genmodel import course_rng, sample_thread
 from forumlens.stats import ActivitySeries
 
 
@@ -144,3 +146,25 @@ def serialize_corpus(corpus: Corpus, path) -> None:
                     ],
                 }
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def sample_corpus(spec, threads_per_course, threads_per_day=24) -> Corpus:
+    spacing = SECONDS_PER_DAY // threads_per_day
+    courses = []
+    for i, count in enumerate(threads_per_course):
+        rng = course_rng(spec, i)
+        course_id = f"course{i:02d}"
+        threads = []
+        for j in range(count):
+            sampled = sample_thread(spec, i, rng)
+            created = (j // threads_per_day) * SECONDS_PER_DAY + (j % threads_per_day) * spacing
+            label = ThreadLabel.SMALL_TALK if sampled.is_smalltalk else ThreadLabel.COURSE_SPECIFIC
+            post = Post(
+                post_id=f"{course_id}-t{j:05d}-p0",
+                author_id=f"{course_id}-u{j:05d}",
+                timestamp=created,
+                text=" ".join(sampled.tokens),
+            )
+            threads.append(Thread(f"{course_id}-t{j:05d}", created, (post,), label))
+        courses.append(Course(course_id, 0, tuple(threads)))
+    return Corpus(tuple(courses))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import forumlens
 import forumlens.cli
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, _unread, build_parser, main
-from forumlens.corpus import ThreadColumns, ThreadRows, _CorpusParser, ingest_corpus
+from forumlens.corpus import Post, Thread, ThreadColumns, ThreadRows, _CorpusParser, ingest_corpus
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
 from forumlens.ranking import RankWindow, split_window
 from forumlens.stats import neighborhood_counts
@@ -361,29 +361,47 @@ class TestStatsCommands:
         assert (out / "qq_solo.csv").exists()
 
 
-class TestStatsBuildNoThreads:
-    """Every stats command but moving-avg --model reads the corpus columns and builds no Thread."""
+class TestCommandsBuildNoThreads:
+    """Every command path but HITS ranking reads the corpus columns and builds no Thread or Post."""
 
     def test_no_thread_objects(self, tmp_path, twelve_courses, monkeypatch):
-        _, corpus_path, meta = twelve_courses
+        spec, corpus_path, meta = twelve_courses
         f_values = [f for c in ingest_corpus(corpus_path).courses for f in neighborhood_counts(c).values()]
 
         def refuse(self):
             raise AssertionError("a thread object was built")
 
         monkeypatch.setattr(ThreadColumns, "threads", refuse)
+        monkeypatch.setattr(Thread, "__post_init__", refuse)
+        monkeypatch.setattr(Post, "__post_init__", refuse)
         corpus = ingest_corpus(corpus_path)
         assert corpus.num_posts == 360
         with pytest.raises(AssertionError):
             corpus.courses[0].threads
-        commands = [["ingest"], ["stats", "series"], ["stats", "trend"], ["stats", "panel"],
-                    ["stats", "shapiro"], ["stats", "ttest", "--threshold", str(min(f_values))],
-                    ["stats", "moving-avg"]]
+        model = str(tmp_path / "train" / "model.json")
+        course = ["--course", "course00"]
+        window = [*course, "--warmup", "1", "--query", "1"]
+        commands = [["gen", "--spec", str(spec), "--counts", ",".join(["30"] * 12)],
+                    ["ingest"], ["classify", "train", "--algo", "svm", "--epochs", "2"],
+                    ["classify", "eval", "--model", model], ["classify", "roc", "--model", model],
+                    ["topics", "extract", *course], ["topics", "converge", *course],
+                    ["rank", "--algo", "topical", *window], ["rank", "--algo", "tfidf", *window],
+                    ["stats", "series"], ["stats", "trend"], ["stats", "panel"], ["stats", "shapiro"],
+                    ["stats", "ttest", "--threshold", str(min(f_values))], ["stats", "moving-avg"],
+                    ["stats", "moving-avg", "--model", model]]
         for i, command in enumerate(commands):
-            out = tmp_path / str(i)
-            argv = [*command, "--threads", str(corpus_path), "--meta", str(meta), "--out", str(out)]
-            assert main(argv) == 0, command
+            out = tmp_path / ("train" if command[:2] == ["classify", "train"] else str(i))
+            data = [] if command[0] == "gen" else ["--threads", str(corpus_path)]
+            if command[0] in ("ingest", "stats"):
+                data += ["--meta", str(meta)]
+            assert main([*command, *data, "--out", str(out)]) == 0, command
             assert (out / "manifest.json").exists()
+        # the one exception: HITS reads each thread's participants, in rank and in compare
+        hits = [["rank", "--algo", "hits", *window],
+                ["compare", *course, "--low", "1", "--high", "2", "--extra-days", "1", "--query", "1"]]
+        for i, command in enumerate(hits):
+            with pytest.raises(AssertionError, match="a thread object was built"):
+                main([*command, "--threads", str(corpus_path), "--out", str(tmp_path / f"hits{i}")])
 
 
 def _fluctuating_corpus(path, course_id):

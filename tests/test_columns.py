@@ -248,6 +248,73 @@ class TestParsedColumnsMatchBuilt:
                     assert type(a) is type(b) and a == b, f.name
 
 
+def _twin_corpus():
+    """Two courses of Thread objects; a parse of them codes the second course's authors otherwise."""
+    a = Thread("t0", 10, (Post("p0", "u0", 10, "hello there"), Post("p1", "u1", 20, "hi", True)),
+               ThreadLabel.SMALL_TALK)
+    b = Thread("t1", 90000, (Post("p0", "u1", 90000, "gradient descent"),), ThreadLabel.COURSE_SPECIFIC)
+    c = Thread("t0", 5, (Post("p0", "u2", 5, "office hours"), Post("p1", "u1", 6, "thanks")))
+    d = Thread("t1", 7, (Post("p0", "u0", 7, "deadline"),), ThreadLabel.LOGISTICS)
+    return Corpus((Course("c0", 10, (a, b)), Course("c1", 5, (c, d))))
+
+
+def _set(values, i, value):
+    values = values.copy()
+    values[i] = value
+    return values
+
+
+# one value of one column changed, given the columns
+_ONE_CHANGE = {
+    "author name": lambda c: {"authors": _set(c.authors, 1, len(c.author_names)),
+                              "author_names": [*c.author_names, "nobody"]},
+    "staff flag": lambda c: {"is_staff": _set(c.is_staff, 1, True)},
+    "text": lambda c: {"texts": _set(c.texts, 1, "thanks!")},
+    "label": lambda c: {"labels": _set(c.labels, 0, ThreadLabel.SMALL_TALK)},
+    "created_at": lambda c: {"created_at": _set(c.created_at, 1, 8)},
+    "thread id": lambda c: {"thread_ids": _set(c.thread_ids, 1, "t2")},
+    "post id": lambda c: {"post_ids": _set(c.post_ids, 2, "p1")},
+    "timestamp": lambda c: {"timestamps": _set(c.timestamps, 1, 7)},
+    "offsets": lambda c: {"offsets": _set(c.offsets, 1, 1)},
+}
+
+
+class TestCourseEqualityReadsColumns:
+    @pytest.fixture
+    def parsed(self, tmp_path, monkeypatch):
+        """``_twin_corpus`` written out and read back, whose threads may not be built."""
+        path = tmp_path / "c.jsonl"
+        serialize_corpus(_twin_corpus(), path)
+
+        def refuse(self):
+            raise AssertionError("a thread object was built")
+
+        monkeypatch.setattr(ThreadColumns, "threads", refuse)
+        return ingest_corpus(path)
+
+    def test_parse_equals_thread_built_twin(self, parsed):
+        twin = _twin_corpus()
+        got, want = parsed.courses[1].columns, twin.courses[1].columns
+        assert got.authors.tolist() != want.authors.tolist()  # the parse codes authors across courses
+        assert parsed == twin and twin == parsed
+
+    @pytest.mark.parametrize("change", _ONE_CHANGE, ids=list(_ONE_CHANGE))
+    def test_one_changed_value_breaks_equality(self, parsed, change):
+        course = parsed.courses[1]
+        columns = dataclasses.replace(course.columns, **_ONE_CHANGE[change](course.columns))
+        changed = Course._from_columns(course.course_id, course.start_date, columns)
+        twin = _twin_corpus().courses[1]
+        assert changed != course and changed != twin and twin != changed
+
+    def test_repr_gives_counts(self, parsed):
+        twin = _twin_corpus()
+        for course, built in zip(parsed.courses, twin.courses):
+            assert repr(course) == repr(built)
+        assert repr(parsed.courses[1]) == ("Course(course_id='c1', start_date=5, num_threads=2, num_posts=3, "
+                                           "factors=None, category=<CourseCategory.HUMANITIES_SOCIAL: "
+                                           "'HumanitiesSocial'>)")
+
+
 class TestDayIndices:
     @settings(max_examples=300)
     @given(st.lists(st.integers(0, 2**63 - 1), max_size=8), st.integers(-(2**70), 2**70))

@@ -1,9 +1,10 @@
 """Every flag is read or refused: each (path, flag) pair either changes an artifact or exits 2.
 
-A path is a command and, where it picks one, its ``--algo``.  The pairs come
-from the parsers and from ``cli._unread``, so a new flag or path is covered
-without editing this file, apart from its default run in ``BASE`` and an
-alternative value in ``ALT``.
+A path is a command and, where it picks one, its ``--algo``; ``stats
+moving-avg`` without ``--model`` is a path of its own (``LEFT_OUT``).  The
+pairs come from the parsers and from ``cli._unread``, so a new flag or path is
+covered without editing this file, apart from its default run in ``BASE`` and
+an alternative value in ``ALT``.
 """
 
 import hashlib
@@ -120,6 +121,9 @@ BASE = {
     "stats moving-avg": {"--model": "model"},
 }
 
+# the paths picked by leaving a flag of another path's default run out: {path: (that path, flag)}
+LEFT_OUT = {"stats moving-avg without --model": ("stats moving-avg", "--model")}
+
 # a value other than the path's default run gives, for every flag but the exempt ones
 ALT = {
     "--threads": "corpus2", "--spec": "spec2", "--model": "model2", "--meta": "meta",
@@ -153,6 +157,9 @@ def _paths():
                 base["--algo"] = algo
                 path += f" --algo {algo}"
             paths[path] = (words, base, flags)
+    for path, (parent, flag) in LEFT_OUT.items():
+        words, base, flags = paths[parent]
+        paths[path] = (words, {f: v for f, v in base.items() if f != flag}, flags)
     return paths
 
 
@@ -207,7 +214,8 @@ def default_runs(inputs, tmp_path_factory):
 
 def test_every_path_and_pair_is_covered():
     assert set(_UNREAD) <= set(_PATHS)
-    assert len(_pairs(refused=True)) == 30  # 14 algorithm pairs and --seed on 16 paths
+    # 14 algorithm pairs, 2 on stats moving-avg without --model, and --seed on 17 paths
+    assert len(_pairs(refused=True)) == 33
     for path, flag in _pairs(refused=False):
         assert _alternative(path, flag) != _PATHS[path][1].get(flag, "unset"), (path, flag)
 
@@ -220,6 +228,17 @@ def test_unread_flag_exits_2(tmp_path, capsys, inputs, path, flag):
     assert err["type"] == "ConfigError"
     assert err["message"].startswith(f"{flag} ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path, flag", _pairs(refused=True), ids=lambda v: v)
+def test_unread_config_key_only_fills(tmp_path, inputs, default_runs, path, flag):
+    """A --config key for a flag that the path never reads is not refused, and changes nothing."""
+    value = True if ALT[flag] is None else inputs.get(ALT[flag], ALT[flag])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({_PATHS[path][2][flag].dest: value}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), *_argv(path, _PATHS[path][1], inputs, out)]) == 0
+    assert _artifacts(out) == default_runs(path)
 
 
 @pytest.mark.parametrize("path, flag", _pairs(refused=False), ids=lambda v: v)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import corpus_oracle as oracle
 from forumlens.classify import SvmModel
+from forumlens.corpus import serialize_corpus
 from forumlens.errors import InvariantViolation
 from forumlens.genmodel import (
     GenerativeSpec,
@@ -105,6 +107,32 @@ class TestSampleCorpus:
         spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=20)
         corpus = sample_corpus(spec, [0])
         assert corpus.num_courses == 1 and corpus.num_threads == 0
+
+    @pytest.mark.parametrize(
+        "spec, counts, per_day",
+        [
+            (make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20, seed=5), [30, 17], 24),
+            (adversarial_spec(100, seed=3), [12, 3], 24),
+            (make_spec(n=200, num_courses=3, epsilon=0.3, p=0.5, s=20, seed=6), [0, 9, 0], 24),
+            (make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20, seed=7), [40, 15], 7),
+        ],
+        ids=["uniform", "adversarial", "zero-counts", "per-day-not-dividing-a-day"],
+    )
+    def test_matches_thread_oracle(self, tmp_path, spec, counts, per_day):
+        """The columns hold what checked Post and Thread objects would, and write the same bytes."""
+        got = sample_corpus(spec, counts, threads_per_day=per_day)
+        want = oracle.sample_corpus(spec, counts, threads_per_day=per_day)
+        assert got == want
+        assert [c.threads for c in got.courses] == [c.threads for c in want.courses]
+        serialize_corpus(got, tmp_path / "got.jsonl")
+        oracle.serialize_corpus(want, tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("per_day", [0, -1])
+    def test_threads_per_day_must_be_positive(self, per_day):
+        spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=20)
+        with pytest.raises(InvariantViolation, match="threads_per_day must be positive"):
+            sample_corpus(spec, [3], threads_per_day=per_day)
 
     def test_determinism(self):
         spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20, seed=99)

@@ -516,3 +516,12 @@ def test_rows_laid_out_in_corpus_only():
         if path.stem != "corpus":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             assert _calls_outside(tree, {"of"}) == [], path.name
+
+
+def test_thread_objects_built_in_corpus_only():
+    """No package module but corpus calls ``Post(`` or ``Thread(``: the parse and the sampler fill
+    columns, and Thread objects are only ever built from them (for HITS)."""
+    for path in sorted(Path(topics.__file__).parent.glob("*.py")):
+        if path.stem != "corpus":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _calls_outside(tree, {"Post", "Thread"}) == [], path.name
