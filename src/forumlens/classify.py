@@ -6,6 +6,7 @@ at prediction time.  Documents are token-id arrays from the command's
 TokenTable, the one text input that every pipeline reads, and are scored
 through the topics row kernel (term_sums for naive Bayes, token_sums for the
 SVM), whose sums equal predict_nb and SvmModel.score on the words bit for bit.
+Both models decide by score > theta, a naive Bayes score being its log posterior odds.
 Trained models are immutable and safe to share; evaluation is pure.
 """
 
@@ -314,23 +315,28 @@ def _confusion(flagged, positive) -> EvalReport:
     return EvalReport(tp, fp, positive.size - tp - fp - fn, fn)
 
 
+def _scores(model, rows: Sequence[np.ndarray], tokens: TokenTable) -> np.ndarray:
+    """Score per id row: the SVM score, or the naive Bayes log posterior odds."""
+    if isinstance(model, dict):
+        raise ConfigError("a per-course model decides one course at a time")
+    if isinstance(model, SvmModel):
+        return _svm_scores(model, rows, tokens)
+    log_pos, log_neg = _nb_log_posteriors(model, rows, tokens)
+    return log_pos - log_neg
+
+
 def decisions(
     model, rows: Iterable[np.ndarray], tokens: TokenTable, theta: float | None = None
 ) -> list[bool]:
     """Small-talk decision for each id row of ``tokens``, scored in chunks of rows.
 
-    For an SvmModel the decision is score > theta (default: model.theta); the
-    naive Bayes decision ignores theta.  Scores and log posteriors equal those
-    of SvmModel.score and predict_nb on the rows' words, bit for bit.
+    The decision is score > theta, the score being the SVM score or the naive Bayes log
+    posterior odds; theta defaults to the SVM model's theta, and to 0 for naive Bayes, which
+    is predict_nb's decision (a tie is negative).  Scores equal SvmModel.score's and predict_nb's.
     """
-    if isinstance(model, dict):
-        raise ConfigError("a per-course model decides one course at a time")
-    rows = list(rows)  # a lazy iterable may still add words to the table
-    if isinstance(model, SvmModel):
-        thr = model.theta if theta is None else theta
-        return (_svm_scores(model, rows, tokens) > thr).tolist()
-    log_pos, log_neg = _nb_log_posteriors(model, rows, tokens)
-    return (log_pos > log_neg).tolist()
+    scores = _scores(model, list(rows), tokens)  # a lazy iterable may still add words to the table
+    default = model.theta if isinstance(model, SvmModel) else 0.0
+    return (scores > (default if theta is None else theta)).tolist()
 
 
 def evaluate(
@@ -344,12 +350,12 @@ def evaluate(
 
 
 def roc_sweep(
-    model: SvmModel, docs: Sequence[LabeledDoc], tokens: TokenTable, thresholds: Sequence[float]
+    model, docs: Sequence[LabeledDoc], tokens: TokenTable, thresholds: Sequence[float]
 ) -> list[tuple[float, EvalReport]]:
-    """Evaluate at each threshold; TPR and FPR are non-increasing in theta."""
+    """Evaluate at each threshold as ``decisions`` does; TPR and FPR are non-increasing in theta."""
     if list(thresholds) != sorted(thresholds):
         raise InvariantViolation("roc", "thresholds must be sorted ascending")
-    scores = _svm_scores(model, [ids for ids, _ in docs], tokens)
+    scores = _scores(model, [ids for ids, _ in docs], tokens)
     positive = np.array([positive for _, positive in docs], dtype=bool)
     return [(theta, _confusion(scores > theta, positive)) for theta in thresholds]
 

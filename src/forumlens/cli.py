@@ -48,7 +48,6 @@ from .corpus import (
 )
 from .classify import (
     NbMode,
-    SvmModel,
     decisions,
     evaluate,
     labeled_docs,
@@ -229,8 +228,6 @@ def _cmd_classify_train(args, corpus) -> dict:
 def _cmd_classify_eval(args, corpus) -> dict:
     tokens = _tokens(args)
     model = load_model(args.model)
-    if args.theta is not None and not isinstance(model, SvmModel):
-        raise ConfigError("--theta applies only to an SVM model; naive Bayes decisions have no threshold")
     # a per-course model skips courses without labeled threads; the aggregate one needs some
     scopes = sorted(model.items()) if isinstance(model, dict) else [(None, model)]
     rows = []
@@ -248,8 +245,6 @@ def _cmd_classify_roc(args, corpus) -> dict:
         raise ConfigError(f"--theta-max {args.theta_max} is below --theta-min {args.theta_min}")
     tokens = _tokens(args)
     model = load_model(args.model)
-    if not isinstance(model, SvmModel):
-        raise ConfigError("roc sweeps require an SVM model")
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps).tolist()
     reports = roc_sweep(model, labeled_docs(corpus, tokens), tokens, thetas)
     rows = [(th, r.tpr, r.fpr, r.tp, r.fp, r.tn, r.fn) for th, r in reports]
@@ -547,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(pe, meta=False)
     _add_text_args(pe)
     pe.add_argument("--model", required=True)
-    pe.add_argument("--theta", type=_finite, default=None)
+    pe.add_argument("--theta", type=_finite, default=None, help="threshold on the model's score (SVM score, "
+                    "or naive Bayes log posterior odds); default: the SVM model's theta, 0 for naive Bayes")
     pe.set_defaults(func=_cmd_classify_eval)
     pr = csub.add_parser("roc")
     _add_corpus_args(pr, meta=False)

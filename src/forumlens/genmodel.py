@@ -301,9 +301,9 @@ def token_distribution(spec: GenerativeSpec, course: int, smalltalk: bool) -> np
     the background distribution.
     """
     topic = spec.smalltalk_topic if smalltalk else spec.course_topics[course]
-    mass = (1.0 - spec.epsilon) * spec.background.mass.copy()
     if len(topic.vocab) == 0 or spec.epsilon == 0.0:
         return spec.background.mass.copy()
+    mass = (1.0 - spec.epsilon) * spec.background.mass
     idx = np.array([spec.background._index[w] for w in topic.vocab])
     mass[idx] += spec.epsilon * topic.mass
     return mass

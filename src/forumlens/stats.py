@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -467,9 +466,9 @@ def partition_by_threshold(items: Sequence, f_values: Sequence[float], threshold
 class TwoSampleResult:
     """Welch's t-test (one-sided: group1 > group2) and Mann-Whitney U.
 
-    ``u_method`` records whether the U p-values came from exhaustive
-    enumeration (small samples) or the tie-corrected normal approximation
-    with continuity correction.
+    ``u_method`` records whether the U p-values are exact ("exact", small
+    samples) or come from the tie-corrected normal approximation with
+    continuity correction ("normal").
     """
 
     t_statistic: float
@@ -486,6 +485,9 @@ class TwoSampleResult:
     var2: float
 
 
+EXACT_U_MAX = 10  # the largest group size with exact Mann-Whitney U p-values
+
+
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they span."""
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
@@ -493,12 +495,12 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (ends - 0.5 * (counts - 1))[inverse]
 
 
-def two_sample_tests(group1, group2, exact_threshold: int = 10) -> TwoSampleResult:
+def two_sample_tests(group1, group2) -> TwoSampleResult:
     """Welch t and Mann-Whitney U for H1: group1 stochastically larger.
 
-    The U p-value is exact (enumeration over all group assignments of the
-    pooled values) when both groups have at most ``exact_threshold`` elements,
-    otherwise the normal approximation with tie correction is used.
+    With both groups at most ``EXACT_U_MAX`` long the U p-values are exact: ratios of
+    counts of the group1-sized subsets of pooled values by their sum of doubled midranks,
+    which are integers.  Otherwise the tie-corrected normal approximation is used.
     """
     x = np.asarray(group1, dtype=float)
     z = np.asarray(group2, dtype=float)
@@ -528,21 +530,17 @@ def two_sample_tests(group1, group2, exact_threshold: int = 10) -> TwoSampleResu
     u_stat = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
     mu = n1 * n2 / 2.0
 
-    if n1 <= exact_threshold and n2 <= exact_threshold:
-        total = 0
-        ge = 0
-        two = 0
-        obs_dev = abs(u_stat - mu)
-        base = n1 * (n1 + 1) / 2.0
-        for combo in combinations(range(n1 + n2), n1):
-            u = ranks[list(combo)].sum() - base
-            total += 1
-            if u >= u_stat - 1e-9:
-                ge += 1
-            if abs(u - mu) >= obs_dev - 1e-9:
-                two += 1
-        u_one = ge / total
-        u_two = min(1.0, two / total)
+    if n1 <= EXACT_U_MAX and n2 <= EXACT_U_MAX:
+        doubled = (2 * ranks).astype(np.int64)
+        # ways[k, s]: the k-subsets of the values seen so far whose doubled ranks sum to s
+        ways = np.zeros((n1 + 1, int(doubled.sum()) + 1), dtype=np.int64)
+        ways[0, 0] = 1
+        for r in doubled.tolist():
+            ways[1:, r:] = ways[1:, r:] + ways[:-1, :-r]
+        counts, total = ways[n1], math.comb(n1 + n2, n1)
+        dev = np.abs(np.arange(counts.size) - n1 * (n1 + 1) - n1 * n2)  # |2U - 2mu| per doubled rank sum
+        u_one = int(counts[int(doubled[:n1].sum()):].sum()) / total
+        u_two = min(1.0, int(counts[dev >= abs(2 * u_stat - n1 * n2)].sum()) / total)
         method = "exact"
     else:
         n = n1 + n2

@@ -483,11 +483,18 @@ def _oracle_train_svm(docs, lambda_, epochs, vocab):
     return SvmModel({word: float(w[i]) for word, i in index.items() if w[i] != 0.0})
 
 
-def _oracle_decisions(model, token_lists, theta=None):
+def _oracle_score(model, tokens):
+    """The SVM score, or the naive Bayes log posterior odds."""
     if isinstance(model, SvmModel):
-        thr = model.theta if theta is None else theta
-        return [model.score(tokens) > thr for tokens in token_lists]
-    return [predict_nb(model, tokens).positive for tokens in token_lists]
+        return model.score(tokens)
+    prediction = predict_nb(model, tokens)
+    return prediction.log_posterior_pos - prediction.log_posterior_neg
+
+
+def _oracle_decisions(model, token_lists, theta=None):
+    if theta is None:
+        theta = model.theta if isinstance(model, SvmModel) else 0.0
+    return [_oracle_score(model, tokens) > theta for tokens in token_lists]
 
 
 def _oracle_evaluate(model, docs, theta=None):
@@ -496,7 +503,7 @@ def _oracle_evaluate(model, docs, theta=None):
 
 
 def _oracle_roc_sweep(model, docs, thresholds):
-    scores = np.array([model.score(tokens) for tokens, _ in docs])
+    scores = np.array([_oracle_score(model, tokens) for tokens, _ in docs])
     positive = np.array([positive for _, positive in docs], dtype=bool)
     return [(theta, _confusion(scores > theta, positive)) for theta in thresholds]
 
@@ -548,14 +555,14 @@ class TestTableMatchesOracle:
         svm_oracle = _oracle_train_svm(docs, 0.1, epochs, vocab)
         assert list(svm.weights.items()) == list(svm_oracle.weights.items())
 
+        thresholds = [-1.0, -0.25, 0.0, 0.25, 1.0]
         for model in (*models, svm):
             assert evaluate(model, test_encoded, tokens, theta) == _oracle_evaluate(
                 model, test_docs, theta
             )
-        thresholds = [-1.0, -0.25, 0.0, 0.25, 1.0]
-        assert roc_sweep(svm, test_encoded, tokens, thresholds) == _oracle_roc_sweep(
-            svm, test_docs, thresholds
-        )
+            assert roc_sweep(model, test_encoded, tokens, thresholds) == _oracle_roc_sweep(
+                model, test_docs, thresholds
+            )
 
 
 def _oracle_svm_objective(model, docs, lambda_):

@@ -177,12 +177,48 @@ class TestClassifyCommands:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "EmptyCorpus"
         assert not (out / "manifest.json").exists()
 
-    def test_roc_rejects_nb_model(self, tmp_path, gen_corpus):
-        out = tmp_path / "m"
-        main(["classify", "train", "--threads", str(gen_corpus), "--algo", "nb", "--out", str(out)])
-        rc = main(["classify", "roc", "--threads", str(gen_corpus),
-                   "--model", str(out / "model.json"), "--out", str(tmp_path / "r")])
-        assert rc == 2
+    def test_roc_sweeps_nb_model_as_eval_decides(self, tmp_path, gen_corpus):
+        """An NB sweep's row at a threshold has the counts of ``classify eval --theta`` there."""
+        model = tmp_path / "m" / "model.json"
+        main(["classify", "train", "--threads", str(gen_corpus), "--algo", "nb", "--out", str(model.parent)])
+        base = ["--threads", str(gen_corpus), "--model", str(model)]
+        assert main(["classify", "roc", *base, "--theta-min", "-1", "--theta-max", "1",
+                     "--theta-steps", "5", "--out", str(tmp_path / "r")]) == 0
+        rows = {r["theta"]: r for r in _read_csv(tmp_path / "r" / "roc.csv")}
+        assert list(rows) == ["-1", "-0.5", "0", "0.5", "1"]
+        counts = ["tp", "fp", "tn", "fn"]
+        for theta, swept in rows.items():
+            assert main(["classify", "eval", *base, "--theta", theta, "--out", str(tmp_path / theta)]) == 0
+            [row] = _read_csv(tmp_path / theta / "eval.csv")
+            assert [row[k] for k in counts] == [swept[k] for k in counts]
+
+    def test_roc_refuses_percourse_nb_model(self, tmp_path, gen_corpus, capsys):
+        model = tmp_path / "m" / "model.json"
+        main(["classify", "train", "--threads", str(gen_corpus), "--algo", "nb", "--mode", "percourse",
+              "--out", str(model.parent)])
+        out = tmp_path / "r"
+        assert main(["classify", "roc", "--threads", str(gen_corpus), "--model", str(model),
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["aggregate", "percourse"])
+    def test_nb_theta_reads_flag_and_config_alike(self, tmp_path, gen_corpus, mode):
+        """A --config theta only fills --theta for NB models too; theta 0 is the NB default."""
+        model = tmp_path / "m" / "model.json"
+        main(["classify", "train", "--threads", str(gen_corpus), "--algo", "nb", "--mode", mode,
+              "--out", str(model.parent)])
+        config = tmp_path / "config.json"
+        config.write_text('{"theta": 0.5}')
+        base = ["classify", "eval", "--threads", str(gen_corpus), "--model", str(model)]
+        runs = {"config": ["--config", str(config), *base], "flag": [*base, "--theta", "0.5"],
+                "zero": [*base, "--theta", "0"], "default": base, "high": [*base, "--theta", "1e9"]}
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        csv = {name: (tmp_path / name / "eval.csv").read_bytes() for name in runs}
+        assert csv["config"] == csv["flag"]
+        assert csv["zero"] == csv["default"]
+        assert csv["high"] != csv["default"]  # no thread reaches odds of 1e9: every decision is negative
 
 
 class TestTopicsCommands:
@@ -685,10 +721,6 @@ class TestBadInput:
             (["classify", "train", "--threads", "CORPUS", "--pseudocount", "0"], None, 2, "ConfigError"),
             (["classify", "train", "--threads", "CORPUS", "--pseudocount", "-1"], None, 2, "ConfigError"),
             # flags that the given command would ignore
-            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE", "--theta", "0.5"], _NB, 2,
-             "ConfigError"),
-            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE", "--theta", "0.5"],
-             '{"kind": "nb-percourse", "models": {"course00": %s}}' % _NB, 2, "ConfigError"),
             (["stats", "moving-avg", "--threads", "CORPUS", "--stopwords", "FILE"], "the\n", 2,
              "ConfigError"),
             (["stats", "moving-avg", "--threads", "CORPUS", "--exclude-staff"], None, 2, "ConfigError"),
@@ -735,8 +767,8 @@ class TestBadInput:
              "converge-max-days-negative", "moving-avg-max-days-negative", "config-max-days-zero",
              "pseudocount-nan", "pseudocount-inf", "lambda-nan", "scale-staff-inf", "config-nan",
              "nb-conditional-nan", "nb-prior-nan", "nb-prior-overflows", "nb-conditional-overflows",
-             "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative", "theta-with-nb",
-             "theta-with-percourse-nb", "moving-avg-stopwords-without-model",
+             "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative",
+             "moving-avg-stopwords-without-model",
              "moving-avg-exclude-staff-without-model", "config-alpha-above-one", "compare-high-below-low",
              "roc-theta-max-below-min", "config-key-command", "config-key-subcommand", "config-key-config",
              "background-repeated", "background-empty", "background-the-course",

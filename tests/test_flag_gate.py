@@ -1,7 +1,8 @@
 """Every flag is read or refused: each (path, flag) pair either changes an artifact or exits 2.
 
 A path is a command and, where it picks one, its ``--algo``; ``stats
-moving-avg`` without ``--model`` is a path of its own (``LEFT_OUT``).  The
+moving-avg`` without ``--model`` is a path of its own (``LEFT_OUT``), and so
+are ``classify eval`` and ``roc`` with a naive Bayes model (``NB_MODEL``).  The
 pairs come from the parsers and from ``cli._unread``, so a new flag or path is
 covered without editing this file, apart from its default run in ``BASE`` and
 an alternative value in ``ALT``.
@@ -98,10 +99,12 @@ def inputs(tmp_path_factory):
         "stopwords": root / "stopwords.txt",
     }
     files["stopwords"].write_text("\n".join([f"st{i}" for i in range(20)] + ["c0staff0", "c0staff1"]))
-    for name, epochs in [("model", "5"), ("model2", "1")]:
+    for name, train in [("model", ["--algo", "svm", "--epochs", "5"]),
+                        ("model2", ["--algo", "svm", "--epochs", "1"]),
+                        ("nbmodel", ["--algo", "nb"]),
+                        ("nbmodel2", ["--algo", "nb", "--pseudocount", "0.1"])]:
         out = root / name
-        assert main(["classify", "train", "--threads", str(files["corpus"]), "--algo", "svm",
-                     "--epochs", epochs, "--out", str(out)]) == 0
+        assert main(["classify", "train", "--threads", str(files["corpus"]), *train, "--out", str(out)]) == 0
         files[name] = out / "model.json"
     return {k: str(v) for k, v in files.items()}
 
@@ -123,6 +126,10 @@ BASE = {
 
 # the paths picked by leaving a flag of another path's default run out: {path: (that path, flag)}
 LEFT_OUT = {"stats moving-avg without --model": ("stats moving-avg", "--model")}
+
+# the paths picked by a naive Bayes --model for another path's SVM one: {path: that path}
+NB_MODEL = {"classify eval with an NB model": "classify eval",
+            "classify roc with an NB model": "classify roc"}
 
 # a value other than the path's default run gives, for every flag but the exempt ones
 ALT = {
@@ -160,6 +167,9 @@ def _paths():
     for path, (parent, flag) in LEFT_OUT.items():
         words, base, flags = paths[parent]
         paths[path] = (words, {f: v for f, v in base.items() if f != flag}, flags)
+    for path, parent in NB_MODEL.items():
+        words, base, flags = paths[parent]
+        paths[path] = (words, {**base, "--model": "nbmodel"}, flags)
     return paths
 
 
@@ -179,6 +189,8 @@ def _alternative(path, flag):
         return next(c for c in flags[flag].choices if c != base[flag])
     if flag == "--meta" and flag in base:
         return "meta2"
+    if flag == "--model" and base.get(flag) == "nbmodel":
+        return "nbmodel2"
     return ALT[flag]
 
 
@@ -214,8 +226,8 @@ def default_runs(inputs, tmp_path_factory):
 
 def test_every_path_and_pair_is_covered():
     assert set(_UNREAD) <= set(_PATHS)
-    # 14 algorithm pairs, 2 on stats moving-avg without --model, and --seed on 17 paths
-    assert len(_pairs(refused=True)) == 33
+    # 14 algorithm pairs, 2 on stats moving-avg without --model, and --seed on 19 paths
+    assert len(_pairs(refused=True)) == 35
     for path, flag in _pairs(refused=False):
         assert _alternative(path, flag) != _PATHS[path][1].get(flag, "unset"), (path, flag)
 

@@ -517,18 +517,23 @@ class TestTwoSampleTests:
         assert res.u_pvalue == pytest.approx(1 / 20)
 
     def test_exhaustive_small_instance_sweep(self):
+        """Counting subsets by doubled midrank sum gives the enumeration's p-values, up to 10x10."""
         rng = np.random.default_rng(17)
-        for n1 in range(2, 6):
-            for n2 in range(2, 6):
-                for _ in range(3):
-                    g1 = rng.integers(0, 5, size=n1).tolist()
-                    g2 = rng.integers(0, 5, size=n2).tolist()
-                    res = two_sample_tests(g1, g2)
-                    u, p1, p2 = _exact_u_enumeration(g1, g2)
-                    assert res.u_method == "exact"
-                    assert res.u_statistic == pytest.approx(u)
-                    assert res.u_pvalue == pytest.approx(p1)
-                    assert res.u_pvalue_two_sided == pytest.approx(p2)
+        cases = [(rng.integers(0, 5, size=n1).tolist(), rng.integers(0, 5, size=n2).tolist())
+                 for n1 in range(2, 6) for n2 in range(2, 6) for _ in range(3)]
+        ties = np.random.default_rng(31)  # three values: tie-heavy groups up to 8x8
+        cases += [(ties.integers(0, 3, size=n1).tolist(), ties.integers(0, 3, size=n2).tolist())
+                  for n1 in range(2, 9) for n2 in range(2, 9)]
+        cases += [([1, 1, 1], [1, 1, 1, 1]),
+                  (ties.integers(0, 4, size=10).tolist(), ties.integers(0, 4, size=10).tolist())]
+        for g1, g2 in cases:
+            res = two_sample_tests(g1, g2)
+            assert res.u_method == "exact"
+            assert (res.u_statistic, res.u_pvalue, res.u_pvalue_two_sided) == _exact_u_enumeration(g1, g2)
+
+    @pytest.mark.parametrize("n1, n2", [(10, 11), (11, 10)])
+    def test_normal_approximation_above_ten(self, n1, n2):
+        assert two_sample_tests(list(range(n1)), list(range(n2))).u_method == "normal"
 
     def test_welch_matches_reference(self):
         rng = np.random.default_rng(23)
