@@ -320,8 +320,8 @@ def _cmd_rank(args, corpus) -> dict:
 
 
 def _cmd_compare(args, corpus) -> dict:
-    if args.high < args.low:
-        raise ConfigError(f"--high {args.high} is below --low {args.low}")
+    if not args.low <= args.high < 2**63:
+        raise ConfigError(f"--high {args.high} is below --low {args.low} or does not fit a 64-bit integer")
     ranker = _CourseRanker(corpus, args.course, _tokens(args), args.alpha, args.keyword_k)
     columns = ranker.course.columns
     irrelevant_ids = {

@@ -447,14 +447,12 @@ def thread_tokens(
 class UnigramModel:
     """A probability distribution over a fixed, sorted vocabulary.
 
-    ``total_tokens`` is the size of the sample the distribution was estimated
-    from; constructed (non-empirical) distributions carry 0.  An empty model
-    (no support) is allowed as a degenerate case.
+    An empty model (no support) is allowed as a degenerate case.  Sampling is
+    ``genmodel.sample_tokens``'s, from a spec's mixtures of these models.
     """
 
     vocab: tuple[str, ...]
     mass: np.ndarray
-    total_tokens: int = 0
     _index: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -472,28 +470,26 @@ class UnigramModel:
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.vocab)})
 
     @classmethod
-    def from_counts(cls, counts: dict[str, int] | Counter, total_tokens: int | None = None):
+    def from_counts(cls, counts: dict[str, int] | Counter):
         items = sorted((w, c) for w, c in counts.items() if c > 0)
         total = sum(c for _, c in items)
         if total <= 0:
             raise EmptyCorpus("no tokens to estimate a unigram model from")
         vocab = tuple(w for w, _ in items)
         mass = np.array([c for _, c in items], dtype=float) / total
-        return cls(vocab, mass, total if total_tokens is None else total_tokens)
+        return cls(vocab, mass)
 
     @classmethod
-    def from_probs(cls, probs: dict[str, float], total_tokens: int = 0):
+    def from_probs(cls, probs: dict[str, float]):
         items = sorted(probs.items())
         vocab = tuple(w for w, _ in items)
         mass = np.array([p for _, p in items], dtype=float)
-        return cls(vocab, mass, total_tokens)
+        return cls(vocab, mass)
 
     @classmethod
-    def uniform(cls, words: Iterable[str], total_tokens: int = 0):
+    def uniform(cls, words: Iterable[str]):
         vocab = tuple(sorted(set(words)))
-        if not vocab:
-            return cls((), np.zeros(0), total_tokens)
-        return cls(vocab, np.full(len(vocab), 1.0 / len(vocab)), total_tokens)
+        return cls(vocab, np.full(len(vocab), 1.0 / max(len(vocab), 1)))
 
     def prob(self, word: str) -> float:
         i = self._index.get(word)
@@ -502,17 +498,6 @@ class UnigramModel:
     @property
     def support(self) -> frozenset[str]:
         return frozenset(self.vocab)
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.mass)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inverse-CDF sampling; deterministic given the generator state."""
-        if not len(self.vocab):
-            raise EmptyCorpus("cannot sample from an empty distribution")
-        idx = np.searchsorted(self.cdf(), rng.random(size), side="right")
-        idx = np.minimum(idx, len(self.vocab) - 1)
-        return np.asarray(self.vocab, dtype=object)[idx]
 
 
 def unigram_model(docs: Iterable[Sequence[str]]) -> UnigramModel:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,9 @@ class GenerativeSpec:
     background mass ratio.  ``s_per_course`` optionally overrides the shared
     thread length ``s``; ``training_counts`` records per-course training sample
     sizes for stress experiments.
+
+    ``sample_tokens`` draws from tables that the spec builds on its first draw;
+    ``dataclasses.replace`` makes a new spec, which builds its own.
     """
 
     n: int
@@ -54,7 +58,6 @@ class GenerativeSpec:
     training_counts: tuple[int, ...] | None = None
     ratio_bounds: tuple[float, float] | None = None
     uniformity_bound: float = 8.0
-    _cdf_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
@@ -88,17 +91,14 @@ class GenerativeSpec:
                 )
 
         if self.epsilon > 0.0:
-            ratios = []
-            for topic in self.course_topics:
-                for w in topic.vocab:
-                    r = (1.0 - self.epsilon) + self.epsilon * topic.prob(w) / self.background.prob(w)
-                    ratios.append(r)
-            if ratios:
-                lo, hi = min(ratios), max(ratios)
+            ratios = np.concatenate([np.zeros(0)] + [  # zeros(0): a spec may have no course
+                (1.0 - self.epsilon) + self.epsilon * t.mass / self.background.mass[_positions(self, t)]
+                for t in self.course_topics
+            ])
+            if ratios.size:
+                lo, hi = float(ratios.min()), float(ratios.max())
                 if lo <= 1.0:
-                    raise InvariantViolation(
-                        "spec", "topical words must be boosted above background"
-                    )
+                    raise InvariantViolation("spec", "topical words must be boosted above background")
                 if self.ratio_bounds is None:
                     object.__setattr__(self, "ratio_bounds", (0.5 * (1.0 + lo), 2.0 * hi))
                 else:
@@ -111,6 +111,13 @@ class GenerativeSpec:
     @property
     def num_courses(self) -> int:
         return len(self.p)
+
+    @cached_property
+    def _sampling(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """The vocabulary as an object array, the CDF of D0 and the CDF of each D1(i)."""
+        d1_cdfs = tuple(np.cumsum(token_distribution(self, i, False)) for i in range(self.num_courses))
+        vocab = np.asarray(self.background.vocab, dtype=object)
+        return vocab, np.cumsum(token_distribution(self, None, True)), d1_cdfs
 
     def thread_length(self, course: int) -> int:
         if self.s_per_course is not None:
@@ -162,7 +169,6 @@ class GenerativeSpec:
 
 @dataclass(frozen=True)
 class SampledThread:
-    course_index: int
     is_smalltalk: bool
     tokens: tuple[str, ...]
 
@@ -178,17 +184,28 @@ def _vocab_words(n: int) -> list[str]:
 
 
 def _topic_from_block(words: Sequence[str], weights: Sequence[float] | None) -> UnigramModel:
-    if not words:
-        return UnigramModel((), np.zeros(0))
     if weights is None:
         return UnigramModel.uniform(words)
     w = np.asarray(weights, dtype=float)
     if w.size != len(words) or np.any(w <= 0):
         raise InvariantViolation("spec", "topic weights must be positive and match support size")
-    order = np.argsort(np.asarray(words, dtype=object))
-    vocab = tuple(sorted(words))
-    mass = w[order] / w.sum()
-    return UnigramModel(vocab, mass)
+    return UnigramModel(tuple(words), w / w.sum())  # _vocab_words come sorted
+
+
+def _carved(
+    n: int, sizes: Sequence[int], topic_weights: Sequence[float] | None = None
+) -> tuple[UnigramModel, UnigramModel, tuple[UnigramModel, ...]]:
+    """The uniform background over ``n`` words, the small-talk topic and the course topics.
+
+    Topic k is the next ``sizes[k]`` words of the vocabulary, the small-talk
+    topic (``sizes[0]``) first; ``topic_weights`` weights every course topic.
+    """
+    if min(sizes) < 0 or sum(sizes) > n:
+        raise InvariantViolation("spec", f"topic sizes {list(sizes)} must be nonnegative and fit {n} words")
+    words = _vocab_words(n)
+    blocks = [words[end - size : end] for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+    topics = tuple(_topic_from_block(block, topic_weights) for block in blocks[1:])
+    return UnigramModel.uniform(words), _topic_from_block(blocks[0], None), topics
 
 
 def make_spec(
@@ -211,26 +228,17 @@ def make_spec(
     vocabulary, the small-talk topic first.  ``topic_weights`` (length
     ``support_size``) makes the per-course topics non-uniform.
     """
-    if smalltalk_support_size is None:
-        smalltalk_support_size = support_size
-    need = smalltalk_support_size + num_courses * support_size
-    if need > n:
-        raise InvariantViolation("spec", f"vocabulary of {n} too small for {need} topic words")
-    words = _vocab_words(n)
-    background = UnigramModel.uniform(words)
-    s0 = smalltalk_support_size
-    smalltalk = _topic_from_block(words[:s0], None)
-    topics = []
-    for i in range(num_courses):
-        block = words[s0 + i * support_size : s0 + (i + 1) * support_size]
-        topics.append(_topic_from_block(block, topic_weights))
+    if num_courses < 0:
+        raise InvariantViolation("spec", f"num_courses must be nonnegative, got {num_courses}")
+    s0 = support_size if smalltalk_support_size is None else smalltalk_support_size
+    background, smalltalk, topics = _carved(n, [s0] + [support_size] * num_courses, topic_weights)
     p_list = tuple([float(p)] * num_courses) if isinstance(p, (int, float)) else tuple(p)
     return GenerativeSpec(
         n=n,
         epsilon=epsilon,
         background=background,
         smalltalk_topic=smalltalk,
-        course_topics=tuple(topics),
+        course_topics=topics,
         p=p_list,
         s=s,
         seed=seed,
@@ -268,19 +276,14 @@ def adversarial_spec(
     s2 = round(n**d)
     p2 = 1.0 - n ** (-d)
 
-    words = _vocab_words(n)
     rest = n - smalltalk_support_size
-    half = rest // 2
-    background = UnigramModel.uniform(words)
-    smalltalk = _topic_from_block(words[:smalltalk_support_size], None)
-    topic1 = _topic_from_block(words[smalltalk_support_size : smalltalk_support_size + half], None)
-    topic2 = _topic_from_block(words[smalltalk_support_size + half :], None)
+    background, smalltalk, topics = _carved(n, [smalltalk_support_size, rest // 2, rest - rest // 2])
     return GenerativeSpec(
         n=n,
         epsilon=epsilon,
         background=background,
         smalltalk_topic=smalltalk,
-        course_topics=(topic1, topic2),
+        course_topics=topics,
         p=(p1, p2),
         s=s1,
         seed=seed,
@@ -294,7 +297,7 @@ def adversarial_spec(
 # ---------------------------------------------------------------------------
 
 
-def token_distribution(spec: GenerativeSpec, course: int, smalltalk: bool) -> np.ndarray:
+def token_distribution(spec: GenerativeSpec, course: int | None, smalltalk: bool) -> np.ndarray:
     """Mass vector of D0 (smalltalk) or D1(course) over the background vocabulary.
 
     With an empty topic support (or epsilon = 0) the mixture degenerates to
@@ -304,9 +307,12 @@ def token_distribution(spec: GenerativeSpec, course: int, smalltalk: bool) -> np
     if len(topic.vocab) == 0 or spec.epsilon == 0.0:
         return spec.background.mass.copy()
     mass = (1.0 - spec.epsilon) * spec.background.mass
-    idx = np.array([spec.background._index[w] for w in topic.vocab])
-    mass[idx] += spec.epsilon * topic.mass
+    mass[_positions(spec, topic)] += spec.epsilon * topic.mass
     return mass
+
+
+def _positions(spec: GenerativeSpec, topic: UnigramModel) -> np.ndarray:
+    return np.array([spec.background._index[w] for w in topic.vocab], dtype=np.intp)
 
 
 def marginal_token_mass(spec: GenerativeSpec, course: int) -> np.ndarray:
@@ -317,44 +323,24 @@ def marginal_token_mass(spec: GenerativeSpec, course: int) -> np.ndarray:
     )
 
 
-def _cached_cdf(spec: GenerativeSpec, course: int, smalltalk: bool) -> np.ndarray:
-    key = (course, smalltalk)
-    cdf = spec._cdf_cache.get(key)
-    if cdf is None:
-        cdf = np.cumsum(token_distribution(spec, course, smalltalk))
-        spec._cdf_cache[key] = cdf
-    return cdf
+def sample_tokens(spec: GenerativeSpec, course: int, smalltalk: bool, size: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` i.i.d. tokens from D0 or D1(course), by inverse CDF.
 
-
-def _vocab_array(spec: GenerativeSpec) -> np.ndarray:
-    arr = spec._cdf_cache.get("vocab")
-    if arr is None:
-        arr = np.asarray(spec.background.vocab, dtype=object)
-        spec._cdf_cache["vocab"] = arr
-    return arr
-
-
-def sample_tokens(
-    spec: GenerativeSpec,
-    course: int,
-    smalltalk: bool,
-    size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw ``size`` i.i.d. tokens from D0 or D1(course)."""
-    cdf = _cached_cdf(spec, course, smalltalk)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    idx = np.minimum(idx, spec.n - 1)
-    return _vocab_array(spec)[idx]
+    The package's one sampler: it reads the spec's tables, built once per spec.
+    """
+    vocab, d0_cdf, d1_cdfs = spec._sampling
+    idx = np.searchsorted(d0_cdf if smalltalk else d1_cdfs[course], rng.random(size), side="right")
+    return vocab[np.minimum(idx, spec.n - 1)]
 
 
 def sample_thread(spec: GenerativeSpec, course: int, rng: np.random.Generator) -> SampledThread:
     """Sample one thread: flip the p_i coin, then draw s i.i.d. tokens."""
-    if course >= spec.num_courses:
+    if not 0 <= course < spec.num_courses:
         raise IndexError(f"course {course} out of range")
     is_smalltalk = bool(rng.random() < spec.p[course])
     tokens = sample_tokens(spec, course, is_smalltalk, spec.thread_length(course), rng)
-    return SampledThread(course, is_smalltalk, tuple(tokens.tolist()))
+    return SampledThread(is_smalltalk, tuple(tokens.tolist()))
 
 
 def course_rng(spec: GenerativeSpec, course: int) -> np.random.Generator:

@@ -233,9 +233,9 @@ def split_window(
 def sample_query_days(
     low: int = 10, high: int = 30, extra_days: int = 5, seed: int = 0
 ) -> list[int]:
-    """Day ``low`` plus ``extra_days`` random distinct warmup lengths in [low, high]."""
+    """Day ``low`` plus ``extra_days`` random distinct warmup lengths in [low, high], drawn
+    by index from the pool size, in memory independent of ``high``."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    pool = [d for d in range(low, high + 1)]
-    picks = sorted(rng.choice(pool, size=min(extra_days, len(pool)), replace=False).tolist())
-    days = sorted(set([low] + [int(d) for d in picks]))
-    return days
+    pool = max(high - low + 1, 0)
+    picks = rng.choice(pool, size=min(extra_days, pool), replace=False) + low
+    return sorted(set([low] + picks.tolist()))

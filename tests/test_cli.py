@@ -501,6 +501,17 @@ class TestConfigAndErrors:
         err = json.loads(capsys.readouterr().err)
         assert "nonsense_key" in err["error"]["message"]
 
+    def test_compare_high_far_beyond_the_corpus(self, tmp_path, gen_corpus):
+        # the warm-up days are drawn in memory independent of --high; the two drawn past the
+        # corpus's last day rank no query threads, so only day 1 writes rows
+        for high in ("1", "1000000000000"):
+            rc = main(["--seed", "4", "compare", "--threads", str(gen_corpus), "--course", "course00",
+                       "--low", "1", "--high", high, "--extra-days", "2", "--query", "1",
+                       "--out", str(tmp_path / high)])
+            assert rc == 0
+        rows = _read_csv(tmp_path / "1000000000000" / "compare.csv")
+        assert rows and rows == _read_csv(tmp_path / "1" / "compare.csv")
+
     def test_compare_one_day_window(self, tmp_path, gen_corpus):
         out = tmp_path / "cmp"
         rc = main(["--seed", "4", "compare", "--threads", str(gen_corpus), "--course", "course00",
@@ -732,6 +743,15 @@ class TestBadInput:
             (["classify", "roc", "--threads", "CORPUS", "--model", "FILE", "--theta-min", "1",
               "--theta-max", "-1"], '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": 0}', 2,
              "ConfigError"),
+            (["compare", "--threads", "CORPUS", "--course", "course00", "--high", str(2**63)], None, 2,
+             "ConfigError"),
+            # topic sizes that do not fit the vocabulary
+            (["gen", "--spec", "FILE", "--counts", "5,5"],
+             '{"kind": "adversarial", "n": 200, "smalltalk_support_size": 250}', 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "5,5"], '{"kind": "uniform", "n": 200, "num_courses": 2, '
+             '"epsilon": 0.3, "p": 0.5, "s": 10, "support_size": -5}', 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE"], '{"kind": "uniform", "n": 200, "num_courses": -1, '
+             '"epsilon": 0.3, "p": 0.5, "s": 10, "training_counts": []}', 3, "InvariantViolation"),
             # config keys that name no flag: the subcommand words and --config itself
             (["--config", "FILE", "stats", "series", "--threads", "CORPUS"], '{"command": "rank"}', 2,
              "ConfigError"),
@@ -770,7 +790,8 @@ class TestBadInput:
              "pseudocount-overflows", "pseudocount-zero", "pseudocount-negative",
              "moving-avg-stopwords-without-model",
              "moving-avg-exclude-staff-without-model", "config-alpha-above-one", "compare-high-below-low",
-             "roc-theta-max-below-min", "config-key-command", "config-key-subcommand", "config-key-config",
+             "roc-theta-max-below-min", "compare-high-beyond-int64", "adversarial-smalltalk-exceeds-n",
+             "uniform-support-negative", "uniform-courses-negative", "config-key-command", "config-key-subcommand", "config-key-config",
              "background-repeated", "background-empty", "background-the-course",
              "background-holds-the-course"],
     )

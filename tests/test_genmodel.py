@@ -1,14 +1,17 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 import corpus_oracle as oracle
 from forumlens.classify import SvmModel
-from forumlens.corpus import serialize_corpus
+from forumlens.corpus import UnigramModel, serialize_corpus
 from forumlens.errors import InvariantViolation
 from forumlens.genmodel import (
     GenerativeSpec,
@@ -46,11 +49,144 @@ class TestSpecConstruction:
         with pytest.raises(InvariantViolation):
             dataclasses.replace(spec, ratio_bounds=(hi * 2, hi * 3))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=-5),
+            lambda: make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, smalltalk_support_size=-1),
+            lambda: make_spec(n=200, num_courses=-1, epsilon=0.3, p=0.5, s=10),
+            lambda: make_spec(n=100, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=30,
+                              smalltalk_support_size=41),
+            lambda: adversarial_spec(200, smalltalk_support_size=250),
+            lambda: adversarial_spec(200, smalltalk_support_size=-1),
+        ],
+        ids=["support-negative", "smalltalk-negative", "courses-negative", "sizes-exceed-n",
+             "adversarial-smalltalk-exceeds-n", "adversarial-smalltalk-negative"],
+    )
+    def test_topic_sizes_checked(self, build):
+        with pytest.raises(InvariantViolation, match="must be nonnegative"):
+            build()
+
+    def test_topics_may_fill_the_vocabulary(self):
+        spec = make_spec(n=100, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=30,
+                         smalltalk_support_size=40)
+        assert sum(len(t.vocab) for t in (spec.smalltalk_topic, *spec.course_topics)) == 100
+
     def test_json_round_trip(self):
         spec = make_spec(n=300, num_courses=2, epsilon=0.4, p=(0.2, 0.9), s=25, seed=17,
                          training_counts=(5, 5))
         again = GenerativeSpec.from_json(spec.to_json())
         assert again.to_json() == spec.to_json()
+
+
+def _ratio_bounds_loop(epsilon, background, course_topics):
+    """ratio_bounds as first computed, a word at a time; None if a topical word is not boosted."""
+    ratios = []
+    for topic in course_topics:
+        for w in topic.vocab:
+            r = (1.0 - epsilon) + epsilon * topic.prob(w) / background.prob(w)
+            ratios.append(r)
+    lo, hi = min(ratios), max(ratios)
+    return None if lo <= 1.0 else (0.5 * (1.0 + lo), 2.0 * hi)
+
+
+@st.composite
+def _spec_parts(draw):
+    """(epsilon, background, small-talk topic, course topics): a weighted background and
+    weighted topics on consecutive blocks of the vocabulary."""
+    weight = st.floats(1.0, 7.9)
+    sizes = draw(st.lists(st.integers(0, 6), min_size=2, max_size=4))
+    n = sum(sizes) + draw(st.integers(1, 40))
+    words = [f"w{i:03d}" for i in range(n)]
+    bg = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    background = UnigramModel(tuple(words), bg / bg.sum())
+    topics, start = [], 0
+    for size in sizes:
+        w = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+        topics.append(UnigramModel(tuple(words[start : start + size]), w / w.sum() if size else w))
+        start += size
+    return draw(st.floats(0.01, 0.99)), background, topics[0], tuple(topics[1:])
+
+
+class TestRatioBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(_spec_parts())
+    def test_equal_to_word_loop(self, parts):
+        epsilon, background, smalltalk, topics = parts
+        build = lambda: GenerativeSpec(n=len(background.vocab), epsilon=epsilon, background=background,
+                                       smalltalk_topic=smalltalk, course_topics=topics,
+                                       p=(0.5,) * len(topics), s=10)
+        if not any(t.vocab for t in topics):
+            assert build().ratio_bounds is None
+        elif _ratio_bounds_loop(epsilon, background, topics) is None:
+            with pytest.raises(InvariantViolation, match="boosted"):
+                build()
+        else:
+            assert build().ratio_bounds == _ratio_bounds_loop(epsilon, background, topics)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """Specs and sampled corpora keep the bytes they had before the sampler was rewritten."""
+
+    @pytest.mark.parametrize(
+        "build, counts, spec_digest, corpus_digest",
+        [
+            (lambda: make_spec(n=300, num_courses=3, epsilon=0.3, p=0.5, s=25, seed=11), [20, 15, 10],
+             "9bb469435d8ec5bf05efeb3a8da684bcf728db4806e94c9bd36479aa9d3d1b10",
+             "1259a8fb0290d4fdf5f9ba9e0b5ca02cfc833148f08ddfd34ebd6eabc74e4a71"),
+            (lambda: make_spec(n=400, num_courses=2, epsilon=0.35, p=(0.3, 0.7), s=30, support_size=20,
+                               smalltalk_support_size=25, topic_weights=[float(i) for i in range(1, 21)],
+                               seed=4, s_per_course=(12, 40), training_counts=(6, 9)), [15, 12],
+             "2ffccd6eb7af0812e7848fed9e7d6928648f85e4990206d3f4b8b366b79479fe",
+             "82f38489d0dc590d81bc94ff9d4b323158cfb21b17b321b156d31de4f0e1881e"),
+            (lambda: make_spec(n=200, num_courses=2, epsilon=0.0, p=0.5, s=20, seed=5), [10, 10],
+             "bf6f6c5e68c21f1671b2f144d82f5cd01f080e963910401cec53c1bff601feb8",
+             "b923bd28be247dcdf2e154655813e956eea78460b0839fbcc65dc1a83ea9838e"),
+            (lambda: adversarial_spec(400), [10, 1],
+             "9fd8ff94ed6eae1abd30a5613b5de7c515afacbff150ce5a20198ec94e746e06",
+             "43c9ba16857e9bd98a3288b02112710205e9591e501104377c525b16dc551eee"),
+            (lambda: adversarial_spec(2500, seed=3), [8, 0],
+             "c0f40b3871eb774d915107da5dc9300f16ba60e3c643fa0b11c5c0f41759d8fd",
+             "c2a3142692c9675089d371814a8c17224600c6d87db85043f17079df19046757"),
+        ],
+        ids=["uniform", "weighted", "epsilon-zero", "adversarial-400", "adversarial-2500-seed-3"],
+    )
+    def test_digests(self, tmp_path, build, counts, spec_digest, corpus_digest):
+        spec = build()
+        assert _sha256(spec.to_json().encode()) == spec_digest
+        serialize_corpus(sample_corpus(spec, counts), tmp_path / "corpus.jsonl")
+        assert _sha256((tmp_path / "corpus.jsonl").read_bytes()) == corpus_digest
+
+
+class TestSamplingTables:
+    def test_built_once_per_spec(self):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20)
+        assert spec._sampling is spec._sampling
+        assert len(spec._sampling[2]) == spec.num_courses
+
+    def test_replace_builds_fresh_tables(self):
+        spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=20)
+        sample_tokens(spec, 0, False, 10, _rng(0))
+        replaced = dataclasses.replace(spec, epsilon=0.0)
+        fresh = make_spec(n=200, num_courses=1, epsilon=0.0, p=0.5, s=20)
+        got = sample_tokens(replaced, 0, False, 500, _rng(1))
+        assert got.tolist() == sample_tokens(fresh, 0, False, 500, _rng(1)).tolist()
+        assert got.tolist() != sample_tokens(spec, 0, False, 500, _rng(1)).tolist()
+
+    def test_smalltalk_draws_do_not_depend_on_the_course(self):
+        spec = make_spec(n=200, num_courses=3, epsilon=0.3, p=0.5, s=20)
+        draws = [sample_tokens(spec, course, True, 300, _rng(2)).tolist() for course in range(3)]
+        assert draws[0] == draws[1] == draws[2]
+
+    @pytest.mark.parametrize("course", [-1, 2])
+    def test_course_out_of_range(self, course):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20)
+        with pytest.raises(IndexError, match="out of range"):
+            sample_thread(spec, course, _rng(0))
 
 
 class TestSampling:

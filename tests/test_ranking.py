@@ -455,6 +455,41 @@ class TestWindows:
         assert 10 in days
 
 
+def _query_days_from_list(low, high, extra_days, seed):
+    """The list form: a choice from every day in [low, high]."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pool = [d for d in range(low, high + 1)]
+    picks = sorted(rng.choice(pool, size=min(extra_days, len(pool)), replace=False).tolist())
+    return sorted(set([low] + [int(d) for d in picks]))
+
+
+class TestSampleQueryDays:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 50),
+        st.one_of(st.integers(0, 60), st.integers(9_950, 10_050), st.integers(20_000, 30_000)),
+        st.integers(0, 12),
+        st.integers(0, 2**32),
+    )
+    def test_matches_list_oracle(self, low, span, extra_days, seed):
+        # pools on both sides of the size where numpy changes its sampling method
+        high = low + span - 1
+        assert sample_query_days(low, high, extra_days, seed) == _query_days_from_list(
+            low, high, extra_days, seed
+        )
+
+    def test_memory_independent_of_high(self):
+        sample_query_days(1, 2, 1)  # numpy's first choice() allocates about 1 MB once
+        tracemalloc.start()
+        try:
+            days = sample_query_days(10, 10**12, 5, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(days) == 6 and days[0] == 10 and all(10 <= d <= 10**12 for d in days)
+        assert peak < 64 * 2**10
+
+
 class TestTokenizeOnce:
     def test_rankers_share_one_tokenization(self, calls):
         texts = ["kw01 aa", "bb kw02", "aa bb cc", "kw01 kw01", "cc dd"]
