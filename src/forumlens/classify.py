@@ -70,6 +70,8 @@ class NbModel:
             if cond.size and not ((cond <= 0).all() and abs(np.exp(cond).sum() - 1.0) <= 1e-9):
                 raise InvariantViolation("nb", "conditionals must sum to 1 over vocab")
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.vocab)})
+        if len(self._index) != len(self.vocab):  # a repeated word would score only its last copy
+            raise InvariantViolation("nb", "vocab repeats a word")
 
 
 @dataclass(frozen=True)

@@ -20,20 +20,23 @@ parse share their author codes.  ``Course.threads`` of a parsed or sampled
 course is built from the columns on first use, without running those checks
 again.  Only HITS ranking reads it: course equality and ``repr``, the stats,
 ``serialize_corpus`` and the text pipelines (rows through ``topics.TokenTable``)
-read the columns.
+read the columns; it and ``serialize_corpus`` build each thread's posts through
+``ThreadColumns.records``.  The metadata CSV's factor columns are
+``_FACTOR_COLUMNS``, which ``write_metadata_csv`` writes and ``attach_metadata`` reads.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,30 +188,36 @@ class ThreadColumns:
         """Posts per thread."""
         return np.diff(self.offsets)
 
+    def records(self, make_post: Callable) -> Iterator[tuple[str, int, ThreadLabel, list]]:
+        """``(thread_id, created_at, label, posts)`` per thread; a post is ``make_post(**Post's fields)``."""
+        names, ends = self.author_names, self.offsets.tolist()
+        rows = zip(self.post_ids, self.authors.tolist(), self.timestamps.tolist(), self.texts,
+                   self.is_staff.tolist())
+        posts = [make_post(post_id=pid, author_id=names[a], timestamp=ts, text=text, is_staff=staff)
+                 for pid, a, ts, text, staff in rows]
+        threads = zip(self.thread_ids, self.created_at.tolist(), self.labels, ends, ends[1:])
+        for tid, created, label, a, b in threads:
+            yield tid, created, label, posts[a:b]
+
     def threads(self) -> tuple[Thread, ...]:
         """``Thread`` objects over these rows, built without re-running the checks the rows passed."""
         new, put = object.__new__, object.__setattr__  # what the frozen dataclasses' __init__ does
-        names = self.author_names
-        posts = []
-        for pid, a, ts, text, staff in zip(
-            self.post_ids, self.authors.tolist(), self.timestamps.tolist(), self.texts, self.is_staff.tolist()
-        ):
+
+        def post(post_id, author_id, timestamp, text, is_staff):
             p = new(Post)
-            put(p, "post_id", pid)
-            put(p, "author_id", names[a])
-            put(p, "timestamp", ts)
+            put(p, "post_id", post_id)
+            put(p, "author_id", author_id)
+            put(p, "timestamp", timestamp)
             put(p, "text", text)
-            put(p, "is_staff", staff)
-            posts.append(p)
-        ends = self.offsets.tolist()
+            put(p, "is_staff", is_staff)
+            return p
+
         threads = []
-        for tid, created, label, a, b in zip(
-            self.thread_ids, self.created_at.tolist(), self.labels, ends, ends[1:]
-        ):
+        for tid, created, label, posts in self.records(post):
             t = new(Thread)
             put(t, "thread_id", tid)
             put(t, "created_at", created)
-            put(t, "posts", tuple(posts[a:b]))
+            put(t, "posts", tuple(posts))
             put(t, "label", label)
             threads.append(t)
         return tuple(threads)
@@ -290,11 +299,13 @@ class CourseFactors:
     graded_homework: int
 
     def __post_init__(self):
-        if self.video_hours < 0 or self.duration_days < 0:
-            raise InvariantViolation("factors", "L and D must be >= 0")
-        for name in ("quantitative", "vocational", "peer_graded", "staff_posts", "graded_homework"):
-            if getattr(self, name) < 0:
-                raise InvariantViolation("factors", f"{name} must be >= 0")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:  # stated so that NaN fails it
+                raise InvariantViolation("factors", f"{f.name} must be finite and >= 0")
+
+
+# the metadata CSV's factor columns, in CourseFactors field order, each with its converter
+_FACTOR_COLUMNS = (("Q", int), ("V", int), ("L", float), ("D", int), ("P", int), ("S", int), ("H", int))
 
 
 class Course:
@@ -425,17 +436,12 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     return [tok for tok in split_words(text) if len(tok) >= 2 and tok not in stopwords]
 
 
-def thread_text(thread: Thread, include_staff: bool = True) -> str:
-    parts = [p.text for p in thread.posts if include_staff or not p.is_staff]
-    return " ".join(parts)
-
-
 def thread_tokens(
     thread: Thread,
     stopwords: frozenset[str] | None = None,
     include_staff: bool = True,
 ) -> list[str]:
-    return tokenize(thread_text(thread, include_staff), stopwords)
+    return tokenize(" ".join(p.text for p in thread.posts if include_staff or not p.is_staff), stopwords)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +466,8 @@ class UnigramModel:
         object.__setattr__(self, "mass", mass)
         if len(self.vocab) != mass.size:
             raise InvariantViolation("unigram", "vocab and mass lengths differ")
-        if list(self.vocab) != sorted(self.vocab):
-            raise InvariantViolation("unigram", "vocab must be sorted")
+        if any(a >= b for a, b in zip(self.vocab, self.vocab[1:])):
+            raise InvariantViolation("unigram", "vocab must be sorted, with no word repeated")
         if mass.size:
             if np.any(mass <= 0):
                 raise InvariantViolation("unigram", "all masses must be > 0 on the support")
@@ -512,8 +518,7 @@ def unigram_model(docs: Iterable[Sequence[str]]) -> UnigramModel:
 # Ingestion / serialization
 # ---------------------------------------------------------------------------
 
-_LABELS = {lab.value: lab for lab in ThreadLabel}
-_CATEGORIES = {cat.value: cat for cat in CourseCategory}
+_LABELS = {None: ThreadLabel.UNLABELED, **{lab.value: lab for lab in ThreadLabel}}  # null reads as Unlabeled
 
 
 _ID = (str, int)
@@ -571,11 +576,8 @@ class _CorpusParser:
         thread_id = str(_field(obj, "thread_id", _ID, lineno))
         created_at = _field(obj, "created_at", (int,), lineno)
         raw_label = obj.get("label")
-        if raw_label is None:
-            label = ThreadLabel.UNLABELED
-        elif isinstance(raw_label, str) and raw_label in _LABELS:
-            label = _LABELS[raw_label]
-        else:
+        label = _LABELS.get(raw_label) if isinstance(raw_label, (str, type(None))) else None
+        if label is None:
             raise ParseError(lineno, f"unknown label {raw_label!r}")
         raw_posts = obj.get("posts")
         if type(raw_posts) is not list or not raw_posts:
@@ -638,35 +640,29 @@ def load_json_object(path) -> dict:
     return obj
 
 
-def _parse_meta_row(row: dict, lineno: int) -> tuple[str, int, CourseFactors, CourseCategory]:
-    try:
-        course_id = row["course_id"]
-        start_date = int(row["start_date"])
-        factors = CourseFactors(
-            quantitative=int(row["Q"]),
-            vocational=int(row["V"]),
-            video_hours=float(row["L"]),
-            duration_days=int(row["D"]),
-            peer_graded=int(row["P"]),
-            staff_posts=int(row["S"]),
-            graded_homework=int(row["H"]),
-        )
-        category = _CATEGORIES[row["category"]]
-    except KeyError as exc:
-        raise ParseError(lineno, f"missing or unknown column/value {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from exc
-    return course_id, start_date, factors, category
-
-
-def _ingest_csv(path) -> Corpus:
-    courses = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            course_id, start_date, factors, category = _parse_meta_row(row, lineno)
-            courses.append(Course(course_id, start_date, (), factors, category))
-    return Corpus(tuple(courses))
+def _read_metadata(path) -> dict[str, tuple[int, CourseFactors, CourseCategory]]:
+    """Each course id's ``(start_date, factors, category)``; columns go by header name, past any BOM."""
+    meta = {}
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for row in filter(None, reader):  # blank lines hold no row
+            if len(row) != len(header):
+                raise ParseError(reader.line_num, f"{len(row)} fields where the header has {len(header)}")
+            values = dict(zip(header, row))
+            try:
+                course_id = values["course_id"]
+                start_date = int(values["start_date"])
+                factors = CourseFactors(*(convert(values[name]) for name, convert in _FACTOR_COLUMNS))
+                category = CourseCategory(values["category"])
+            except KeyError as exc:
+                raise ParseError(reader.line_num, f"missing column {exc}") from exc
+            except ValueError as exc:  # a number or category that does not parse
+                raise ParseError(reader.line_num, str(exc)) from exc
+            if course_id in meta:
+                raise InvariantViolation("corpus", f"duplicate course id {course_id!r}")
+            meta[course_id] = (start_date, factors, category)
+    return meta
 
 
 def attach_metadata(corpus: Corpus, path) -> Corpus:
@@ -674,16 +670,13 @@ def attach_metadata(corpus: Corpus, path) -> Corpus:
 
     Metadata rows for course ids absent from the corpus add empty courses.
     """
-    meta = _ingest_csv(path)
-    by_id = {c.course_id: c for c in meta.courses}
+    meta = _read_metadata(path)
     courses = []
     for c in corpus.courses:
-        m = by_id.pop(c.course_id, None)
-        if m is None:
-            courses.append(c)
-        else:
-            courses.append(Course._from_columns(c.course_id, m.start_date, c.columns, m.factors, m.category))
-    courses.extend(by_id.values())
+        start_date, factors, category = meta.pop(c.course_id, (c.start_date, c.factors, c.category))
+        courses.append(Course._from_columns(c.course_id, start_date, c.columns, factors, category))
+    courses += [Course(course_id, start_date, (), factors, category)
+                for course_id, (start_date, factors, category) in meta.items()]
     return Corpus(tuple(courses))
 
 
@@ -691,48 +684,17 @@ def serialize_corpus(corpus: Corpus, path) -> None:
     """Write threads in the JSON-lines interchange format (round-trips with ingest)."""
     with open(path, "w", encoding="utf-8") as fh:
         for course in corpus.courses:
-            cols = course.columns
-            names = cols.author_names
-            posts = [
-                {"post_id": pid, "author_id": names[a], "timestamp": ts, "text": text, "is_staff": staff}
-                for pid, a, ts, text, staff in zip(
-                    cols.post_ids, cols.authors.tolist(), cols.timestamps.tolist(), cols.texts,
-                    cols.is_staff.tolist(),
-                )
-            ]
-            ends = cols.offsets.tolist()
-            for tid, created, label, a, b in zip(
-                cols.thread_ids, cols.created_at.tolist(), cols.labels, ends, ends[1:]
-            ):
-                obj = {
-                    "course_id": course.course_id,
-                    "thread_id": tid,
-                    "created_at": created,
-                    "label": label.value,
-                    "posts": posts[a:b],
-                }
+            for tid, created, label, posts in course.columns.records(dict):
+                obj = {"course_id": course.course_id, "thread_id": tid, "created_at": created,
+                       "label": label.value, "posts": posts}
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def write_metadata_csv(corpus: Corpus, path) -> None:
+    """One row per course that has factors, in the layout ``attach_metadata`` reads."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["course_id", "start_date", "Q", "V", "L", "D", "P", "S", "H", "category"])
-        for c in corpus.courses:
-            f = c.factors
-            if f is None:
-                continue
-            writer.writerow(
-                [
-                    c.course_id,
-                    c.start_date,
-                    f.quantitative,
-                    f.vocational,
-                    repr(f.video_hours),
-                    f.duration_days,
-                    f.peer_graded,
-                    f.staff_posts,
-                    f.graded_homework,
-                    c.category.value,
-                ]
-            )
+        writer.writerow(["course_id", "start_date", *(name for name, _ in _FACTOR_COLUMNS), "category"])
+        # csv writes a float as str(), which in Python 3 is its repr: the shortest text that reads back
+        writer.writerows([c.course_id, c.start_date, *astuple(c.factors), c.category.value]
+                         for c in corpus.courses if c.factors is not None)

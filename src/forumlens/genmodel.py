@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -68,10 +69,18 @@ class GenerativeSpec:
             raise InvariantViolation("spec", "p and course_topics lengths differ")
         if any(not 0.0 <= pi <= 1.0 for pi in self.p):
             raise InvariantViolation("spec", "every p_i must be in [0, 1]")
-        if self.s <= 0:
-            raise InvariantViolation("spec", "thread length s must be positive")
         if self.s_per_course is not None and len(self.s_per_course) != len(self.p):
             raise InvariantViolation("spec", "s_per_course length differs from course count")
+        for name, values, least in (("s", [self.s], 1), ("seed", [self.seed], 0),
+                                    ("s_per_course", self.s_per_course or (), 1),
+                                    ("training_counts", self.training_counts or (), 0)):
+            for v in values:
+                try:
+                    ok = operator.index(v) >= least
+                except TypeError:  # not an integer
+                    ok = False
+                if not ok:
+                    raise InvariantViolation("spec", f"{name} must hold integers >= {least}, got {v!r}")
 
         bg_support = self.background.support
         supports = [self.smalltalk_topic.support] + [t.support for t in self.course_topics]
@@ -329,6 +338,8 @@ def sample_tokens(spec: GenerativeSpec, course: int, smalltalk: bool, size: int,
 
     The package's one sampler: it reads the spec's tables, built once per spec.
     """
+    if not 0 <= course < spec.num_courses:
+        raise IndexError(f"course {course} out of range")
     vocab, d0_cdf, d1_cdfs = spec._sampling
     idx = np.searchsorted(d0_cdf if smalltalk else d1_cdfs[course], rng.random(size), side="right")
     return vocab[np.minimum(idx, spec.n - 1)]
@@ -336,8 +347,6 @@ def sample_tokens(spec: GenerativeSpec, course: int, smalltalk: bool, size: int,
 
 def sample_thread(spec: GenerativeSpec, course: int, rng: np.random.Generator) -> SampledThread:
     """Sample one thread: flip the p_i coin, then draw s i.i.d. tokens."""
-    if not 0 <= course < spec.num_courses:
-        raise IndexError(f"course {course} out of range")
     is_smalltalk = bool(rng.random() < spec.p[course])
     tokens = sample_tokens(spec, course, is_smalltalk, spec.thread_length(course), rng)
     return SampledThread(is_smalltalk, tuple(tokens.tolist()))

@@ -276,6 +276,11 @@ class TestPersistence:
         pred_b = predict_nb(loaded, ("aa", "cc"))
         assert pred_a.log_posterior_pos == pytest.approx(pred_b.log_posterior_pos)
 
+    def test_nb_vocab_repeating_a_word_refused(self):
+        half = np.log([0.5, 0.5])
+        with pytest.raises(InvariantViolation, match="vocab repeats a word"):
+            NbModel(("aa", "aa"), math.log(0.5), math.log(0.5), half, half, 1.0)
+
     def test_svm_round_trip(self, tmp_path):
         model = SvmModel({"xx": 1.5, "yy": -2.0}, bias=0.25, theta=-1.0)
         path = tmp_path / "svm.json"

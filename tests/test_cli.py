@@ -21,6 +21,7 @@ import forumlens.cli
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, _unread, build_parser, main
 from forumlens.corpus import Post, Thread, ThreadColumns, ThreadRows, _CorpusParser, ingest_corpus
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
+from forumlens.genmodel import make_spec
 from forumlens.ranking import RankWindow, split_window
 from forumlens.stats import neighborhood_counts
 
@@ -612,6 +613,11 @@ _SPEC = json.dumps({"kind": "uniform", "n": 400, "num_courses": 2, "epsilon": 0.
 _META_HEADER = "course_id,start_date,Q,V,L,D,P,S,H,category\n"
 _META_ROW = "course00,0,1,0,5.5,30,0,100,2,HumanitiesSocial\n"
 
+# an explicit spec whose s_per_course holds a negative length
+_EXPLICIT_SPEC = json.dumps({"kind": "explicit", "spec": {
+    **json.loads(make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=20).to_json()),
+    "s_per_course": [3, -1]}})
+
 
 class TestBadInput:
     """Bad input ends in exit 2 or 3 with the JSON error object, never a traceback."""
@@ -663,6 +669,25 @@ class TestBadInput:
             (["ingest", "--threads", "FILE"], _thread_line() + "\n" + _thread_line(), 3,
              "InvariantViolation"),
             (["stats", "series", "--threads", "CORPUS", "--meta", "FILE"], _META_HEADER + _META_ROW * 2,
+             3, "InvariantViolation"),
+            # metadata rows with too few or too many fields, or video hours that are not finite
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE"], _META_HEADER + "course00,0,1,0,5.5\n",
+             3, "ParseError"),
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace("\n", ",x\n"), 3, "ParseError"),
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace("5.5", "nan"), 3, "InvariantViolation"),
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace("5.5", "inf"), 3, "InvariantViolation"),
+            # spec fields the sampler cannot use, and a model vocabulary that repeats a word
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"s": 20', '"s": 3.5'), 3,
+             "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC[:-1] + ', "seed": -5}', 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _EXPLICIT_SPEC, 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE"], _SPEC[:-1] + ', "training_counts": [2.5, 3]}', 3,
+             "InvariantViolation"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('["aa"]', '["aa", "aa"]').replace("[0.0]", "[-0.6931471805599453, -0.6931471805599453]"),
              3, "InvariantViolation"),
             # sizes and windows that must be positive
             (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE", "--scale-staff", "0"],
@@ -777,6 +802,9 @@ class TestBadInput:
              "threads-is-a-directory", "threads-not-utf8", "config-value-not-a-choice",
              "config-path-not-a-string", "config-path-holds-nul", "is-staff-not-a-bool", "text-null", "course-id-null",
              "thread-id-a-list", "author-id-a-bool", "thread-line-repeated", "meta-course-repeated",
+             "meta-row-short", "meta-row-long", "meta-hours-nan", "meta-hours-inf", "uniform-s-fractional",
+             "uniform-seed-negative", "explicit-s-per-course-negative", "uniform-training-counts-fractional",
+             "nb-vocab-repeated",
              "scale-staff-zero", "scale-staff-negative", "t-days-negative", "t-days-zero",
              "extract-k-negative", "converge-k-zero", "rank-keyword-k-negative",
              "compare-keyword-k-zero", "compare-k-negative", "config-k-negative",
@@ -809,6 +837,20 @@ class TestBadInput:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == error
         assert not out.exists()
+
+    def test_meta_with_a_bom(self, tmp_path, twelve_courses):
+        # a BOM before the header changes no artifact; only the manifest's input hash differs
+        _, corpus_path, meta = twelve_courses
+        bom = tmp_path / "meta.csv"
+        bom.write_bytes("\ufeff".encode() + meta.read_bytes())
+        artifacts = []
+        for given in (meta, bom):
+            out = tmp_path / f"panel-{len(artifacts)}"
+            assert main(["stats", "panel", "--threads", str(corpus_path), "--meta", str(given),
+                         "--target", "y", "--out", str(out)]) == 0
+            artifacts.append(_hash_dir(out))
+            assert artifacts[-1].pop("manifest.json")
+        assert artifacts[0] == artifacts[1] and "panel.csv" in artifacts[0]
 
     def test_failed_command_leaves_existing_out_untouched(self, tmp_path, gen_corpus, capsys):
         out = tmp_path / "o"

@@ -248,6 +248,20 @@ class TestParsedColumnsMatchBuilt:
                     assert type(a) is type(b) and a == b, f.name
 
 
+class TestRecords:
+    @settings(max_examples=100, deadline=None)
+    @given(_thread_corpora())
+    def test_records_walk_each_threads_posts(self, corpus):
+        for course in corpus.courses:
+            got = list(course.columns.records(dict))
+            assert got == [(t.thread_id, t.created_at, t.label, [dataclasses.asdict(p) for p in t.posts])
+                           for t in course.threads]
+            # Python scalars, as the Thread objects hold
+            assert all(type(created) is int and all(type(p["timestamp"]) is int and type(p["is_staff"]) is bool
+                                                    for p in posts)
+                       for _, created, _, posts in got)
+
+
 def _twin_corpus():
     """Two courses of Thread objects; a parse of them codes the second course's authors otherwise."""
     a = Thread("t0", 10, (Post("p0", "u0", 10, "hello there"), Post("p1", "u1", 20, "hi", True)),

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from forumlens.corpus import (
     Corpus,
     Course,
     CourseCategory,
+    CourseFactors,
     Post,
     Thread,
     ThreadLabel,
+    UnigramModel,
     attach_metadata,
     day_index,
     default_stopwords,
@@ -20,6 +25,7 @@ from forumlens.corpus import (
     serialize_corpus,
     tokenize,
     unigram_model,
+    write_metadata_csv,
 )
 from forumlens.errors import EmptyCorpus, InvariantViolation, ParseError
 
@@ -127,11 +133,18 @@ class TestIngest:
             "alpha,0,1,0,12.5,60,1,300,8,AppliedScience\n"
             "gamma,50,0,1,3.0,30,0,10,2,Vocational\n"
         )
-        corpus = attach_metadata(ingest_corpus(tiny_jsonl), meta)
+        parsed = ingest_corpus(tiny_jsonl)
+        corpus = attach_metadata(parsed, meta)
         alpha = corpus.course("alpha")
         assert alpha.category == CourseCategory.APPLIED_SCIENCE
         assert alpha.start_date == 0
         assert alpha.factors.video_hours == 12.5
+        assert alpha.factors == CourseFactors(1, 0, 12.5, 60, 1, 300, 8)
+        assert alpha.columns is parsed.course("alpha").columns
+        # the corpus's courses keep their order, a course without a row is unchanged, and
+        # metadata-only courses follow in file order
+        assert [c.course_id for c in corpus.courses] == ["alpha", "beta", "gamma"]
+        assert corpus.course("beta") == parsed.course("beta")
         # metadata-only course appears with no threads
         assert corpus.course("gamma").num_threads == 0
         # metadata alone yields thread-less courses
@@ -260,6 +273,11 @@ class TestUnigramModel:
         assert (model.mass > 0).all()
         assert list(model.vocab) == sorted(model.vocab)
 
+    @pytest.mark.parametrize("vocab", [("aa", "aa"), ("bb", "aa")], ids=["repeated", "unsorted"])
+    def test_vocab_strictly_increasing(self, vocab):
+        with pytest.raises(InvariantViolation, match="sorted, with no word repeated"):
+            UnigramModel(vocab, [0.5, 0.5])
+
 
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 
@@ -295,3 +313,134 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "corpus.jsonl"
         serialize_corpus(corpus, path)
         assert ingest_corpus(path) == corpus
+
+
+def _layout_corpus() -> Corpus:
+    """Courses whose files exercise every part of both layouts."""
+    alpha = Course("alpha", 100, [
+        make_thread("a-t1", 100, [make_post("p1", "u1", 100, "Café — naïve 日本語 ok"),
+                                  make_post("p2", "staff", 160, 'a "quoted", comma\nline', staff=True)],
+                    ThreadLabel.SMALL_TALK),
+        make_thread("a-t2", 400, [make_post("p1", "u2", 400, "plain text")]),  # unlabeled
+    ], CourseFactors(1, 0, 12, 60, 1, 300, 8), CourseCategory.APPLIED_SCIENCE)
+    beta = Course("b,eta", 50, [
+        make_thread("b-t1", 60, [make_post("q1", "u1", 60, "tabs\tand ünïcödé"),
+                                 make_post("q2", "staff", 61, "staff reply", staff=True),
+                                 make_post("q3", "u3", 99, "")], ThreadLabel.LOGISTICS),
+    ], CourseFactors(0, 1, 0.1 + 0.2, 30, 0, 10, 2), CourseCategory.VOCATIONAL)
+    gamma = Course("gamma", 7, [make_thread("g-t1", 7, [make_post("r1", "u9", 7, "no factors")],
+                                            ThreadLabel.COURSE_SPECIFIC)])  # no factors: no CSV row
+    delta = Course("delta", 0, [], CourseFactors(0, 0, 1e-05, 0, 0, 0, 0))
+    return Corpus((alpha, beta, gamma, delta))
+
+
+class TestLayoutGoldens:
+    """Both writers keep the bytes recorded before their layouts were each stated once."""
+
+    def test_metadata_csv(self, tmp_path):
+        write_metadata_csv(_layout_corpus(), tmp_path / "meta.csv")
+        assert _sha256(tmp_path / "meta.csv") == _META_DIGEST
+
+    def test_serialized_threads(self, tmp_path):
+        corpus = _layout_corpus()
+        serialize_corpus(corpus, tmp_path / "built.jsonl")
+        assert _sha256(tmp_path / "built.jsonl") == _THREADS_DIGEST
+        # a parsed corpus (author codes shared across courses) writes the same bytes
+        serialize_corpus(ingest_corpus(tmp_path / "built.jsonl"), tmp_path / "parsed.jsonl")
+        assert _sha256(tmp_path / "parsed.jsonl") == _THREADS_DIGEST
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_META_DIGEST = "f34aca92fd029f13fd1b785b9e9b2aa5c1eca81b9d66c94de67f0599981b59c2"
+_THREADS_DIGEST = "ddbe16fabb3ae4c6dcd9f13e5769bf042ca8357269a93ce4661700f5c339f4f9"
+
+
+_META_HEADER = "course_id,start_date,Q,V,L,D,P,S,H,category\n"
+_META_ROW = "alpha,0,1,0,12.5,60,1,300,8,AppliedScience\n"
+
+# ids of any text the csv module can hold: no NUL, no lone surrogate
+_CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+
+
+@st.composite
+def _metadata_courses(draw):
+    """Thread-less courses with distinct ids, some without factors."""
+    ids = draw(st.lists(_CSV_TEXT, max_size=5, unique=True))
+    count = st.integers(0, 2**40)
+    courses = []
+    for course_id in ids:
+        factors = draw(st.none() | st.builds(
+            CourseFactors, count, count, st.floats(0, 1e300) | st.integers(0, 10**6), count, count, count,
+            count))
+        start = draw(st.integers(-(2**63), 2**63 - 1))
+        courses.append(Course(course_id, start, (), factors, draw(st.sampled_from(list(CourseCategory)))))
+    return Corpus(tuple(courses))
+
+
+class TestMetadata:
+    @settings(max_examples=150, deadline=None)
+    @given(_metadata_courses())
+    def test_written_rows_read_back(self, corpus):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "meta.csv"
+            write_metadata_csv(corpus, path)
+            got = attach_metadata(Corpus(()), path)
+        assert got == Corpus(tuple(c for c in corpus.courses if c.factors is not None))
+
+    def test_a_bom_is_skipped(self, tiny_jsonl, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(_META_HEADER + _META_ROW, encoding="utf-8")
+        bom.write_text("\ufeff" + _META_HEADER + _META_ROW, encoding="utf-8")
+        corpus = ingest_corpus(tiny_jsonl)
+        assert attach_metadata(corpus, bom) == attach_metadata(corpus, plain)
+
+    def test_columns_are_found_by_name(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("category,H,S,P,D,L,V,Q,start_date,course_id\n"
+                        "AppliedScience,8,300,1,60,12.5,0,1,0,alpha\n")
+        course = attach_metadata(Corpus(()), meta).course("alpha")
+        assert course.factors == CourseFactors(1, 0, 12.5, 60, 1, 300, 8)
+
+    @pytest.mark.parametrize("row, line, reason", [
+        ("alpha,0,1,0,12.5\n", 3, "5 fields where the header has 10"),
+        (_META_ROW.replace("\n", ",extra\n"), 3, "11 fields where the header has 10"),
+        (_META_ROW.replace("AppliedScience", "Arts"), 3, "'Arts' is not a valid CourseCategory"),
+        (_META_ROW.replace(",60,", ",6.5,"), 3, "invalid literal"),
+        ("\n" + _META_ROW.replace(",0,1,", ",zero,1,"), 4, "invalid literal"),  # blank lines count
+    ], ids=["short", "long", "unknown-category", "fractional-days", "after-a-blank-line"])
+    def test_malformed_row(self, tmp_path, row, line, reason):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(_META_HEADER + _META_ROW.replace("alpha", "beta") + row)
+        with pytest.raises(ParseError, match=reason) as err:
+            attach_metadata(Corpus(()), meta)
+        assert err.value.line == line
+
+    def test_header_without_a_column(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(_META_HEADER.replace(",H", "") + _META_ROW.replace(",8,", ","))
+        with pytest.raises(ParseError, match="missing column 'H'"):
+            attach_metadata(Corpus(()), meta)
+
+    @pytest.mark.parametrize("hours", ["nan", "inf", "-inf", "-1.0", "1e400"])
+    def test_hours_must_be_finite_and_nonnegative(self, tmp_path, hours):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(_META_HEADER + _META_ROW.replace("12.5", hours))
+        with pytest.raises(InvariantViolation, match="video_hours must be finite and >= 0"):
+            attach_metadata(Corpus(()), meta)
+
+    def test_repeated_course_id(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(_META_HEADER + _META_ROW * 2)
+        with pytest.raises(InvariantViolation, match="duplicate course id 'alpha'"):
+            attach_metadata(Corpus(()), meta)
+
+    @pytest.mark.parametrize("field", range(7))
+    def test_factors_refuse_negative_values(self, field):
+        values = [1, 0, 12.5, 60, 1, 300, 8]
+        values[field] = -1
+        with pytest.raises(InvariantViolation):
+            CourseFactors(*values)
+        assert CourseFactors(0, 0, 0.0, 0, 0, 0, 0).video_hours == 0.0

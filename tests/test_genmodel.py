@@ -78,6 +78,29 @@ class TestSpecConstruction:
         again = GenerativeSpec.from_json(spec.to_json())
         assert again.to_json() == spec.to_json()
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"s": 3.5}, "s"), ({"s": 0}, "s"), ({"s": "3"}, "s"),
+            ({"seed": -5}, "seed"), ({"seed": 1.0}, "seed"),
+            ({"s_per_course": (4, -1)}, "s_per_course"), ({"s_per_course": (0, 4)}, "s_per_course"),
+            ({"s_per_course": (4, 2.5)}, "s_per_course"),
+            ({"training_counts": (3, -1)}, "training_counts"), ({"training_counts": (3, 2.5)}, "training_counts"),
+        ],
+        ids=["s-fractional", "s-zero", "s-a-string", "seed-negative", "seed-a-float", "s-per-course-negative",
+             "s-per-course-zero", "s-per-course-fractional", "training-counts-negative",
+             "training-counts-fractional"],
+    )
+    def test_sampler_fields_checked(self, fields, name):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10)
+        with pytest.raises(InvariantViolation, match=f"{name} must hold integers"):
+            dataclasses.replace(spec, **fields)
+
+    def test_sampler_fields_take_any_integer_type(self):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=np.int64(10), seed=np.uint32(3),
+                         s_per_course=(np.int32(4), 1), training_counts=(0, np.int64(2)))
+        assert sample_corpus(spec, [2, 1]).num_threads == 3
+
 
 def _ratio_bounds_loop(epsilon, background, course_topics):
     """ratio_bounds as first computed, a word at a time; None if a topical word is not boosted."""
@@ -187,6 +210,13 @@ class TestSamplingTables:
         spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20)
         with pytest.raises(IndexError, match="out of range"):
             sample_thread(spec, course, _rng(0))
+
+    @pytest.mark.parametrize("smalltalk", [False, True])
+    @pytest.mark.parametrize("course", [-1, 2])
+    def test_tokens_course_out_of_range(self, course, smalltalk):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20)
+        with pytest.raises(IndexError, match=f"course {course} out of range"):
+            sample_tokens(spec, course, smalltalk, 5, _rng(0))
 
 
 class TestSampling:
