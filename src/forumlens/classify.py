@@ -380,10 +380,13 @@ def _nb_to_obj(model: NbModel) -> dict:
 
 
 def _nb_from_obj(obj: dict) -> NbModel:
+    prior = obj["log_prior"]
+    if type(prior) is not list or len(prior) != 2 or not all(type(p) in (int, float) for p in prior):
+        raise TypeError(f"log_prior must be a list of two numbers, got {prior!r}")
     return NbModel(
         vocab=tuple(obj["vocab"]),
-        log_prior_neg=obj["log_prior"][0],
-        log_prior_pos=obj["log_prior"][1],
+        log_prior_neg=prior[0],
+        log_prior_pos=prior[1],
         log_cond_neg=np.asarray(obj["log_cond_neg"], dtype=float),
         log_cond_pos=np.asarray(obj["log_cond_pos"], dtype=float),
         pseudocount=obj["pseudocount"],
@@ -414,7 +417,10 @@ def load_model(path):
         if kind == "svm":
             return SvmModel(weights=dict(obj["weights"]), bias=obj["bias"], theta=obj["theta"])
         if kind == "nb-percourse":
-            return {cid: _nb_from_obj(m) for cid, m in obj["models"].items()}
+            models = obj["models"]
+            if type(models) is not dict:
+                raise TypeError(f"models must be an object, got {models!r}")
+            return {cid: _nb_from_obj(m) for cid, m in models.items()}
     except (KeyError, TypeError, ValueError) as exc:  # a missing or wrong-typed field
         raise ParseError(1, f"{kind} model has a missing or malformed field: {exc}") from None
     raise ParseError(1, f"unknown model kind {kind!r}")

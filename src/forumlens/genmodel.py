@@ -32,6 +32,17 @@ from .corpus import (
 from .errors import InvariantViolation
 
 
+def _spec_int(name: str, value, least: int) -> int:
+    """``value`` as an int; it must be an integer >= ``least``, and not a bool."""
+    try:
+        i = None if type(value) is bool else operator.index(value)
+    except TypeError:  # not an integer
+        i = None
+    if i is None or i < least:
+        raise InvariantViolation("spec", f"{name} must hold integers >= {least}, got {value!r}")
+    return i
+
+
 @dataclass(frozen=True, eq=False)
 class GenerativeSpec:
     """Parameters of the thread sampler.
@@ -71,16 +82,13 @@ class GenerativeSpec:
             raise InvariantViolation("spec", "every p_i must be in [0, 1]")
         if self.s_per_course is not None and len(self.s_per_course) != len(self.p):
             raise InvariantViolation("spec", "s_per_course length differs from course count")
-        for name, values, least in (("s", [self.s], 1), ("seed", [self.seed], 0),
-                                    ("s_per_course", self.s_per_course or (), 1),
-                                    ("training_counts", self.training_counts or (), 0)):
-            for v in values:
-                try:
-                    ok = operator.index(v) >= least
-                except TypeError:  # not an integer
-                    ok = False
-                if not ok:
-                    raise InvariantViolation("spec", f"{name} must hold integers >= {least}, got {v!r}")
+        # each integer field is stored as an int, so that to_json writes it and numpy samples with it
+        for name, least in (("n", 0), ("s", 1), ("seed", 0)):
+            object.__setattr__(self, name, _spec_int(name, getattr(self, name), least))
+        for name, least in (("s_per_course", 1), ("training_counts", 0)):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, tuple(_spec_int(name, v, least) for v in values))
 
         bg_support = self.background.support
         supports = [self.smalltalk_topic.support] + [t.support for t in self.course_topics]
@@ -237,8 +245,9 @@ def make_spec(
     vocabulary, the small-talk topic first.  ``topic_weights`` (length
     ``support_size``) makes the per-course topics non-uniform.
     """
-    if num_courses < 0:
-        raise InvariantViolation("spec", f"num_courses must be nonnegative, got {num_courses}")
+    # at most one course per word, so that a spec's size is bounded by its vocabulary's
+    if not 0 <= num_courses <= n:
+        raise InvariantViolation("spec", f"num_courses must be nonnegative and at most n, got {num_courses}")
     s0 = support_size if smalltalk_support_size is None else smalltalk_support_size
     background, smalltalk, topics = _carved(n, [s0] + [support_size] * num_courses, topic_weights)
     p_list = tuple([float(p)] * num_courses) if isinstance(p, (int, float)) else tuple(p)

@@ -643,6 +643,14 @@ class TestBadInput:
              '{"kind": "svm", "weights": [1], "bias": 0, "theta": 0}', 3, "ParseError"),
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
              _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": ["x"]'), 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace("[-0.6931471805599453, -0.6931471805599453]", "[0.0]"), 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace("[-0.6931471805599453, -0.6931471805599453]", '"x"'), 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "nb-percourse", "models": null}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "nb-percourse", "models": 5}', 3, "ParseError"),
             (["gen", "--spec", "FILE"], json.dumps(
                 {"kind": "uniform", "n": "100", "num_courses": 2, "epsilon": 0.3, "p": 0.5, "s": 60}
             ), 3, "ParseError"),
@@ -665,6 +673,8 @@ class TestBadInput:
             (["ingest", "--threads", "FILE"], _thread_line(course_id=None), 3, "ParseError"),
             (["ingest", "--threads", "FILE"], _thread_line(thread_id=[1]), 3, "ParseError"),
             (["ingest", "--threads", "FILE"], _thread_line(author_id=False), 3, "ParseError"),
+            (["ingest", "--threads", "FILE"], _thread_line(text="X").replace('"X"', "[" * 1100 + "]" * 1100),
+             3, "ParseError"),
             # a repeated id
             (["ingest", "--threads", "FILE"], _thread_line() + "\n" + _thread_line(), 3,
              "InvariantViolation"),
@@ -683,6 +693,10 @@ class TestBadInput:
             (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"s": 20', '"s": 3.5'), 3,
              "InvariantViolation"),
             (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC[:-1] + ', "seed": -5}', 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"s": 20', '"s": true'), 3,
+             "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             _SPEC.replace('"num_courses": 2', '"num_courses": %d' % 2**64), 3, "InvariantViolation"),
             (["gen", "--spec", "FILE", "--counts", "3,3"], _EXPLICIT_SPEC, 3, "InvariantViolation"),
             (["gen", "--spec", "FILE"], _SPEC[:-1] + ', "training_counts": [2.5, 3]}', 3,
              "InvariantViolation"),
@@ -797,13 +811,15 @@ class TestBadInput:
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
              "spec-invalid-json", "label-not-a-string", "moving-avg-percourse-model",
-             "svm-weights-not-a-mapping", "nb-conditional-not-a-number", "spec-n-not-an-int",
+             "svm-weights-not-a-mapping", "nb-conditional-not-a-number", "nb-prior-one-value",
+             "nb-prior-a-string", "percourse-models-null", "percourse-models-a-number", "spec-n-not-an-int",
              "config-value-not-an-int", "flag-value-not-an-int", "required-flag-missing",
              "threads-is-a-directory", "threads-not-utf8", "config-value-not-a-choice",
              "config-path-not-a-string", "config-path-holds-nul", "is-staff-not-a-bool", "text-null", "course-id-null",
-             "thread-id-a-list", "author-id-a-bool", "thread-line-repeated", "meta-course-repeated",
+             "thread-id-a-list", "author-id-a-bool", "text-nested-too-deep", "thread-line-repeated", "meta-course-repeated",
              "meta-row-short", "meta-row-long", "meta-hours-nan", "meta-hours-inf", "uniform-s-fractional",
-             "uniform-seed-negative", "explicit-s-per-course-negative", "uniform-training-counts-fractional",
+             "uniform-seed-negative", "uniform-s-a-bool", "uniform-courses-beyond-int64",
+             "explicit-s-per-course-negative", "uniform-training-counts-fractional",
              "nb-vocab-repeated",
              "scale-staff-zero", "scale-staff-negative", "t-days-negative", "t-days-zero",
              "extract-k-negative", "converge-k-zero", "rank-keyword-k-negative",
@@ -1266,7 +1282,7 @@ class TestFuzzedInput:
     @given(st.one_of(_thread_objects, _json_values))
     def test_thread_line(self, obj):
         line = json.dumps(obj)
-        parser = _CorpusParser()
+        parser = _CorpusParser(json.loads)  # the pass that decides
         try:
             parser.add_line(line, 1)
         except (ParseError, InvariantViolation):

@@ -31,7 +31,10 @@ from forumlens.errors import ForumlensError, InvariantViolation, ParseError
 from forumlens.stats import build_series, neighborhood_counts
 
 _LABEL_VALUES = [None, "SmallTalk", "Logistics", "CourseSpecific", "Unlabeled"]
-_BAD_VALUES = [None, True, 1.5, "x", [1], {}, -5, 2**63]
+# 2**64 and 10**30 are valid ids but past int64 as timestamps; orjson decodes them as floats
+_BAD_VALUES = [None, True, 1.5, "x", [1], {}, -5, 2**63, 2**64, 10**30, "\ud800"]
+# values for a key the parser does not read: only json decodes the last three
+_UNREAD_VALUES = [[[1]], 2**64, float("nan"), float("inf"), "\ud800"]
 _THREAD_KEYS = ["course_id", "thread_id", "created_at", "label", "posts"]
 _POST_KEYS = ["post_id", "author_id", "timestamp", "text", "is_staff"]
 
@@ -60,7 +63,7 @@ def _mutate(row, draw):
     if type(posts) is not list or not posts or not all(type(p) is dict for p in posts):
         posts = [{}]  # the posts field is broken already: post faults go to a throwaway post
     kind = draw(st.sampled_from(["value", "drop", "unsort", "repeat_post", "repeat_thread",
-                                 "created_at", "json"]))
+                                 "created_at", "json", "unread", "repeat_key"]))
     if kind == "value":
         where = draw(st.sampled_from(["thread", "post"]))
         if where == "thread":
@@ -82,6 +85,13 @@ def _mutate(row, draw):
         row["created_at"] += draw(st.sampled_from([-1, 1]))
     elif kind == "json":
         return "{ nope"
+    elif kind == "unread":
+        target = row if draw(st.booleans()) else posts[draw(st.integers(0, len(posts) - 1))]
+        target["extra"] = draw(st.sampled_from(_UNREAD_VALUES))
+    elif kind == "repeat_key":  # the decoders keep a repeated key's last value
+        key = draw(st.sampled_from(_THREAD_KEYS))
+        value = draw(st.sampled_from([row.get(key, "t0")] + _BAD_VALUES))
+        return json.dumps(row)[:-1] + (", " if row else "") + f"{json.dumps(key)}: {json.dumps(value)}}}"
     return row
 
 
@@ -98,6 +108,10 @@ def _corpus_lines(draw):
         if draw(st.integers(0, 5)) == 0:
             lines.append("   ")
     return lines
+
+
+_LINE = json.dumps({"course_id": "c", "thread_id": "t", "created_at": 5,
+                    "posts": [{"post_id": "p", "author_id": "u", "timestamp": 5, "text": "hi"}]})
 
 
 def _outcome(ingest, path):
@@ -156,6 +170,42 @@ class TestParseMatchesOracle:
             ingest_corpus(path)
         with pytest.raises(InvariantViolation):
             Post("p", "u", 2**63, "hi")
+
+    def test_clean_corpus_never_calls_json_loads(self, tmp_path, tiny_jsonl, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        extra = {"course_id": 3, "thread_id": 9, "created_at": 2**63 - 1, "label": None,
+                 "posts": [{"post_id": 2**64 - 1, "author_id": -(2**63), "timestamp": 2**63 - 1,
+                            "text": "naïve ☃ \U0001f600 \"quoted\"", "is_staff": True}]}
+        lines = [json.dumps(extra), json.dumps(dict(extra, thread_id=10), ensure_ascii=False)]
+        path.write_text(tiny_jsonl.read_text() + "\n".join(lines) + "\n", encoding="utf-8")
+        real, calls = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or real(*a, **k))
+        got = ingest_corpus(path)
+        assert calls == []
+        assert got == oracle.ingest_corpus(path)
+        assert len(calls) == 7  # the patch is live: the oracle decoded each nonblank line with it
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ('{"course_id": "c", "thread_id": "t", "created_at": 5, "posts": %s}' % ("[" * 1100 + "]" * 1100),
+             "line 1: invalid JSON: maximum recursion depth exceeded"),
+            (_LINE[:-1] + ', "extra": %s}' % ("[" * 1100 + "]" * 1100), None),
+            # a surrogate escape makes the parser re-encode the line's value, which is as deep
+            (_LINE.replace('"hi"', '"\\ud83d\\ude00"')[:-1] + ', "extra": %s}' % ("[" * 1100 + "]" * 1100),
+             "line 1: invalid JSON: maximum recursion depth exceeded"),
+        ],
+        ids=["read-field", "unread-field", "unread-field-beside-a-surrogate-escape"],
+    )
+    def test_deep_nesting(self, tmp_path, line, error):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n")
+        if error is None:  # orjson reads what json's recursion limit refuses; the key is not read
+            (course,) = ingest_corpus(path).courses
+            assert (course.num_threads, course.columns.texts) == (1, ["hi"])
+        else:
+            with pytest.raises(ParseError, match=error):
+                ingest_corpus(path)
 
     def test_lazy_threads_equal_checked_ones(self, tiny_jsonl):
         corpus = ingest_corpus(tiny_jsonl)

@@ -55,12 +55,13 @@ class TestSpecConstruction:
             lambda: make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=-5),
             lambda: make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, smalltalk_support_size=-1),
             lambda: make_spec(n=200, num_courses=-1, epsilon=0.3, p=0.5, s=10),
+            lambda: make_spec(n=200, num_courses=2**64, epsilon=0.3, p=0.5, s=10, support_size=0),
             lambda: make_spec(n=100, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=30,
                               smalltalk_support_size=41),
             lambda: adversarial_spec(200, smalltalk_support_size=250),
             lambda: adversarial_spec(200, smalltalk_support_size=-1),
         ],
-        ids=["support-negative", "smalltalk-negative", "courses-negative", "sizes-exceed-n",
+        ids=["support-negative", "smalltalk-negative", "courses-negative", "courses-beyond-n", "sizes-exceed-n",
              "adversarial-smalltalk-exceeds-n", "adversarial-smalltalk-negative"],
     )
     def test_topic_sizes_checked(self, build):
@@ -86,10 +87,13 @@ class TestSpecConstruction:
             ({"s_per_course": (4, -1)}, "s_per_course"), ({"s_per_course": (0, 4)}, "s_per_course"),
             ({"s_per_course": (4, 2.5)}, "s_per_course"),
             ({"training_counts": (3, -1)}, "training_counts"), ({"training_counts": (3, 2.5)}, "training_counts"),
+            ({"s": True}, "s"), ({"seed": False}, "seed"), ({"s_per_course": (4, True)}, "s_per_course"),
+            ({"training_counts": (np.True_, 3)}, "training_counts"), ({"n": 200.0}, "n"),
         ],
         ids=["s-fractional", "s-zero", "s-a-string", "seed-negative", "seed-a-float", "s-per-course-negative",
              "s-per-course-zero", "s-per-course-fractional", "training-counts-negative",
-             "training-counts-fractional"],
+             "training-counts-fractional", "s-a-bool", "seed-a-bool", "s-per-course-a-bool",
+             "training-counts-a-numpy-bool", "n-a-float"],
     )
     def test_sampler_fields_checked(self, fields, name):
         spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10)
@@ -97,9 +101,14 @@ class TestSpecConstruction:
             dataclasses.replace(spec, **fields)
 
     def test_sampler_fields_take_any_integer_type(self):
-        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=np.int64(10), seed=np.uint32(3),
+        spec = make_spec(n=np.int64(200), num_courses=2, epsilon=0.3, p=0.5, s=np.int64(10), seed=np.uint32(3),
                          s_per_course=(np.int32(4), 1), training_counts=(0, np.int64(2)))
         assert sample_corpus(spec, [2, 1]).num_threads == 3
+        stored = (spec.n, spec.s, spec.seed, *spec.s_per_course, *spec.training_counts)
+        assert [type(v) for v in stored] == [int] * 7
+        again = GenerativeSpec.from_json(spec.to_json())
+        assert again.to_json() == spec.to_json()
+        assert (again.n, again.s, again.seed, again.s_per_course, again.training_counts) == (200, 10, 3, (4, 1), (0, 2))
 
 
 def _ratio_bounds_loop(epsilon, background, course_topics):
