@@ -97,6 +97,8 @@ class SvmModel:
             raise InvariantViolation("svm", "weights must be finite")
         if not math.isfinite(self.bias):
             raise InvariantViolation("svm", "bias must be finite")
+        if not math.isfinite(self.theta):
+            raise InvariantViolation("svm", "theta must be finite")
 
     def score(self, tokens: Sequence[str]) -> float:
         w = self.weights

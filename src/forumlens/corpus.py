@@ -34,6 +34,18 @@ Infinity, lone surrogate escapes, and integers past 64 bits as integers) and
 words every refusal.  ``orjson`` also reads values nested deeper than
 ``json``'s recursion limit, so such a value under a key the parser does not
 read is accepted.
+
+One writer: ``serialize_corpus`` lays out the text that
+``json.dumps(thread, sort_keys=True)`` would write, without building the
+dicts.  Each post is ``{"author_id": …, "is_staff": …, "post_id": …,
+"text": …, "timestamp": …}``, made by the ``make_post`` it hands to
+``ThreadColumns.records``; each line is ``{"course_id": …, "created_at": …,
+"label": …, "posts": [posts joined by ", "], "thread_id": …}``.  Keys come in
+sorted order with ``json``'s ``", "`` and ``": "`` separators, every string
+goes through ``json.encoder.encode_basestring_ascii`` (the escaper of
+``json.dumps``'s default ``ensure_ascii=True``), integers through ``int``'s
+repr and the staff flag as ``true``/``false``; so ``json`` still decides the
+bytes.  ``tests/corpus_oracle.serialize_corpus`` calls ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -708,13 +720,23 @@ def attach_metadata(corpus: Corpus, path) -> Corpus:
 
 
 def serialize_corpus(corpus: Corpus, path) -> None:
-    """Write threads in the JSON-lines interchange format (round-trips with ingest)."""
+    """Write threads in the JSON-lines interchange format (round-trips with ingest).
+
+    Each line holds the bytes of ``json.dumps(thread, sort_keys=True)``,
+    laid out without building the dicts (see the module docstring).
+    """
+    esc = json.encoder.encode_basestring_ascii  # json.dumps's escaper under its default ensure_ascii
+
+    def post(post_id, author_id, timestamp, text, is_staff):
+        return (f'{{"author_id": {esc(author_id)}, "is_staff": {"true" if is_staff else "false"}, '
+                f'"post_id": {esc(post_id)}, "text": {esc(text)}, "timestamp": {timestamp}}}')
+
     with open(path, "w", encoding="utf-8") as fh:
         for course in corpus.courses:
-            for tid, created, label, posts in course.columns.records(dict):
-                obj = {"course_id": course.course_id, "thread_id": tid, "created_at": created,
-                       "label": label.value, "posts": posts}
-                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            head = f'{{"course_id": {esc(course.course_id)}, "created_at": '
+            fh.writelines(f'{head}{created}, "label": {esc(label.value)}, "posts": [{", ".join(posts)}], '
+                          f'"thread_id": {esc(tid)}}}\n'
+                          for tid, created, label, posts in course.columns.records(post))
 
 
 def write_metadata_csv(corpus: Corpus, path) -> None:

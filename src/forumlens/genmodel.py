@@ -31,6 +31,16 @@ from .corpus import (
 )
 from .errors import InvariantViolation
 
+# The largest vocabulary make_spec and adversarial_spec carve: 20 times the
+# 5,000 words of the labeled-text benchmark.
+MAX_VOCABULARY = 100_000
+# The most one sample_corpus call may draw and build: its tokens (the sum of
+# thread length times thread count over the courses) plus the cells of the
+# spec's sampling tables ((courses + 1) x n).  The labeled-text benchmark
+# samples 500,000 tokens.  One thread of 10**6 tokens peaked at 24 MB under
+# tracemalloc, so the cap holds a call to about a quarter of a gigabyte.
+MAX_SAMPLE_SIZE = 10_000_000
+
 
 def _spec_int(name: str, value, least: int) -> int:
     """``value`` as an int; it must be an integer >= ``least``, and not a bool."""
@@ -245,9 +255,12 @@ def make_spec(
     vocabulary, the small-talk topic first.  ``topic_weights`` (length
     ``support_size``) makes the per-course topics non-uniform.
     """
+    if n > MAX_VOCABULARY:  # before anything compares with n or carves its words
+        raise InvariantViolation("spec", f"n must be at most {MAX_VOCABULARY}, got {n}")
     # at most one course per word, so that a spec's size is bounded by its vocabulary's
-    if not 0 <= num_courses <= n:
-        raise InvariantViolation("spec", f"num_courses must be nonnegative and at most n, got {num_courses}")
+    if type(num_courses) is bool or not 0 <= num_courses <= n:
+        raise InvariantViolation("spec", f"num_courses must be nonnegative and at most n, and not a bool, "
+                                         f"got {num_courses!r}")
     s0 = support_size if smalltalk_support_size is None else smalltalk_support_size
     background, smalltalk, topics = _carved(n, [s0] + [support_size] * num_courses, topic_weights)
     p_list = tuple([float(p)] * num_courses) if isinstance(p, (int, float)) else tuple(p)
@@ -283,8 +296,19 @@ def adversarial_spec(
     vocabulary evenly, which keeps any small training sample's coverage of
     them sparse.
     """
-    if n < 100:
-        raise InvariantViolation("spec", "adversarial construction needs n >= 100")
+    if not 100 <= n <= MAX_VOCABULARY:
+        raise InvariantViolation("spec", f"adversarial construction needs 100 <= n <= {MAX_VOCABULARY}")
+    for name, value in (("c", c), ("d", d)):
+        try:
+            finite = type(value) is not bool and math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise InvariantViolation("spec", f"{name} must be a finite number, got {value!r}")
+    try:
+        float(n) ** abs(float(d))  # n >= 100, so this bounds both n**d and n**(-d)
+    except OverflowError:
+        raise InvariantViolation("spec", f"n**d overflows a float at d = {d!r}") from None
     sqrt_n = math.sqrt(n)
     s1 = round(sqrt_n)
     p1 = c * math.log10(n) / sqrt_n
@@ -375,6 +399,7 @@ def sample_corpus(
 
     Threads within a course are spread ``threads_per_day`` per day starting at
     timestamp 0, one single-author post per thread, straight into its columns.
+    A sample larger than ``MAX_SAMPLE_SIZE`` is refused before the first draw.
     """
     if any(cnt < 0 for cnt in threads_per_course):
         raise InvariantViolation("spec", "thread counts must be nonnegative")
@@ -382,6 +407,11 @@ def sample_corpus(
         raise InvariantViolation("spec", "one thread count per course required")
     if threads_per_day < 1:
         raise InvariantViolation("spec", "threads_per_day must be positive")
+    size = (spec.num_courses + 1) * spec.n + sum(spec.thread_length(i) * operator.index(cnt)
+                                                  for i, cnt in enumerate(threads_per_course))
+    if size > MAX_SAMPLE_SIZE:
+        raise InvariantViolation("spec", f"the sample needs {size} tokens and table cells, "
+                                         f"more than the {MAX_SAMPLE_SIZE} allowed")
     spacing = SECONDS_PER_DAY // threads_per_day
     courses = []
     for i, count in enumerate(threads_per_course):

@@ -57,17 +57,12 @@ class KeywordRanking:
         return tuple(w for w, _ in self.entries)
 
 
-def _ranked_keywords(
-    words: np.ndarray,
-    word_rank: np.ndarray,
-    p_course: np.ndarray,
-    p_combined: np.ndarray,
-    sqrt_n: float,
-) -> KeywordRanking:
-    """Rank ``words`` (an object array) by gamma; ``word_rank`` orders them lexicographically."""
+def _gamma_order(
+    word_rank: np.ndarray, p_course: np.ndarray, p_combined: np.ndarray, sqrt_n: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's gamma, and the order that ranks the words by it; ``word_rank`` orders ties."""
     gamma = p_course * sqrt_n / np.sqrt(p_combined)
-    order = np.lexsort((word_rank, -gamma))
-    return KeywordRanking(tuple(zip(words[order].tolist(), gamma[order].tolist())))
+    return gamma, np.lexsort((word_rank, -gamma))
 
 
 def surprise_weights(
@@ -85,9 +80,8 @@ def surprise_weights(
     if missing.size:
         raise DomainMismatch(f"course word {course.vocab[missing[0]]!r} missing from combined model")
     words = np.array(course.vocab, dtype=object)
-    return _ranked_keywords(
-        words, np.arange(words.size), course.mass, p_combined, math.sqrt(background_tokens)
-    )
+    gamma, order = _gamma_order(np.arange(words.size), course.mass, p_combined, math.sqrt(background_tokens))
+    return KeywordRanking(tuple(zip(words[order].tolist(), gamma[order].tolist())))
 
 
 def top_k(ranking: KeywordRanking, k: int) -> list[str]:
@@ -96,9 +90,16 @@ def top_k(ranking: KeywordRanking, k: int) -> list[str]:
     return [w for w, _ in ranking.entries[:k]]
 
 
+def _churn_and_tau(top_a: Sequence, top_b: Sequence) -> tuple[int, float]:
+    """Items of ``top_b`` missing from ``top_a``, and the Kendall tau of both on their common items."""
+    common = set(top_a) & set(top_b)
+    tau = normalized_kendall_tau([w for w in top_a if w in common], [w for w in top_b if w in common])
+    return len(set(top_b)) - len(common), tau
+
+
 def topk_set_difference(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> int:
     """Number of words in day_b's top-k that are not in day_a's top-k."""
-    return len(set(top_k(day_b, k)) - set(top_k(day_a, k)))
+    return _churn_and_tau(top_k(day_a, k), top_k(day_b, k))[0]
 
 
 def normalized_kendall_tau(rank_a: Sequence[str], rank_b: Sequence[str]) -> float:
@@ -124,14 +125,7 @@ def topk_kendall_tau(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> fl
     intersection of the two top-k sets (churn itself is reported separately by
     topk_set_difference).  Fewer than two common words gives 0.
     """
-    top_a = top_k(day_a, k)
-    top_b = top_k(day_b, k)
-    common = set(top_a) & set(top_b)
-    if len(common) < 2:
-        return 0.0
-    order_a = [w for w in top_a if w in common]
-    order_b = [w for w in top_b if w in common]
-    return normalized_kendall_tau(order_a, order_b)
+    return _churn_and_tau(top_k(day_a, k), top_k(day_b, k))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +344,19 @@ class KeywordFit:
         """The offset in ``_ids`` just past the course threads of days <= ``day``."""
         return int(self._ends[np.searchsorted(self._days, day, "right")])
 
-    def _ranking(self, counts: np.ndarray) -> KeywordRanking:
+    def _ranked(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The word ids of ``counts``'s support in ranking order, and their gammas."""
         support = np.flatnonzero(counts)
         c = counts[support]
         total_c = int(c.sum())
         total_comb = self.background_tokens + total_c
-        return _ranked_keywords(
-            self._words[support],
+        gamma, order = _gamma_order(
             self._word_rank[support],
             c / total_c,
             (self.background[support] + c) / total_comb,
             math.sqrt(self.background_tokens),
         )
+        return support[order], gamma[order]
 
     def keywords(self, warmup_days: int) -> KeywordRanking:
         """Ranking fitted on the course's threads of days <= ``warmup_days``."""
@@ -372,17 +367,20 @@ class KeywordFit:
             )
         if not self.background_tokens:
             raise EmptyCorpus("background courses contributed no tokens")
-        return self._ranking(counts)
+        ids, gamma = self._ranked(counts)
+        return KeywordRanking(tuple(zip(self._words[ids].tolist(), gamma.tolist())))
 
     def convergence(self, k: int = 50, max_days: int | None = None) -> list[ConvergencePoint]:
-        """See convergence_series."""
+        """See convergence_series; each day reads only its top ``k`` word ids."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         if not self.background_tokens:
             raise EmptyCorpus("background courses contributed no tokens")
         if not self._days.size:
             raise EmptyCorpus(f"course {self.course_id} has no tokens")
         last_day = int(self._days[-1]) if max_days is None else max_days
         points = []
-        prev_ranking = None
+        prev_top = None
         counts = np.zeros(self._size, dtype=np.int64)
         end = self._end(0)
         for day in range(1, last_day + 1):
@@ -390,17 +388,12 @@ class KeywordFit:
             counts += np.bincount(self._ids[start:end], minlength=self._size)
             if not counts.any():
                 continue
-            ranking = self._ranking(counts)
-            if prev_ranking is not None:
-                points.append(
-                    ConvergencePoint(
-                        day=day,
-                        new_words=topk_set_difference(prev_ranking, ranking, k),
-                        kendall_tau=topk_kendall_tau(prev_ranking, ranking, k),
-                        cumulative_tokens=int(counts.sum()),
-                    )
-                )
-            prev_ranking = ranking
+            top = self._ranked(counts)[0][:k].tolist()
+            if prev_top is not None:
+                new_words, tau = _churn_and_tau(prev_top, top)
+                points.append(ConvergencePoint(day=day, new_words=new_words, kendall_tau=tau,
+                                               cumulative_tokens=int(counts.sum())))
+            prev_top = top
         return points
 
 

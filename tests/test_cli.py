@@ -807,6 +807,28 @@ class TestBadInput:
               "course00"], None, 2, "ConfigError"),
             (["topics", "converge", "--threads", "CORPUS", "--course", "course00", "--background",
               "course01,course00"], None, 2, "ConfigError"),
+            # an SVM theta that is not a finite number, and a course count that is a bool
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": "x"}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": NaN}', 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             _SPEC.replace('"num_courses": 2', '"num_courses": true'), 3, "InvariantViolation"),
+            # specs and samples too large to build, refused before anything is allocated
+            (["gen", "--spec", "FILE", "--counts", "3,3"], '{"kind": "adversarial", "n": 400, "d": -1e308}',
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], '{"kind": "adversarial", "n": 400, "d": %d}' % 2**64,
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], '{"kind": "adversarial", "n": 400, "c": NaN}',
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], '{"kind": "adversarial", "n": %d}' % 2**64,
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"n": 400', '"n": %d' % 2**64),
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], '{"kind": "adversarial", "n": 400, "d": 3}',
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"s": 20', '"s": 10000000'),
+             3, "InvariantViolation"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -837,7 +859,10 @@ class TestBadInput:
              "roc-theta-max-below-min", "compare-high-beyond-int64", "adversarial-smalltalk-exceeds-n",
              "uniform-support-negative", "uniform-courses-negative", "config-key-command", "config-key-subcommand", "config-key-config",
              "background-repeated", "background-empty", "background-the-course",
-             "background-holds-the-course"],
+             "background-holds-the-course", "svm-theta-a-string", "svm-theta-nan", "uniform-courses-a-bool",
+             "adversarial-d-overflows", "adversarial-d-beyond-int64", "adversarial-c-nan",
+             "adversarial-n-beyond-limit", "uniform-n-beyond-limit", "adversarial-sample-too-large",
+             "uniform-sample-too-large"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"

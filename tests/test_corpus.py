@@ -29,6 +29,7 @@ from forumlens.corpus import (
 )
 from forumlens.errors import EmptyCorpus, InvariantViolation, ParseError
 
+import corpus_oracle as oracle
 from conftest import make_post, make_thread
 
 
@@ -348,6 +349,54 @@ class TestLayoutGoldens:
         # a parsed corpus (author codes shared across courses) writes the same bytes
         serialize_corpus(ingest_corpus(tmp_path / "built.jsonl"), tmp_path / "parsed.jsonl")
         assert _sha256(tmp_path / "parsed.jsonl") == _THREADS_DIGEST
+
+
+def _any_text(surrogates: bool):
+    """Text of any code point: astral characters, C0 and C1 controls, the characters JSON escapes or
+    that sit at an escaping edge and, if ``surrogates``, lone surrogates (category Cs, which
+    st.text leaves out by default)."""
+    alphabet = st.characters(exclude_categories=["Cs"]) | st.characters(min_codepoint=0x10000)
+    alphabet |= st.sampled_from(['"', "\\", "/", "\u2028", "\u2029", "\x7f", "\x00", "\x1f", "\x80", "\x9f",
+                                 "\U0001f600"])
+    if surrogates:
+        alphabet |= st.characters(categories=["Cs"])
+    return st.text(alphabet, max_size=12)
+
+
+@st.composite
+def _unicode_corpora(draw):
+    """Whether lone surrogates may occur, and courses of threads whose ids and texts come from all of
+    Unicode, at any timestamp, with every label and both staff flags."""
+    surrogates = draw(st.booleans())
+    text = _any_text(surrogates)
+    courses = []
+    for course_id in draw(st.lists(text, min_size=1, max_size=3, unique=True)):
+        threads = []
+        for thread_id in draw(st.lists(text, min_size=1, max_size=3, unique=True)):
+            post_ids = draw(st.lists(text, min_size=1, max_size=3, unique=True))
+            times = sorted(draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(post_ids),
+                                         max_size=len(post_ids))))
+            posts = tuple(Post(pid, draw(text), ts, draw(text), draw(st.booleans()))
+                          for pid, ts in zip(post_ids, times))
+            threads.append(Thread(thread_id, times[0], posts, draw(st.sampled_from(list(ThreadLabel)))))
+        courses.append(Course(course_id, min(t.created_at for t in threads), threads))
+    return surrogates, Corpus(tuple(courses))
+
+
+class TestWriterMatchesJson:
+    """The writer lays out the bytes that json.dumps writes for each thread."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_unicode_corpora())
+    def test_bytes_equal_the_oracle(self, drawn):
+        surrogates, corpus = drawn
+        with tempfile.TemporaryDirectory() as root:
+            got, want = Path(root) / "got.jsonl", Path(root) / "want.jsonl"
+            serialize_corpus(corpus, got)
+            oracle.serialize_corpus(corpus, want)
+            assert got.read_bytes() == want.read_bytes()
+            if not surrogates:  # a lone surrogate is refused on the way back in
+                assert ingest_corpus(got) == corpus
 
 
 def _sha256(path) -> str:

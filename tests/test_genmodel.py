@@ -13,7 +13,10 @@ import corpus_oracle as oracle
 from forumlens.classify import SvmModel
 from forumlens.corpus import UnigramModel, serialize_corpus
 from forumlens.errors import InvariantViolation
+from forumlens import genmodel
 from forumlens.genmodel import (
+    MAX_SAMPLE_SIZE,
+    MAX_VOCABULARY,
     GenerativeSpec,
     adversarial_spec,
     make_spec,
@@ -367,6 +370,54 @@ class TestAdversarialSpec:
             total += sum(rng.random() < p1 for _ in range(b1))
         sd = math.sqrt(b1 * p1 * (1 - p1) / reps)
         assert abs(total / reps - b1 * p1) <= 3 * sd
+
+
+class TestSizeLimits:
+    """Specs and samples too large to build are refused before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c", True), ("c", math.nan), ("c", math.inf), ("c", 10**400), ("d", False), ("d", math.nan),
+         ("d", -math.inf), ("d", 2**64), ("d", -1e308), ("d", 1e308), ("d", 10**400), ("d", 200.0)],
+    )
+    def test_adversarial_c_and_d(self, field, value):
+        with pytest.raises(InvariantViolation, match="finite number|overflows"):
+            adversarial_spec(400, **{field: value})
+
+    @pytest.mark.parametrize("n", [MAX_VOCABULARY + 1, 2**64])
+    def test_vocabulary_limit(self, n):
+        with pytest.raises(InvariantViolation, match="n must be at most"):
+            make_spec(n=n, num_courses=2, epsilon=0.3, p=0.5, s=10)
+        with pytest.raises(InvariantViolation, match="n <="):
+            adversarial_spec(n)
+
+    @pytest.mark.parametrize("num_courses", [True, False])
+    def test_num_courses_not_a_bool(self, num_courses):
+        with pytest.raises(InvariantViolation, match="not a bool"):
+            make_spec(n=200, num_courses=num_courses, epsilon=0.3, p=0.5, s=10)
+
+    def test_sample_size_limit_is_inclusive(self, monkeypatch):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10)
+        size = 3 * 200 + 10 * (5 + 4)  # table cells of two courses and small talk, then tokens
+        monkeypatch.setattr(genmodel, "MAX_SAMPLE_SIZE", size)
+        assert sample_corpus(spec, [5, 4]).num_threads == 9
+        monkeypatch.setattr(genmodel, "MAX_SAMPLE_SIZE", size - 1)
+        with pytest.raises(InvariantViolation, match="more than the"):
+            sample_corpus(spec, [5, 4])
+
+    @pytest.mark.parametrize(
+        "spec, counts",
+        [(make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=MAX_SAMPLE_SIZE // 10), [10, 0]),
+         (make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=1), [MAX_SAMPLE_SIZE]),
+         (make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=1), [2**64]),
+         (adversarial_spec(400, d=3), [1, 1]),  # s2 = 400**3 = 6.4e7 tokens
+         (make_spec(n=MAX_VOCABULARY, num_courses=MAX_SAMPLE_SIZE // MAX_VOCABULARY, epsilon=0.3, p=0.5, s=1,
+                    support_size=0), [0] * (MAX_SAMPLE_SIZE // MAX_VOCABULARY))],  # tables past the cap
+        ids=["long-threads", "many-threads", "count-beyond-int64", "adversarial-d-3", "wide-tables"],
+    )
+    def test_sample_size_limit(self, spec, counts):
+        with pytest.raises(InvariantViolation, match="more than the"):
+            sample_corpus(spec, counts)
 
 
 class TestSeparatingPlane:

@@ -98,6 +98,11 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(KeywordRanking((("aa", 2.0), ("bb", 1.0))), -1)
 
+    def test_negative_k_rejected_by_convergence(self):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20)
+        with pytest.raises(ValueError):
+            convergence_series(sample_corpus(spec, [30, 30]), "course00", k=-1)
+
 
 class TestSetDifference:
     def test_identical(self):
@@ -368,7 +373,7 @@ class TestFitMatchesOracle:
         _small_corpora(),
         st.booleans(),
         st.sampled_from([None, ["c1"], [], ["c0", "c1"]]),
-        st.integers(1, 6),
+        st.integers(0, 6),
         st.integers(0, 7),
         st.one_of(st.none(), st.integers(0, 8)),
     )
