@@ -10,11 +10,14 @@ the background token count.  Words whose course frequency stands far above
 their global frequency score high; globally common words are discounted by
 the square-root denominator.
 
-A command tokenizes each thread once, into one TokenTable that every
-pipeline it runs reads (keywords, ranking and the classifiers).  The table
-reads thread rows straight from each course's columns, so no text pipeline
-builds Thread objects; KeywordFit counts the background once and takes the
-course counts as prefix counts.
+A command reads text through one TokenTable that every pipeline it runs
+shares (keywords, ranking and the classifiers).  The table reads thread rows
+straight from each course's columns, so no text pipeline builds Thread
+objects, and it has two read forms: ``ids`` splits a thread row once and
+keeps its ids, and ``counts`` totals a whole course's tokens by id and keeps
+no row.  So a thread is split at most once per form: KeywordFit counts the
+background courses and reads the course's rows, in day order, only through
+the last day it is asked about; the course counts are prefix counts.
 All four text scores (topical and tf-idf ranking, naive Bayes, the SVM) sum
 their terms over token-id rows through one kernel here: token_sums (a weight
 per token) or term_sums (count times weight per distinct id).
@@ -188,13 +191,41 @@ class TokenTable:
         try:
             ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
         except KeyError:
-            index, stopwords = self.index, self.stopwords
-            for w in words:
-                if w not in word_ids:
-                    dropped = len(w) < 2 or w in stopwords
-                    word_ids[w] = -1 if dropped else index.setdefault(w, len(index))
+            self._learn(words)
             ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
         return ids[ids >= 0]
+
+    def _learn(self, words: Iterable[str]) -> None:
+        """Map each unseen word of ``words`` to a new id, in order, or to -1 if it is dropped."""
+        word_ids, index, stopwords = self._word_ids, self.index, self.stopwords
+        for w in words:
+            if w not in word_ids:
+                word_ids[w] = -1 if len(w) < 2 or w in stopwords else index.setdefault(w, len(index))
+
+    def counts(self, columns: ThreadColumns) -> np.ndarray:
+        """Token counts over every row of ``columns``, by id (int64, ``len(self)`` entries): the
+        tokens that ``ids`` gives those rows, split _COUNT_POSTS posts at a time with no row kept.
+
+        A chunk's posts are joined by spaces, as a row's are: a space ends every word, and it
+        stops str.lower's look at the letters around a capital sigma as a row's end does.
+        """
+        texts = columns.texts
+        if not self.include_staff:
+            texts = [t for t, staff in zip(texts, columns.is_staff.tolist()) if not staff]
+        words: Counter[str] = Counter()
+        for start in range(0, len(texts), _COUNT_POSTS):
+            words.update(split_words(" ".join(texts[start : start + _COUNT_POSTS])))
+        self._learn(words)  # a Counter keeps first appearances in order, as the rows meet them
+        ids = np.fromiter(map(self._word_ids.__getitem__, words), np.intp, len(words))
+        kept = ids >= 0
+        out = np.zeros(len(self), dtype=np.int64)
+        out[ids[kept]] = np.fromiter(words.values(), np.int64, len(words))[kept]
+        return out
+
+
+# posts joined and split at once by TokenTable.counts: bounds the text and word list it holds
+# (256 posts of ~100 words held ~0.5 MB more at a command's peak than reading rows did)
+_COUNT_POSTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +330,14 @@ class ConvergencePoint:
 class KeywordFit:
     """Surprise-weight rankings of one course against a fixed background.
 
-    Building the fit tokenizes the background and the whole course through
-    ``tokens``, counts the background once, and lays the course's token ids
-    out in one array in day order.  The course counts up to a day are then
-    prefix counts of that array; the fit holds no state that changes.
+    Building the fit counts the background courses through ``tokens.counts``;
+    no background row is kept.  The course's rows are read through
+    ``tokens.ids`` in day order, only as far as a call asks: ``keywords(d)``
+    reads through day ``d`` and ``convergence`` through its last day.  The
+    course counts up to a day are prefix counts of the ids read so far.  Other
+    pipelines may add words to ``tokens`` between calls, so the background
+    vector and the word order are laid over the table's size when a ranking
+    is taken, and laid out again only after the table has grown.
     """
 
     def __init__(
@@ -318,31 +353,46 @@ class KeywordFit:
             raise ConfigError(f"background {list(background_ids)} must name courses, each once")
         elif course_id in background_ids:
             raise ConfigError(f"background {list(background_ids)} must not name the course {course_id!r}")
-        empty = np.zeros(0, dtype=np.int32)
-        background = [
-            tokens.ids(columns, row)
-            for columns in (corpus.course(cid).columns for cid in background_ids)
-            for row in range(len(columns.thread_ids))
-        ]
+        counts = [tokens.counts(corpus.course(cid).columns) for cid in background_ids]
         course = corpus.course(course_id)
         days = day_indices(course.columns.created_at, course.start_date)
         order = np.argsort(days, kind="stable")
-        rows = [tokens.ids(course.columns, row) for row in order.tolist()]
         self.course_id = course_id
+        self._tokens = tokens
+        self._columns = course.columns
+        self._order = order
         self._days = days[order]
-        self._ids = np.concatenate([empty, *rows])
-        self._ends = np.cumsum([0, *(r.size for r in rows)])
-        self._size = size = len(tokens)
-        self.background = np.bincount(np.concatenate([empty, *background]), minlength=size)
+        self._ids = np.zeros(0, dtype=np.int32)  # the course rows read so far, in day order
+        self._ends = [0]  # the offset in _ids just past each row read
+        self._size = -1  # the table size that background, _words and _word_rank are laid over
+        self.background = np.zeros(len(tokens), dtype=np.int64)
+        for c in counts:
+            self.background[: c.size] += c
         self.background_tokens = int(self.background.sum())
-        words = list(tokens.index)
-        self._words = np.array(words, dtype=object)
-        self._word_rank = np.empty(size, dtype=np.int64)
-        self._word_rank[sorted(range(size), key=words.__getitem__)] = np.arange(size)
 
     def _end(self, day: int) -> int:
-        """The offset in ``_ids`` just past the course threads of days <= ``day``."""
-        return int(self._ends[np.searchsorted(self._days, day, "right")])
+        """The offset in ``_ids`` just past the course threads of days <= ``day``, read first."""
+        n = int(np.searchsorted(self._days, day, "right"))
+        ends = self._ends
+        if n >= len(ends):
+            columns, ids = self._columns, self._tokens.ids
+            rows = [ids(columns, row) for row in self._order[len(ends) - 1 : n].tolist()]
+            for r in rows:
+                ends.append(ends[-1] + r.size)
+            self._ids = np.concatenate([self._ids, *rows])
+        return ends[n]
+
+    def _lay_out(self) -> int:
+        """Lay the background and the word order over the table's size, if it grew; return the size."""
+        size = len(self._tokens)
+        if size != self._size:
+            words = list(self._tokens.index)
+            self.background = np.pad(self.background, (0, size - self.background.size))
+            self._words = np.array(words, dtype=object)
+            self._word_rank = np.empty(size, dtype=np.int64)
+            self._word_rank[sorted(range(size), key=words.__getitem__)] = np.arange(size)
+            self._size = size
+        return size
 
     def _ranked(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The word ids of ``counts``'s support in ranking order, and their gammas."""
@@ -360,7 +410,8 @@ class KeywordFit:
 
     def keywords(self, warmup_days: int) -> KeywordRanking:
         """Ranking fitted on the course's threads of days <= ``warmup_days``."""
-        counts = np.bincount(self._ids[: self._end(warmup_days)], minlength=self._size)
+        end = self._end(warmup_days)
+        counts = np.bincount(self._ids[:end], minlength=self._lay_out())
         if not counts.any():
             raise EmptyCorpus(
                 f"no course tokens in the first {warmup_days} days of {self.course_id}"
@@ -379,13 +430,15 @@ class KeywordFit:
         if not self._days.size:
             raise EmptyCorpus(f"course {self.course_id} has no tokens")
         last_day = int(self._days[-1]) if max_days is None else max_days
+        self._end(last_day)
+        size = self._lay_out()
         points = []
         prev_top = None
-        counts = np.zeros(self._size, dtype=np.int64)
+        counts = np.zeros(size, dtype=np.int64)
         end = self._end(0)
         for day in range(1, last_day + 1):
             start, end = end, self._end(day)
-            counts += np.bincount(self._ids[start:end], minlength=self._size)
+            counts += np.bincount(self._ids[start:end], minlength=size)
             if not counts.any():
                 continue
             top = self._ranked(counts)[0][:k].tolist()
@@ -406,8 +459,9 @@ def extract_keywords(
 ) -> KeywordRanking:
     """Surprise-weight ranking for one course.
 
-    Background data is the full text of the other (or the given) courses;
-    course-specific data is the target course's first ``warmup_days`` days.
+    Background data is the full text of the other (or the given) courses,
+    counted through ``tokens.counts``; course-specific data is the target
+    course's first ``warmup_days`` days, and no later course thread is read.
     Text is read through ``tokens`` (default: a fresh TokenTable).
     """
     fit = KeywordFit(TokenTable() if tokens is None else tokens, corpus, course_id, background_ids)

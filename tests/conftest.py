@@ -16,16 +16,21 @@ from forumlens.topics import TokenTable, surprise_weights
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Tokenizations per thread id, counted through TokenTable._tokenize, the table's per-row
-    path: each call tokenizes one row."""
+    """Tokenizations per thread id, counted through both of TokenTable's read forms: a call to
+    _tokenize, the per-row path, tokenizes one row, and a call to counts every row of its columns."""
     counts = Counter()
-    tokenize = TokenTable._tokenize
+    tokenize, count = TokenTable._tokenize, TokenTable.counts
 
-    def counting(table, columns, row):
+    def tokenizing(table, columns, row):
         counts[columns.thread_ids[row]] += 1
         return tokenize(table, columns, row)
 
-    monkeypatch.setattr(TokenTable, "_tokenize", counting)
+    def counting(table, columns):
+        counts.update(columns.thread_ids)
+        return count(table, columns)
+
+    monkeypatch.setattr(TokenTable, "_tokenize", tokenizing)
+    monkeypatch.setattr(TokenTable, "counts", counting)
     return counts
 
 

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 import forumlens
 import forumlens.cli
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, _unread, build_parser, main
-from forumlens.corpus import Post, Thread, ThreadColumns, ThreadRows, _CorpusParser, ingest_corpus
+from forumlens.corpus import Post, Thread, ThreadColumns, ThreadRows, _CorpusParser, day_indices, ingest_corpus
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
 from forumlens.genmodel import make_spec
-from forumlens.ranking import RankWindow, split_window
+from forumlens.ranking import RankWindow, sample_query_days, split_window
 from forumlens.stats import neighborhood_counts
 
 
@@ -274,9 +274,30 @@ class TestTokenizeOnce:
                    "--low", "1", "--high", "2", "--extra-days", "1", "--query", "1",
                    *extra, "--out", str(tmp_path / "cmp")])
         assert rc == 0
-        # the keyword fit reads every thread of the corpus
-        assert len(calls) == ingest_corpus(gen_corpus).num_threads
+        # the keyword fit reads the background, and the course through the last warm-up day;
+        # each day's tf-idf and topical scores read its query rows
+        corpus = ingest_corpus(gen_corpus)
+        course = corpus.course("course00")
+        days = sample_query_days(1, 2, 1, seed=4)
+        assert {int(r["warmup_day"]) for r in _read_csv(tmp_path / "cmp" / "compare.csv")} == set(days)
+        course_days = day_indices(course.columns.created_at, course.start_date)
+        read = set(corpus.course("course01").columns.thread_ids)
+        read |= {tid for tid, d in zip(course.columns.thread_ids, course_days.tolist())
+                 if d <= max(days) or any(w < d <= w + 1 for w in days)}
+        assert set(calls) == read
         assert max(calls.values()) <= most
+
+    def test_extract_reads_no_course_thread_after_the_warmup(self, tmp_path, gen_corpus, calls):
+        rc = main(["topics", "extract", "--threads", str(gen_corpus), "--course", "course00",
+                   "--warmup-days", "1", "--out", str(tmp_path / "kw")])
+        assert rc == 0
+        corpus = ingest_corpus(gen_corpus)
+        course = corpus.course("course00")
+        course_days = day_indices(course.columns.created_at, course.start_date).tolist()
+        warmup = {tid for tid, d in zip(course.columns.thread_ids, course_days) if d <= 1}
+        assert 0 < len(warmup) < course.num_threads
+        assert set(calls) == warmup | set(corpus.course("course01").columns.thread_ids)
+        assert max(calls.values()) == 1
 
     def test_rank_tfidf_reads_only_the_window(self, tmp_path, gen_corpus, calls):
         rc = main(["rank", "--threads", str(gen_corpus), "--course", "course00", "--algo", "tfidf",
@@ -877,6 +898,30 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == error
+        assert not out.exists()
+
+    # the background courses are looked up before the course, and a background left with no
+    # tokens (staff posts only under --exclude-staff, or stopwords only) is refused
+    @pytest.mark.parametrize(
+        "argv, background, code, message",
+        [
+            (["--course", "Z", "--background", "Z2"], None, 2, "no course 'Z2' in the corpus"),
+            (["--course", "c0", "--background", "c1", "--exclude-staff"],
+             {"text": "welcome everyone", "is_staff": True}, 3, "background courses contributed no tokens"),
+            (["--course", "c0", "--background", "c1"], {"text": "the and of"}, 3,
+             "background courses contributed no tokens"),
+        ],
+        ids=["unknown-background-before-unknown-course", "background-staff-only", "background-stopwords-only"],
+    )
+    def test_extract_refusal_order(self, tmp_path, gen_corpus, capsys, argv, background, code, message):
+        corpus = gen_corpus
+        if background is not None:
+            corpus = tmp_path / "corpus.jsonl"
+            corpus.write_text(_thread_line(course_id="c0", thread_id="t0", text="gradient descent") + "\n"
+                              + _thread_line(course_id="c1", thread_id="t1", **background) + "\n")
+        out = tmp_path / "o"
+        assert main(["topics", "extract", "--threads", str(corpus), *argv, "--out", str(out)]) == code
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == message
         assert not out.exists()
 
     def test_meta_with_a_bom(self, tmp_path, twelve_courses):

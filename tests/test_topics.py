@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumlens import topics
@@ -331,11 +331,14 @@ def _oracle_convergence(corpus, course_id, background_ids, k, max_days, stopword
 
 
 _WORDS = ["aa", "bb", "cc", "dd", "ee", "the"]
+# words of the course c0 alone: a fit that reads c0's days one by one meets them after the background
+_COURSE_WORDS = [*_WORDS, "ab", "ff"]
 
 
 @st.composite
 def _small_corpora(draw):
-    """2-3 courses of few threads over a few-word vocabulary: ties, gaps, staff posts."""
+    """2-3 courses of few threads over a few-word vocabulary: ties, gaps, staff posts, and words
+    that only the first course uses."""
     courses = []
     for c in range(draw(st.integers(2, 3))):
         threads = []
@@ -346,7 +349,7 @@ def _small_corpora(draw):
                     f"c{c}t{j}p{i}",
                     f"u{i}",
                     created + i,
-                    " ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=5))),
+                    " ".join(draw(st.lists(st.sampled_from(_COURSE_WORDS if c == 0 else _WORDS), max_size=5))),
                     draw(st.booleans()),
                 )
                 for i in range(draw(st.integers(1, 3)))
@@ -395,16 +398,33 @@ class TestFitMatchesOracle:
             _oracle_convergence, *args, k, max_days, stopwords, include_staff
         )
 
-    # a warm-up day for keywords(), or a (k, max_days) pair for convergence()
-    _calls = st.integers(0, 7) | st.tuples(st.integers(1, 6), st.none() | st.integers(0, 8))
+    # a warm-up day for keywords(), a (k, max_days) pair for convergence(), or words that another
+    # pipeline encodes into the shared table between calls: new ones, and course words not yet read
+    _calls = (
+        st.integers(0, 7)
+        | st.tuples(st.integers(1, 6), st.none() | st.integers(0, 8))
+        | st.lists(st.sampled_from(["a0", "aa", "cc", "ee", "the", "zz"]), min_size=1, max_size=3)
+    )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(_small_corpora(), st.lists(_calls, min_size=2, max_size=6))
+    # "ff" enters the table through encode() and "ab" through a later day, both after a ranking
+    @example(
+        Corpus((
+            Course("c0", 0, (Thread("a", 5, (Post("a0", "u", 5, "aa bb", False),)),
+                             Thread("b", 2 * 86400, (Post("b0", "u", 2 * 86400, "ff ab", False),)))),
+            Course("c1", 0, (Thread("c", 5, (Post("c0", "u", 5, "aa bb cc", False),)),)),
+        )),
+        [1, ["ff", "zz"], 4, (2, None)],
+    )
     def test_one_fit_serves_days_in_any_order(self, corpus, calls):
         stopwords = frozenset({"the"})
-        fit = KeywordFit(TokenTable(stopwords), corpus, "c0")
+        table = TokenTable(stopwords)
+        fit = KeywordFit(table, corpus, "c0")
         for call in calls:
-            if isinstance(call, tuple):
+            if isinstance(call, list):
+                table.encode(call)
+            elif isinstance(call, tuple):
                 assert _outcome(fit.convergence, *call) == _outcome(
                     _oracle_convergence, corpus, "c0", None, *call, stopwords, True
                 )
@@ -469,6 +489,52 @@ class TestTableMatchesThreadTokens:
             for row in range(course.num_threads):
                 read(course, row)
         assert list(table.index) == list(oracle.index)
+
+
+# a capital sigma lowers to a final sigma at a word's end, and str.lower reads the letters around it
+_COUNT_WORDS = [*_TEXT_WORDS, "ΟΔΟΣ", "ΣΑΣ", "Σ", "xΣ"]
+
+
+@st.composite
+def _count_courses(draw):
+    """An empty course and 1-2 courses of threads: the first has 2-5 threads of 2-3 posts each,
+    so a few posts to a chunk put chunk ends between threads and inside them."""
+    courses = [Course("empty", 0, ())]
+    for c in range(draw(st.integers(1, 2))):
+        threads = []
+        for j in range(draw(st.integers(2 if c == 0 else 0, 5))):
+            posts = tuple(
+                Post(f"p{i}", "u", 0, " ".join(draw(st.lists(st.sampled_from(_COUNT_WORDS), max_size=6))),
+                     draw(st.booleans()))
+                for i in range(draw(st.integers(2 if c == 0 else 1, 3)))
+            )
+            threads.append(Thread(f"c{c}t{j}", 0, posts))
+        courses.insert(draw(st.integers(0, len(courses))), Course(f"c{c}", 0, threads))
+    return courses
+
+
+class TestCountsMatchRows:
+    """counts(columns) gives, by id, the per-word totals of the ids that every row of the columns
+    reads, and numbers new words in the order the rows would meet them, whatever the chunk size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_count_courses(), st.sampled_from([None, frozenset(), frozenset({"the", "zz", "42", "kelvin"})]),
+           st.booleans(), st.sampled_from([1, 2, 3, topics._COUNT_POSTS]))
+    def test_counts_equal_row_totals(self, courses, stopwords, include_staff, chunk):
+        table, rows = TokenTable(stopwords, include_staff), TokenTable(stopwords, include_staff)
+        with mock.patch.object(topics, "_COUNT_POSTS", chunk):
+            counted = [table.counts(course.columns) for course in courses]
+        words = list(table.index)
+        for course, counts in zip(courses, counted):
+            assert counts.dtype == np.int64 and counts.size <= len(table)
+            expected = Counter()
+            for row in range(course.num_threads):
+                expected.update(rows.ids(course.columns, row).tolist())
+            row_words = list(rows.index)
+            assert {words[i]: n for i, n in enumerate(counts.tolist()) if n} == {
+                row_words[i]: n for i, n in expected.items()
+            }
+        assert words == list(rows.index)
 
 
 def _calls_outside(tree, names):
