@@ -154,16 +154,17 @@ _SPEC_BUILDERS = {
 
 
 def _load_spec(path) -> GenerativeSpec:
+    """A spec by its ``kind``; a file with no kind is the object ``GenerativeSpec.to_json`` writes."""
     obj = load_json_object(path)
-    kind = obj.get("kind", "explicit")
+    kind = obj.get("kind")
     try:
         if kind in _SPEC_BUILDERS:
             build, fields = _SPEC_BUILDERS[kind]
             return build(**{f: obj[f] for f in fields if f in obj})
-        if kind == "explicit":
-            return GenerativeSpec.from_json(json.dumps(obj["spec"]))
+        if kind in ("explicit", None):
+            return GenerativeSpec.from_json(json.dumps(obj["spec"] if kind else obj))
     except (KeyError, TypeError, ValueError) as exc:  # a missing or wrong-typed field
-        raise ParseError(1, f"{kind} spec has a missing or malformed field: {exc}") from None
+        raise ParseError(1, f"{kind or 'kind-less'} spec has a missing or malformed field: {exc}") from None
     raise ParseError(1, f"unknown spec kind {kind!r}")
 
 
@@ -304,8 +305,8 @@ class _CourseRanker:
             )
         if algo == "tfidf":
             return tfidf_rank(window_rows, query_rows, tokens=self.score_tokens)
-        if algo == "hits":  # HITS reads participants, not text: the one path that builds Thread objects
-            ranked = hits_rank([course.threads[row] for row in window_rows.rows.tolist()])
+        if algo == "hits":
+            ranked = hits_rank(window_rows)
             query_ids = set(query_rows.thread_ids)
             entries = tuple(e for e in ranked.entries if e[0] in query_ids)
             return dataclasses.replace(ranked, entries=entries)

@@ -17,12 +17,13 @@ Each course's columns are filled by one builder, a thread at a time:
 and ``Thread`` run; ``genmodel.sample_corpus`` samples threads that pass them;
 a course built from ``Thread`` objects feeds them to it.  The courses of one
 parse share their author codes.  ``Course.threads`` of a parsed or sampled
-course is built from the columns on first use, without running those checks
-again.  Only HITS ranking reads it: course equality and ``repr``, the stats,
-``serialize_corpus`` and the text pipelines (rows through ``topics.TokenTable``)
-read the columns; it and ``serialize_corpus`` build each thread's posts through
-``ThreadColumns.records``.  The metadata CSV's factor columns are
-``_FACTOR_COLUMNS``, which ``write_metadata_csv`` writes and ``attach_metadata`` reads.
+course is built from the columns on first use, through the checking
+constructors, and kept on them.  No command reads it: course equality and
+``repr``, the stats, ``serialize_corpus``, the text pipelines (rows through
+``topics.TokenTable``) and HITS (author codes) read the columns; it and
+``serialize_corpus`` build each thread's posts through ``ThreadColumns.records``.
+The metadata CSV's factor columns are ``_FACTOR_COLUMNS``, which
+``write_metadata_csv`` writes and ``attach_metadata`` reads.
 
 Two decoding passes: ``ingest_corpus`` first decodes each line with ``orjson``,
 which takes about half of ``json.loads``'s time.  Where it decodes a line, its
@@ -59,7 +60,7 @@ from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -199,13 +200,16 @@ class ThreadColumns:
 
     @classmethod
     def of(cls, threads: Iterable[Thread]) -> "ThreadColumns":
-        """Columns over ``threads``, in order, with author codes of their own."""
+        """Columns over ``threads``, in order, with author codes of their own; they keep ``threads``."""
+        threads = tuple(threads)
         builder = _ColumnBuilder({})
         for t in threads:
             for p in t.posts:
                 builder.add_post(p.post_id, p.author_id, p.timestamp, p.text, p.is_staff)
             builder.end_thread(t.thread_id, t.created_at, t.label)
-        return builder.build(list(builder.codes))
+        columns = builder.build(list(builder.codes))
+        columns.__dict__["threads"] = threads  # what the cached property would build
+        return columns
 
     @property
     def lengths(self) -> np.ndarray:
@@ -223,35 +227,26 @@ class ThreadColumns:
         for tid, created, label, a, b in threads:
             yield tid, created, label, posts[a:b]
 
+    @cached_property
     def threads(self) -> tuple[Thread, ...]:
-        """``Thread`` objects over these rows, built without re-running the checks the rows passed."""
-        new, put = object.__new__, object.__setattr__  # what the frozen dataclasses' __init__ does
-
-        def post(post_id, author_id, timestamp, text, is_staff):
-            p = new(Post)
-            put(p, "post_id", post_id)
-            put(p, "author_id", author_id)
-            put(p, "timestamp", timestamp)
-            put(p, "text", text)
-            put(p, "is_staff", is_staff)
-            return p
-
-        threads = []
-        for tid, created, label, posts in self.records(post):
-            t = new(Thread)
-            put(t, "thread_id", tid)
-            put(t, "created_at", created)
-            put(t, "posts", tuple(posts))
-            put(t, "label", label)
-            threads.append(t)
-        return tuple(threads)
+        """``Thread`` objects over these rows, built by the checking constructors on first use."""
+        return tuple(Thread(tid, created, tuple(posts), label)
+                     for tid, created, label, posts in self.records(Post))
 
 
-class ThreadRows(NamedTuple):
-    """Some threads of one ``ThreadColumns``: ``rows`` holds their thread rows, in order."""
+@dataclass(frozen=True, eq=False)
+class ThreadRows:
+    """Some threads of one ``ThreadColumns``, by thread row; as a sequence, those rows' ``Thread`` objects."""
 
     columns: ThreadColumns
     rows: np.ndarray  # intp
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Thread]:
+        threads = self.columns.threads
+        return (threads[r] for r in self.rows.tolist())
 
     @classmethod
     def of(cls, threads: Sequence[Thread]) -> "ThreadRows":
@@ -335,8 +330,9 @@ _FACTOR_COLUMNS = (("Q", int), ("V", int), ("L", float), ("D", int), ("P", int),
 class Course:
     """One course's threads, start date, factors and category.
 
-    The threads live in ``columns``.  A course built from ``Thread`` objects
-    keeps them as ``threads``; a parsed or sampled one builds them on first use.
+    The threads live in ``columns``, and ``threads`` reads their
+    ``ThreadColumns.threads``: a course built from ``Thread`` objects keeps
+    them; a parsed or sampled one builds them on first use.
     """
 
     def __init__(
@@ -347,8 +343,6 @@ class Course:
         factors: CourseFactors | None = None,
         category: CourseCategory = CourseCategory.HUMANITIES_SOCIAL,
     ):
-        threads = tuple(threads)
-        self.__dict__["threads"] = threads  # what the cached property would build
         self._fill(course_id, start_date, ThreadColumns.of(threads), factors, category)
 
     @classmethod
@@ -369,9 +363,9 @@ class Course:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Course")
 
-    @cached_property
+    @property
     def threads(self) -> tuple[Thread, ...]:
-        return self.columns.threads()
+        return self.columns.threads
 
     @property
     def num_threads(self) -> int:

@@ -1,26 +1,26 @@
 """Thread relevance ranking: keyword ranker plus tf-idf and HITS baselines.
 
-A thread's text is the concatenation of all its posts at query time.  The
-text rankers and split_window take thread rows (ThreadRows) only; a caller
-with Thread objects wraps them once with ThreadRows.of and passes the same
-rows to every ranker.  The rankers read the rows' token ids from the
-command's TokenTable, the one text input of every pipeline, so a thread
-ranked more than once is tokenized once, and sum their scores through the
-topics row kernel: token_sums for the keyword ranker, term_sums (and its
-distinct pass for document frequencies) for tf-idf.  HITS reads no text: it
-takes Thread objects, whose participants make its graph.
+A thread's text is the concatenation of all its posts at query time.  Every
+ranker and split_window take thread rows (ThreadRows) only; a caller with
+Thread objects wraps them once with ThreadRows.of and passes the same rows to
+every ranker.  The text rankers read the rows' token ids from the command's
+TokenTable, the one text input of every pipeline, so a thread ranked more
+than once is tokenized once, and sum their scores through the topics row
+kernel: token_sums for the keyword ranker, term_sums (and its distinct pass
+for document frequencies) for tf-idf.  HITS reads no text: the rows' author
+codes make its graph.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Thread, ThreadRows, day_indices
+from .corpus import ThreadRows, day_indices
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds ranking.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import InvariantViolation
@@ -71,15 +71,10 @@ class RankedList:
         return list(self.thread_ids[:k])
 
 
-def _ranked(
-    thread_ids: Sequence[str], created_at: Sequence[int], scores: Sequence[float], **diagnostics
-) -> RankedList:
-    order = sorted(zip(scores, created_at, thread_ids), key=lambda sct: (-sct[0], sct[1], sct[2]))
+def _ranked_rows(threads: ThreadRows, scores: Sequence[float], **diagnostics) -> RankedList:
+    created_at = threads.columns.created_at[threads.rows].tolist()
+    order = sorted(zip(scores, created_at, threads.thread_ids), key=lambda sct: (-sct[0], sct[1], sct[2]))
     return RankedList(tuple((tid, s) for s, _, tid in order), **diagnostics)
-
-
-def _ranked_rows(threads: ThreadRows, scores: Sequence[float]) -> RankedList:
-    return _ranked(threads.thread_ids, threads.columns.created_at[threads.rows].tolist(), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +140,14 @@ def tfidf_rank(
 
 
 def hits_rank(
-    window_threads: Sequence[Thread],
+    window_threads: ThreadRows,
     tolerance: float = 1e-10,
     max_iters: int = 1000,
 ) -> RankedList:
     """Rank threads by HITS authority on the user-thread participation graph.
 
-    A user is connected to a thread iff they posted in it (edges unweighted).
+    A user is connected to a thread iff they posted in it (edges unweighted);
+    users are the author names of the rows' posts.
     Authorities start uniform; each round sets every hub to the sum of its
     neighbors' weights, l2-normalizes, then does the same for authorities.
     The graph is its edge list, one (user, thread) pair per participant, so
@@ -163,8 +159,10 @@ def hits_rank(
     """
     if not window_threads:
         raise InvariantViolation("hits", "graph must be nonempty")
-    # a frozenset iterates in hash-seed order: sorted edges make every process add in one order
-    members = [sorted(t.participants) for t in window_threads]
+    columns, rows = window_threads.columns, window_threads.rows.tolist()
+    names, authors, ends = columns.author_names, columns.authors.tolist(), columns.offsets.tolist()
+    # edges sorted by name make every process, and every parse's author codes, add in one order
+    members = [sorted({names[a] for a in authors[ends[r]:ends[r + 1]]}) for r in rows]
     users = sorted({u for m in members for u in m})
     uidx = {u: i for i, u in enumerate(users)}
     n_users, n_threads = len(users), len(window_threads)
@@ -195,9 +193,8 @@ def hits_rank(
             f"residual {moved:.3g}, tolerance {tolerance:.3g}",
             RuntimeWarning,
         )
-    return _ranked(
-        [t.thread_id for t in window_threads], [t.created_at for t in window_threads], authority.tolist(),
-        converged=converged, iterations=iterations, residual=float(moved),
+    return _ranked_rows(
+        window_threads, authority.tolist(), converged=converged, iterations=iterations, residual=float(moved)
     )
 
 
@@ -227,7 +224,7 @@ def split_window(
     day = day_indices(threads.columns.created_at[threads.rows], start_date)
     in_window = day <= window.window_days
     query = in_window & (day > window.warmup_days)
-    return threads._replace(rows=threads.rows[in_window]), threads._replace(rows=threads.rows[query])
+    return replace(threads, rows=threads.rows[in_window]), replace(threads, rows=threads.rows[query])
 
 
 def sample_query_days(

@@ -25,6 +25,7 @@ per token) or term_sums (count times weight per distinct id).
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -106,18 +107,22 @@ def topk_set_difference(day_a: KeywordRanking, day_b: KeywordRanking, k: int) ->
 
 
 def normalized_kendall_tau(rank_a: Sequence[str], rank_b: Sequence[str]) -> float:
-    """Discordant pairs divided by C(m, 2), for two orders of the same set."""
+    """Discordant pairs divided by C(m, 2), for two orders of the same set.
+
+    Each word of ``rank_a`` is discordant with every earlier one that ``rank_b`` puts after it.
+    """
     if set(rank_a) != set(rank_b) or len(set(rank_a)) != len(rank_a):
         raise DomainMismatch("rankings must be permutations of the same word set")
     m = len(rank_a)
     if m < 2:
         return 0.0
     pos_b = {w: i for i, w in enumerate(rank_b)}
+    earlier: list[int] = []  # rank_b positions of the words walked so far, sorted
     discordant = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pos_b[rank_a[i]] > pos_b[rank_a[j]]:
-                discordant += 1
+    for w in rank_a:
+        p = pos_b[w]
+        discordant += len(earlier) - bisect.bisect(earlier, p)
+        bisect.insort(earlier, p)
     return discordant / (m * (m - 1) / 2)
 
 

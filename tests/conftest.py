@@ -175,7 +175,7 @@ def noise_discrimination_trial(seed: int) -> tuple[int, int, int]:
     rows = ThreadRows.of(threads)
     ours = topical_rank(keywords, rows, alpha=0.96, k=50, tokens=table)
     tfidf = tfidf_rank(rows, rows, tokens=table)
-    hits = hits_rank(threads)
+    hits = hits_rank(rows)
 
     def admitted(ranked):
         return sum(1 for tid in ranked.top(15) if tid in irrelevant)

@@ -2,14 +2,16 @@
 
 The parser builds one ``Post`` and one ``Thread`` per line through the public
 constructors, so every check runs in the order the constructors run it, and
-the sampler builds one checked ``Thread`` per sampled thread.  The stats loops
-and the serializer read ``Thread`` objects.  Tests hold the columnar code in
-``forumlens.corpus``, ``forumlens.genmodel`` and ``forumlens.stats`` to these.
+the sampler builds one checked ``Thread`` per sampled thread.  The stats loops,
+the serializer and HITS read ``Thread`` objects.  Tests hold the columnar code
+in ``forumlens.corpus``, ``forumlens.genmodel``, ``forumlens.stats`` and
+``forumlens.ranking`` to these.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from forumlens.corpus import (
 )
 from forumlens.errors import ParseError
 from forumlens.genmodel import course_rng, sample_thread
+from forumlens.ranking import RankedList
 from forumlens.stats import ActivitySeries
 
 
@@ -168,3 +171,32 @@ def sample_corpus(spec, threads_per_course, threads_per_day=24) -> Corpus:
             threads.append(Thread(f"{course_id}-t{j:05d}", created, (post,), label))
         courses.append(Course(course_id, 0, tuple(threads)))
     return Corpus(tuple(courses))
+
+
+def hits_rank(threads: list[Thread], tolerance: float = 1e-10, max_iters: int = 1000) -> RankedList:
+    """HITS authority over the edges each thread's ``participants`` make, in thread order."""
+    members = [sorted(t.participants) for t in threads]
+    users = sorted({u for m in members for u in m})
+    uidx = {u: i for i, u in enumerate(users)}
+    edge_users = np.fromiter((uidx[u] for m in members for u in m), dtype=np.intp)
+    edge_threads = np.repeat(np.arange(len(threads)), [len(m) for m in members])
+
+    def normalize(v):
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 0 else v
+
+    authority = np.full(len(threads), 1.0 / math.sqrt(len(threads)))
+    hub = np.zeros(len(users))
+    converged, iterations, moved = False, 0, math.inf
+    for iterations in range(1, max_iters + 1):
+        new_hub = normalize(np.bincount(edge_users, weights=authority[edge_threads], minlength=len(users)))
+        new_authority = normalize(
+            np.bincount(edge_threads, weights=new_hub[edge_users], minlength=len(threads))
+        )
+        moved = max(np.linalg.norm(new_hub - hub), np.linalg.norm(new_authority - authority))
+        hub, authority = new_hub, new_authority
+        if moved < tolerance:
+            converged = True
+            break
+    order = sorted(zip(authority.tolist(), threads), key=lambda st: (-st[0], st[1].created_at, st[1].thread_id))
+    return RankedList(tuple((t.thread_id, s) for s, t in order), converged, iterations, float(moved))

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s``) in
 addition to asserting, and checks its own runtime budget.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -343,7 +344,7 @@ class TestCriterion7FormulaExactness:
             single_post_thread("d3", 3, "common x3"),
             single_post_thread("d4", 4, "common x4"),
         ])
-        first = threads._replace(rows=threads.rows[:1])
+        first = dataclasses.replace(threads, rows=threads.rows[:1])
         scored = tfidf_rank(threads, first, tokens=TokenTable(frozenset()))
         assert abs(scored.entries[0][1] - 2 * np.log(4)) <= 1e-9
 

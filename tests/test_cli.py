@@ -100,6 +100,15 @@ class TestGen:
         b = (out2 / "corpus.jsonl").read_bytes()
         assert a != b
 
+    def test_reads_its_own_spec(self, tmp_path):
+        spec = _write_spec(tmp_path / "spec.json")
+        first, second = tmp_path / "r1", tmp_path / "r2"
+        assert main(["gen", "--spec", str(spec), "--counts", "40,40", "--out", str(first)]) == 0
+        assert "kind" not in json.loads((first / "spec.json").read_text())
+        assert main(["gen", "--spec", str(first / "spec.json"), "--counts", "40,40", "--out", str(second)]) == 0
+        for name in ("corpus.jsonl", "spec.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_adversarial_spec_kind(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "adversarial", "n": 400}))
@@ -420,7 +429,7 @@ class TestStatsCommands:
 
 
 class TestCommandsBuildNoThreads:
-    """Every command path but HITS ranking reads the corpus columns and builds no Thread or Post."""
+    """Every command path, HITS ranking included, reads the corpus columns and builds no Thread or Post."""
 
     def test_no_thread_objects(self, tmp_path, twelve_courses, monkeypatch):
         spec, corpus_path, meta = twelve_courses
@@ -429,7 +438,7 @@ class TestCommandsBuildNoThreads:
         def refuse(self):
             raise AssertionError("a thread object was built")
 
-        monkeypatch.setattr(ThreadColumns, "threads", refuse)
+        monkeypatch.setattr(ThreadColumns, "threads", property(refuse))
         monkeypatch.setattr(Thread, "__post_init__", refuse)
         monkeypatch.setattr(Post, "__post_init__", refuse)
         corpus = ingest_corpus(corpus_path)
@@ -439,11 +448,13 @@ class TestCommandsBuildNoThreads:
         model = str(tmp_path / "train" / "model.json")
         course = ["--course", "course00"]
         window = [*course, "--warmup", "1", "--query", "1"]
+        compare = ["compare", *course, "--low", "1", "--high", "2", "--extra-days", "1", "--query", "1"]
         commands = [["gen", "--spec", str(spec), "--counts", ",".join(["30"] * 12)],
                     ["ingest"], ["classify", "train", "--algo", "svm", "--epochs", "2"],
                     ["classify", "eval", "--model", model], ["classify", "roc", "--model", model],
                     ["topics", "extract", *course], ["topics", "converge", *course],
                     ["rank", "--algo", "topical", *window], ["rank", "--algo", "tfidf", *window],
+                    ["rank", "--algo", "hits", *window], compare,
                     ["stats", "series"], ["stats", "trend"], ["stats", "panel"], ["stats", "shapiro"],
                     ["stats", "ttest", "--threshold", str(min(f_values))], ["stats", "moving-avg"],
                     ["stats", "moving-avg", "--model", model]]
@@ -454,12 +465,8 @@ class TestCommandsBuildNoThreads:
                 data += ["--meta", str(meta)]
             assert main([*command, *data, "--out", str(out)]) == 0, command
             assert (out / "manifest.json").exists()
-        # the one exception: HITS reads each thread's participants, in rank and in compare
-        hits = [["rank", "--algo", "hits", *window],
-                ["compare", *course, "--low", "1", "--high", "2", "--extra-days", "1", "--query", "1"]]
-        for i, command in enumerate(hits):
-            with pytest.raises(AssertionError, match="a thread object was built"):
-                main([*command, "--threads", str(corpus_path), "--out", str(tmp_path / f"hits{i}")])
+        compared = _read_csv(tmp_path / str(commands.index(compare)) / "compare.csv")
+        assert {row["baseline"] for row in compared} == {"tfidf", "hits"}  # HITS ran
 
 
 def _fluctuating_corpus(path, course_id):
@@ -634,10 +641,9 @@ _SPEC = json.dumps({"kind": "uniform", "n": 400, "num_courses": 2, "epsilon": 0.
 _META_HEADER = "course_id,start_date,Q,V,L,D,P,S,H,category\n"
 _META_ROW = "course00,0,1,0,5.5,30,0,100,2,HumanitiesSocial\n"
 
+_VALID_SPEC = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=20).to_json()
 # an explicit spec whose s_per_course holds a negative length
-_EXPLICIT_SPEC = json.dumps({"kind": "explicit", "spec": {
-    **json.loads(make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=20).to_json()),
-    "s_per_course": [3, -1]}})
+_EXPLICIT_SPEC = json.dumps({"kind": "explicit", "spec": {**json.loads(_VALID_SPEC), "s_per_course": [3, -1]}})
 
 
 class TestBadInput:
@@ -850,6 +856,8 @@ class TestBadInput:
              3, "InvariantViolation"),
             (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"s": 20', '"s": 10000000'),
              3, "InvariantViolation"),
+            # a kind-less file is the bare object gen writes, not a {"spec": ...} wrapper
+            (["gen", "--spec", "FILE", "--counts", "3,3"], '{"spec": %s}' % _VALID_SPEC, 3, "ParseError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -883,7 +891,7 @@ class TestBadInput:
              "background-holds-the-course", "svm-theta-a-string", "svm-theta-nan", "uniform-courses-a-bool",
              "adversarial-d-overflows", "adversarial-d-beyond-int64", "adversarial-c-nan",
              "adversarial-n-beyond-limit", "uniform-n-beyond-limit", "adversarial-sample-too-large",
-             "uniform-sample-too-large"],
+             "uniform-sample-too-large", "kind-less-spec-wrapper"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"

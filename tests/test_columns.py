@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from forumlens.corpus import (
     Thread,
     ThreadColumns,
     ThreadLabel,
+    ThreadRows,
     attach_metadata,
     day_index,
     day_indices,
@@ -28,6 +30,7 @@ from forumlens.corpus import (
     write_metadata_csv,
 )
 from forumlens.errors import ForumlensError, InvariantViolation, ParseError
+from forumlens.ranking import hits_rank
 from forumlens.stats import build_series, neighborhood_counts
 
 _LABEL_VALUES = [None, "SmallTalk", "Logistics", "CourseSpecific", "Unlabeled"]
@@ -218,6 +221,34 @@ class TestParseMatchesOracle:
             assert course.threads is course.threads  # built once
 
 
+class TestThreadRowsSequence:
+    """A ThreadRows is the sequence of its rows' Thread objects."""
+
+    def test_rows_of_thread_objects_yield_them(self):
+        ts = [Thread(f"t{i}", i, (Post("p0", f"u{i}", i, "hi"),)) for i in range(3)]
+        rows = ThreadRows.of(ts)
+        assert len(rows) == 3
+        assert list(rows) == list(ts)
+
+    def test_row_subset_yields_its_rows_threads(self, tiny_jsonl, monkeypatch):
+        course = ingest_corpus(tiny_jsonl).course("alpha")
+        want = oracle.ingest_corpus(tiny_jsonl).course("alpha").threads
+        rows = ThreadRows(course.columns, np.array([2, 0]))
+        assert len(rows) == 2
+        first = list(rows)
+        assert first == [want[2], want[0]]
+
+        def refuse(self):
+            raise AssertionError("a thread object was built")
+
+        monkeypatch.setattr(Thread, "__post_init__", refuse)
+        monkeypatch.setattr(Post, "__post_init__", refuse)
+        second = list(ThreadRows(course.columns, np.array([0, 2])))
+        assert second[0] is first[1] and second[1] is first[0]  # built once per columns
+        empty = ThreadRows(course.columns, np.zeros(0, np.intp))
+        assert len(empty) == 0 and not empty and list(empty) == []
+
+
 _TEXTS = ["alpha beta", "gamma", "delta epsilon zeta"]
 
 
@@ -296,6 +327,24 @@ class TestParsedColumnsMatchBuilt:
                     assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
                 else:
                     assert type(a) is type(b) and a == b, f.name
+
+
+class TestHitsMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_thread_corpora(), st.data())
+    def test_rows_rank_as_their_thread_objects(self, corpus, data):
+        """Multi-post threads with repeated authors and staff posts; author codes in first-seen order,
+        shared by the courses of one parse; rows in any order, with gaps."""
+        with tempfile.TemporaryDirectory() as root:
+            parsed = _parsed(corpus, root)
+        i = data.draw(st.integers(0, len(corpus.courses) - 1))
+        threads = corpus.courses[i].threads
+        rows = data.draw(st.lists(st.integers(0, len(threads) - 1), min_size=1, unique=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # slow graphs: compare the last iterates
+            got = hits_rank(ThreadRows(parsed.courses[i].columns, np.array(rows)))
+            want = oracle.hits_rank([threads[r] for r in rows])
+        assert got == want  # entries, iterations, residual and converged, bit for bit
 
 
 class TestRecords:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -83,7 +84,7 @@ class TestTopicalRank:
 
 def _some(threads, *rows):
     """The given rows of ``threads``, rows of the same columns."""
-    return threads._replace(rows=threads.rows[list(rows)])
+    return dataclasses.replace(threads, rows=threads.rows[list(rows)])
 
 
 class TestTfidfRank:
@@ -265,7 +266,7 @@ class TestHitsRank:
     def test_complete_bipartite_uniform(self):
         users = ["u1", "u2", "u3"]
         threads = [multi_user_thread(f"t{i}", i, ["xx"] * 3, users) for i in range(3)]
-        ranked = hits_rank(threads)
+        ranked = hits_rank(ThreadRows.of(threads))
         scores = [s for _, s in ranked.entries]
         assert max(scores) - min(scores) <= 1e-9
         assert ranked.converged
@@ -283,7 +284,7 @@ class TestHitsRank:
             for j in range(3):
                 users = [f"u{i}" for i in range(3) if adj[i, j]]
                 threads.append(multi_user_thread(f"t{j}", j, ["xx"] * len(users), users))
-            ranked = hits_rank(threads)
+            ranked = hits_rank(ThreadRows.of(threads))
             scores = np.array([dict(ranked.entries)[f"t{j}"] for j in range(3)])
             _, _, vt = np.linalg.svd(adj.astype(float))
             principal = np.abs(vt[0])
@@ -307,7 +308,7 @@ class TestHitsRank:
             for j in range(n_t):
                 users = [f"u{i}" for i in range(n_u) if adj[i, j]]
                 threads.append(multi_user_thread(f"t{j:02d}", j, ["xx"] * len(users), users))
-            ranked = hits_rank(threads)
+            ranked = hits_rank(ThreadRows.of(threads))
             scores = np.array([dict(ranked.entries)[f"t{j:02d}"] for j in range(n_t)])
             _, _, vt = np.linalg.svd(adj)
             principal = np.abs(vt[0])
@@ -320,7 +321,7 @@ class TestHitsRank:
             multi_user_thread("star", 1, ["xx", "yy"], ["u1", "u2"]),
             multi_user_thread("lone", 2, ["zz"], ["u3"]),
         ]
-        ranked = hits_rank(threads)
+        ranked = hits_rank(ThreadRows.of(threads))
         scores = dict(ranked.entries)
         assert scores["star"] > scores["lone"]
 
@@ -330,12 +331,12 @@ class TestHitsRank:
             multi_user_thread("t2", 2, ["yy", "zz"], ["u1", "u2"]),
         ]
         with pytest.warns(RuntimeWarning):
-            ranked = hits_rank(threads, tolerance=0.0, max_iters=3)
+            ranked = hits_rank(ThreadRows.of(threads), tolerance=0.0, max_iters=3)
         assert not ranked.converged
 
     def test_star_converges_below_tolerance(self):
         threads = [multi_user_thread(f"t{j}", j, ["xx"], ["hub"]) for j in range(5)]
-        ranked = hits_rank(threads, tolerance=1e-10)
+        ranked = hits_rank(ThreadRows.of(threads), tolerance=1e-10)
         assert ranked.converged
         assert ranked.iterations == 2  # the hub moves from 0 to 1, then nothing moves
         assert ranked.residual < 1e-10
@@ -345,9 +346,9 @@ class TestHitsRank:
             multi_user_thread("t1", 1, ["xx"], ["u1"]),
             multi_user_thread("t2", 2, ["yy", "zz"], ["u1", "u2"]),
         ]
-        assert hits_rank(threads).iterations > 1
+        assert hits_rank(ThreadRows.of(threads)).iterations > 1
         with pytest.warns(RuntimeWarning, match=r"within 1 iterations: residual 1, tolerance 1e-10"):
-            ranked = hits_rank(threads, tolerance=1e-10, max_iters=1)
+            ranked = hits_rank(ThreadRows.of(threads), tolerance=1e-10, max_iters=1)
         assert not ranked.converged
         assert ranked.iterations == 1
         assert ranked.residual >= 1e-10
@@ -358,7 +359,7 @@ class TestHitsRank:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # slow graphs: compare the last iterates
             expected, converged = _dense_hits(threads)
-            ranked = hits_rank(threads)
+            ranked = hits_rank(ThreadRows.of(threads))
         assert ranked.converged == converged
         scores = dict(ranked.entries)
         for tid, score in expected.items():
@@ -377,10 +378,10 @@ class TestHitsRank:
     def test_sparse_graph_memory(self):
         # 4,000 threads x 4,000 users on a ring of 8,000 edges: the dense matrix alone is 128 MB
         n = 4000
-        threads = [
+        threads = ThreadRows.of([
             multi_user_thread(f"t{j:04d}", j, ["xx", "xx"], [f"u{j:04d}", f"u{(j + 1) % n:04d}"])
             for j in range(n)
-        ]
+        ])
         tracemalloc.start()
         try:
             ranked = hits_rank(threads)
@@ -393,9 +394,9 @@ class TestHitsRank:
     def test_popularity_beats_relevance_only_under_hits(self):
         popular = multi_user_thread("pop", 1, ["noise"] * 12, [f"u{i}" for i in range(12)])
         relevant = multi_user_thread("rel", 2, ["kw01", "kw02", "kw03"], ["u99"])
-        threads = [popular, relevant]
-        hits = hits_rank(threads)
-        topical = topical_rank(KEYWORDS, ThreadRows.of(threads), alpha=0.9, k=50, tokens=TokenTable(SW))
+        rows = ThreadRows.of([popular, relevant])
+        hits = hits_rank(rows)
+        topical = topical_rank(KEYWORDS, rows, alpha=0.9, k=50, tokens=TokenTable(SW))
         assert hits.thread_ids.index("pop") < hits.thread_ids.index("rel")
         assert topical.thread_ids.index("rel") < topical.thread_ids.index("pop")
 

@@ -145,6 +145,15 @@ class TestKendallTau:
         dyz = normalized_kendall_tau(y, z)
         assert dxz <= dxy + dyz + 1e-12
 
+    @settings(max_examples=200)
+    @given(st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=40).flatmap(
+        lambda words: st.tuples(st.permutations(words), st.permutations(words))))
+    def test_equals_pair_count(self, orders):
+        a, b = orders
+        m = len(a)
+        discordant = sum(1 for i in range(m) for j in range(i + 1, m) if b.index(a[i]) > b.index(a[j]))
+        assert normalized_kendall_tau(a, b) == (discordant / (m * (m - 1) / 2) if m >= 2 else 0.0)
+
     def test_topk_alignment_uses_intersection(self):
         a = KeywordRanking((("aa", 4.0), ("bb", 3.0), ("cc", 2.0), ("dd", 1.0)))
         b = KeywordRanking((("cc", 4.0), ("aa", 3.0), ("ee", 2.0), ("bb", 1.0)))
@@ -591,7 +600,7 @@ def test_rows_laid_out_in_corpus_only():
 
 def test_thread_objects_built_in_corpus_only():
     """No package module but corpus calls ``Post(`` or ``Thread(``: the parse and the sampler fill
-    columns, and Thread objects are only ever built from them (for HITS)."""
+    columns, and Thread objects are only ever built from them, by no command."""
     for path in sorted(Path(topics.__file__).parent.glob("*.py")):
         if path.stem != "corpus":
             tree = ast.parse(path.read_text(encoding="utf-8"))
