@@ -11,6 +11,7 @@ from .corpus import (
     Thread,
     ThreadLabel,
     ThreadRows,
+    TokenTable,
     UnigramModel,
     ingest_corpus,
     serialize_corpus,
@@ -39,7 +40,6 @@ from .classify import (
 )
 from .topics import (
     KeywordRanking,
-    TokenTable,
     extract_keywords,
     normalized_kendall_tau,
     surprise_weights,

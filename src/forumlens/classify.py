@@ -4,7 +4,7 @@ Small-talk is the positive class throughout.  Feature vectors are raw term
 counts over the model vocabulary; tokens outside the vocabulary are ignored
 at prediction time.  Documents are token-id arrays from the command's
 TokenTable, the one text input that every pipeline reads, and are scored
-through the topics row kernel (term_sums for naive Bayes, token_sums for the
+through the corpus row kernel (term_sums for naive Bayes, token_sums for the
 SVM), whose sums equal predict_nb and SvmModel.score on the words bit for bit.
 Both models decide by score > theta, a naive Bayes score being its log posterior odds.
 Trained models are immutable and safe to share; evaluation is pure.
@@ -21,11 +21,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import (Corpus, ThreadLabel, TokenTable, distinct_terms, load_json_object, sequential_sum,
+                     term_sums, token_sums)
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds classify.thread_tokens
-from .corpus import Corpus, ThreadLabel, load_json_object, thread_tokens  # noqa: F401
+from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, EmptyCorpus, InvariantViolation, MissingClass, ParseError
 from .genmodel import GenerativeSpec, sample_thread, sample_tokens, separating_plane
-from .topics import TokenTable, distinct_terms, sequential_sum, term_sums, token_sums
 
 # (token ids from a TokenTable, is_smalltalk) pairs
 LabeledDoc = tuple[np.ndarray, bool]
@@ -381,17 +382,32 @@ def _nb_to_obj(model: NbModel) -> dict:
     }
 
 
+def _number(name: str, value) -> float:
+    """A model file's number as a float: an int or a float, not a bool, within a float's range."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value} is outside a float's range") from None
+
+
 def _nb_from_obj(obj: dict) -> NbModel:
-    prior = obj["log_prior"]
-    if type(prior) is not list or len(prior) != 2 or not all(type(p) in (int, float) for p in prior):
+    prior, vocab = obj["log_prior"], obj["vocab"]
+    if type(prior) is not list or len(prior) != 2:
         raise TypeError(f"log_prior must be a list of two numbers, got {prior!r}")
+    if type(vocab) is not list or not all(type(w) is str for w in vocab):
+        raise TypeError("vocab must be a list of strings")
+    pseudocount = _number("pseudocount", obj["pseudocount"])
+    if not 0.0 < pseudocount < math.inf:
+        raise ValueError(f"pseudocount must be positive and finite, got {pseudocount!r}")
     return NbModel(
-        vocab=tuple(obj["vocab"]),
-        log_prior_neg=prior[0],
-        log_prior_pos=prior[1],
+        vocab=tuple(vocab),
+        log_prior_neg=_number("log_prior", prior[0]),
+        log_prior_pos=_number("log_prior", prior[1]),
         log_cond_neg=np.asarray(obj["log_cond_neg"], dtype=float),
         log_cond_pos=np.asarray(obj["log_cond_pos"], dtype=float),
-        pseudocount=obj["pseudocount"],
+        pseudocount=pseudocount,
         mode=NbMode(obj["mode"]),
     )
 
@@ -417,7 +433,11 @@ def load_model(path):
         if kind == "nb":
             return _nb_from_obj(obj)
         if kind == "svm":
-            return SvmModel(weights=dict(obj["weights"]), bias=obj["bias"], theta=obj["theta"])
+            weights = obj["weights"]
+            if type(weights) is not dict:
+                raise TypeError(f"weights must be an object, got {weights!r}")
+            return SvmModel(weights={w: _number("weight", v) for w, v in weights.items()},
+                            bias=_number("bias", obj["bias"]), theta=_number("theta", obj["theta"]))
         if kind == "nb-percourse":
             models = obj["models"]
             if type(models) is not dict:

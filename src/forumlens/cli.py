@@ -39,6 +39,7 @@ from .corpus import (
     Corpus,
     ThreadLabel,
     ThreadRows,
+    TokenTable,
     attach_metadata,
     ingest_corpus,
     load_json_object,
@@ -90,7 +91,7 @@ from .stats import (
     trim_and_diff,
     two_sample_tests,
 )
-from .topics import KeywordFit, TokenTable, convergence_series, extract_keywords
+from .topics import KeywordFit, convergence_series, extract_keywords
 
 def _fmt(value):
     if isinstance(value, float):
@@ -625,7 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     pma.add_argument("--alpha-ma", type=_fraction, default=0.99)
     pma.add_argument("--denominator", choices=["printed", "timealigned"], default="printed")
     pma.add_argument("--model", default=None, help="classifier model for unlabeled threads")
-    pma.add_argument("--max-days", type=_positive_int, default=35)
+    pma.add_argument("--max-days", type=_positive_int, default=35,
+                     help="count a thread when created_at - start_date <= max_days * 86400: the thread "
+                          "at exactly that second (day max_days + 1) counts, and so do threads before the start")
     pma.set_defaults(func=_cmd_stats_moving_avg)
 
     return parser

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +29,7 @@ from .corpus import (
     ThreadLabel,
     UnigramModel,
     _ColumnBuilder,
+    sequential_sum,
 )
 from .errors import InvariantViolation
 
@@ -51,6 +53,17 @@ def _spec_int(name: str, value, least: int) -> int:
     if i is None or i < least:
         raise InvariantViolation("spec", f"{name} must hold integers >= {least}, got {value!r}")
     return i
+
+
+def _spec_float(name: str, value) -> float:
+    """``value`` as a float; it must be a real number that a float holds, not NaN and not a bool."""
+    try:
+        f = None if type(value) is bool or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:  # an integer past the float range
+        f = None
+    if f is None or math.isnan(f):
+        raise InvariantViolation("spec", f"{name} must hold numbers, got {value!r}")
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +95,13 @@ class GenerativeSpec:
     uniformity_bound: float = 8.0
 
     def __post_init__(self):
+        # each real field is stored as a float, so that to_json writes it as one
+        object.__setattr__(self, "epsilon", _spec_float("epsilon", self.epsilon))
+        object.__setattr__(self, "uniformity_bound", _spec_float("uniformity_bound", self.uniformity_bound))
+        for name in ("p", "ratio_bounds"):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, tuple(_spec_float(name, v) for v in values))
         if not 0.0 <= self.epsilon < 1.0:
             raise InvariantViolation("spec", "epsilon must be in [0, 1)")
         if self.n != len(self.background.vocab):
@@ -247,7 +267,6 @@ def make_spec(
     seed: int = 0,
     s_per_course: Sequence[int] | None = None,
     training_counts: Sequence[int] | None = None,
-    uniformity_bound: float = 8.0,
 ) -> GenerativeSpec:
     """Build a spec with a uniform background and block-disjoint topic supports.
 
@@ -263,7 +282,7 @@ def make_spec(
                                          f"got {num_courses!r}")
     s0 = support_size if smalltalk_support_size is None else smalltalk_support_size
     background, smalltalk, topics = _carved(n, [s0] + [support_size] * num_courses, topic_weights)
-    p_list = tuple([float(p)] * num_courses) if isinstance(p, (int, float)) else tuple(p)
+    p_list = (p,) * num_courses if isinstance(p, numbers.Real) else tuple(p)
     return GenerativeSpec(
         n=n,
         epsilon=epsilon,
@@ -275,7 +294,6 @@ def make_spec(
         seed=seed,
         s_per_course=tuple(s_per_course) if s_per_course is not None else None,
         training_counts=tuple(training_counts) if training_counts is not None else None,
-        uniformity_bound=uniformity_bound,
     )
 
 
@@ -443,8 +461,6 @@ def separating_plane(spec: GenerativeSpec) -> tuple[dict[str, float], float]:
     and the expected course-thread hit count s*(1-eps)*Pr_B(S0).  A thread is
     called small-talk iff its bag-of-words score strictly exceeds tau.
     """
-    from .topics import sequential_sum  # topics imports this module
-
     support = spec.smalltalk_topic.vocab
     weights = {w: 1.0 for w in support}
     bg_mass = sequential_sum(spec.background.prob(w) for w in support)

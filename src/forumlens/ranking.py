@@ -5,7 +5,7 @@ ranker and split_window take thread rows (ThreadRows) only; a caller with
 Thread objects wraps them once with ThreadRows.of and passes the same rows to
 every ranker.  The text rankers read the rows' token ids from the command's
 TokenTable, the one text input of every pipeline, so a thread ranked more
-than once is tokenized once, and sum their scores through the topics row
+than once is tokenized once, and sum their scores through the corpus row
 kernel: token_sums for the keyword ranker, term_sums (and its distinct pass
 for document frequencies) for tf-idf.  HITS reads no text: the rows' author
 codes make its graph.
@@ -20,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ThreadRows, day_indices
+from .corpus import ThreadRows, TokenTable, day_indices, distinct_terms, term_sums, token_sums
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds ranking.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import InvariantViolation
-from .topics import KeywordRanking, TokenTable, distinct_terms, term_sums, token_sums, top_k
+from .topics import KeywordRanking, top_k
 
 @dataclass(frozen=True)
 class RankWindow:

@@ -9,18 +9,6 @@ p_combined its mass in the background plus course data pooled together, and n
 the background token count.  Words whose course frequency stands far above
 their global frequency score high; globally common words are discounted by
 the square-root denominator.
-
-A command reads text through one TokenTable that every pipeline it runs
-shares (keywords, ranking and the classifiers).  The table reads thread rows
-straight from each course's columns, so no text pipeline builds Thread
-objects, and it has two read forms: ``ids`` splits a thread row once and
-keeps its ids, and ``counts`` totals a whole course's tokens by id and keeps
-no row.  So a thread is split at most once per form: KeywordFit counts the
-background courses and reads the course's rows, in day order, only through
-the last day it is asked about; the course counts are prefix counts.
-All four text scores (topical and tf-idf ranking, naive Bayes, the SVM) sum
-their terms over token-id rows through one kernel here: token_sums (a weight
-per token) or term_sums (count times weight per distinct id).
 """
 
 from __future__ import annotations
@@ -29,11 +17,11 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, ThreadColumns, UnigramModel, day_indices, default_stopwords, split_words
+from .corpus import Corpus, TokenTable, UnigramModel, day_indices
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds topics.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, DomainMismatch, EmptyCorpus, InvariantViolation
@@ -139,189 +127,6 @@ def topk_kendall_tau(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> fl
 # ---------------------------------------------------------------------------
 # Corpus pipeline
 # ---------------------------------------------------------------------------
-
-
-class TokenTable:
-    """Thread rows of course columns as token ids, each tokenized on first access and kept
-    while the table lives.
-
-    A row's text is its posts' texts joined by spaces (staff posts left out
-    unless ``include_staff``), cut into words by ``split_words``.  Each
-    distinct word is tested once against the stopwords and the length limit:
-    one map takes every word seen to its id, or to -1 for a dropped word.
-    Tokens are stored in their original order as int32 ids into the table's
-    vocabulary ``index``, which grows in order of first appearance.  Rows are
-    kept per columns object (columns hash by identity), so the table holds each
-    columns it has read.  A table belongs to one command: build it there and
-    let it go with it.
-    """
-
-    def __init__(self, stopwords: frozenset[str] | None = None, include_staff: bool = True):
-        self.stopwords = default_stopwords() if stopwords is None else stopwords
-        self.include_staff = include_staff
-        self.index: dict[str, int] = {}
-        self._word_ids: dict[str, int] = {}
-        self._rows: dict[ThreadColumns, dict[int, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        """``tokens`` as int32 ids, none dropped; new words take the next ids, in order of appearance."""
-        index = self.index
-        try:
-            ids = list(map(index.__getitem__, tokens))
-        except KeyError:
-            for w in tokens:
-                index.setdefault(w, len(index))
-            ids = list(map(index.__getitem__, tokens))
-        return np.array(ids, dtype=np.int32)
-
-    def ids(self, columns: ThreadColumns, row: int) -> np.ndarray:
-        """Thread ``row`` of ``columns`` as token ids."""
-        rows = self._rows.setdefault(columns, {})
-        ids = rows.get(row)
-        if ids is None:
-            ids = rows[row] = self._tokenize(columns, row)
-        return ids
-
-    def _tokenize(self, columns: ThreadColumns, row: int) -> np.ndarray:
-        """Thread ``row`` of ``columns`` read and tokenized: the table's one path from text to ids."""
-        start, end = columns.offsets[row : row + 2].tolist()
-        texts = columns.texts[start:end]
-        if not self.include_staff:
-            texts = [t for t, staff in zip(texts, columns.is_staff[start:end].tolist()) if not staff]
-        words = split_words(" ".join(texts))
-        word_ids = self._word_ids
-        try:
-            ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
-        except KeyError:
-            self._learn(words)
-            ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
-        return ids[ids >= 0]
-
-    def _learn(self, words: Iterable[str]) -> None:
-        """Map each unseen word of ``words`` to a new id, in order, or to -1 if it is dropped."""
-        word_ids, index, stopwords = self._word_ids, self.index, self.stopwords
-        for w in words:
-            if w not in word_ids:
-                word_ids[w] = -1 if len(w) < 2 or w in stopwords else index.setdefault(w, len(index))
-
-    def counts(self, columns: ThreadColumns) -> np.ndarray:
-        """Token counts over every row of ``columns``, by id (int64, ``len(self)`` entries): the
-        tokens that ``ids`` gives those rows, split _COUNT_POSTS posts at a time with no row kept.
-
-        A chunk's posts are joined by spaces, as a row's are: a space ends every word, and it
-        stops str.lower's look at the letters around a capital sigma as a row's end does.
-        """
-        texts = columns.texts
-        if not self.include_staff:
-            texts = [t for t, staff in zip(texts, columns.is_staff.tolist()) if not staff]
-        words: Counter[str] = Counter()
-        for start in range(0, len(texts), _COUNT_POSTS):
-            words.update(split_words(" ".join(texts[start : start + _COUNT_POSTS])))
-        self._learn(words)  # a Counter keeps first appearances in order, as the rows meet them
-        ids = np.fromiter(map(self._word_ids.__getitem__, words), np.intp, len(words))
-        kept = ids >= 0
-        out = np.zeros(len(self), dtype=np.int64)
-        out[ids[kept]] = np.fromiter(words.values(), np.int64, len(words))[kept]
-        return out
-
-
-# posts joined and split at once by TokenTable.counts: bounds the text and word list it holds
-# (256 posts of ~100 words held ~0.5 MB more at a command's peak than reading rows did)
-_COUNT_POSTS = 64
-
-
-# ---------------------------------------------------------------------------
-# Id rows in chunks
-#
-# A text score is taken over id rows, one per document, a chunk at a time.  A
-# row sum lays each row's terms out in one zero-padded matrix behind a lead term
-# and takes np.add.accumulate along the rows: accumulate adds left to right, and
-# the padding adds +0.0, so each sum equals sequential_sum over the row's terms
-# bit for bit.
-# ---------------------------------------------------------------------------
-
-# padded cells (rows x (1 + longest row)) per chunk; this bounds a chunk's tokens too
-_CHUNK_CELLS = 1 << 14
-
-
-class IdRows(NamedTuple):
-    """Consecutive id rows as one array, each entry with its row and column."""
-
-    rows: int
-    row: np.ndarray
-    col: np.ndarray
-    ids: np.ndarray
-
-
-def _laid_out(lengths: np.ndarray, ids: np.ndarray) -> IdRows:
-    """``ids`` as consecutive rows of ``lengths`` entries."""
-    row = np.repeat(np.arange(lengths.size), lengths)
-    return IdRows(lengths.size, row, np.arange(ids.size) - (np.cumsum(lengths) - lengths)[row], ids)
-
-
-def _chunks(rows: Sequence[np.ndarray]) -> Iterator[IdRows]:
-    """``rows`` in consecutive chunks whose padded matrices fit _CHUNK_CELLS (or hold one row)."""
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    start, width = 0, 1
-    for end, n in enumerate(lengths.tolist()):
-        if end > start and (end - start + 1) * max(width, n + 1) > _CHUNK_CELLS:
-            yield _laid_out(lengths[start:end], np.concatenate(rows[start:end]))
-            start, width = end, 1
-        width = max(width, n + 1)
-    if start < len(rows):
-        yield _laid_out(lengths[start:], np.concatenate(rows[start:]))
-
-
-def _row_sums(lead: float, chunk: IdRows, terms: np.ndarray) -> np.ndarray:
-    """Per row of ``chunk``, ``lead`` plus the row's ``terms`` (one per entry) added left to right."""
-    matrix = np.zeros((chunk.rows, 2 + int(chunk.col.max(initial=-1))))
-    matrix[:, 0] = lead
-    matrix[chunk.row, chunk.col + 1] = terms
-    return np.add.accumulate(matrix, axis=1)[:, -1].copy()  # not a view that keeps the matrix alive
-
-
-def _distinct(chunk: IdRows) -> tuple[IdRows, np.ndarray]:
-    """Each row's distinct ids in order of first occurrence, and their counts."""
-    key = chunk.row.astype(np.int64) * (int(chunk.ids.max(initial=0)) + 1) + chunk.ids
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    order = np.argsort(first)  # keys sort by row, then by id: back to first occurrences
-    first = first[order]
-    return _laid_out(np.bincount(chunk.row[first], minlength=chunk.rows), chunk.ids[first]), counts[order]
-
-
-def distinct_terms(rows: Sequence[np.ndarray]) -> Iterator[tuple[IdRows, np.ndarray]]:
-    """Each id row's distinct ids and their counts, a chunk at a time; a chunk's sort keys are
-    freed before the caller gets it, so they leave no holes between what the caller keeps."""
-    return map(_distinct, _chunks(rows))
-
-
-def token_sums(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Per id row, ``weights[id]`` for each of its tokens, added in token order from 0.0."""
-    sums = [_row_sums(0.0, chunk, weights[chunk.ids]) for chunk in _chunks(rows)]
-    return np.concatenate(sums or [[]])
-
-
-def term_sums(
-    rows: Sequence[np.ndarray], weight_vectors: Sequence[np.ndarray], leads: Sequence[float]
-) -> list[np.ndarray]:
-    """Per weight vector and id row, its lead plus count * weight for each distinct id of
-    the row, added in order of first occurrence; one distinct pass serves every vector."""
-    sums: list[list[np.ndarray]] = [[] for _ in weight_vectors]
-    for terms, counts in distinct_terms(rows):
-        for out, weights, lead in zip(sums, weight_vectors, leads):
-            out.append(_row_sums(lead, terms, counts * weights[terms.ids]))
-    return [np.concatenate(s or [[]]) for s in sums]
-
-
-def sequential_sum(values: Iterable[float]) -> float:
-    """``values`` added left to right from 0.0; from Python 3.12 the built-in sum() compensates."""
-    total = 0.0
-    for v in values:
-        total += v
-    return float(total)
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from forumlens.corpus import Course, Corpus, Post, Thread, ThreadLabel, ThreadRows, UnigramModel
+from forumlens import corpus as corpus_module
+from forumlens.corpus import Course, Corpus, Post, Thread, ThreadLabel, ThreadRows, TokenTable, UnigramModel
 from forumlens.genmodel import make_spec, sample_tokens
 from forumlens.ranking import hits_rank, tfidf_rank, topical_rank
-from forumlens.topics import TokenTable, surprise_weights
+from forumlens.topics import surprise_weights
 
 
 @pytest.fixture
@@ -32,6 +35,22 @@ def calls(monkeypatch):
     monkeypatch.setattr(TokenTable, "_tokenize", tokenizing)
     monkeypatch.setattr(TokenTable, "counts", counting)
     return counts
+
+
+@contextlib.contextmanager
+def chunk_budget(cells):
+    """Set the row kernel's chunk budget, corpus._CHUNK_CELLS, to ``cells``, and check that every
+    chunk the kernel lays out keeps it: one row, or rows x (1 + longest row) <= cells."""
+    chunks = corpus_module._chunks
+
+    def checked(rows):
+        for chunk in chunks(rows):
+            assert chunk.rows == 1 or chunk.rows * (2 + int(chunk.col.max(initial=-1))) <= cells
+            yield chunk
+
+    with mock.patch.object(corpus_module, "_CHUNK_CELLS", cells), \
+            mock.patch.object(corpus_module, "_chunks", checked):
+        yield
 
 
 def make_post(pid, author, ts, text, staff=False):

@@ -20,7 +20,7 @@ from forumlens.classify import (
     small_sample_fpr_trials,
 )
 from forumlens.cli import main as cli_main
-from forumlens.corpus import CourseFactors, ThreadRows, UnigramModel
+from forumlens.corpus import CourseFactors, ThreadRows, TokenTable, UnigramModel
 from forumlens.genmodel import adversarial_spec, make_spec, sample_corpus
 from forumlens.ranking import tfidf_rank, topical_rank
 from forumlens.stats import (
@@ -37,7 +37,6 @@ from forumlens.stats import (
 )
 from forumlens.topics import (
     KeywordRanking,
-    TokenTable,
     convergence_series,
     support_recovery_recall,
     surprise_weights,

@@ -412,6 +412,22 @@ class TestStatsCommands:
         assert rows
         assert all(0.0 <= float(r["s_t"]) <= 1.0 / 0.99 + 1e-9 for r in rows)
 
+    def test_moving_avg_window_edges(self, tmp_path):
+        """--max-days counts a thread when created_at - start_date <= max_days * 86400: the thread
+        at exactly that second counts, and so does one before the start; one second later does not."""
+        start = 87_400
+        times = [start - 86_400, start, start + 86_400, start + 86_401]
+        corpus_path, meta = tmp_path / "corpus.jsonl", tmp_path / "meta.csv"
+        corpus_path.write_text("\n".join(
+            _thread_line(thread_id=f"t{i}", post_id=f"p{i}", created_at=ts, timestamp=ts, label="SmallTalk")
+            for i, ts in enumerate(times)) + "\n")
+        meta.write_text(_META_HEADER + _META_ROW.replace("course00,0,", f"c,{start},"))
+        out = tmp_path / "ma"
+        rc = main(["stats", "moving-avg", "--threads", str(corpus_path), "--meta", str(meta), "--max-days", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        assert [float(r["elapsed_days"]) for r in _read_csv(out / "moving_avg.csv")] == [-1.0, 0.0, 1.0]
+
     def test_failed_run_writes_no_manifest(self, tmp_path, gen_corpus):
         # 24 threads a day keep f(h, 1 day) below the default threshold: group 2 is empty
         out = tmp_path / "tt"
@@ -858,6 +874,34 @@ class TestBadInput:
              3, "InvariantViolation"),
             # a kind-less file is the bare object gen writes, not a {"spec": ...} wrapper
             (["gen", "--spec", "FILE", "--counts", "3,3"], '{"spec": %s}' % _VALID_SPEC, 3, "ParseError"),
+            # model fields that are not strings, not positive finite numbers, or are booleans
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"], _NB.replace('["aa"]', "[0]"),
+             3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('"pseudocount": 1.0', '"pseudocount": "x"'), 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('"pseudocount": 1.0', '"pseudocount": -5'), 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('"pseudocount": 1.0', '"pseudocount": true'), 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": {"w001": true}, "bias": 0, "theta": 0}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": {"w001": 1.0}, "bias": false, "theta": 0}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": {"w001": 1.0}, "bias": 0, "theta": true}', 3, "ParseError"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": {"w001": %d}, "bias": 0, "theta": 0}' % 2**1100, 3, "ParseError"),
+            # spec reals that are booleans or strings
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"epsilon": 0.3', '"epsilon": false'),
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"p": 0.5', '"p": [true, 0.5]'),
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC.replace('"p": 0.5', '"p": "0.5"'),
+             3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             json.dumps({**json.loads(_VALID_SPEC), "uniformity_bound": True}), 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             json.dumps({**json.loads(_VALID_SPEC), "ratio_bounds": ["1.01", 9.0]}), 3, "InvariantViolation"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -891,7 +935,11 @@ class TestBadInput:
              "background-holds-the-course", "svm-theta-a-string", "svm-theta-nan", "uniform-courses-a-bool",
              "adversarial-d-overflows", "adversarial-d-beyond-int64", "adversarial-c-nan",
              "adversarial-n-beyond-limit", "uniform-n-beyond-limit", "adversarial-sample-too-large",
-             "uniform-sample-too-large", "kind-less-spec-wrapper"],
+             "uniform-sample-too-large", "kind-less-spec-wrapper",
+             "nb-vocab-not-strings", "nb-pseudocount-a-string", "nb-pseudocount-negative",
+             "nb-pseudocount-a-bool", "svm-weight-a-bool", "svm-bias-a-bool", "svm-theta-a-bool",
+             "svm-weight-beyond-float", "uniform-epsilon-a-bool", "uniform-p-holds-a-bool",
+             "uniform-p-a-string", "kind-less-uniformity-bound-a-bool", "kind-less-ratio-bounds-hold-a-string"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"

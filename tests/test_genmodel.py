@@ -113,6 +113,35 @@ class TestSpecConstruction:
         assert again.to_json() == spec.to_json()
         assert (again.n, again.s, again.seed, again.s_per_course, again.training_counts) == (200, 10, 3, (4, 1), (0, 2))
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"epsilon": False}, "epsilon"), ({"epsilon": "0.3"}, "epsilon"), ({"p": (True, 0.5)}, "p"),
+            ({"p": (0.5, "0.5")}, "p"), ({"uniformity_bound": True}, "uniformity_bound"),
+            ({"uniformity_bound": "8"}, "uniformity_bound"), ({"ratio_bounds": (1.01, "9")}, "ratio_bounds"),
+            ({"ratio_bounds": (np.True_, 9.0)}, "ratio_bounds"), ({"epsilon": 2**1100}, "epsilon"),
+            ({"uniformity_bound": math.nan}, "uniformity_bound"),
+        ],
+        ids=["epsilon-a-bool", "epsilon-a-string", "p-a-bool", "p-a-string", "uniformity-bound-a-bool",
+             "uniformity-bound-a-string", "ratio-bounds-a-string", "ratio-bounds-a-numpy-bool",
+             "epsilon-beyond-float", "uniformity-bound-nan"],
+    )
+    def test_real_fields_checked(self, fields, name):
+        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10)
+        with pytest.raises(InvariantViolation, match=f"{name} must hold numbers"):
+            dataclasses.replace(spec, **fields)
+
+    def test_real_fields_stored_as_floats(self):
+        """An integer or numpy real given for epsilon, p, uniformity_bound or ratio_bounds is stored,
+        and written by to_json, as a float."""
+        spec = make_spec(n=200, num_courses=2, epsilon=0, p=(np.float32(0.5), 1), s=10)
+        spec = dataclasses.replace(spec, uniformity_bound=8, ratio_bounds=None)
+        stored = (spec.epsilon, *spec.p, spec.uniformity_bound)
+        assert [type(v) for v in stored] == [float] * 4
+        assert '"epsilon": 0.0' in spec.to_json() and '"p": [0.5, 1.0]' in spec.to_json()
+        spec = dataclasses.replace(make_spec(n=200, num_courses=2, epsilon=0.6, p=0.5, s=10), ratio_bounds=(2, 3))
+        assert [type(v) for v in spec.ratio_bounds] == [float] * 2
+
 
 def _ratio_bounds_loop(epsilon, background, course_topics):
     """ratio_bounds as first computed, a word at a time; None if a topical word is not boosted."""

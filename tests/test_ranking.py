@@ -3,15 +3,14 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumlens import topics
-from forumlens.corpus import ThreadRows, thread_tokens
+from forumlens import corpus
+from forumlens.corpus import ThreadRows, TokenTable, sequential_sum, thread_tokens
 from forumlens.errors import InvariantViolation
 from forumlens.ranking import (
     RankWindow,
@@ -24,9 +23,9 @@ from forumlens.ranking import (
     topical_rank,
     topk_diff,
 )
-from forumlens.topics import KeywordRanking, TokenTable, sequential_sum
+from forumlens.topics import KeywordRanking
 
-from conftest import multi_user_thread, noise_discrimination_trial, single_post_thread
+from conftest import chunk_budget, multi_user_thread, noise_discrimination_trial, single_post_thread
 
 SW = frozenset()
 
@@ -202,10 +201,10 @@ class TestLeftToRightSums:
         assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
 
     @settings(max_examples=150, deadline=None)
-    @given(_rank_inputs(), st.sampled_from([0.5, 0.9]), st.sampled_from([1, 2, 5, 13, topics._CHUNK_CELLS]))
+    @given(_rank_inputs(), st.sampled_from([0.5, 0.9]), st.sampled_from([1, 2, 5, 13, corpus._CHUNK_CELLS]))
     def test_scores_across_chunks(self, inputs, alpha, cells):
         threads, window, query = inputs
-        with mock.patch.object(topics, "_CHUNK_CELLS", cells):  # a small budget splits the rows
+        with chunk_budget(cells):  # a small budget splits the rows
             topical = topical_rank(KEYWORDS, query, alpha=alpha, k=55, tokens=TokenTable(SW))
             tfidf = tfidf_rank(window, query, tokens=TokenTable(SW))
         window, query = ([threads[r] for r in rows.rows.tolist()] for rows in (window, query))

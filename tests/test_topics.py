@@ -9,18 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forumlens import topics
-from forumlens.corpus import Corpus, Course, Post, Thread, UnigramModel, day_index, thread_tokens
+from forumlens import corpus, topics
+from forumlens.corpus import (Corpus, Course, Post, Thread, TokenTable, UnigramModel, day_index, distinct_terms,
+                              thread_tokens)
 from forumlens.errors import ConfigError, DomainMismatch, EmptyCorpus
 from forumlens.genmodel import make_spec, sample_corpus
 from forumlens.topics import (
     ConvergencePoint,
     KeywordFit,
     KeywordRanking,
-    TokenTable,
     convergence_series,
     extract_keywords,
-    distinct_terms,
     normalized_kendall_tau,
     support_recovery_recall,
     surprise_weights,
@@ -28,6 +27,8 @@ from forumlens.topics import (
     topk_kendall_tau,
     topk_set_difference,
 )
+
+from conftest import chunk_budget
 
 
 class TestSurpriseWeights:
@@ -228,7 +229,7 @@ class TestFirstCounts:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 6), max_size=9), max_size=8), st.sampled_from([1, 2, 5, 13]))
     def test_rows_across_chunks(self, rows, cells):
-        with mock.patch.object(topics, "_CHUNK_CELLS", cells):  # a small budget splits the rows
+        with chunk_budget(cells):  # a small budget splits the rows
             chunks = list(distinct_terms([np.array(ids, dtype=np.int32) for ids in rows]))
         assert sum(t.rows for t, _ in chunks) == len(rows)
         got, offset = [[] for _ in rows], 0
@@ -528,10 +529,10 @@ class TestCountsMatchRows:
 
     @settings(max_examples=150, deadline=None)
     @given(_count_courses(), st.sampled_from([None, frozenset(), frozenset({"the", "zz", "42", "kelvin"})]),
-           st.booleans(), st.sampled_from([1, 2, 3, topics._COUNT_POSTS]))
+           st.booleans(), st.sampled_from([1, 2, 3, corpus._COUNT_POSTS]))
     def test_counts_equal_row_totals(self, courses, stopwords, include_staff, chunk):
         table, rows = TokenTable(stopwords, include_staff), TokenTable(stopwords, include_staff)
-        with mock.patch.object(topics, "_COUNT_POSTS", chunk):
+        with mock.patch.object(corpus, "_COUNT_POSTS", chunk):
             counted = [table.counts(course.columns) for course in courses]
         words = list(table.index)
         for course, counts in zip(courses, counted):
@@ -566,13 +567,13 @@ def _calls_outside(tree, names):
 
 
 def test_one_scoring_path():
-    """Text scores go through topics' chunked row sums: no package code scores a word list
-    (predict_nb, SvmModel.score), no module but topics builds a padded row-sum matrix
+    """Text scores go through corpus' chunked row sums: no package code scores a word list
+    (predict_nb, SvmModel.score), no module but corpus builds a padded row-sum matrix
     (np.add.accumulate), and no module that reads token ids calls np.unique on them."""
     for path in sorted(Path(topics.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         banned = {"predict_nb", "score"}
-        if path.stem != "topics":
+        if path.stem != "corpus":
             banned.add("accumulate")
             if any(isinstance(n, ast.alias) and n.name == "TokenTable" for n in ast.walk(tree)):
                 banned.add("unique")
