@@ -17,12 +17,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, ThreadLabel, TokenTable, distinct_terms, load_json_object, sequential_sum,
-                     term_sums, token_sums)
+from .corpus import (Corpus, ThreadLabel, TokenTable, distinct_terms, load_json_object, read_list, read_object,
+                     read_real, read_str, sequential_sum, term_sums, token_sums)
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds classify.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, EmptyCorpus, InvariantViolation, MissingClass, ParseError
@@ -94,12 +95,8 @@ class SvmModel:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.weights.values()):
-            raise InvariantViolation("svm", "weights must be finite")
-        if not math.isfinite(self.bias):
-            raise InvariantViolation("svm", "bias must be finite")
-        if not math.isfinite(self.theta):
-            raise InvariantViolation("svm", "theta must be finite")
+        if not all(map(math.isfinite, (*self.weights.values(), self.bias, self.theta))):
+            raise InvariantViolation("svm", "weights, bias and theta must be finite")
 
     def score(self, tokens: Sequence[str]) -> float:
         w = self.weights
@@ -324,10 +321,11 @@ def _scores(model, rows: Sequence[np.ndarray], tokens: TokenTable) -> np.ndarray
     """Score per id row: the SVM score, or the naive Bayes log posterior odds."""
     if isinstance(model, dict):
         raise ConfigError("a per-course model decides one course at a time")
-    if isinstance(model, SvmModel):
-        return _svm_scores(model, rows, tokens)
-    log_pos, log_neg = _nb_log_posteriors(model, rows, tokens)
-    return log_pos - log_neg
+    with np.errstate(over="raise", invalid="raise"):  # finite weights can add up past the float range
+        if isinstance(model, SvmModel):
+            return _svm_scores(model, rows, tokens)
+        log_pos, log_neg = _nb_log_posteriors(model, rows, tokens)
+        return log_pos - log_neg
 
 
 def decisions(
@@ -382,31 +380,21 @@ def _nb_to_obj(model: NbModel) -> dict:
     }
 
 
-def _number(name: str, value) -> float:
-    """A model file's number as a float: an int or a float, not a bool, within a float's range."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} {value} is outside a float's range") from None
-
-
-def _nb_from_obj(obj: dict) -> NbModel:
-    prior, vocab = obj["log_prior"], obj["vocab"]
-    if type(prior) is not list or len(prior) != 2:
-        raise TypeError(f"log_prior must be a list of two numbers, got {prior!r}")
-    if type(vocab) is not list or not all(type(w) is str for w in vocab):
-        raise TypeError("vocab must be a list of strings")
-    pseudocount = _number("pseudocount", obj["pseudocount"])
-    if not 0.0 < pseudocount < math.inf:
-        raise ValueError(f"pseudocount must be positive and finite, got {pseudocount!r}")
-    return NbModel(
-        vocab=tuple(vocab),
-        log_prior_neg=_number("log_prior", prior[0]),
-        log_prior_pos=_number("log_prior", prior[1]),
-        log_cond_neg=np.asarray(obj["log_cond_neg"], dtype=float),
-        log_cond_pos=np.asarray(obj["log_cond_pos"], dtype=float),
+def _read_nb(obj: dict) -> partial:
+    """NbModel with its fields read from a model object, still to be called."""
+    prior = read_list("nb", "log_prior", obj["log_prior"], read_real)
+    if len(prior) != 2:
+        raise InvariantViolation("nb", f"log_prior must hold two numbers, got {len(prior)}")
+    pseudocount = read_real("nb", "pseudocount", obj["pseudocount"])
+    if not pseudocount > 0.0:
+        raise InvariantViolation("nb", f"pseudocount must be positive, got {pseudocount!r}")
+    return partial(
+        NbModel,
+        vocab=read_list("nb", "vocab", obj["vocab"], read_str),
+        log_prior_neg=prior[0],
+        log_prior_pos=prior[1],
+        log_cond_neg=np.array(read_list("nb", "log_cond_neg", obj["log_cond_neg"], read_real), dtype=float),
+        log_cond_pos=np.array(read_list("nb", "log_cond_pos", obj["log_cond_pos"], read_real), dtype=float),
         pseudocount=pseudocount,
         mode=NbMode(obj["mode"]),
     )
@@ -427,25 +415,26 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """The model a file holds, every field read before it is built: a missing or refused field is a
+    ParseError, and fields that break the model's invariants raise InvariantViolation."""
     obj = load_json_object(path)
     kind = obj.get("kind")
     try:
         if kind == "nb":
-            return _nb_from_obj(obj)
-        if kind == "svm":
-            weights = obj["weights"]
-            if type(weights) is not dict:
-                raise TypeError(f"weights must be an object, got {weights!r}")
-            return SvmModel(weights={w: _number("weight", v) for w, v in weights.items()},
-                            bias=_number("bias", obj["bias"]), theta=_number("theta", obj["theta"]))
-        if kind == "nb-percourse":
-            models = obj["models"]
-            if type(models) is not dict:
-                raise TypeError(f"models must be an object, got {models!r}")
-            return {cid: _nb_from_obj(m) for cid, m in models.items()}
-    except (KeyError, TypeError, ValueError) as exc:  # a missing or wrong-typed field
-        raise ParseError(1, f"{kind} model has a missing or malformed field: {exc}") from None
-    raise ParseError(1, f"unknown model kind {kind!r}")
+            build = _read_nb(obj)
+        elif kind == "svm":
+            weights = read_object(kind, "weights", obj["weights"])
+            build = partial(SvmModel, weights={w: read_real(kind, "weights", v) for w, v in weights.items()},
+                            bias=read_real(kind, "bias", obj["bias"]), theta=read_real(kind, "theta", obj["theta"]))
+        elif kind == "nb-percourse":
+            models = {cid: _read_nb(read_object(kind, cid, m))
+                      for cid, m in read_object(kind, "models", obj["models"]).items()}
+            build = lambda: {cid: nb() for cid, nb in models.items()}
+        else:
+            raise ParseError(1, f"unknown model kind {kind!r}")
+    except (KeyError, ValueError, InvariantViolation) as exc:  # a missing field, an unknown mode, a refused field
+        raise ParseError(1, f"{kind} model has a missing or malformed field: {getattr(exc, 'reason', exc)}") from None
+    return build()
 
 
 # ---------------------------------------------------------------------------

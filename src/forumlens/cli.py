@@ -164,8 +164,8 @@ def _load_spec(path) -> GenerativeSpec:
             return build(**{f: obj[f] for f in fields if f in obj})
         if kind in ("explicit", None):
             return GenerativeSpec.from_json(json.dumps(obj["spec"] if kind else obj))
-    except (KeyError, TypeError, ValueError) as exc:  # a missing or wrong-typed field
-        raise ParseError(1, f"{kind or 'kind-less'} spec has a missing or malformed field: {exc}") from None
+    except (KeyError, TypeError) as exc:  # a missing field, or a builder's missing argument
+        raise ParseError(1, f"{kind or 'kind-less'} spec has a missing field: {exc}") from None
     raise ParseError(1, f"unknown spec kind {kind!r}")
 
 

@@ -64,6 +64,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import operator
 import re
 from collections import Counter
 from dataclasses import astuple, dataclass, field, fields
@@ -679,11 +681,11 @@ class UnigramModel:
             raise InvariantViolation("unigram", "vocab and mass lengths differ")
         if any(a >= b for a, b in zip(self.vocab, self.vocab[1:])):
             raise InvariantViolation("unigram", "vocab must be sorted, with no word repeated")
-        if mass.size:
-            if np.any(mass <= 0):
-                raise InvariantViolation("unigram", "all masses must be > 0 on the support")
-            if abs(mass.sum() - 1.0) > 1e-9:
-                raise InvariantViolation("unigram", "masses must sum to 1 +/- 1e-9")
+        # each check states what must hold, so that a NaN fails it
+        if not (mass > 0).all():
+            raise InvariantViolation("unigram", "all masses must be > 0 on the support")
+        if mass.size and not abs(mass.sum() - 1.0) <= 1e-9:
+            raise InvariantViolation("unigram", "masses must sum to 1 +/- 1e-9")
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.vocab)})
 
     @classmethod
@@ -864,6 +866,58 @@ def load_json_object(path) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(1, "the file must hold one JSON object")
     return obj
+
+
+# The field readers of spec and model files, and of the library arguments they hold: each returns its
+# value converted or raises InvariantViolation naming the field and its rule.
+
+
+def read_int(subject: str, name: str, value, least: int | None = 0) -> int:
+    """``value`` as an int: an integer (``operator.index``) that is not a bool, and >= ``least``
+    unless ``least`` is None."""
+    try:
+        i = None if type(value) is bool else operator.index(value)
+    except TypeError:  # not an integer
+        i = None
+    if i is None or least is not None and i < least:
+        bound = "" if least is None else f" >= {least}"
+        raise InvariantViolation(subject, f"{name} must hold integers{bound} and not a bool, got {value!r}")
+    return i
+
+
+def read_real(subject: str, name: str, value) -> float:
+    """``value`` as a float: a real number that is finite as a float, and not a bool."""
+    # float and int come first: the numbers.Real test alone takes longer than the rest of a read
+    real = type(value) in (float, int) or type(value) is not bool and isinstance(value, numbers.Real)
+    try:
+        f = float(value) if real else math.nan
+    except OverflowError:  # an integer past the float range
+        f = math.nan
+    if not math.isfinite(f):
+        raise InvariantViolation(subject, f"{name} must hold numbers, each a finite number and not a bool, "
+                                          f"got {value!r}")
+    return f
+
+
+def read_str(subject: str, name: str, value) -> str:
+    """``value``, which must be a string."""
+    if type(value) is not str:
+        raise InvariantViolation(subject, f"{name} must hold strings, got {value!r}")
+    return value
+
+
+def read_list(subject: str, name: str, values, read: Callable, *args) -> tuple:
+    """``values``, a list (or, from Python, a tuple or an array), each element read by ``read``."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise InvariantViolation(subject, f"{name} must be a list, got {values!r}")
+    return tuple(read(subject, name, v, *args) for v in values)
+
+
+def read_object(subject: str, name: str, value) -> dict:
+    """``value``, which must be a JSON object."""
+    if type(value) is not dict:
+        raise InvariantViolation(subject, f"{name} must be an object, got {value!r}")
+    return value
 
 
 def _read_metadata(path) -> dict[str, tuple[int, CourseFactors, CourseCategory]]:

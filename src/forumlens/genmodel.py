@@ -15,22 +15,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import (
-    Corpus,
-    Course,
-    SECONDS_PER_DAY,
-    ThreadLabel,
-    UnigramModel,
-    _ColumnBuilder,
-    sequential_sum,
-)
+from .corpus import (Corpus, Course, SECONDS_PER_DAY, ThreadLabel, UnigramModel, _ColumnBuilder, read_int, read_list,
+                     read_object, read_real, read_str, sequential_sum)
 from .errors import InvariantViolation
 
 # The largest vocabulary make_spec and adversarial_spec carve: 20 times the
@@ -42,28 +34,6 @@ MAX_VOCABULARY = 100_000
 # samples 500,000 tokens.  One thread of 10**6 tokens peaked at 24 MB under
 # tracemalloc, so the cap holds a call to about a quarter of a gigabyte.
 MAX_SAMPLE_SIZE = 10_000_000
-
-
-def _spec_int(name: str, value, least: int) -> int:
-    """``value`` as an int; it must be an integer >= ``least``, and not a bool."""
-    try:
-        i = None if type(value) is bool else operator.index(value)
-    except TypeError:  # not an integer
-        i = None
-    if i is None or i < least:
-        raise InvariantViolation("spec", f"{name} must hold integers >= {least}, got {value!r}")
-    return i
-
-
-def _spec_float(name: str, value) -> float:
-    """``value`` as a float; it must be a real number that a float holds, not NaN and not a bool."""
-    try:
-        f = None if type(value) is bool or not isinstance(value, numbers.Real) else float(value)
-    except OverflowError:  # an integer past the float range
-        f = None
-    if f is None or math.isnan(f):
-        raise InvariantViolation("spec", f"{name} must hold numbers, got {value!r}")
-    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +65,13 @@ class GenerativeSpec:
     uniformity_bound: float = 8.0
 
     def __post_init__(self):
-        # each real field is stored as a float, so that to_json writes it as one
-        object.__setattr__(self, "epsilon", _spec_float("epsilon", self.epsilon))
-        object.__setattr__(self, "uniformity_bound", _spec_float("uniformity_bound", self.uniformity_bound))
-        for name in ("p", "ratio_bounds"):
-            values = getattr(self, name)
-            if values is not None:
-                object.__setattr__(self, name, tuple(_spec_float(name, v) for v in values))
+        # every number is read to an int or a float, so that to_json writes it as one and numpy samples with it
+        for name, read, *args in (("n", read_int), ("s", read_int, 1), ("seed", read_int), ("epsilon", read_real),
+                                  ("uniformity_bound", read_real), ("p", read_list, read_real)):
+            object.__setattr__(self, name, read("spec", name, getattr(self, name), *args))
+        for name, *args in (("s_per_course", read_int, 1), ("training_counts", read_int), ("ratio_bounds", read_real)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read_list("spec", name, getattr(self, name), *args))
         if not 0.0 <= self.epsilon < 1.0:
             raise InvariantViolation("spec", "epsilon must be in [0, 1)")
         if self.n != len(self.background.vocab):
@@ -112,13 +82,8 @@ class GenerativeSpec:
             raise InvariantViolation("spec", "every p_i must be in [0, 1]")
         if self.s_per_course is not None and len(self.s_per_course) != len(self.p):
             raise InvariantViolation("spec", "s_per_course length differs from course count")
-        # each integer field is stored as an int, so that to_json writes it and numpy samples with it
-        for name, least in (("n", 0), ("s", 1), ("seed", 0)):
-            object.__setattr__(self, name, _spec_int(name, getattr(self, name), least))
-        for name, least in (("s_per_course", 1), ("training_counts", 0)):
-            values = getattr(self, name)
-            if values is not None:
-                object.__setattr__(self, name, tuple(_spec_int(name, v, least) for v in values))
+        if self.ratio_bounds is not None and len(self.ratio_bounds) != 2:
+            raise InvariantViolation("spec", "ratio_bounds must hold two numbers")
 
         bg_support = self.background.support
         supports = [self.smalltalk_topic.support] + [t.support for t in self.course_topics]
@@ -193,25 +158,18 @@ class GenerativeSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GenerativeSpec":
-        obj = json.loads(text)
+        obj = read_object("spec", "spec", json.loads(text))
 
-        def model(d):
-            return UnigramModel(tuple(d["vocab"]), np.asarray(d["mass"], dtype=float))
+        def unigram(subject, name, d):  # a reader of one {"vocab", "mass"} object
+            d = read_object(subject, name, d)
+            return UnigramModel(read_list(subject, f"{name}.vocab", d["vocab"], read_str),
+                                read_list(subject, f"{name}.mass", d["mass"], read_real))
 
-        return cls(
-            n=obj["n"],
-            epsilon=obj["epsilon"],
-            background=model(obj["background"]),
-            smalltalk_topic=model(obj["smalltalk_topic"]),
-            course_topics=tuple(model(t) for t in obj["course_topics"]),
-            p=tuple(obj["p"]),
-            s=obj["s"],
-            seed=obj.get("seed", 0),
-            s_per_course=tuple(obj["s_per_course"]) if obj.get("s_per_course") else None,
-            training_counts=tuple(obj["training_counts"]) if obj.get("training_counts") else None,
-            ratio_bounds=tuple(obj["ratio_bounds"]) if obj.get("ratio_bounds") else None,
-            uniformity_bound=obj.get("uniformity_bound", 8.0),
-        )
+        optional = ("seed", "s_per_course", "training_counts", "ratio_bounds", "uniformity_bound")
+        return cls(background=unigram("spec", "background", obj["background"]),
+                   smalltalk_topic=unigram("spec", "smalltalk_topic", obj["smalltalk_topic"]),
+                   course_topics=read_list("spec", "course_topics", obj["course_topics"], unigram),
+                   **{k: obj[k] for k in ("n", "epsilon", "p", "s")}, **{k: obj[k] for k in optional if k in obj})
 
 
 @dataclass(frozen=True)
@@ -233,8 +191,8 @@ def _vocab_words(n: int) -> list[str]:
 def _topic_from_block(words: Sequence[str], weights: Sequence[float] | None) -> UnigramModel:
     if weights is None:
         return UnigramModel.uniform(words)
-    w = np.asarray(weights, dtype=float)
-    if w.size != len(words) or np.any(w <= 0):
+    w = np.array(read_list("spec", "topic_weights", weights, read_real))
+    if w.size != len(words) or not (w > 0).all():
         raise InvariantViolation("spec", "topic weights must be positive and match support size")
     return UnigramModel(tuple(words), w / w.sum())  # _vocab_words come sorted
 
@@ -274,26 +232,29 @@ def make_spec(
     vocabulary, the small-talk topic first.  ``topic_weights`` (length
     ``support_size``) makes the per-course topics non-uniform.
     """
+    n = read_int("spec", "n", n)
     if n > MAX_VOCABULARY:  # before anything compares with n or carves its words
         raise InvariantViolation("spec", f"n must be at most {MAX_VOCABULARY}, got {n}")
+    # the sizes may be any integers here: _carved refuses a negative one
+    support_size = read_int("spec", "support_size", support_size, None)
+    s0 = support_size if smalltalk_support_size is None else read_int(
+        "spec", "smalltalk_support_size", smalltalk_support_size, None)
     # at most one course per word, so that a spec's size is bounded by its vocabulary's
-    if type(num_courses) is bool or not 0 <= num_courses <= n:
-        raise InvariantViolation("spec", f"num_courses must be nonnegative and at most n, and not a bool, "
-                                         f"got {num_courses!r}")
-    s0 = support_size if smalltalk_support_size is None else smalltalk_support_size
+    num_courses = read_int("spec", "num_courses", num_courses, None)
+    if not 0 <= num_courses <= n:
+        raise InvariantViolation("spec", f"num_courses must be nonnegative and at most n, got {num_courses}")
     background, smalltalk, topics = _carved(n, [s0] + [support_size] * num_courses, topic_weights)
-    p_list = (p,) * num_courses if isinstance(p, numbers.Real) else tuple(p)
     return GenerativeSpec(
         n=n,
         epsilon=epsilon,
         background=background,
         smalltalk_topic=smalltalk,
         course_topics=topics,
-        p=p_list,
+        p=(p,) * num_courses if isinstance(p, numbers.Real) else p,
         s=s,
         seed=seed,
-        s_per_course=tuple(s_per_course) if s_per_course is not None else None,
-        training_counts=tuple(training_counts) if training_counts is not None else None,
+        s_per_course=s_per_course,
+        training_counts=training_counts,
     )
 
 
@@ -314,17 +275,13 @@ def adversarial_spec(
     vocabulary evenly, which keeps any small training sample's coverage of
     them sparse.
     """
+    n = read_int("spec", "n", n)
     if not 100 <= n <= MAX_VOCABULARY:
         raise InvariantViolation("spec", f"adversarial construction needs 100 <= n <= {MAX_VOCABULARY}")
-    for name, value in (("c", c), ("d", d)):
-        try:
-            finite = type(value) is not bool and math.isfinite(value)
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite:
-            raise InvariantViolation("spec", f"{name} must be a finite number, got {value!r}")
+    c, d = read_real("spec", "c", c), read_real("spec", "d", d)
+    smalltalk_support_size = read_int("spec", "smalltalk_support_size", smalltalk_support_size, None)
     try:
-        float(n) ** abs(float(d))  # n >= 100, so this bounds both n**d and n**(-d)
+        float(n) ** abs(d)  # n >= 100, so this bounds both n**d and n**(-d)
     except OverflowError:
         raise InvariantViolation("spec", f"n**d overflows a float at d = {d!r}") from None
     sqrt_n = math.sqrt(n)
@@ -419,14 +376,12 @@ def sample_corpus(
     timestamp 0, one single-author post per thread, straight into its columns.
     A sample larger than ``MAX_SAMPLE_SIZE`` is refused before the first draw.
     """
-    if any(cnt < 0 for cnt in threads_per_course):
-        raise InvariantViolation("spec", "thread counts must be nonnegative")
+    threads_per_course = read_list("spec", "thread counts", threads_per_course, read_int)
     if len(threads_per_course) != spec.num_courses:
         raise InvariantViolation("spec", "one thread count per course required")
     if threads_per_day < 1:
         raise InvariantViolation("spec", "threads_per_day must be positive")
-    size = (spec.num_courses + 1) * spec.n + sum(spec.thread_length(i) * operator.index(cnt)
-                                                  for i, cnt in enumerate(threads_per_course))
+    size = (spec.num_courses + 1) * spec.n + sum(spec.thread_length(i) * cnt for i, cnt in enumerate(threads_per_course))
     if size > MAX_SAMPLE_SIZE:
         raise InvariantViolation("spec", f"the sample needs {size} tokens and table cells, "
                                          f"more than the {MAX_SAMPLE_SIZE} allowed")

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -662,6 +663,14 @@ _VALID_SPEC = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, support_
 _EXPLICIT_SPEC = json.dumps({"kind": "explicit", "spec": {**json.loads(_VALID_SPEC), "s_per_course": [3, -1]}})
 
 
+def _with_each_model(change):
+    """_VALID_SPEC after ``change`` has been applied to each of its {"vocab", "mass"} models."""
+    obj = json.loads(_VALID_SPEC)
+    for model in (obj["background"], obj["smalltalk_topic"], *obj["course_topics"]):
+        change(model)
+    return json.dumps(obj)
+
+
 class TestBadInput:
     """Bad input ends in exit 2 or 3 with the JSON error object, never a traceback."""
 
@@ -696,7 +705,7 @@ class TestBadInput:
              '{"kind": "nb-percourse", "models": 5}', 3, "ParseError"),
             (["gen", "--spec", "FILE"], json.dumps(
                 {"kind": "uniform", "n": "100", "num_courses": 2, "epsilon": 0.3, "p": 0.5, "s": 60}
-            ), 3, "ParseError"),
+            ), 3, "InvariantViolation"),
             # usage errors
             (["--config", "FILE", "topics", "extract", "--threads", "CORPUS", "--course", "course00"],
              '{"k": "x"}', 2, "ConfigError"),
@@ -802,9 +811,9 @@ class TestBadInput:
             (["--config", "FILE", "classify", "train", "--threads", "CORPUS"],
              '{"pseudocount": NaN}', 2, "ConfigError"),
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
-             _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": [NaN]'), 3, "InvariantViolation"),
+             _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": [NaN]'), 3, "ParseError"),
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
-             _NB.replace("-0.6931471805599453]", "NaN]"), 3, "InvariantViolation"),
+             _NB.replace("-0.6931471805599453]", "NaN]"), 3, "ParseError"),
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
              _NB.replace("-0.6931471805599453]", "1000.0]"), 3, "InvariantViolation"),
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
@@ -854,7 +863,7 @@ class TestBadInput:
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
              '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": "x"}', 3, "ParseError"),
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
-             '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": NaN}', 3, "InvariantViolation"),
+             '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": NaN}', 3, "ParseError"),
             (["gen", "--spec", "FILE", "--counts", "3,3"],
              _SPEC.replace('"num_courses": 2', '"num_courses": true'), 3, "InvariantViolation"),
             # specs and samples too large to build, refused before anything is allocated
@@ -902,6 +911,26 @@ class TestBadInput:
              json.dumps({**json.loads(_VALID_SPEC), "uniformity_bound": True}), 3, "InvariantViolation"),
             (["gen", "--spec", "FILE", "--counts", "3,3"],
              json.dumps({**json.loads(_VALID_SPEC), "ratio_bounds": ["1.01", 9.0]}), 3, "InvariantViolation"),
+            # spec and model fields of the wrong kind that reached the sampler or exited 0
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             _with_each_model(lambda m: m.update(vocab=[int(w[1:]) for w in m["vocab"]])), 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             _with_each_model(lambda m: m.update(mass=[repr(x) for x in m["mass"]])), 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             _with_each_model(lambda m: m["mass"].__setitem__(0, math.nan)), 3, "InvariantViolation"),
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             _NB.replace('"log_cond_neg": [0.0]', '"log_cond_neg": ["0.0"]'), 3, "ParseError"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC[:-1] + ', "support_size": true}', 3,
+             "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC[:-1] + ', "smalltalk_support_size": true}', 3,
+             "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"],
+             '{"kind": "adversarial", "n": 400, "smalltalk_support_size": true}', 3, "InvariantViolation"),
+            (["gen", "--spec", "FILE", "--counts", "3,3"], _SPEC[:-1] + ', "support_size": 2.0}', 3,
+             "InvariantViolation"),
+            # finite weights whose scores overflow a float
+            (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
+             '{"kind": "svm", "weights": {"w000": 1e308}, "bias": 1e308, "theta": 0}', 4, "FloatingPointError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -939,7 +968,11 @@ class TestBadInput:
              "nb-vocab-not-strings", "nb-pseudocount-a-string", "nb-pseudocount-negative",
              "nb-pseudocount-a-bool", "svm-weight-a-bool", "svm-bias-a-bool", "svm-theta-a-bool",
              "svm-weight-beyond-float", "uniform-epsilon-a-bool", "uniform-p-holds-a-bool",
-             "uniform-p-a-string", "kind-less-uniformity-bound-a-bool", "kind-less-ratio-bounds-hold-a-string"],
+             "uniform-p-a-string", "kind-less-uniformity-bound-a-bool", "kind-less-ratio-bounds-hold-a-string",
+             "kind-less-vocab-integers", "kind-less-mass-numeric-strings", "kind-less-mass-nan",
+             "nb-conditional-numeric-strings", "uniform-support-size-a-bool",
+             "uniform-smalltalk-support-size-a-bool", "adversarial-smalltalk-support-size-a-bool",
+             "uniform-support-size-a-float", "svm-score-overflows"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -1454,3 +1487,81 @@ class TestFuzzedInput:
             rc, err = _run_quietly(["--config", "config.json", "stats", "series",
                                     "--threads", "c.jsonl", "--out", "o"])
         _assert_clean_exit(rc, err, (0, 2, 3))
+
+
+# one valid file of each spec and model kind, every optional field given
+_KIND_LESS = json.loads(make_spec(n=40, num_courses=2, epsilon=0.3, p=(0.5, 0.4), s=5, support_size=5,
+                                  smalltalk_support_size=4, seed=3, s_per_course=(5, 4),
+                                  training_counts=(3, 2)).to_json())
+_HALF = math.log(0.5)
+_NB_OBJ = {"kind": "nb", "mode": "aggregate", "pseudocount": 1.0, "vocab": ["w00", "w01"],
+           "log_prior": [_HALF, _HALF], "log_cond_neg": [_HALF, _HALF], "log_cond_pos": [_HALF, _HALF]}
+_VALID_FILES = {
+    "uniform": {"kind": "uniform", "n": 200, "num_courses": 2, "epsilon": 0.3, "p": [0.5, 0.4], "s": 10,
+                "support_size": 20, "smalltalk_support_size": 10, "seed": 3, "training_counts": [3, 2]},
+    "adversarial": {"kind": "adversarial", "n": 100, "c": 4.0, "d": 1.5, "epsilon": 0.5,
+                    "smalltalk_support_size": 10, "seed": 1},
+    "kind-less": _KIND_LESS,
+    "explicit": {"kind": "explicit", "spec": _KIND_LESS},
+    "nb": _NB_OBJ,
+    "svm": {"kind": "svm", "weights": {"w00": 1.0, "w01": -0.5}, "bias": 0.25, "theta": 0.0},
+    "nb-percourse": {"kind": "nb-percourse", "models": {"course00": _NB_OBJ}},
+}
+# a field left out, and the odd values a field is set to
+_DELETE = "<deleted>"
+_ODD_VALUES = [_DELETE, None, True, False, 0, -1, 1, 1.5, -1.5, math.nan, 1e308, -1e308, 2**64, -(2**64),
+               "", "1", "x", [], [1], ["x"], {}, {"a": 1}]
+
+
+def _field_paths(value, path=()):
+    """The path of every field under ``value``: each key of each object, and each list's first element."""
+    items = value.items() if isinstance(value, dict) else list(enumerate(value))[:1] if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _mutated(obj, path, value):
+    """A copy of ``obj`` with the field at ``path`` deleted or set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = path
+    parent = obj
+    for key in parents:
+        parent = parent[key]
+    if value == _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def two_course_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "gen"
+    spec = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+    spec.write_text(json.dumps(_KIND_LESS))
+    assert main(["gen", "--spec", str(spec), "--counts", "6,6", "--out", str(out)]) == 0
+    return out / "corpus.jsonl"
+
+
+class TestMutatedFiles:
+    """Each field of a valid spec or model file, deleted or set to an odd value, ends in exit 0, 2, 3 or 4;
+    a failure prints only the JSON error object and creates no --out.  The vocabulary and sample
+    size limits take part: they are what refuses the odd values too large to build."""
+
+    @pytest.mark.parametrize("kind, path", [(kind, path) for kind, obj in _VALID_FILES.items()
+                                            for path in _field_paths(obj)],
+                             ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v)
+    @settings(max_examples=2 * len(_ODD_VALUES), deadline=None, derandomize=True)
+    @given(value=st.sampled_from(_ODD_VALUES))
+    def test_field(self, two_course_corpus, kind, path, value):
+        with tempfile.TemporaryDirectory() as root:
+            file, out = Path(root) / "input.json", Path(root) / "o"
+            file.write_text(json.dumps(_mutated(_VALID_FILES[kind], path, value)))
+            if kind in ("nb", "svm", "nb-percourse"):
+                argv = ["classify", "eval", "--threads", str(two_course_corpus), "--model", str(file)]
+            else:
+                argv = ["gen", "--spec", str(file), "--counts", "2,2"]
+            rc, err = _run_quietly(argv + ["--out", str(out)])
+            _assert_clean_exit(rc, err, (0, 2, 3, 4))
+            assert rc == 0 or not out.exists()

@@ -279,6 +279,17 @@ class TestUnigramModel:
         with pytest.raises(InvariantViolation, match="sorted, with no word repeated"):
             UnigramModel(vocab, [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "mass, reason",
+        [([np.nan, 0.5], "> 0"), ([0.5, np.nan], "> 0"), ([np.nan], "> 0"), ([0.5, 0.6], "sum to 1"),
+         ([0.0, 1.0], "> 0"), ([np.inf, 0.5], "sum to 1")],
+        ids=["first-nan", "second-nan", "only-nan", "sum-above-one", "zero", "inf"],
+    )
+    def test_masses_checked_as_what_must_hold(self, mass, reason):
+        """A NaN mass fails both checks, since each states the condition that must hold."""
+        with pytest.raises(InvariantViolation, match=reason):
+            UnigramModel(("aa", "bb")[: len(mass)], mass)
+
 
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 

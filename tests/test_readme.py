@@ -1,8 +1,11 @@
 """README.md's Python blocks run as written and its flag limits match the parser, so neither drifts."""
 
 import argparse
+import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,9 +18,14 @@ def test_python_blocks_run(tmp_path, monkeypatch):
         exec(compile(source, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
 
 
-def _reproducibility_notes() -> str:
+def _section(heading: str) -> str:
+    """The README text under ``heading``, up to the next heading of any level."""
     text = README.read_text(encoding="utf-8")
-    return text.split("## Reproducibility notes", 1)[1].split("\n## ", 1)[0]
+    return re.split(r"\n#+ ", text.split(f"\n{heading}\n", 1)[1], maxsplit=1)[0]
+
+
+def _reproducibility_notes() -> str:
+    return _section("## Reproducibility notes")
 
 
 def test_every_flag_that_refuses_zero_is_listed():
@@ -50,3 +58,25 @@ def test_every_refused_pair_is_listed():
     commands = {p.prog.split()[1] for p in _all_parsers(build_parser()) if len(p.prog.split()) == 2}
     readers = [c for c in commands if "--seed" not in _unread(c)]
     assert readers and all(f"`{c}`" in items["--seed"] for c in readers)
+
+
+def test_every_spec_and_model_field_is_listed(tmp_path):
+    from forumlens.classify import NbModel, SvmModel, save_model
+    from forumlens.cli import _SPEC_BUILDERS
+    from forumlens.genmodel import make_spec
+
+    # each kind's name and the fields it reads: a builder's fields, and the keys that
+    # GenerativeSpec.to_json and save_model write, nested models included
+    names = set(_SPEC_BUILDERS) | {"explicit", "spec"}
+    names |= {f for _, fields in _SPEC_BUILDERS.values() for f in fields}
+    spec = json.loads(make_spec(n=40, num_courses=1, epsilon=0.3, p=0.5, s=5, support_size=5).to_json())
+    names |= set(spec) | set(spec["background"])
+    half = np.log([0.5, 0.5])
+    nb = NbModel(("aa", "bb"), half[0], half[1], half, half, 1.0)
+    for model in (nb, SvmModel({"aa": 1.0}), {"course00": nb}):
+        save_model(model, tmp_path / "model.json")
+        obj = json.loads((tmp_path / "model.json").read_text())
+        names |= set(obj) | {obj["kind"]} | {key for m in obj.get("models", {}).values() for key in m}
+    section = _section("### Spec and model files")
+    missing = sorted(name for name in names if f"`{name}`" not in section)
+    assert not missing, f"README's spec and model section does not name {missing}"
