@@ -27,7 +27,7 @@ from .corpus import (Corpus, ThreadLabel, TokenTable, distinct_terms, load_json_
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds classify.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, EmptyCorpus, InvariantViolation, MissingClass, ParseError
-from .genmodel import GenerativeSpec, sample_thread, sample_tokens, separating_plane
+from .genmodel import GenerativeSpec, sample_threads, sample_tokens, separating_plane
 
 # (token ids from a TokenTable, is_smalltalk) pairs
 LabeledDoc = tuple[np.ndarray, bool]
@@ -452,6 +452,12 @@ def reference_pseudocount(spec: GenerativeSpec) -> float:
     return 2.0 / spec.n
 
 
+def _sampled_docs(spec: GenerativeSpec, course: int, count: int, rng: np.random.Generator,
+                  tokens: TokenTable) -> list[LabeledDoc]:
+    """``count`` sampled threads of a course as labeled docs, their words encoded in draw order."""
+    return [(tokens.encode(words), is_smalltalk) for is_smalltalk, words in sample_threads(spec, course, count, rng)]
+
+
 def small_sample_fpr_trials(
     spec: GenerativeSpec,
     course: int = 0,
@@ -477,15 +483,14 @@ def small_sample_fpr_trials(
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.Generator(np.random.PCG64(child))
         tokens = TokenTable()
-        train = [sample_thread(spec, course, rng) for _ in range(b)]
-        docs = [(tokens.encode(t.tokens), t.is_smalltalk) for t in train]
+        docs = _sampled_docs(spec, course, b, rng, tokens)
         try:
             model = train_nb_docs(docs, tokens, pseudocount=pseudocount, vocab=spec.background.vocab)
         except MissingClass:
             results.append(None)
             continue
-        negatives = [(tokens.encode(sample_tokens(spec, course, False, s, rng)), False)
-                     for _ in range(eval_negatives)]
+        drawn = sample_tokens(spec, course, False, eval_negatives * s, rng).reshape(eval_negatives, s)
+        negatives = [(tokens.encode(row), False) for row in drawn.tolist()]
         results.append(evaluate(model, negatives, tokens).fpr)
     return results
 
@@ -512,11 +517,8 @@ def plane_and_svm_errors(
     eval_rng = np.random.Generator(np.random.PCG64(ss[1]))
 
     tokens = TokenTable()
-    train = [sample_thread(spec, course, train_rng) for _ in range(svm_training_threads)]
-    docs = [(tokens.encode(t.tokens), t.is_smalltalk) for t in train]
-    svm = train_svm(docs, tokens, lambda_=lambda_, epochs=epochs)
-
-    test = [(tokens.encode(t.tokens), t.is_smalltalk)
-            for t in (sample_thread(spec, course, eval_rng) for _ in range(n_eval))]
+    svm = train_svm(_sampled_docs(spec, course, svm_training_threads, train_rng, tokens), tokens,
+                    lambda_=lambda_, epochs=epochs)
+    test = _sampled_docs(spec, course, n_eval, eval_rng, tokens)
     plane_report, svm_report = (evaluate(m, test, tokens) for m in (plane, svm))
     return (plane_report.fp + plane_report.fn) / n_eval, (svm_report.fp + svm_report.fn) / n_eval, svm

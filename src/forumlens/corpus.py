@@ -14,7 +14,8 @@ an int32 author code into ``author_names``, a bool staff flag and the
 int64 ``created_at``, the label and an offset into the post arrays.
 Each course's columns are filled by one builder, a thread at a time:
 ``ingest_corpus`` parses each line into it, running every check that ``Post``
-and ``Thread`` run; ``genmodel.sample_corpus`` samples threads that pass them;
+and ``Thread`` run; ``genmodel.sample_corpus`` samples threads a block at a
+time and adds each one, which meets those checks by construction;
 a course built from ``Thread`` objects feeds them to it.  The courses of one
 parse share their author codes.  ``Course.threads`` of a parsed or sampled
 course is built from the columns on first use, through the checking

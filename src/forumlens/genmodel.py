@@ -8,6 +8,12 @@ distribution and the topic supports are pairwise disjoint.
 Randomness comes from numpy's PCG64 generator.  Corpus generation derives a
 per-course stream as ``PCG64(seed ^ course_index)``, so corpora are
 bit-reproducible across platforms and courses can be sampled in parallel.
+
+Sampling has one path: ``sample_threads`` draws a course's threads a block at
+a time, and each uniform u becomes a word through a guide table over its CDF
+(Chen & Asau, 1974): exactly the word ``np.searchsorted(cdf, u, side="right")``
+picks, clipped to the last word.  ``sample_thread`` is its one-thread case, and
+``sample_tokens`` draws bare tokens through the same tables.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,8 +37,13 @@ MAX_VOCABULARY = 100_000
 # The most one sample_corpus call may draw and build: its tokens (the sum of
 # thread length times thread count over the courses) plus the cells of the
 # spec's sampling tables ((courses + 1) x n).  The labeled-text benchmark
-# samples 500,000 tokens.  One thread of 10**6 tokens peaked at 24 MB under
-# tracemalloc, so the cap holds a call to about a quarter of a gigabyte.
+# samples 500,000 tokens.  Peaks under tracemalloc, sampling a block of at most
+# 2**14 uniforms at a time: 98 MB for 10**7 tokens (four courses of 24,937
+# threads of 100 tokens over 5,000 words), 16 MB for one thread of 10**6
+# tokens, and 189 MB for 9.9 x 10**6 table cells (98 courses of one
+# 1,000-token thread over 100,000 words; a cell holds a CDF entry and two to
+# four int32 guide entries).  So the cap holds a call to under a quarter of a
+# gigabyte.
 MAX_SAMPLE_SIZE = 10_000_000
 
 
@@ -125,11 +136,11 @@ class GenerativeSpec:
         return len(self.p)
 
     @cached_property
-    def _sampling(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """The vocabulary as an object array, the CDF of D0 and the CDF of each D1(i)."""
-        d1_cdfs = tuple(np.cumsum(token_distribution(self, i, False)) for i in range(self.num_courses))
+    def _sampling(self) -> tuple[np.ndarray, _Tables, tuple[_Tables, ...]]:
+        """The vocabulary as an object array, and the search and guide tables of D0 and of each D1(i)."""
+        d1_tables = tuple(_tables(token_distribution(self, i, False)) for i in range(self.num_courses))
         vocab = np.asarray(self.background.vocab, dtype=object)
-        return vocab, np.cumsum(token_distribution(self, None, True)), d1_cdfs
+        return vocab, _tables(token_distribution(self, None, True)), d1_tables
 
     def thread_length(self, course: int) -> int:
         if self.s_per_course is not None:
@@ -158,7 +169,12 @@ class GenerativeSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GenerativeSpec":
-        obj = read_object("spec", "spec", json.loads(text))
+        return cls.from_obj(json.loads(text))
+
+    @classmethod
+    def from_obj(cls, obj) -> "GenerativeSpec":
+        """The spec that a decoded ``to_json`` object states."""
+        obj = read_object("spec", "spec", obj)
 
         def unigram(subject, name, d):  # a reader of one {"vocab", "mass"} object
             d = read_object(subject, name, d)
@@ -340,24 +356,97 @@ def marginal_token_mass(spec: GenerativeSpec, course: int) -> np.ndarray:
     )
 
 
+# A distribution's search table (its CDF, the last entry infinite) and guide table.
+_Tables = tuple[np.ndarray, np.ndarray]
+# A block draws as many whole threads as fit in this many uniforms, at least one; a thread longer than
+# that draws its tokens this many at a time.
+_BLOCK_DRAWS = 1 << 14
+# How far a draw walks from its guide entry before it finishes by binary search.
+_WALK_STEPS = 4
+
+
+def _tables(mass: np.ndarray) -> _Tables:
+    """The search table and guide table of a mass vector over the vocabulary.
+
+    The search table is the CDF with its last entry set to infinity, so a search lands on the last
+    word at most: where rounding leaves the CDF's total just under 1, a uniform above it draws the
+    last word.  ``guide[g]`` is where ``g / len(guide)`` lands, and ``len(guide)`` is the power of
+    two at least twice the vocabulary (Chen & Asau, 1974; Devroye, 1986, section III.2).  It is
+    built as a count in O(n + len(guide)): an entry is at most g / len(guide) exactly when its
+    ceiling times len(guide), an exact product, is at most g.
+    """
+    table = np.cumsum(mass)
+    table[-1:] = np.inf
+    size = 1 << (2 * table.size - 1).bit_length()
+    cells = np.minimum(np.ceil(table * size), size).astype(np.intp)
+    return table, np.cumsum(np.bincount(cells, minlength=size + 1)[:size]).astype(np.int32)
+
+
+def _draw(tables: _Tables, u: np.ndarray) -> np.ndarray:
+    """The word indices of uniforms ``u`` (one axis): ``np.searchsorted(table, u, side="right")`` exactly.
+
+    ``len(guide)`` is a power of two, so ``u * len(guide)`` is exact and its floor is the guide
+    entry at or below u.  A draw starts there and walks right past each table entry at most u;
+    draws still walking after ``_WALK_STEPS`` steps (a guide cell crowded with small masses)
+    finish by binary search.
+    """
+    table, guide = tables
+    idx = guide[(u * guide.size).astype(np.intp)]
+    walking = np.flatnonzero(table[idx] <= u)
+    for _ in range(_WALK_STEPS):
+        if not walking.size:
+            return idx
+        idx[walking] += 1
+        walking = walking[table[idx[walking]] <= u[walking]]
+    idx[walking] = np.searchsorted(table, u[walking], side="right")
+    return idx
+
+
 def sample_tokens(spec: GenerativeSpec, course: int, smalltalk: bool, size: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` i.i.d. tokens from D0 or D1(course), by inverse CDF.
+    """Draw ``size`` i.i.d. tokens from D0 or D1(course), by inverse CDF through a guide table.
 
-    The package's one sampler: it reads the spec's tables, built once per spec.
+    Reads the spec's tables, built once per spec; each token takes one uniform from ``rng``.
     """
+    vocab, d0, d1 = _course_tables(spec, course)
+    return vocab[_draw(d0 if smalltalk else d1, rng.random(size))]
+
+
+def sample_threads(spec: GenerativeSpec, course: int, count: int,
+                   rng: np.random.Generator) -> Iterator[tuple[bool, list[str]]]:
+    """Sample ``count`` threads of a course: each one's small-talk flag and tokens.
+
+    A thread takes 1 + s uniforms from ``rng``: the p_i coin, then s i.i.d. tokens from D0 or
+    D1(course).  The threads are drawn a block at a time with one ``rng.random((k, 1 + s))``, which
+    reads the stream as a thread at a time would, so the block size changes no draw.
+    """
+    vocab, d0, d1 = _course_tables(spec, course)
+    s = spec.thread_length(course)
+    rows = max(1, _BLOCK_DRAWS // (1 + s))
+    for start in range(0, count, rows):
+        u = rng.random((min(rows, count - start), 1 + min(s, _BLOCK_DRAWS)))
+        smalltalk = u[:, 0] < spec.p[course]
+        idx = np.empty((len(u), u.shape[1] - 1), dtype=np.int32)
+        for rows_of, tables in ((smalltalk, d0), (~smalltalk, d1)):
+            idx[rows_of] = _draw(tables, u[rows_of, 1:].ravel()).reshape(-1, idx.shape[1])
+        words = vocab[idx].tolist()
+        for drawn in range(_BLOCK_DRAWS, s, _BLOCK_DRAWS):  # a thread longer than a block: one row
+            size = min(_BLOCK_DRAWS, s - drawn)
+            words[0] += vocab[_draw(d0 if smalltalk[0] else d1, rng.random(size))].tolist()
+        yield from zip(smalltalk.tolist(), words)
+
+
+def _course_tables(spec: GenerativeSpec, course: int) -> tuple[np.ndarray, _Tables, _Tables]:
     if not 0 <= course < spec.num_courses:
         raise IndexError(f"course {course} out of range")
-    vocab, d0_cdf, d1_cdfs = spec._sampling
-    idx = np.searchsorted(d0_cdf if smalltalk else d1_cdfs[course], rng.random(size), side="right")
-    return vocab[np.minimum(idx, spec.n - 1)]
+    vocab, d0, d1 = spec._sampling
+    return vocab, d0, d1[course]
 
 
 def sample_thread(spec: GenerativeSpec, course: int, rng: np.random.Generator) -> SampledThread:
     """Sample one thread: flip the p_i coin, then draw s i.i.d. tokens."""
-    is_smalltalk = bool(rng.random() < spec.p[course])
-    tokens = sample_tokens(spec, course, is_smalltalk, spec.thread_length(course), rng)
-    return SampledThread(is_smalltalk, tuple(tokens.tolist()))
+    is_smalltalk, tokens = next(sample_threads(spec, course, 1, rng))
+    return SampledThread(is_smalltalk, tuple(tokens))
 
 
 def course_rng(spec: GenerativeSpec, course: int) -> np.random.Generator:
@@ -374,7 +463,8 @@ def sample_corpus(
 
     Threads within a course are spread ``threads_per_day`` per day starting at
     timestamp 0, one single-author post per thread, straight into its columns.
-    A sample larger than ``MAX_SAMPLE_SIZE`` is refused before the first draw.
+    A sample larger than ``MAX_SAMPLE_SIZE``, or a thread from a spec with no
+    words, is refused before the first draw.
     """
     threads_per_course = read_list("spec", "thread counts", threads_per_course, read_int)
     if len(threads_per_course) != spec.num_courses:
@@ -385,18 +475,18 @@ def sample_corpus(
     if size > MAX_SAMPLE_SIZE:
         raise InvariantViolation("spec", f"the sample needs {size} tokens and table cells, "
                                          f"more than the {MAX_SAMPLE_SIZE} allowed")
+    if spec.n == 0 and any(threads_per_course):
+        raise InvariantViolation("spec", "a spec with no words cannot sample a thread")
     spacing = SECONDS_PER_DAY // threads_per_day
     courses = []
     for i, count in enumerate(threads_per_course):
         rng = course_rng(spec, i)
         course_id = f"course{i:02d}"
         builder = _ColumnBuilder({})
-        for j in range(count):
-            sampled = sample_thread(spec, i, rng)
+        for j, (is_smalltalk, tokens) in enumerate(sample_threads(spec, i, count, rng)):
             created = (j // threads_per_day) * SECONDS_PER_DAY + (j % threads_per_day) * spacing
-            label = ThreadLabel.SMALL_TALK if sampled.is_smalltalk else ThreadLabel.COURSE_SPECIFIC
-            builder.add_post(f"{course_id}-t{j:05d}-p0", f"{course_id}-u{j:05d}", created,
-                             " ".join(sampled.tokens), False)
+            label = ThreadLabel.SMALL_TALK if is_smalltalk else ThreadLabel.COURSE_SPECIFIC
+            builder.add_post(f"{course_id}-t{j:05d}-p0", f"{course_id}-u{j:05d}", created, " ".join(tokens), False)
             builder.end_thread(f"{course_id}-t{j:05d}", created, label)
         courses.append(Course._from_columns(course_id, 0, builder.build(list(builder.codes))))
     return Corpus(tuple(courses))

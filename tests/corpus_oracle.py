@@ -29,7 +29,7 @@ from forumlens.corpus import (
     day_index,
 )
 from forumlens.errors import ParseError
-from forumlens.genmodel import course_rng, sample_thread
+from forumlens.genmodel import course_rng, token_distribution
 from forumlens.ranking import RankedList
 from forumlens.stats import ActivitySeries
 
@@ -152,21 +152,26 @@ def serialize_corpus(corpus: Corpus, path) -> None:
 
 
 def sample_corpus(spec, threads_per_course, threads_per_day=24) -> Corpus:
+    """A thread at a time: a scalar coin, then a binary search of s uniforms in the D0 or D1(i) CDF."""
     spacing = SECONDS_PER_DAY // threads_per_day
+    vocab = spec.background.vocab
     courses = []
     for i, count in enumerate(threads_per_course):
         rng = course_rng(spec, i)
         course_id = f"course{i:02d}"
+        cdfs = {flag: np.cumsum(token_distribution(spec, i, flag)) for flag in (False, True)}
         threads = []
         for j in range(count):
-            sampled = sample_thread(spec, i, rng)
+            is_smalltalk = bool(rng.random() < spec.p[i])
+            idx = np.searchsorted(cdfs[is_smalltalk], rng.random(spec.thread_length(i)), side="right")
+            tokens = [vocab[k] for k in np.minimum(idx, spec.n - 1).tolist()]
             created = (j // threads_per_day) * SECONDS_PER_DAY + (j % threads_per_day) * spacing
-            label = ThreadLabel.SMALL_TALK if sampled.is_smalltalk else ThreadLabel.COURSE_SPECIFIC
+            label = ThreadLabel.SMALL_TALK if is_smalltalk else ThreadLabel.COURSE_SPECIFIC
             post = Post(
                 post_id=f"{course_id}-t{j:05d}-p0",
                 author_id=f"{course_id}-u{j:05d}",
                 timestamp=created,
-                text=" ".join(sampled.tokens),
+                text=" ".join(tokens),
             )
             threads.append(Thread(f"{course_id}-t{j:05d}", created, (post,), label))
         courses.append(Course(course_id, 0, tuple(threads)))

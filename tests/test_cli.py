@@ -119,6 +119,18 @@ class TestGen:
         assert (out / "corpus.jsonl").exists()
 
 
+    def test_spec_with_no_words_refuses_a_thread(self, tmp_path, capsys):
+        empty = {"vocab": [], "mass": []}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 0, "epsilon": 0.3, "p": [0.5], "s": 3, "background": empty,
+                                    "smalltalk_topic": empty, "course_topics": [empty]}))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec), "--counts", "2", "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "InvariantViolation" and "no words" in error["message"]
+        assert not out.exists()
+
+
 class TestIngestCommand:
     def test_summary_and_normalization(self, tmp_path, gen_corpus):
         out = tmp_path / "ing"

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 from collections import Counter
 
@@ -18,6 +19,7 @@ from forumlens.genmodel import (
     MAX_SAMPLE_SIZE,
     MAX_VOCABULARY,
     GenerativeSpec,
+    SampledThread,
     adversarial_spec,
     make_spec,
     marginal_token_mass,
@@ -81,6 +83,11 @@ class TestSpecConstruction:
                          training_counts=(5, 5))
         again = GenerativeSpec.from_json(spec.to_json())
         assert again.to_json() == spec.to_json()
+        assert GenerativeSpec.from_obj(json.loads(spec.to_json())).to_json() == spec.to_json()
+
+    def test_from_obj_refuses_a_non_object(self):
+        with pytest.raises(InvariantViolation, match="spec must be an object"):
+            GenerativeSpec.from_obj([1, 2])
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -260,6 +267,84 @@ class TestSamplingTables:
             sample_tokens(spec, course, smalltalk, 5, _rng(0))
 
 
+def _searched(mass, u):
+    """The word np.searchsorted picks in the CDF of ``mass``, clipped to the last word."""
+    return np.minimum(np.searchsorted(np.cumsum(mass), u, side="right"), len(mass) - 1)
+
+
+def _crowded_mass():
+    # 30 masses of 1e-9 and 30 zeros after a mass of 0.3: the 61 CDF entries from 0.3 to 0.3 + 3e-8 share
+    # one guide cell of 128
+    mass = np.zeros(64)
+    mass[0] = 0.3
+    mass[1:61:2] = 1e-9
+    mass[61:] = (1.0 - mass.sum()) / 3
+    return mass
+
+
+class TestGuideTable:
+    """``_draw`` through a guide table equals a binary search of the CDF, clipped to the last word."""
+
+    @pytest.mark.parametrize(
+        "mass",
+        [_crowded_mass(), np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0]), np.array([1e-300, 1e-300, 1.0]),
+         np.array([1.0]), np.full(7, 1 / 7), np.array([0.25, 0.25, 0.25, 0.25 - 1e-6]),
+         np.array([0.5, 0.5 - 1e-6, 0.0])],
+        ids=["crowded-cell", "zero-masses", "subnormal-cdf", "one-word", "sevenths", "total-below-one",
+             "total-below-one-last-zero"],
+    )
+    def test_edges_equal_the_search(self, mass):
+        table, guide = genmodel._tables(mass)
+        assert guide.size >= 2 * mass.size and guide.size & (guide.size - 1) == 0
+        assert guide.tolist() == np.searchsorted(table, np.arange(guide.size) / guide.size, side="right").tolist()
+        cdf = np.cumsum(mass)
+        edges = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                                [np.nextafter(1.0, 0.0)], _rng(0).random(2000)])
+        u = edges[(edges >= 0.0) & (edges < 1.0)]
+        assert (genmodel._draw((table, guide), u) == _searched(mass, u)).all()
+
+    def test_crowded_cell_walks_past_the_step_cap(self):
+        mass = _crowded_mass()
+        cdf = np.cumsum(mass)
+        u = np.nextafter(cdf[1:61], 1.0)
+        table, guide = genmodel._tables(mass)
+        start = guide[(u * guide.size).astype(np.intp)]
+        assert (_searched(mass, u) - start).max() > genmodel._WALK_STEPS
+        assert (genmodel._draw((table, guide), u) == _searched(mass, u)).all()
+
+    def test_above_the_total_draws_the_last_word(self):
+        mass = np.array([0.25, 0.25, 0.25, 0.25 - 1e-6])
+        u = np.array([np.nextafter(np.cumsum(mass)[-1], 1.0), 1.0 - 1e-7, np.nextafter(1.0, 0.0)])
+        assert np.searchsorted(np.cumsum(mass), u, side="right").tolist() == [4, 4, 4]
+        assert genmodel._draw(genmodel._tables(mass), u).tolist() == [3, 3, 3]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=40).filter(any),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50))
+    def test_random_masses_equal_the_search(self, weights, u):
+        mass = np.array(weights) / sum(weights)
+        u = np.concatenate([u, np.nextafter(np.cumsum(mass), 0.0), np.cumsum(mass)])
+        u = u[u < 1.0]
+        table, guide = genmodel._tables(mass)
+        assert (guide == np.searchsorted(table, np.arange(guide.size) / guide.size, side="right")).all()
+        assert (genmodel._draw((table, guide), u) == _searched(mass, u)).all()
+
+    def test_spec_tables_equal_the_search(self):
+        spec = make_spec(n=5000, num_courses=2, epsilon=0.3, p=0.5, s=100, seed=3)
+        u = _rng(4).random(200_000)
+        vocab = np.array(spec.background.vocab, dtype=object)
+        for course, smalltalk in ((0, False), (1, False), (0, True)):
+            want = vocab[_searched(token_distribution(spec, course, smalltalk), u)]
+            assert (sample_tokens(spec, course, smalltalk, u.size, _rng(4)) == want).all()
+
+    def test_a_thread_at_a_time_reads_the_block_stream(self):
+        spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=0.4, s=30, seed=2)
+        rng = _rng(5)
+        one_by_one = [sample_thread(spec, 0, rng) for _ in range(50)]
+        blocks = [SampledThread(flag, tuple(words)) for flag, words in genmodel.sample_threads(spec, 0, 50, _rng(5))]
+        assert one_by_one == blocks
+
+
 class TestSampling:
     def test_epsilon_zero_matches_background(self):
         spec = make_spec(n=200, num_courses=1, epsilon=0.0, p=0.5, s=50, seed=2)
@@ -315,6 +400,14 @@ class TestSampleCorpus:
         corpus = sample_corpus(spec, [0])
         assert corpus.num_courses == 1 and corpus.num_threads == 0
 
+    def test_no_words_samples_no_thread(self):
+        empty = UnigramModel((), [])
+        spec = GenerativeSpec(n=0, epsilon=0.3, background=empty, smalltalk_topic=empty, course_topics=(empty,),
+                              p=(0.5,), s=3)
+        assert sample_corpus(spec, [0]).num_threads == 0
+        with pytest.raises(InvariantViolation, match="no words cannot sample a thread"):
+            sample_corpus(spec, [2])
+
     @pytest.mark.parametrize(
         "spec, counts, per_day",
         [
@@ -322,8 +415,15 @@ class TestSampleCorpus:
             (adversarial_spec(100, seed=3), [12, 3], 24),
             (make_spec(n=200, num_courses=3, epsilon=0.3, p=0.5, s=20, seed=6), [0, 9, 0], 24),
             (make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20, seed=7), [40, 15], 7),
+            (make_spec(n=200, num_courses=3, epsilon=0.3, p=(0.0, 1.0, 0.5), s=20, seed=8), [30, 30, 30], 24),
+            (make_spec(n=200, num_courses=3, epsilon=0.3, p=0.5, s=20, seed=9, s_per_course=(3, 41, 20)),
+             [50, 20, 0], 24),
+            (make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=20, seed=10), [2 * (genmodel._BLOCK_DRAWS // 21) + 5], 24),
+            (make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20, seed=11, s_per_course=(2 * genmodel._BLOCK_DRAWS + 7, 5)),
+             [3, 4], 24),
         ],
-        ids=["uniform", "adversarial", "zero-counts", "per-day-not-dividing-a-day"],
+        ids=["uniform", "adversarial", "zero-counts", "per-day-not-dividing-a-day", "p-zero-and-one",
+             "per-course-lengths", "count-not-a-block-multiple", "threads-longer-than-a-block"],
     )
     def test_matches_thread_oracle(self, tmp_path, spec, counts, per_day):
         """The columns hold what checked Post and Thread objects would, and write the same bytes."""
