@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    MAX_SERIES_ROWS,
     Corpus,
     ThreadLabel,
     ThreadRows,
@@ -484,6 +485,7 @@ _positive_int = _checked(int, lambda v: v > 0, "positive")
 _fraction = _checked(float, lambda v: 0 < v < 1, "positive and below 1")
 _trim_fraction = _checked(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_series_length = _checked(int, lambda v: 0 < v <= MAX_SERIES_ROWS, f"positive and at most {MAX_SERIES_ROWS}")
 _corpus_name = _checked(str, lambda t: _plain_file_name(t) and t not in ("spec.json", "manifest.json"),
                         "one file name other than spec.json and manifest.json")
 
@@ -553,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--model", required=True)
     pr.add_argument("--theta-min", type=_finite, default=-5.0)
     pr.add_argument("--theta-max", type=_finite, default=5.0)
-    pr.add_argument("--theta-steps", type=_positive_int, default=21)
+    pr.add_argument("--theta-steps", type=_series_length, default=21)
     pr.set_defaults(func=_cmd_classify_roc)
 
     p = sub.add_parser("topics", help="surprise-weight keywords and convergence")
@@ -572,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--course", required=True)
     tc.add_argument("--background", default=None)
     tc.add_argument("--k", type=_positive_int, default=50)
-    tc.add_argument("--max-days", type=_positive_int, default=None)
+    tc.add_argument("--max-days", type=_series_length, default=None)
     tc.set_defaults(func=_cmd_topics_converge)
 
     p = sub.add_parser("rank", help="rank query-period threads")

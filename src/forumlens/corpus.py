@@ -314,12 +314,19 @@ class _ColumnBuilder:
         )
 
 
+# The most rows a day or step series may have: a course's duration_days (the
+# metadata's D, one series row per day), topics converge --max-days and classify
+# roc --theta-steps.  Convergence takes about 1 ms a day over a 5,000-word
+# vocabulary on a 2-vCPU host, so its longest series takes about 100 s.
+MAX_SERIES_ROWS = 100_000
+
+
 @dataclass(frozen=True)
 class CourseFactors:
     """Per-course regressors for the activity models.
 
     ``staff_posts`` is kept in raw post counts; the panel regression rescales
-    it (see stats.fit_panel_ols).
+    it (see stats.fit_panel_ols).  ``duration_days`` is at most MAX_SERIES_ROWS.
     """
 
     quantitative: int
@@ -334,6 +341,8 @@ class CourseFactors:
         for f in fields(self):
             if not 0 <= getattr(self, f.name) < math.inf:  # stated so that NaN fails it
                 raise InvariantViolation("factors", f"{f.name} must be finite and >= 0")
+        if self.duration_days > MAX_SERIES_ROWS:
+            raise InvariantViolation("factors", f"duration_days must be at most {MAX_SERIES_ROWS}")
 
 
 # the metadata CSV's factor columns, in CourseFactors field order, each with its converter
@@ -571,50 +580,42 @@ _COUNT_POSTS = 64
 # Id rows in chunks
 #
 # A text score is taken over id rows, one per document, a chunk at a time.  A
-# row sum lays each row's terms out in one zero-padded matrix behind a lead term
-# and takes np.add.accumulate along the rows: accumulate adds left to right, and
-# the padding adds +0.0, so each sum equals sequential_sum over the row's terms
-# bit for bit.
+# row sum starts each row at its lead term and adds the row's terms into it in
+# place with np.add.at, which takes the entries one at a time in index order, so
+# each sum equals sequential_sum over the row's terms bit for bit.
 # ---------------------------------------------------------------------------
 
-# padded cells (rows x (1 + longest row)) per chunk; this bounds a chunk's tokens too
-_CHUNK_CELLS = 1 << 14
+# tokens per chunk, unless the chunk is one row: bounds a chunk's ids and terms
+_CHUNK_TOKENS = 1 << 14
 
 
 class IdRows(NamedTuple):
-    """Consecutive id rows as one array, each entry with its row and column."""
+    """Consecutive id rows as one array, each entry with its row."""
 
     rows: int
     row: np.ndarray
-    col: np.ndarray
     ids: np.ndarray
 
 
-def _laid_out(lengths: np.ndarray, ids: np.ndarray) -> IdRows:
-    """``ids`` as consecutive rows of ``lengths`` entries."""
-    row = np.repeat(np.arange(lengths.size), lengths)
-    return IdRows(lengths.size, row, np.arange(ids.size) - (np.cumsum(lengths) - lengths)[row], ids)
-
-
 def _chunks(rows: Sequence[np.ndarray]) -> Iterator[IdRows]:
-    """``rows`` in consecutive chunks whose padded matrices fit _CHUNK_CELLS (or hold one row)."""
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    start, width = 0, 1
-    for end, n in enumerate(lengths.tolist()):
-        if end > start and (end - start + 1) * max(width, n + 1) > _CHUNK_CELLS:
-            yield _laid_out(lengths[start:end], np.concatenate(rows[start:end]))
-            start, width = end, 1
-        width = max(width, n + 1)
-    if start < len(rows):
-        yield _laid_out(lengths[start:], np.concatenate(rows[start:]))
+    """``rows`` in consecutive chunks of at most _CHUNK_TOKENS tokens (or of one row)."""
+    lengths = [len(r) for r in rows]
+    starts, tokens = [0], 0
+    for i, n in enumerate(lengths):
+        if i > starts[-1] and tokens + n > _CHUNK_TOKENS:
+            starts.append(i)
+            tokens = 0
+        tokens += n
+    for start, end in zip(starts, starts[1:] + [len(rows)]) if rows else ():
+        yield IdRows(end - start, np.repeat(np.arange(end - start), lengths[start:end]),
+                     np.concatenate(rows[start:end]))
 
 
 def _row_sums(lead: float, chunk: IdRows, terms: np.ndarray) -> np.ndarray:
     """Per row of ``chunk``, ``lead`` plus the row's ``terms`` (one per entry) added left to right."""
-    matrix = np.zeros((chunk.rows, 2 + int(chunk.col.max(initial=-1))))
-    matrix[:, 0] = lead
-    matrix[chunk.row, chunk.col + 1] = terms
-    return np.add.accumulate(matrix, axis=1)[:, -1].copy()  # not a view that keeps the matrix alive
+    sums = np.full(chunk.rows, lead, dtype=float)
+    np.add.at(sums, chunk.row, terms)
+    return sums
 
 
 def _distinct(chunk: IdRows) -> tuple[IdRows, np.ndarray]:
@@ -623,7 +624,7 @@ def _distinct(chunk: IdRows) -> tuple[IdRows, np.ndarray]:
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(first)  # keys sort by row, then by id: back to first occurrences
     first = first[order]
-    return _laid_out(np.bincount(chunk.row[first], minlength=chunk.rows), chunk.ids[first]), counts[order]
+    return IdRows(chunk.rows, chunk.row[first], chunk.ids[first]), counts[order]
 
 
 def distinct_terms(rows: Sequence[np.ndarray]) -> Iterator[tuple[IdRows, np.ndarray]]:

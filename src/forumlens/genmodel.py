@@ -22,7 +22,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,10 +39,10 @@ MAX_VOCABULARY = 100_000
 # samples 500,000 tokens.  Peaks under tracemalloc, sampling a block of at most
 # 2**14 uniforms at a time: 98 MB for 10**7 tokens (four courses of 24,937
 # threads of 100 tokens over 5,000 words), 16 MB for one thread of 10**6
-# tokens, and 189 MB for 9.9 x 10**6 table cells (98 courses of one
-# 1,000-token thread over 100,000 words; a cell holds a CDF entry and two to
-# four int32 guide entries).  So the cap holds a call to under a quarter of a
-# gigabyte.
+# tokens, and 11 MB for 9.9 x 10**6 table cells (98 courses of one 1,000-token
+# thread over 100,000 words; a cell holds a CDF entry and two to four int32
+# guide entries, and only one course's tables and D0's are alive at a time).
+# So the cap holds a call to under a quarter of a gigabyte.
 MAX_SAMPLE_SIZE = 10_000_000
 
 
@@ -57,9 +56,6 @@ class GenerativeSpec:
     background mass ratio.  ``s_per_course`` optionally overrides the shared
     thread length ``s``; ``training_counts`` records per-course training sample
     sizes for stress experiments.
-
-    ``sample_tokens`` draws from tables that the spec builds on its first draw;
-    ``dataclasses.replace`` makes a new spec, which builds its own.
     """
 
     n: int
@@ -134,13 +130,6 @@ class GenerativeSpec:
     @property
     def num_courses(self) -> int:
         return len(self.p)
-
-    @cached_property
-    def _sampling(self) -> tuple[np.ndarray, _Tables, tuple[_Tables, ...]]:
-        """The vocabulary as an object array, and the search and guide tables of D0 and of each D1(i)."""
-        d1_tables = tuple(_tables(token_distribution(self, i, False)) for i in range(self.num_courses))
-        vocab = np.asarray(self.background.vocab, dtype=object)
-        return vocab, _tables(token_distribution(self, None, True)), d1_tables
 
     def thread_length(self, course: int) -> int:
         if self.s_per_course is not None:
@@ -406,7 +395,7 @@ def sample_tokens(spec: GenerativeSpec, course: int, smalltalk: bool, size: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` i.i.d. tokens from D0 or D1(course), by inverse CDF through a guide table.
 
-    Reads the spec's tables, built once per spec; each token takes one uniform from ``rng``.
+    Builds the tables for this call; each token takes one uniform from ``rng``.
     """
     vocab, d0, d1 = _course_tables(spec, course)
     return vocab[_draw(d0 if smalltalk else d1, rng.random(size))]
@@ -418,7 +407,8 @@ def sample_threads(spec: GenerativeSpec, course: int, count: int,
 
     A thread takes 1 + s uniforms from ``rng``: the p_i coin, then s i.i.d. tokens from D0 or
     D1(course).  The threads are drawn a block at a time with one ``rng.random((k, 1 + s))``, which
-    reads the stream as a thread at a time would, so the block size changes no draw.
+    reads the stream as a thread at a time would, so the block size changes no draw.  The tables
+    of D0 and D1(course) are built for this call and let go with it.
     """
     vocab, d0, d1 = _course_tables(spec, course)
     s = spec.thread_length(course)
@@ -437,10 +427,12 @@ def sample_threads(spec: GenerativeSpec, course: int, count: int,
 
 
 def _course_tables(spec: GenerativeSpec, course: int) -> tuple[np.ndarray, _Tables, _Tables]:
+    """The vocabulary as an object array, and the search and guide tables of D0 and of D1(course),
+    built for one sampling call: a spec keeps no tables."""
     if not 0 <= course < spec.num_courses:
         raise IndexError(f"course {course} out of range")
-    vocab, d0, d1 = spec._sampling
-    return vocab, d0, d1[course]
+    vocab = np.asarray(spec.background.vocab, dtype=object)
+    return vocab, _tables(token_distribution(spec, None, True)), _tables(token_distribution(spec, course, False))
 
 
 def sample_thread(spec: GenerativeSpec, course: int, rng: np.random.Generator) -> SampledThread:

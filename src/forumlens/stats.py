@@ -163,13 +163,19 @@ class OlsFit:
 
 
 def ols(X: np.ndarray, y: np.ndarray, terms: Sequence[str] | None = None) -> OlsFit:
-    """Classical OLS with t-tests on n - p degrees of freedom."""
+    """Classical OLS with t-tests on n - p degrees of freedom.
+
+    A design or target that holds an infinity or a NaN (a regressor that overflowed, say) is a
+    numerical failure: FloatingPointError.
+    """
     from scipy.linalg import qr, solve_triangular
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise DegenerateDesign("design matrix must be 2-D")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise FloatingPointError("the design matrix or the target holds a value that is not finite")
     n, p = X.shape
     if terms is None:
         terms = tuple(f"x{j}" for j in range(p))
@@ -582,10 +588,10 @@ def smalltalk_moving_average(
     """Exponentially weighted small-talk share over time-ordered threads.
 
     s_t = sum_{i<=t} eta_i * alpha^(t-i) / denom_t.  The default denominator
-    is sum_{i<=t} alpha^i ("printed"); note it differs from the time-aligned
-    normalizer sum_{i<=t} alpha^(t-i) by a factor alpha and is therefore not a
-    convex average (s_t can slightly exceed 1).  Pass
-    denominator="timealigned" for the convex variant.
+    is sum_{i<=t} alpha^i ("printed"); it is exactly alpha times the time-aligned
+    normalizer sum_{i<=t} alpha^(t-i), so s_t is not a convex average and reaches
+    up to 1/alpha.  Pass denominator="timealigned" for the convex variant.  A
+    step that overflows (a tiny alpha) raises FloatingPointError.
     """
     if not 0.0 < alpha < 1.0:
         raise InvariantViolation("moving average", "alpha must be in (0, 1)")
@@ -598,12 +604,13 @@ def smalltalk_moving_average(
     num = 0.0
     den = 0.0
     alpha_pow = 1.0
-    for t in range(eta.size):
-        num = alpha * num + eta[t]
-        if denominator == "printed":
-            alpha_pow *= alpha
-            den += alpha_pow
-        else:
-            den = alpha * den + 1.0
-        out[t] = num / den
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for t in range(eta.size):
+            num = alpha * num + eta[t]
+            if denominator == "printed":
+                alpha_pow *= alpha
+                den += alpha_pow
+            else:
+                den = alpha * den + 1.0
+            out[t] = num / den
     return out

@@ -38,17 +38,17 @@ def calls(monkeypatch):
 
 
 @contextlib.contextmanager
-def chunk_budget(cells):
-    """Set the row kernel's chunk budget, corpus._CHUNK_CELLS, to ``cells``, and check that every
-    chunk the kernel lays out keeps it: one row, or rows x (1 + longest row) <= cells."""
+def chunk_budget(tokens):
+    """Set the row kernel's chunk budget, corpus._CHUNK_TOKENS, to ``tokens``, and check that every
+    chunk the kernel lays out keeps it: one row, or at most ``tokens`` tokens."""
     chunks = corpus_module._chunks
 
     def checked(rows):
         for chunk in chunks(rows):
-            assert chunk.rows == 1 or chunk.rows * (2 + int(chunk.col.max(initial=-1))) <= cells
+            assert chunk.rows == 1 or chunk.ids.size <= tokens
             yield chunk
 
-    with mock.patch.object(corpus_module, "_CHUNK_CELLS", cells), \
+    with mock.patch.object(corpus_module, "_CHUNK_TOKENS", tokens), \
             mock.patch.object(corpus_module, "_chunks", checked):
         yield
 

@@ -605,9 +605,9 @@ class TestBatchedScoresMatchWords:
         st.dictionaries(st.sampled_from(_MODEL_WORDS), _WEIGHTS),
         st.floats(-10, 10),
         st.sampled_from([-1.0, 0.0, 0.5]),
-        st.sampled_from([1, 2, 5, 13, corpus._CHUNK_CELLS]),
+        st.sampled_from([1, 2, 5, 13, corpus._CHUNK_TOKENS]),
     )
-    def test_log_posteriors_and_scores(self, rows, m_pos, m_neg, p_pos, tie, weights, bias, theta, cells):
+    def test_log_posteriors_and_scores(self, rows, m_pos, m_neg, p_pos, tie, weights, bias, theta, budget):
         # an empty row and a row of words outside every model come first
         rows = [[], ["qq", "dd", "qq"], *rows]
         if tie:  # equal priors and conditionals: every posterior ties, and a tie is negative
@@ -617,7 +617,7 @@ class TestBatchedScoresMatchWords:
         tokens = TokenTable()
         ids = [tokens.encode(words) for words in rows]
         oracle = [predict_nb(nb, words) for words in rows]
-        with chunk_budget(cells):  # a small budget splits the rows
+        with chunk_budget(budget):  # a small budget splits the rows
             log_pos, log_neg = _nb_log_posteriors(nb, ids, tokens)
             scores = _svm_scores(svm, ids, tokens)
             nb_flags = decisions(nb, iter(ids), tokens)
@@ -635,11 +635,11 @@ class TestBatchedScoresMatchWords:
         _docs.filter(lambda d: len({pos for _, pos in d}) == 2),
         st.one_of(st.none(), st.lists(st.sampled_from(_DOC_WORDS + ["zz"]), min_size=1, max_size=6)),
         st.dictionaries(st.sampled_from(_DOC_WORDS + ["zz"]), _WEIGHTS),
-        st.sampled_from([1, 3, 8, corpus._CHUNK_CELLS]),
+        st.sampled_from([1, 3, 8, corpus._CHUNK_TOKENS]),
     )
-    def test_svm_training_and_objective(self, docs, vocab, weights, cells):
+    def test_svm_training_and_objective(self, docs, vocab, weights, budget):
         encoded, tokens = _encoded(docs)
-        with chunk_budget(cells):
+        with chunk_budget(budget):
             svm = train_svm(encoded, tokens, lambda_=0.1, epochs=2, vocab=vocab)
             objectives = [svm_objective(m, encoded, tokens, 0.1) for m in (svm, SvmModel(weights, bias=0.5))]
         assert list(svm.weights.items()) == list(_oracle_train_svm(docs, 0.1, 2, vocab).weights.items())

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import forumlens
 import forumlens.cli
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, _unread, build_parser, main
-from forumlens.corpus import Post, Thread, ThreadColumns, ThreadRows, _CorpusParser, day_indices, ingest_corpus
+from forumlens.corpus import (MAX_SERIES_ROWS, Post, Thread, ThreadColumns, ThreadRows, _CorpusParser, day_indices,
+                              ingest_corpus)
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
 from forumlens.genmodel import make_spec
 from forumlens.ranking import RankWindow, sample_query_days, split_window
@@ -943,6 +944,19 @@ class TestBadInput:
             # finite weights whose scores overflow a float
             (["classify", "eval", "--threads", "CORPUS", "--model", "FILE"],
              '{"kind": "svm", "weights": {"w000": 1e308}, "bias": 1e308, "theta": 0}', 4, "FloatingPointError"),
+            # a staff scale whose regressor overflows, and a moving-average step that overflows
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE", "--scale-staff", "1e-308"],
+             _META_HEADER + _META_ROW, 4, "FloatingPointError"),
+            (["stats", "moving-avg", "--threads", "CORPUS", "--alpha-ma", "1e-320"], None, 4, "FloatingPointError"),
+            # series longer than MAX_SERIES_ROWS rows
+            (["classify", "roc", "--threads", "CORPUS", "--model", "FILE", "--theta-steps", "100000000000"],
+             '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": 0}', 2, "ConfigError"),
+            (["topics", "converge", "--threads", "CORPUS", "--course", "course00", "--max-days",
+              str(MAX_SERIES_ROWS + 1)], None, 2, "ConfigError"),
+            (["--config", "FILE", "topics", "converge", "--threads", "CORPUS", "--course", "course00"],
+             '{"max_days": %d}' % (MAX_SERIES_ROWS + 1), 2, "ConfigError"),
+            (["stats", "series", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace(",30,", ",1000000000000,"), 3, "InvariantViolation"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -984,7 +998,9 @@ class TestBadInput:
              "kind-less-vocab-integers", "kind-less-mass-numeric-strings", "kind-less-mass-nan",
              "nb-conditional-numeric-strings", "uniform-support-size-a-bool",
              "uniform-smalltalk-support-size-a-bool", "adversarial-smalltalk-support-size-a-bool",
-             "uniform-support-size-a-float", "svm-score-overflows"],
+             "uniform-support-size-a-float", "svm-score-overflows", "scale-staff-overflows",
+             "moving-avg-alpha-overflows", "theta-steps-beyond-limit", "converge-max-days-beyond-limit",
+             "config-max-days-beyond-limit", "meta-duration-beyond-limit"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -1334,6 +1350,17 @@ def test_negative_float_in_exponent_form_is_a_value(words, action, required):
     else:
         assert want == -0.001
         assert getattr(build_parser().parse_args(argv), action.dest) == -0.001
+
+
+@pytest.mark.parametrize("argv", [["classify", "roc", "--model", "m", "--theta-steps"],
+                                  ["topics", "converge", "--course", "c", "--max-days"]])
+def test_series_flags_take_up_to_the_row_limit(argv):
+    """--theta-steps and converge's --max-days accept MAX_SERIES_ROWS and refuse one more."""
+    given = [*argv[:2], "--threads", "x", "--out", "o", *argv[2:]]
+    dest = argv[-1].lstrip("-").replace("-", "_")
+    assert getattr(build_parser().parse_args([*given, str(MAX_SERIES_ROWS)]), dest) == MAX_SERIES_ROWS
+    with pytest.raises(ConfigError, match=f"at most {MAX_SERIES_ROWS}"):
+        build_parser().parse_args([*given, str(MAX_SERIES_ROWS + 1)])
 
 
 # Runs argv lists through main in a fresh interpreter and prints the scipy modules it loaded.

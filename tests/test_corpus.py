@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumlens.corpus import (
+    MAX_SERIES_ROWS,
     Corpus,
     Course,
     CourseCategory,
@@ -433,8 +434,8 @@ def _metadata_courses(draw):
     courses = []
     for course_id in ids:
         factors = draw(st.none() | st.builds(
-            CourseFactors, count, count, st.floats(0, 1e300) | st.integers(0, 10**6), count, count, count,
-            count))
+            CourseFactors, count, count, st.floats(0, 1e300) | st.integers(0, 10**6),
+            st.integers(0, MAX_SERIES_ROWS), count, count, count))
         start = draw(st.integers(-(2**63), 2**63 - 1))
         courses.append(Course(course_id, start, (), factors, draw(st.sampled_from(list(CourseCategory)))))
     return Corpus(tuple(courses))

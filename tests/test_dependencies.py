@@ -34,7 +34,7 @@ def test_third_party_imports_are_declared():
 
 
 # the token table, the id-row kernel and sequential_sum, which corpus defines
-_TOKEN_IDS = {"TokenTable", "_COUNT_POSTS", "_CHUNK_CELLS", "IdRows", "_laid_out", "_chunks", "_row_sums",
+_TOKEN_IDS = {"TokenTable", "_COUNT_POSTS", "_CHUNK_TOKENS", "IdRows", "_chunks", "_row_sums",
               "_distinct", "distinct_terms", "token_sums", "term_sums", "sequential_sum"}
 
 

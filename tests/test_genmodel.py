@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -234,10 +236,22 @@ class TestGoldenBytes:
 
 
 class TestSamplingTables:
-    def test_built_once_per_spec(self):
-        spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20)
-        assert spec._sampling is spec._sampling
-        assert len(spec._sampling[2]) == spec.num_courses
+    def test_spec_keeps_no_tables(self):
+        """After sample_corpus returns, the spec holds less than one course's tables: letting the
+        spec go frees less than that of what sampling allocated."""
+        spec = make_spec(n=20_000, num_courses=6, epsilon=0.3, p=0.5, s=20)
+        tracemalloc.start()
+        try:
+            sample_corpus(spec, [3] * spec.num_courses)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del spec
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        table, guide = genmodel._tables(np.full(20_000, 1 / 20_000))
+        assert freed < table.nbytes + guide.nbytes
 
     def test_replace_builds_fresh_tables(self):
         spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=0.5, s=20)

@@ -201,10 +201,10 @@ class TestLeftToRightSums:
         assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
 
     @settings(max_examples=150, deadline=None)
-    @given(_rank_inputs(), st.sampled_from([0.5, 0.9]), st.sampled_from([1, 2, 5, 13, corpus._CHUNK_CELLS]))
-    def test_scores_across_chunks(self, inputs, alpha, cells):
+    @given(_rank_inputs(), st.sampled_from([0.5, 0.9]), st.sampled_from([1, 2, 5, 13, corpus._CHUNK_TOKENS]))
+    def test_scores_across_chunks(self, inputs, alpha, budget):
         threads, window, query = inputs
-        with chunk_budget(cells):  # a small budget splits the rows
+        with chunk_budget(budget):  # a small budget splits the rows
             topical = topical_rank(KEYWORDS, query, alpha=alpha, k=55, tokens=TokenTable(SW))
             tfidf = tfidf_rank(window, query, tokens=TokenTable(SW))
         window, query = ([threads[r] for r in rows.rows.tolist()] for rows in (window, query))

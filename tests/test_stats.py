@@ -302,6 +302,15 @@ class TestOls:
         with pytest.raises(DegenerateDesign):
             ols(np.ones((3, 3)), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_design_or_target_is_a_numerical_failure(self, bad):
+        X = np.column_stack([np.ones(10), np.arange(10.0)])
+        y = np.arange(10.0) ** 2
+        with pytest.raises(FloatingPointError, match="not finite"):
+            ols(np.where(X == 3.0, bad, X), y)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            ols(X, np.where(y == 4.0, bad, y))
+
     def test_logz_drops_zero_days_and_columns(self):
         rng = np.random.default_rng(3)
         series, factors = {}, {}
@@ -646,6 +655,11 @@ class TestMovingAverage:
     def test_flag_validation(self):
         with pytest.raises(InvariantViolation):
             smalltalk_moving_average([0.5], alpha=0.9)
+
+    def test_overflow_raises(self):
+        # alpha**2 underflows to 0, so the printed denominator stays alpha and 1 / alpha overflows
+        with pytest.raises(FloatingPointError):
+            smalltalk_moving_average([0, 1], alpha=1e-320)
 
     @settings(max_examples=100)
     @given(

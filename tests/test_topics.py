@@ -224,18 +224,18 @@ class TestFirstCounts:
         expected = Counter(ids)  # insertion order is first-occurrence order
         assert terms.ids.tolist() == list(expected)
         assert counts.tolist() == list(expected.values())
-        assert terms.col.tolist() == list(range(len(expected)))
+        assert terms.rows == 1 and terms.row.tolist() == [0] * len(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 6), max_size=9), max_size=8), st.sampled_from([1, 2, 5, 13]))
-    def test_rows_across_chunks(self, rows, cells):
-        with chunk_budget(cells):  # a small budget splits the rows
+    def test_rows_across_chunks(self, rows, budget):
+        with chunk_budget(budget):  # a small budget splits the rows
             chunks = list(distinct_terms([np.array(ids, dtype=np.int32) for ids in rows]))
         assert sum(t.rows for t, _ in chunks) == len(rows)
         got, offset = [[] for _ in rows], 0
         for t, counts in chunks:
-            for r, c, i, n in zip(t.row.tolist(), t.col.tolist(), t.ids.tolist(), counts.tolist()):
-                assert c == len(got[offset + r])
+            assert t.row.tolist() == sorted(t.row.tolist())  # a row's entries together, rows in order
+            for r, i, n in zip(t.row.tolist(), t.ids.tolist(), counts.tolist()):
                 got[offset + r].append((i, n))
             offset += t.rows
         assert got == [list(Counter(ids).items()) for ids in rows]
@@ -568,13 +568,13 @@ def _calls_outside(tree, names):
 
 def test_one_scoring_path():
     """Text scores go through corpus' chunked row sums: no package code scores a word list
-    (predict_nb, SvmModel.score), no module but corpus builds a padded row-sum matrix
-    (np.add.accumulate), and no module that reads token ids calls np.unique on them."""
+    (predict_nb, SvmModel.score), no module but corpus sums rows in place (np.add.at) or
+    along a matrix (np.add.accumulate), and no module that reads token ids calls np.unique on them."""
     for path in sorted(Path(topics.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         banned = {"predict_nb", "score"}
         if path.stem != "corpus":
-            banned.add("accumulate")
+            banned |= {"at", "accumulate"}
             if any(isinstance(n, ast.alias) and n.name == "TokenTable" for n in ast.walk(tree)):
                 banned.add("unique")
         assert _calls_outside(tree, banned) == [], path.name
