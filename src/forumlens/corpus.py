@@ -30,8 +30,8 @@ Tokenization: a command reads text through one ``TokenTable`` that every
 pipeline it runs shares (keywords, ranking and the classifiers).  It reads
 thread rows straight from the columns through ``split_words``, and has two
 read forms: ``ids`` splits a thread row once and keeps its ids, and
-``counts`` totals a whole course's tokens by id and keeps no row; so a
-thread is split at most once per form.  All four text scores (topical and
+``counts`` totals whole courses' tokens by id in one pass and keeps no row;
+so a thread is split at most once per form.  All four text scores (topical and
 tf-idf ranking, naive Bayes, the SVM) sum their terms over token-id rows
 through one kernel here: ``token_sums`` (a weight per token) or
 ``term_sums`` (count times weight per distinct id).
@@ -550,19 +550,22 @@ class TokenTable:
             if w not in word_ids:
                 word_ids[w] = -1 if len(w) < 2 or w in stopwords else index.setdefault(w, len(index))
 
-    def counts(self, columns: ThreadColumns) -> np.ndarray:
-        """Token counts over every row of ``columns``, by id (int64, ``len(self)`` entries): the
-        tokens that ``ids`` gives those rows, split _COUNT_POSTS posts at a time with no row kept.
+    def counts(self, *columns: ThreadColumns) -> np.ndarray:
+        """Token counts over every row of each of ``columns``, by id (int64, ``len(self)``
+        entries): the tokens that ``ids`` gives those rows, in one pass that splits _COUNT_POSTS
+        posts of one columns at a time and keeps no row.  New words are numbered as the rows,
+        columns by columns, would meet them, so one call numbers them as a call per columns does.
 
         A chunk's posts are joined by spaces, as a row's are: a space ends every word, and it
         stops str.lower's look at the letters around a capital sigma as a row's end does.
         """
-        texts = columns.texts
-        if not self.include_staff:
-            texts = [t for t, staff in zip(texts, columns.is_staff.tolist()) if not staff]
         words: Counter[str] = Counter()
-        for start in range(0, len(texts), _COUNT_POSTS):
-            words.update(split_words(" ".join(texts[start : start + _COUNT_POSTS])))
+        for c in columns:
+            texts = c.texts
+            if not self.include_staff:
+                texts = [t for t, staff in zip(texts, c.is_staff.tolist()) if not staff]
+            for start in range(0, len(texts), _COUNT_POSTS):
+                words.update(split_words(" ".join(texts[start : start + _COUNT_POSTS])))
         self._learn(words)  # a Counter keeps first appearances in order, as the rows meet them
         ids = np.fromiter(map(self._word_ids.__getitem__, words), np.intp, len(words))
         kept = ids >= 0

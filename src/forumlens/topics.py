@@ -129,6 +129,11 @@ def topk_kendall_tau(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> fl
 # ---------------------------------------------------------------------------
 
 
+def _id_counts(rows: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Token counts by id over the id ``rows``, ``size`` entries."""
+    return np.bincount(np.concatenate([np.zeros(0, dtype=np.int32), *rows]), minlength=size)
+
+
 @dataclass(frozen=True)
 class ConvergencePoint:
     day: int
@@ -140,14 +145,14 @@ class ConvergencePoint:
 class KeywordFit:
     """Surprise-weight rankings of one course against a fixed background.
 
-    Building the fit counts the background courses through ``tokens.counts``;
-    no background row is kept.  The course's rows are read through
-    ``tokens.ids`` in day order, only as far as a call asks: ``keywords(d)``
-    reads through day ``d`` and ``convergence`` through its last day.  The
-    course counts up to a day are prefix counts of the ids read so far.  Other
-    pipelines may add words to ``tokens`` between calls, so the background
-    vector and the word order are laid over the table's size when a ranking
-    is taken, and laid out again only after the table has grown.
+    Building the fit counts the background courses in one ``tokens.counts``
+    call; no background row is kept.  The course's rows are read through
+    ``tokens.ids``, which keeps them, in day order and only as far as a call
+    asks: ``keywords(d)`` reads through day ``d`` and ``convergence`` through
+    its last day; the fit keeps no copy of them.  Other pipelines may add words
+    to ``tokens`` between calls, so the background vector and the word order
+    are laid over the table's size when a ranking is taken, and laid out again
+    only after the table has grown.
     """
 
     def __init__(
@@ -163,7 +168,7 @@ class KeywordFit:
             raise ConfigError(f"background {list(background_ids)} must name courses, each once")
         elif course_id in background_ids:
             raise ConfigError(f"background {list(background_ids)} must not name the course {course_id!r}")
-        counts = [tokens.counts(corpus.course(cid).columns) for cid in background_ids]
+        self.background = tokens.counts(*(corpus.course(cid).columns for cid in background_ids))
         course = corpus.course(course_id)
         days = day_indices(course.columns.created_at, course.start_date)
         order = np.argsort(days, kind="stable")
@@ -172,25 +177,14 @@ class KeywordFit:
         self._columns = course.columns
         self._order = order
         self._days = days[order]
-        self._ids = np.zeros(0, dtype=np.int32)  # the course rows read so far, in day order
-        self._ends = [0]  # the offset in _ids just past each row read
         self._size = -1  # the table size that background, _words and _word_rank are laid over
-        self.background = np.zeros(len(tokens), dtype=np.int64)
-        for c in counts:
-            self.background[: c.size] += c
         self.background_tokens = int(self.background.sum())
 
-    def _end(self, day: int) -> int:
-        """The offset in ``_ids`` just past the course threads of days <= ``day``, read first."""
-        n = int(np.searchsorted(self._days, day, "right"))
-        ends = self._ends
-        if n >= len(ends):
-            columns, ids = self._columns, self._tokens.ids
-            rows = [ids(columns, row) for row in self._order[len(ends) - 1 : n].tolist()]
-            for r in rows:
-                ends.append(ends[-1] + r.size)
-            self._ids = np.concatenate([self._ids, *rows])
-        return ends[n]
+    def _rows(self, day: int) -> list[np.ndarray]:
+        """The id rows of the course threads of days <= ``day``, in day order."""
+        columns, ids = self._columns, self._tokens.ids
+        n = np.searchsorted(self._days, day, "right")
+        return [ids(columns, row) for row in self._order[:n].tolist()]
 
     def _lay_out(self) -> int:
         """Lay the background and the word order over the table's size, if it grew; return the size."""
@@ -220,8 +214,7 @@ class KeywordFit:
 
     def keywords(self, warmup_days: int) -> KeywordRanking:
         """Ranking fitted on the course's threads of days <= ``warmup_days``."""
-        end = self._end(warmup_days)
-        counts = np.bincount(self._ids[:end], minlength=self._lay_out())
+        counts = _id_counts(self._rows(warmup_days), self._lay_out())
         if not counts.any():
             raise EmptyCorpus(
                 f"no course tokens in the first {warmup_days} days of {self.course_id}"
@@ -240,15 +233,14 @@ class KeywordFit:
         if not self._days.size:
             raise EmptyCorpus(f"course {self.course_id} has no tokens")
         last_day = int(self._days[-1]) if max_days is None else max_days
-        self._end(last_day)
+        rows = self._rows(last_day)
         size = self._lay_out()
+        cuts = np.searchsorted(self._days, np.arange(last_day + 1), "right").tolist()  # rows of days <= d
         points = []
         prev_top = None
         counts = np.zeros(size, dtype=np.int64)
-        end = self._end(0)
         for day in range(1, last_day + 1):
-            start, end = end, self._end(day)
-            counts += np.bincount(self._ids[start:end], minlength=size)
+            counts += _id_counts(rows[cuts[day - 1] : cuts[day]], size)
             if not counts.any():
                 continue
             top = self._ranked(counts)[0][:k].tolist()

@@ -28,9 +28,10 @@ def calls(monkeypatch):
         counts[columns.thread_ids[row]] += 1
         return tokenize(table, columns, row)
 
-    def counting(table, columns):
-        counts.update(columns.thread_ids)
-        return count(table, columns)
+    def counting(table, *columns):
+        for c in columns:
+            counts.update(c.thread_ids)
+        return count(table, *columns)
 
     monkeypatch.setattr(TokenTable, "_tokenize", tokenizing)
     monkeypatch.setattr(TokenTable, "counts", counting)

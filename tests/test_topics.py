@@ -524,22 +524,25 @@ def _count_courses(draw):
 
 
 class TestCountsMatchRows:
-    """counts(columns) gives, by id, the per-word totals of the ids that every row of the columns
-    reads, and numbers new words in the order the rows would meet them, whatever the chunk size."""
+    """counts(*columns) gives, by id, the per-word totals of the ids that every row of the columns
+    reads, and numbers new words in the order the rows would meet them, whatever the chunk size,
+    whether the courses are counted one call each or all in one call."""
 
     @settings(max_examples=150, deadline=None)
     @given(_count_courses(), st.sampled_from([None, frozenset(), frozenset({"the", "zz", "42", "kelvin"})]),
-           st.booleans(), st.sampled_from([1, 2, 3, corpus._COUNT_POSTS]))
-    def test_counts_equal_row_totals(self, courses, stopwords, include_staff, chunk):
+           st.booleans(), st.sampled_from([1, 2, 3, corpus._COUNT_POSTS]), st.booleans())
+    def test_counts_equal_row_totals(self, courses, stopwords, include_staff, chunk, one_call):
         table, rows = TokenTable(stopwords, include_staff), TokenTable(stopwords, include_staff)
+        groups = [courses] if one_call else [[course] for course in courses]
         with mock.patch.object(corpus, "_COUNT_POSTS", chunk):
-            counted = [table.counts(course.columns) for course in courses]
+            counted = [table.counts(*(course.columns for course in group)) for group in groups]
         words = list(table.index)
-        for course, counts in zip(courses, counted):
+        for group, counts in zip(groups, counted):
             assert counts.dtype == np.int64 and counts.size <= len(table)
             expected = Counter()
-            for row in range(course.num_threads):
-                expected.update(rows.ids(course.columns, row).tolist())
+            for course in group:
+                for row in range(course.num_threads):
+                    expected.update(rows.ids(course.columns, row).tolist())
             row_words = list(rows.index)
             assert {words[i]: n for i, n in enumerate(counts.tolist()) if n} == {
                 row_words[i]: n for i, n in expected.items()
