@@ -314,6 +314,14 @@ class _ColumnBuilder:
         )
 
 
+def _finite(value) -> bool:
+    """Whether the real number ``value`` is finite as a float: an integer past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # The most rows a day or step series may have: a course's duration_days (the
 # metadata's D, one series row per day), topics converge --max-days and classify
 # roc --theta-steps.  Convergence takes about 1 ms a day over a 5,000-word
@@ -326,7 +334,8 @@ class CourseFactors:
     """Per-course regressors for the activity models.
 
     ``staff_posts`` is kept in raw post counts; the panel regression rescales
-    it (see stats.fit_panel_ols).  ``duration_days`` is at most MAX_SERIES_ROWS.
+    it (see stats.fit_panel_ols).  Every factor is >= 0 and finite as a float,
+    and ``duration_days`` is at most MAX_SERIES_ROWS.
     """
 
     quantitative: int
@@ -339,7 +348,8 @@ class CourseFactors:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0 <= getattr(self, f.name) < math.inf:  # stated so that NaN fails it
+            value = getattr(self, f.name)
+            if not (value >= 0 and _finite(value)):
                 raise InvariantViolation("factors", f"{f.name} must be finite and >= 0")
         if self.duration_days > MAX_SERIES_ROWS:
             raise InvariantViolation("factors", f"duration_days must be at most {MAX_SERIES_ROWS}")
@@ -378,6 +388,8 @@ class Course:
     def _fill(self, course_id, start_date, columns, factors, category) -> None:
         self.__dict__.update(course_id=course_id, start_date=start_date, columns=columns, factors=factors,
                              category=category)
+        if not _finite(start_date):  # day_indices takes any integer, stats moving-avg a float of elapsed time
+            raise InvariantViolation(course_id, "start_date must be finite as a float")
         dup = _first_duplicate(columns.thread_ids)
         if dup is not None:
             raise InvariantViolation(course_id, f"duplicate thread id {dup!r}")
@@ -894,14 +906,10 @@ def read_real(subject: str, name: str, value) -> float:
     """``value`` as a float: a real number that is finite as a float, and not a bool."""
     # float and int come first: the numbers.Real test alone takes longer than the rest of a read
     real = type(value) in (float, int) or type(value) is not bool and isinstance(value, numbers.Real)
-    try:
-        f = float(value) if real else math.nan
-    except OverflowError:  # an integer past the float range
-        f = math.nan
-    if not math.isfinite(f):
+    if not (real and _finite(value)):
         raise InvariantViolation(subject, f"{name} must hold numbers, each a finite number and not a bool, "
                                           f"got {value!r}")
-    return f
+    return float(value)
 
 
 def read_str(subject: str, name: str, value) -> str:
@@ -930,23 +938,27 @@ def _read_metadata(path) -> dict[str, tuple[int, CourseFactors, CourseCategory]]
     meta = {}
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        for row in filter(None, reader):  # blank lines hold no row
-            if len(row) != len(header):
-                raise ParseError(reader.line_num, f"{len(row)} fields where the header has {len(header)}")
-            values = dict(zip(header, row))
-            try:
-                course_id = values["course_id"]
-                start_date = int(values["start_date"])
-                factors = CourseFactors(*(convert(values[name]) for name, convert in _FACTOR_COLUMNS))
-                category = CourseCategory(values["category"])
-            except KeyError as exc:
-                raise ParseError(reader.line_num, f"missing column {exc}") from exc
-            except ValueError as exc:  # a number or category that does not parse
-                raise ParseError(reader.line_num, str(exc)) from exc
-            if course_id in meta:
-                raise InvariantViolation("corpus", f"duplicate course id {course_id!r}")
-            meta[course_id] = (start_date, factors, category)
+        try:
+            header = next(reader, [])
+            rows = [(reader.line_num, row) for row in reader if row]  # blank lines hold no row
+        except csv.Error as exc:  # a field past csv's size limit; before Python 3.11, a NUL
+            raise ParseError(reader.line_num, str(exc)) from exc
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ParseError(line, f"{len(row)} fields where the header has {len(header)}")
+        values = dict(zip(header, row))
+        try:
+            course_id = values["course_id"]
+            start_date = int(values["start_date"])
+            factors = CourseFactors(*(convert(values[name]) for name, convert in _FACTOR_COLUMNS))
+            category = CourseCategory(values["category"])
+        except KeyError as exc:
+            raise ParseError(line, f"missing column {exc}") from exc
+        except ValueError as exc:  # a number or category that does not parse
+            raise ParseError(line, str(exc)) from exc
+        if course_id in meta:
+            raise InvariantViolation("corpus", f"duplicate course id {course_id!r}")
+        meta[course_id] = (start_date, factors, category)
     return meta
 
 

@@ -32,6 +32,7 @@ from .corpus import (
     Corpus,
     Course,
     CourseFactors,
+    MAX_SERIES_ROWS,
     SECONDS_PER_DAY,
     day_indices,
 )
@@ -116,6 +117,9 @@ def _course_series(course: Course) -> ActivitySeries:
         duration = max(course.factors.duration_days, 1)
     elif days.size:
         duration = max(int(days.max()), 1)
+        if duration > MAX_SERIES_ROWS:  # refused before any series row is allocated
+            raise InvariantViolation(course.course_id, f"its last post falls on day {duration}, "
+                                                       f"past the {MAX_SERIES_ROWS}-row series limit")
     else:
         duration = 1
     keep = (days >= 1) & (days <= duration)
@@ -292,7 +296,8 @@ def assemble_panel(
             days = range(1, series.days + 1)
             ys.extend(map(float, counts))
         t = np.array(days, dtype=float)
-        block = np.column_stack([np.ones_like(t), np.outer(t, base), np.tile(base, (t.size, 1)), t])
+        with np.errstate(over="raise", invalid="raise"):  # a finite factor times a day can overflow
+            block = np.column_stack([np.ones_like(t), np.outer(t, base), np.tile(base, (t.size, 1)), t])
         # C order, unlike block[:, columns]: BLAS may round ols's X @ beta differently per layout
         blocks.append(block.take(columns, axis=1))
     if not ys:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TokenTable, UnigramModel, day_indices
+from .corpus import MAX_SERIES_ROWS, Corpus, TokenTable, UnigramModel, day_indices
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds topics.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, DomainMismatch, EmptyCorpus, InvariantViolation
@@ -233,6 +233,9 @@ class KeywordFit:
         if not self._days.size:
             raise EmptyCorpus(f"course {self.course_id} has no tokens")
         last_day = int(self._days[-1]) if max_days is None else max_days
+        if max_days is None and last_day > MAX_SERIES_ROWS:  # a day's point per day up to the last
+            raise InvariantViolation(self.course_id, f"its last thread falls on day {last_day}, "
+                                                     f"past the {MAX_SERIES_ROWS}-row series limit")
         rows = self._rows(last_day)
         size = self._lay_out()
         cuts = np.searchsorted(self._days, np.arange(last_day + 1), "right").tolist()  # rows of days <= d

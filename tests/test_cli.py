@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -670,6 +671,9 @@ _SPEC = json.dumps({"kind": "uniform", "n": 400, "num_courses": 2, "epsilon": 0.
 
 _META_HEADER = "course_id,start_date,Q,V,L,D,P,S,H,category\n"
 _META_ROW = "course00,0,1,0,5.5,30,0,100,2,HumanitiesSocial\n"
+# two courses whose threads lie 2**62 s apart: a series to the last day would have 53,375,995,583,651 rows
+_FAR_APART = "\n".join(_thread_line(course_id=c, thread_id=f"{c}{t}", post_id=f"{c}p{t}", created_at=t, timestamp=t,
+                                     text="gradient descent") for c in "cd" for t in (0, 2**62))
 
 _VALID_SPEC = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=10, support_size=20).to_json()
 # an explicit spec whose s_per_course holds a negative length
@@ -957,6 +961,17 @@ class TestBadInput:
              '{"max_days": %d}' % (MAX_SERIES_ROWS + 1), 2, "ConfigError"),
             (["stats", "series", "--threads", "CORPUS", "--meta", "FILE"],
              _META_HEADER + _META_ROW.replace(",30,", ",1000000000000,"), 3, "InvariantViolation"),
+            (["stats", "trend", "--threads", "FILE"], _FAR_APART, 3, "InvariantViolation"),
+            (["topics", "converge", "--threads", "FILE", "--course", "c"], _FAR_APART, 3, "InvariantViolation"),
+            # metadata values that read but overflow a stats command
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace("5.5", "1e308"), 4, "FloatingPointError"),
+            (["stats", "panel", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace("course00,0,1,", f"course00,0,{'9' * 401},"), 3, "InvariantViolation"),
+            (["stats", "moving-avg", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace("course00,0,", f"course00,{10**400},"), 3, "InvariantViolation"),
+            (["stats", "series", "--threads", "CORPUS", "--meta", "FILE"],
+             _META_HEADER + _META_ROW.replace("HumanitiesSocial", "x" * 200_000), 3, "ParseError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -1000,7 +1015,9 @@ class TestBadInput:
              "uniform-smalltalk-support-size-a-bool", "adversarial-smalltalk-support-size-a-bool",
              "uniform-support-size-a-float", "svm-score-overflows", "scale-staff-overflows",
              "moving-avg-alpha-overflows", "theta-steps-beyond-limit", "converge-max-days-beyond-limit",
-             "config-max-days-beyond-limit", "meta-duration-beyond-limit"],
+             "config-max-days-beyond-limit", "meta-duration-beyond-limit",
+             "trend-days-from-data-beyond-limit", "converge-days-from-data-beyond-limit", "meta-hours-overflow-panel",
+             "meta-factor-beyond-float", "meta-start-beyond-float", "meta-field-beyond-csv-limit"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -1584,9 +1601,10 @@ def two_course_corpus(tmp_path_factory):
 
 
 class TestMutatedFiles:
-    """Each field of a valid spec or model file, deleted or set to an odd value, ends in exit 0, 2, 3 or 4;
-    a failure prints only the JSON error object and creates no --out.  The vocabulary and sample
-    size limits take part: they are what refuses the odd values too large to build."""
+    """Each field of a valid spec or model file, corpus line or metadata row, deleted or set to an odd
+    value, ends in exit 0, 2, 3 or 4 in every command that reads it; a failure prints only the JSON
+    error object and creates no --out.  The vocabulary and sample size limits take part: they are
+    what refuses the odd values too large to build."""
 
     @pytest.mark.parametrize("kind, path", [(kind, path) for kind, obj in _VALID_FILES.items()
                                             for path in _field_paths(obj)],
@@ -1604,3 +1622,58 @@ class TestMutatedFiles:
             rc, err = _run_quietly(argv + ["--out", str(out)])
             _assert_clean_exit(rc, err, (0, 2, 3, 4))
             assert rc == 0 or not out.exists()
+
+    # one valid two-post thread, with a staff post and a label, next to a line of another course; a
+    # day-1 thread of its own course puts it on day 2, in the query window that HITS ranks
+    _THREAD = {"course_id": "c0", "thread_id": "t0", "created_at": 86400, "label": "SmallTalk",
+               "posts": [{"post_id": "p0", "author_id": "u0", "timestamp": 86400, "text": "gradient descent",
+                          "is_staff": False},
+                         {"post_id": "p1", "author_id": "u1", "timestamp": 90000, "text": "welcome everyone",
+                          "is_staff": True}]}
+    _OTHER_LINES = (_thread_line(course_id="c0", author_id="u1", text="matrix rank") + "\n"
+                    + _thread_line(course_id="c1", label="Logistics", text="matrix rank") + "\n")
+    _LINE_COMMANDS = (["ingest"], ["stats", "series"],
+                      ["rank", "--course", "c0", "--algo", "hits", "--warmup", "1", "--query", "1"],
+                      ["classify", "train", "--algo", "svm"], ["stats", "ttest"])
+
+    @pytest.mark.parametrize("path", list(_field_paths(_THREAD)), ids=lambda v: ".".join(map(str, v)))
+    @settings(max_examples=2 * len(_ODD_VALUES), deadline=None, derandomize=True)
+    @given(value=st.sampled_from(_ODD_VALUES))
+    def test_corpus_line_field(self, path, value):
+        with tempfile.TemporaryDirectory() as root:
+            corpus, out = Path(root) / "c.jsonl", Path(root) / "o"
+            corpus.write_text(json.dumps(_mutated(self._THREAD, path, value)) + "\n" + self._OTHER_LINES)
+            for command in self._LINE_COMMANDS:
+                rc, err = _run_quietly([*command, "--threads", str(corpus), "--out", str(out)])
+                _assert_clean_exit(rc, err, (0, 2, 3, 4))
+                assert rc == 0 or not out.exists()
+                shutil.rmtree(out, ignore_errors=True)
+
+    # a metadata row of each course of two_course_corpus; a column is set to an odd string in one
+    # row, or left out of the header and every row
+    _META = [["course_id", "start_date", "Q", "V", "L", "D", "P", "S", "H", "category"],
+             ["course00", "0", "1", "0", "5.5", "30", "0", "100", "2", "HumanitiesSocial"],
+             ["course01", "86400", "0", "1", "3.25", "20", "1", "40", "1", "Vocational"]]
+    _META_ODD = [_DELETE, "", "x", "-1", "nan", "inf", "1e308", "9" * 401, "-" + "9" * 401, "1.5", "\x00", "\u00e9"]
+    _META_COMMANDS = (["ingest"], ["stats", "series"], ["stats", "trend"], ["stats", "panel"], ["stats", "shapiro"],
+                      ["stats", "moving-avg"])
+
+    @pytest.mark.parametrize("row, column", [(row, column) for column in _META[0] for row in (1, 2)])
+    @settings(max_examples=2 * len(_META_ODD), deadline=None, derandomize=True)
+    @given(value=st.sampled_from(_META_ODD))
+    def test_metadata_field(self, two_course_corpus, row, column, value):
+        j = self._META[0].index(column)
+        rows = [list(r) for r in self._META]
+        if value == _DELETE:
+            rows = [r[:j] + r[j + 1:] for r in rows]
+        else:
+            rows[row][j] = value
+        with tempfile.TemporaryDirectory() as root:
+            meta, out = Path(root) / "meta.csv", Path(root) / "o"
+            meta.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+            for command in self._META_COMMANDS:
+                rc, err = _run_quietly([*command, "--threads", str(two_course_corpus), "--meta", str(meta),
+                                        "--out", str(out)])
+                _assert_clean_exit(rc, err, (0, 2, 3, 4))
+                assert rc == 0 or not out.exists()
+                shutil.rmtree(out, ignore_errors=True)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.special import ndtri, stdtrit
 
-from forumlens.corpus import SECONDS_PER_DAY, Course, CourseFactors
+from forumlens.corpus import MAX_SERIES_ROWS, SECONDS_PER_DAY, Course, CourseFactors
 from forumlens.errors import (
     DegenerateDesign,
     DegenerateGroup,
@@ -89,6 +89,19 @@ class TestBuildSeries:
         series = build_series(corpus_from_threads({"c1": threads}))["c1"]
         assert series.median_first3_posts == pytest.approx(np.median([2, 1, 0]))
         assert series.distinct_users_first3 == 2
+
+
+    @pytest.mark.parametrize("last_day", [MAX_SERIES_ROWS, MAX_SERIES_ROWS + 1])
+    def test_length_from_the_data(self, last_day):
+        # without metadata the last post's day sets the length, which MAX_SERIES_ROWS bounds
+        threads = [single_post_thread("t1", 0, "aa"), single_post_thread("t2", (last_day - 1) * SECONDS_PER_DAY, "bb")]
+        corpus = corpus_from_threads({"c1": threads})
+        if last_day > MAX_SERIES_ROWS:
+            with pytest.raises(InvariantViolation, match=f"day {last_day}, past the {MAX_SERIES_ROWS}-row"):
+                build_series(corpus)
+        else:
+            series = build_series(corpus)["c1"]
+            assert series.days == MAX_SERIES_ROWS and series.y[-1] == 1 and sum(series.y) == 2
 
 
 class TestCourseTrend:

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumlens import corpus, topics
-from forumlens.corpus import (Corpus, Course, Post, Thread, TokenTable, UnigramModel, day_index, distinct_terms,
-                              thread_tokens)
-from forumlens.errors import ConfigError, DomainMismatch, EmptyCorpus
+from forumlens.corpus import (MAX_SERIES_ROWS, SECONDS_PER_DAY, Corpus, Course, Post, Thread, TokenTable,
+                              UnigramModel, day_index, distinct_terms, thread_tokens)
+from forumlens.errors import ConfigError, DomainMismatch, EmptyCorpus, InvariantViolation
 from forumlens.genmodel import make_spec, sample_corpus
 from forumlens.topics import (
     ConvergencePoint,
@@ -212,6 +212,31 @@ class TestBackgroundList:
             KeywordFit(TokenTable(), corpus, "course00", background)
         with pytest.raises(ConfigError):
             extract_keywords(corpus, "course00", background)
+
+
+class TestSeriesLength:
+    """Without max_days, convergence runs to the course's last day: MAX_SERIES_ROWS is accepted and
+    one more day is refused before any day is counted."""
+
+    @staticmethod
+    def _fit(last_day):
+        """A fit of course c0, whose two threads fall on days ``last_day - 1`` and ``last_day``."""
+        def course(course_id, days):
+            return Course(course_id, 0, tuple(
+                Thread(f"{course_id}t{d}", (d - 1) * SECONDS_PER_DAY,
+                       (Post(f"{course_id}p{d}", "u", (d - 1) * SECONDS_PER_DAY, "gradient descent", False),))
+                for d in days))
+
+        return KeywordFit(TokenTable(), Corpus((course("c0", (last_day - 1, last_day)), course("c1", (1,)))), "c0")
+
+    def test_last_day_at_the_limit(self):
+        (point,) = self._fit(MAX_SERIES_ROWS).convergence(k=5)
+        assert point.day == MAX_SERIES_ROWS and point.cumulative_tokens == 4
+
+    def test_one_day_more_is_refused(self):
+        with pytest.raises(InvariantViolation, match=f"day {MAX_SERIES_ROWS + 1}, past the"):
+            self._fit(MAX_SERIES_ROWS + 1).convergence(k=5)
+        assert self._fit(MAX_SERIES_ROWS + 1).convergence(k=5, max_days=3) == []  # a given max_days is kept
 
 
 class TestFirstCounts:
