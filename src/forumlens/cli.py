@@ -2,13 +2,16 @@
 
 Every subcommand takes ``--out DIR``.  Its handler computes the command's
 artifacts (CSV or JSON) and returns them by file name; only after it returns
-does ``main`` create ``--out``, write every artifact there, and then write
-``manifest.json``: the resolved configuration and the SHA-256 of each input
-file given by ``--spec``, ``--threads``, ``--meta``, ``--model`` or
-``--stopwords``.  Nothing is written outside ``--out``, and a failed command
-creates no ``--out`` and leaves an existing one untouched.  Runs are
-deterministic given the manifest, so re-running a command reproduces
-byte-identical artifacts.
+does ``main`` write every artifact, and then ``manifest.json``: the resolved
+configuration and the SHA-256 of each input file given by ``--spec``,
+``--threads``, ``--meta``, ``--model`` or ``--stopwords``.  They are written
+into a temporary directory beside ``--out`` and then moved into it (see
+``_publish``), so a failed command creates no ``--out`` and leaves an existing
+one untouched.  Runs are deterministic given the manifest, so re-running a
+command reproduces byte-identical artifacts.
+
+``main`` keeps the last corpus it parsed, keyed by the SHA-256 of its file,
+and the next command on a file with that digest reuses it.
 
 ``main`` parses argv once with every default set aside, so the parsed flags
 are exactly the given ones.  It then fills each unset flag from ``--config``,
@@ -29,7 +32,10 @@ import json
 import math
 import os
 import re
+import shutil
+import stat
 import sys
+import tempfile
 from functools import partial
 
 import numpy as np
@@ -125,8 +131,8 @@ def _sha256(path) -> str:
 _INPUT_FLAGS = ("spec", "threads", "meta", "model", "stopwords")
 
 
-def _manifest(args) -> dict:
-    """The resolved configuration plus the SHA-256 of every input file."""
+def _manifest(args, digests: dict) -> dict:
+    """The resolved configuration plus the SHA-256 of every input file; ``digests`` holds those already taken."""
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in sorted(vars(args).items())
@@ -136,12 +142,22 @@ def _manifest(args) -> dict:
     return {
         "tool": f"forumlens {__version__}",
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in paths if p},
+        "inputs": {str(p): digests.get(p) or _sha256(p) for p in paths if p},
     }
 
 
-def _load_corpus(args) -> Corpus:
-    corpus = ingest_corpus(args.threads)
+# The last corpus main parsed, by the SHA-256 of its file: at most one entry.
+_PARSED: dict[str, Corpus] = {}
+
+
+def _load_corpus(args, digest: str) -> Corpus:
+    """The corpus in ``--threads``, whose file hashes to ``digest``, with ``--meta`` attached."""
+    corpus = _PARSED.get(digest)
+    if corpus is None:
+        _PARSED.clear()  # one corpus held, even while the next one parses
+        corpus = ingest_corpus(args.threads)
+        if _sha256(args.threads) == digest:  # the file did not change during the parse
+            _PARSED[digest] = corpus
     if getattr(args, "meta", None):
         corpus = attach_metadata(corpus, args.meta)
     return corpus
@@ -743,18 +759,14 @@ def main(argv=None) -> int:
             args = _resolve(build_parser(), argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        corpus = _load_corpus(args) if hasattr(args, "threads") else None
-        manifest = json.dumps(_manifest(args), sort_keys=True, indent=2)
+        digests = {args.threads: _sha256(args.threads)} if hasattr(args, "threads") else {}
+        corpus = _load_corpus(args, digests[args.threads]) if digests else None
+        manifest = json.dumps(_manifest(args, digests), sort_keys=True, indent=2)
         artifacts = args.func(args, corpus)
-        # --out is created only after the command succeeded and every name passed, so a
-        # failed command creates no --out and leaves an existing one as it was
         for name in artifacts:
             if not _plain_file_name(name):
                 raise InvariantViolation("artifact", f"{name!r} does not name one file under --out")
-        os.makedirs(args.out, exist_ok=True)
-        for name, write in artifacts.items():
-            write(os.path.join(args.out, name))
-        _write_text(manifest, os.path.join(args.out, "manifest.json"))
+        _publish(args.out, {**artifacts, "manifest.json": partial(_write_text, manifest)})
         return 0
     except ConfigError as exc:
         _emit_error(exc)
@@ -771,6 +783,37 @@ def main(argv=None) -> int:
     except ForumlensError as exc:  # every other toolkit error is about the data
         _emit_error(exc)
         return 3
+
+
+def _publish(out: str, writers: dict) -> None:
+    """Write each file into a new directory beside ``out``, then move them all into ``out``.
+
+    A missing ``out`` becomes that directory; in an existing one each written
+    name replaces its file, ``manifest.json`` last, and other items stay.  A
+    failed write leaves ``out`` as it was.
+    """
+    parent = base = os.path.dirname(os.path.abspath(out))
+    while not os.path.isdir(base):  # stage in the nearest existing directory: the same file system
+        base = os.path.dirname(base)
+    staged = tempfile.mkdtemp(prefix=".forumlens-", dir=base)
+    try:
+        for name, write in writers.items():
+            write(os.path.join(staged, name))
+        if not os.path.isdir(out):
+            os.makedirs(parent, exist_ok=True)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(staged, 0o777 & ~umask)  # as os.makedirs would make it; mkdtemp makes 0700
+            os.rename(staged, out)
+            return
+        for name in writers:
+            target = os.path.join(out, name)
+            if os.path.lexists(target) and not stat.S_ISREG(os.lstat(target).st_mode):
+                raise ConfigError(f"{target} is in the way: it exists and is not a regular file")
+        for name in writers:
+            os.replace(os.path.join(staged, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(staged, ignore_errors=True)
 
 
 def _emit_error(exc) -> None:

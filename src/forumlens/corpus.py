@@ -300,18 +300,14 @@ class _ColumnBuilder:
         self.offsets.append(len(self.timestamps))
 
     def build(self, author_names: list[str]) -> ThreadColumns:
-        return ThreadColumns(
-            thread_ids=self.thread_ids,
-            created_at=np.array(self.created_at, dtype=np.int64),
-            labels=self.labels,
-            offsets=np.array(self.offsets, dtype=np.int64),
-            post_ids=self.post_ids,
-            authors=np.array(self.authors, dtype=np.int32),
-            author_names=author_names,
-            timestamps=np.array(self.timestamps, dtype=np.int64),
-            texts=self.texts,
-            is_staff=np.array(self.is_staff, dtype=bool),
-        )
+        """The columns, their arrays read-only: commands of one process may share a parsed corpus."""
+        arrays = {name: np.array(getattr(self, name), dtype=dtype) for name, dtype in
+                  (("created_at", np.int64), ("offsets", np.int64), ("authors", np.int32),
+                   ("timestamps", np.int64), ("is_staff", bool))}
+        for array in arrays.values():
+            array.flags.writeable = False
+        return ThreadColumns(thread_ids=self.thread_ids, labels=self.labels, post_ids=self.post_ids,
+                             author_names=author_names, texts=self.texts, **arrays)
 
 
 def _finite(value) -> bool:

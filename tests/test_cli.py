@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -1269,6 +1270,165 @@ class TestRunner:
         assert not out.exists()
 
 
+class TestParsedCorpus:
+    """main keeps the last corpus it parsed, keyed by its file's SHA-256, and shares it between commands."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        """Calls to ``forumlens.cli.<name>``, by their first argument."""
+        seen, real = [], getattr(forumlens.cli, name)
+
+        def counted(*args):
+            seen.append(str(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(forumlens.cli, name, counted)
+        return seen
+
+    def test_commands_share_one_parse(self, tmp_path, command_inputs, monkeypatch):
+        forumlens.cli._PARSED.clear()
+        parses = self._counting(monkeypatch, "ingest_corpus")
+        outs = [tmp_path / str(i) for i in range(len(TestRunner.CASES))]
+        shared = []
+        for (command, flags, extra), out in zip(TestRunner.CASES, outs):
+            assert main(TestRunner._argv(command, flags, extra, command_inputs, out)) == 0, command
+            shared.append(_hash_dir(out))
+        corpus_path = command_inputs["threads"]
+        assert parses == [str(corpus_path)]
+        (cached,) = forumlens.cli._PARSED.values()
+        assert cached == ingest_corpus(corpus_path)
+        for (command, flags, extra), out, artifacts in zip(TestRunner.CASES, outs, shared):
+            shutil.rmtree(out)
+            forumlens.cli._PARSED.clear()
+            assert main(TestRunner._argv(command, flags, extra, command_inputs, out)) == 0, command
+            assert _hash_dir(out) == artifacts, command
+
+    def test_columns_are_read_only(self, gen_corpus):
+        columns = ingest_corpus(gen_corpus).courses[0].columns
+        for array in (columns.created_at, columns.offsets, columns.authors, columns.timestamps, columns.is_staff):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
+    def test_key_is_the_content(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(_thread_line(text="matrix rank") + "\n")
+        assert main(["ingest", "--threads", str(corpus), "--out", str(tmp_path / "a")]) == 0
+        stat = corpus.stat()
+        corpus.write_text(_thread_line(text="matrix tank") + "\n")  # same size, and the old times below
+        os.utime(corpus, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert corpus.stat().st_size == stat.st_size
+        out = tmp_path / "b"
+        assert main(["ingest", "--threads", str(corpus), "--out", str(out)]) == 0
+        assert "matrix tank" in (out / "normalized.jsonl").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(corpus): hashlib.sha256(corpus.read_bytes()).hexdigest()}
+
+    def test_refused_corpus_leaves_the_slot_empty(self, tmp_path, gen_corpus, capsys):
+        assert main(["ingest", "--threads", str(gen_corpus), "--out", str(tmp_path / "a")]) == 0
+        assert forumlens.cli._PARSED
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(_thread_line() + "\n" + _BAD_LABEL + "\n")
+        assert main(["ingest", "--threads", str(bad), "--out", str(tmp_path / "b")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
+        assert forumlens.cli._PARSED == {}
+
+    def test_file_changed_during_the_parse_is_not_kept(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(_thread_line() + "\n")
+        real = forumlens.cli.ingest_corpus
+
+        def parse_then_append(path):
+            parsed = real(path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(_thread_line(thread_id="t2") + "\n")
+            return parsed
+
+        monkeypatch.setattr(forumlens.cli, "ingest_corpus", parse_then_append)
+        assert main(["ingest", "--threads", str(corpus), "--out", str(tmp_path / "o")]) == 0
+        assert forumlens.cli._PARSED == {}
+
+    def test_hit_hashes_the_corpus_once(self, tmp_path, twelve_courses, monkeypatch):
+        _, corpus_path, meta = twelve_courses
+        assert main(["stats", "series", "--threads", str(corpus_path), "--out", str(tmp_path / "a")]) == 0
+        parses = self._counting(monkeypatch, "ingest_corpus")
+        hashed = self._counting(monkeypatch, "_sha256")
+        out = tmp_path / "b"
+        assert main(["stats", "series", "--threads", str(corpus_path), "--meta", str(meta),
+                     "--out", str(out)]) == 0
+        assert parses == []
+        assert sorted(hashed) == sorted([str(corpus_path), str(meta)])
+        assert set(json.loads((out / "manifest.json").read_text())["inputs"]) == set(hashed)
+
+    def test_corpus_error_comes_before_a_missing_model(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(_BAD_LABEL + "\n")
+        argv = ["classify", "eval", "--threads", str(bad), "--model", str(tmp_path / "none.json")]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 3  # a missing model alone exits 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
+
+
+class TestAllOrNothingOut:
+    """Every artifact and the manifest are written beside --out first: a failed write changes no --out."""
+
+    @staticmethod
+    def _listing(root):
+        return sorted((str(p.relative_to(root)), p.is_dir()) for p in Path(root).rglob("*"))
+
+    def test_directory_in_the_way_leaves_out_unchanged(self, tmp_path, twelve_courses, capsys):
+        _, corpus_path, meta = twelve_courses
+        out = tmp_path / "o"
+        argv = ["stats", "panel", "--threads", str(corpus_path), "--meta", str(meta), "--out", str(out)]
+        assert main(argv) == 0
+        (out / "panel.csv").write_text("term\n")  # an older artifact, and a manifest that describes it
+        (out / "manifest.json").write_text("{}")
+        (out / "panel_summary.csv").unlink()
+        (out / "panel_summary.csv").mkdir()
+        before = (self._listing(out), _hash_dir(out))
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError" and "panel_summary.csv" in error["message"]
+        assert (self._listing(out), _hash_dir(out)) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_trace(self, tmp_path, gen_corpus, monkeypatch, capsys, existing):
+        def half_written(corpus, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        out = tmp_path / "o" if existing else tmp_path / "a" / "b" / "o"  # parents made only on success
+        if existing:
+            out.mkdir()
+            (out / "summary.csv").write_text("old\n")
+        before = self._listing(tmp_path), _hash_dir(tmp_path)
+        monkeypatch.setattr(forumlens.cli, "serialize_corpus", half_written)  # ingest writes summary.csv first
+        assert main(["ingest", "--threads", str(gen_corpus), "--out", str(out)]) == 2
+        assert "No space left" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert (self._listing(tmp_path), _hash_dir(tmp_path)) == before
+
+    def test_new_out_takes_the_umask_mode(self, tmp_path, gen_corpus):
+        umask = os.umask(0o027)
+        try:
+            assert main(["ingest", "--threads", str(gen_corpus), "--out", str(tmp_path / "a" / "o")]) == 0
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "a" / "o").stat().st_mode & 0o777 == 0o750
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["o"]
+
+    def test_existing_out_keeps_other_items(self, tmp_path, gen_corpus):
+        out = tmp_path / "o"
+        (out / "sub").mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+        (out / "summary.csv").write_text("old")
+        assert main(["ingest", "--threads", str(gen_corpus), "--out", str(out)]) == 0
+        assert (out / "keep.txt").read_text() == "kept" and (out / "sub").is_dir()
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "manifest.json", "normalized.jsonl", "sub",
+                                                        "summary.csv"]
+        assert (out / "summary.csv").read_text().startswith("course_id,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen", "o", "spec.json"]
+
+
 def test_only_main_reads_the_out_dir():
     """Handlers return their artifacts; main alone joins --out, so no handler can write there."""
     tree = ast.parse(Path(forumlens.cli.__file__).read_text(encoding="utf-8"))
@@ -1591,6 +1751,32 @@ def _mutated(obj, path, value):
     return obj
 
 
+# a --config value for each key, and the commands whose keys take them; "spec" and "model" name valid files
+_CONFIG_ODD = ["", math.nan, "nan", 1e308, "1e308", 10**401 - 1, 1 - 10**401, "9" * 401, "-" + "9" * 401,
+               "\x00", "\u00e9"]
+_CONFIG_COMMANDS = (["gen", "--spec", "spec", "--counts", "2,2"], ["ingest"], ["classify", "train"],
+                    ["classify", "eval", "--model", "model"], ["classify", "roc", "--model", "model"],
+                    ["topics", "extract", "--course", "course00"], ["topics", "converge", "--course", "course00"],
+                    ["rank", "--course", "course00"], ["compare", "--course", "course00"], ["stats", "series"],
+                    ["stats", "trend"], ["stats", "panel"], ["stats", "shapiro"], ["stats", "ttest"],
+                    ["stats", "moving-avg", "--model", "model"])
+
+
+def _config_cases():
+    """(command, key) for each key a command declares and does not give on its command line."""
+    parsers = {tuple(p.prog.split()[1:]): p for p in _all_parsers(build_parser())}
+    cases = []
+    for command in _CONFIG_COMMANDS:
+        words = tuple(itertools.takewhile(lambda w: not w.startswith("--"), command))
+        given = {w[2:].replace("-", "_") for w in command if w.startswith("--")} | {"threads", "out"}
+        cases += [(command, key) for key in sorted((_dests(parsers[words]) | _dests(parsers[()])) - given)]
+    return cases
+
+
+def _config_case_id(value):
+    return value if isinstance(value, str) else " ".join(itertools.takewhile(lambda w: not w.startswith("--"), value))
+
+
 @pytest.fixture(scope="module")
 def two_course_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "gen"
@@ -1648,6 +1834,25 @@ class TestMutatedFiles:
                 _assert_clean_exit(rc, err, (0, 2, 3, 4))
                 assert rc == 0 or not out.exists()
                 shutil.rmtree(out, ignore_errors=True)
+
+    @pytest.mark.parametrize("command, key", _config_cases(), ids=_config_case_id)
+    @settings(max_examples=2 * len(_CONFIG_ODD), deadline=None, derandomize=True)
+    @given(value=st.sampled_from(_CONFIG_ODD))
+    def test_config_key(self, two_course_corpus, command, key, value):
+        with tempfile.TemporaryDirectory() as root:
+            config, out = Path(root) / "config.json", Path(root) / "o"
+            config.write_text(json.dumps({key: value}))
+            files = {"spec": _VALID_FILES["uniform"], "model": _VALID_FILES["svm"]}
+            for name, obj in files.items():
+                (Path(root) / name).write_text(json.dumps(obj))
+            argv = [str(Path(root) / w) if w in files else w for w in command]
+            threads = [] if command[0] == "gen" else ["--threads", str(two_course_corpus)]
+            rc, err = _run_quietly(["--config", str(config), *argv, *threads, "--out", str(out)])
+            _assert_clean_exit(rc, err, (0, 2, 3, 4))
+            if rc:
+                assert not out.exists()
+            else:
+                json.loads((out / "manifest.json").read_text(), parse_constant=_refuse_constant)
 
     # a metadata row of each course of two_course_corpus; a column is set to an odd string in one
     # row, or left out of the header and every row
