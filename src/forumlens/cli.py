@@ -11,7 +11,8 @@ one untouched.  Runs are deterministic given the manifest, so re-running a
 command reproduces byte-identical artifacts.
 
 ``main`` keeps the last corpus it parsed, keyed by the SHA-256 of its file,
-and the next command on a file with that digest reuses it.
+and the next command on a file with that digest reuses it, together with the
+token tables the commands before it built over that corpus, one per text view.
 
 ``main`` parses argv once with every default set aside, so the parsed flags
 are exactly the given ones.  It then fills each unset flag from ``--config``,
@@ -48,6 +49,7 @@ from .corpus import (
     ThreadRows,
     TokenTable,
     attach_metadata,
+    default_stopwords,
     ingest_corpus,
     load_json_object,
     load_stopwords,
@@ -146,18 +148,20 @@ def _manifest(args, digests: dict) -> dict:
     }
 
 
-# The last corpus main parsed, by the SHA-256 of its file: at most one entry.
-_PARSED: dict[str, Corpus] = {}
+# The last corpus main parsed, by the SHA-256 of its file, with its token tables by text view
+# (stopword set, include_staff): at most one entry.
+_PARSED: dict[str, tuple[Corpus, dict[tuple[frozenset[str], bool], TokenTable]]] = {}
 
 
 def _load_corpus(args, digest: str) -> Corpus:
     """The corpus in ``--threads``, whose file hashes to ``digest``, with ``--meta`` attached."""
-    corpus = _PARSED.get(digest)
-    if corpus is None:
+    if digest in _PARSED:
+        corpus, _ = _PARSED[digest]
+    else:
         _PARSED.clear()  # one corpus held, even while the next one parses
         corpus = ingest_corpus(args.threads)
         if _sha256(args.threads) == digest:  # the file did not change during the parse
-            _PARSED[digest] = corpus
+            _PARSED[digest] = (corpus, {})
     if getattr(args, "meta", None):
         corpus = attach_metadata(corpus, args.meta)
     return corpus
@@ -192,10 +196,21 @@ def _background_ids(args):
     return [c.strip() for c in args.background.split(",") if c.strip()]
 
 
+def _table(stopwords: frozenset[str], include_staff: bool) -> TokenTable:
+    """The token table of one text view over the command's corpus: the one kept with the corpus
+    in _PARSED, built on first use, or a new one when the slot is empty (the corpus changed
+    during its parse and is not kept)."""
+    tables = next((tables for _, tables in _PARSED.values()), {})
+    key = (stopwords, include_staff)
+    if key not in tables:
+        tables[key] = TokenTable(stopwords, include_staff)
+    return tables[key]
+
+
 def _tokens(args) -> TokenTable:
-    """The command's one token table, built from the shared text flags."""
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    return TokenTable(stopwords, include_staff=not args.exclude_staff)
+    """The token table of the text view that the shared text flags pick."""
+    stopwords = load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
+    return _table(stopwords, not args.exclude_staff)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +306,11 @@ def _cmd_topics_converge(args, corpus) -> dict:
 class _CourseRanker:
     """Ranks one course's query threads for the windows of one command.
 
-    Every ranking reads its tokens from the command's table, and the keyword
-    fit (background counts and the course's ids in day order) is built on
-    first use and shared by every warm-up length.  ``--exclude-staff`` drops staff
-    posts from the keyword fit only: topical and tf-idf scores read staff text.
+    Every ranking reads its tokens from the corpus's shared tables, and the
+    keyword fit (background counts and the course's ids in day order) is built
+    on first use and shared by every warm-up length.  ``--exclude-staff`` drops
+    staff posts from the keyword fit only: topical and tf-idf scores read the
+    staff-including table.
     """
 
     def __init__(self, corpus, course_id, tokens, alpha, keyword_k):
@@ -304,7 +320,7 @@ class _CourseRanker:
         self.alpha = alpha
         self.keyword_k = keyword_k
         self.fit_tokens = tokens
-        self.score_tokens = tokens if tokens.include_staff else TokenTable(tokens.stopwords)
+        self.score_tokens = tokens if tokens.include_staff else _table(tokens.stopwords, True)
         self._fit = None
 
     def rank(self, algo, window) -> RankedList:

@@ -1,7 +1,8 @@
 """Data model, ingestion, tokenization and empirical unigram distributions.
 
-Every value defined here but a ``TokenTable`` (a command's growing cache of
-token ids) is immutable after construction, and every other operation is pure.
+Every value defined here but a ``TokenTable`` (a growing cache of token ids,
+which ``cli.main`` keeps with the corpus it parsed) is immutable after
+construction, and every other operation is pure.
 
 Day indexing convention: timestamps are integer UTC seconds and the day index
 of a timestamp ``ts`` within a course is ``floor((ts - start_date) / 86400) + 1``,
@@ -26,15 +27,16 @@ constructors, and kept on them.  No command reads it: course equality and
 The metadata CSV's factor columns are ``_FACTOR_COLUMNS``, which
 ``write_metadata_csv`` writes and ``attach_metadata`` reads.
 
-Tokenization: a command reads text through one ``TokenTable`` that every
-pipeline it runs shares (keywords, ranking and the classifiers).  It reads
-thread rows straight from the columns through ``split_words``, and has two
-read forms: ``ids`` splits a thread row once and keeps its ids, and
-``counts`` totals whole courses' tokens by id in one pass and keeps no row;
-so a thread is split at most once per form.  All four text scores (topical and
-tf-idf ranking, naive Bayes, the SVM) sum their terms over token-id rows
-through one kernel here: ``token_sums`` (a weight per token) or
-``term_sums`` (count times weight per distinct id).
+Tokenization: text is read through a ``TokenTable`` that every pipeline
+shares (keywords, ranking and the classifiers), and ``cli.main`` shares one
+per text view between the commands on one corpus.  It reads thread rows
+straight from the columns through ``split_words``, and has two read forms:
+``ids`` splits a thread row once and keeps its ids, and ``counts`` totals a
+course's tokens by id in one pass, keeping that count vector and no row; so
+a thread is split at most once per form while the table lives.  All four
+text scores (topical and tf-idf ranking, naive Bayes, the SVM) sum their
+terms over token-id rows through one kernel here: ``token_sums`` (a weight
+per token) or ``term_sums`` (count times weight per distinct id).
 
 Two decoding passes: ``ingest_corpus`` first decodes each line with ``orjson``,
 which takes about half of ``json.loads``'s time.  Where it decodes a line, its
@@ -501,10 +503,13 @@ class TokenTable:
     distinct word is tested once against the stopwords and the length limit:
     one map takes every word seen to its id, or to -1 for a dropped word.
     Tokens are stored in their original order as int32 ids into the table's
-    vocabulary ``index``, which grows in order of first appearance.  Rows are
-    kept per columns object (columns hash by identity), so the table holds each
-    columns it has read.  A table belongs to one command: build it there and
-    let it go with it.
+    vocabulary ``index``, which grows in order of first appearance.  Rows and
+    ``counts``'s vectors are kept per columns object (columns hash by
+    identity), so the table holds each columns it has read.  A table may serve
+    many commands (``cli.main`` keeps one per text view with the corpus it
+    parsed), so an id depends on what was read before: no result may depend
+    on the numbering, and the pipelines break ties by word and sort their
+    vocabularies.
     """
 
     def __init__(self, stopwords: frozenset[str] | None = None, include_staff: bool = True):
@@ -513,6 +518,7 @@ class TokenTable:
         self.index: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
         self._rows: dict[ThreadColumns, dict[int, np.ndarray]] = {}
+        self._counts: dict[ThreadColumns, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.index)
@@ -560,20 +566,33 @@ class TokenTable:
 
     def counts(self, *columns: ThreadColumns) -> np.ndarray:
         """Token counts over every row of each of ``columns``, by id (int64, ``len(self)``
-        entries): the tokens that ``ids`` gives those rows, in one pass that splits _COUNT_POSTS
-        posts of one columns at a time and keeps no row.  New words are numbered as the rows,
-        columns by columns, would meet them, so one call numbers them as a call per columns does.
+        entries): the tokens that ``ids`` gives those rows.  Each columns is counted once per
+        table, by ``_count``, and its vector kept; a call sums the vectors of its columns.  New
+        words are numbered as the rows, columns by columns, would meet them, so one call numbers
+        them as a call per columns does.
+        """
+        for c in columns:
+            if c not in self._counts:
+                self._counts[c] = self._count(c)
+        out = np.zeros(len(self), dtype=np.int64)
+        for c in columns:
+            vector = self._counts[c]  # shorter if counted before later words were numbered
+            out[: vector.size] += vector
+        return out
+
+    def _count(self, columns: ThreadColumns) -> np.ndarray:
+        """Token counts over every row of ``columns``, by id (``len(self)`` entries once its
+        words are numbered), in one pass that splits _COUNT_POSTS posts at a time and keeps no row.
 
         A chunk's posts are joined by spaces, as a row's are: a space ends every word, and it
         stops str.lower's look at the letters around a capital sigma as a row's end does.
         """
+        texts = columns.texts
+        if not self.include_staff:
+            texts = [t for t, staff in zip(texts, columns.is_staff.tolist()) if not staff]
         words: Counter[str] = Counter()
-        for c in columns:
-            texts = c.texts
-            if not self.include_staff:
-                texts = [t for t, staff in zip(texts, c.is_staff.tolist()) if not staff]
-            for start in range(0, len(texts), _COUNT_POSTS):
-                words.update(split_words(" ".join(texts[start : start + _COUNT_POSTS])))
+        for start in range(0, len(texts), _COUNT_POSTS):
+            words.update(split_words(" ".join(texts[start : start + _COUNT_POSTS])))
         self._learn(words)  # a Counter keeps first appearances in order, as the rows meet them
         ids = np.fromiter(map(self._word_ids.__getitem__, words), np.intp, len(words))
         kept = ids >= 0
@@ -582,7 +601,7 @@ class TokenTable:
         return out
 
 
-# posts joined and split at once by TokenTable.counts: bounds the text and word list it holds
+# posts joined and split at once by TokenTable._count: bounds the text and word list it holds
 # (256 posts of ~100 words held ~0.5 MB more at a command's peak than reading rows did)
 _COUNT_POSTS = 64
 

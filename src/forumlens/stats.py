@@ -496,7 +496,7 @@ class TwoSampleResult:
     var2: float
 
 
-EXACT_U_MAX = 10  # the largest group size with exact Mann-Whitney U p-values
+EXACT_U_MAX = 33  # the largest group size with exact Mann-Whitney U p-values: C(66, 33) < 2**63 < C(67, 33)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -511,7 +511,8 @@ def two_sample_tests(group1, group2) -> TwoSampleResult:
 
     With both groups at most ``EXACT_U_MAX`` long the U p-values are exact: ratios of
     counts of the group1-sized subsets of pooled values by their sum of doubled midranks,
-    which are integers.  Otherwise the tie-corrected normal approximation is used.
+    which are integers; each count is at most C(66, 33), so int64 holds it.  Otherwise the
+    tie-corrected normal approximation is used.
     """
     x = np.asarray(group1, dtype=float)
     z = np.asarray(group2, dtype=float)

@@ -146,13 +146,16 @@ class KeywordFit:
     """Surprise-weight rankings of one course against a fixed background.
 
     Building the fit counts the background courses in one ``tokens.counts``
-    call; no background row is kept.  The course's rows are read through
-    ``tokens.ids``, which keeps them, in day order and only as far as a call
-    asks: ``keywords(d)`` reads through day ``d`` and ``convergence`` through
-    its last day; the fit keeps no copy of them.  Other pipelines may add words
-    to ``tokens`` between calls, so the background vector and the word order
+    call, which keeps a count vector per course and no background row.  The
+    course's rows are read through ``tokens.ids``, which keeps them, in day
+    order and only as far as a call asks: ``keywords(d)`` reads through day
+    ``d`` and ``convergence`` through its last day; the fit keeps no copy of
+    them.  ``tokens`` may come filled by earlier commands (``cli.main`` shares
+    a table between the commands on one corpus), and other pipelines may add
+    words to it between calls, so the background vector and the word order
     are laid over the table's size when a ranking is taken, and laid out again
-    only after the table has grown.
+    only after the table has grown.  Ties are ranked by word, so the ids'
+    numbering never shows.
     """
 
     def __init__(

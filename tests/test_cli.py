@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -12,6 +13,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +25,8 @@ from hypothesis import strategies as st
 import forumlens
 import forumlens.cli
 from forumlens.cli import _INPUT_FLAGS, _all_parsers, _dests, _unread, build_parser, main
-from forumlens.corpus import (MAX_SERIES_ROWS, Post, Thread, ThreadColumns, ThreadRows, _CorpusParser, day_indices,
-                              ingest_corpus)
+from forumlens.corpus import (MAX_SERIES_ROWS, Post, Thread, ThreadColumns, ThreadRows, TokenTable, _CorpusParser,
+                              day_indices, ingest_corpus)
 from forumlens.errors import ConfigError, DegenerateGroup, InvariantViolation, ParseError
 from forumlens.genmodel import make_spec
 from forumlens.ranking import RankWindow, sample_query_days, split_window
@@ -291,7 +294,11 @@ class TestRankCommands:
 
 
 class TestTokenizeOnce:
-    """Each command tokenizes a thread at most once per text view."""
+    """Each command tokenizes a thread at most once per text view and read form."""
+
+    @pytest.fixture(autouse=True)
+    def no_table(self):
+        forumlens.cli._PARSED.clear()  # gen_corpus has the same bytes in every test: no warm table
 
     @pytest.mark.parametrize("extra, most", [([], 1), (["--exclude-staff"], 2)])
     def test_compare(self, tmp_path, gen_corpus, calls, extra, most):
@@ -352,9 +359,9 @@ class TestTokenizeOnce:
                 ["stats", "moving-avg", *corpus, "--model", str(model), "--out", str(tmp_path / "ma")],
             ]
         for argv in commands:
-            calls.clear()
-            assert main(argv) == 0
-            assert calls and max(calls.values()) == 1, argv
+            assert main(argv) == 0, argv
+            assert calls, argv
+        assert max(calls.values()) == 1  # the commands share one table: no row is split twice
 
     def test_rank_hits_tokenizes_nothing(self, tmp_path, gen_corpus, calls):
         rc = main(["rank", "--threads", str(gen_corpus), "--course", "course00", "--algo", "hits",
@@ -1285,23 +1292,125 @@ class TestParsedCorpus:
         monkeypatch.setattr(forumlens.cli, name, counted)
         return seen
 
+    @staticmethod
+    def _reads(monkeypatch):
+        """Splits by (read form, stopword set, include_staff, thread id), through TokenTable's
+        per-row and per-columns paths."""
+        reads, tokenize, count = Counter(), TokenTable._tokenize, TokenTable._count
+
+        def tokenizing(table, columns, row):
+            reads["ids", table.stopwords, table.include_staff, columns.thread_ids[row]] += 1
+            return tokenize(table, columns, row)
+
+        def counting(table, columns):
+            reads.update(("counts", table.stopwords, table.include_staff, tid) for tid in columns.thread_ids)
+            return count(table, columns)
+
+        monkeypatch.setattr(TokenTable, "_tokenize", tokenizing)
+        monkeypatch.setattr(TokenTable, "_count", counting)
+        return reads
+
+    # text paths that TestRunner.CASES leaves out, in its layout
+    TEXT_CASES = [
+        (["classify", "train"], ["threads"], ["--algo", "nb", "--mode", "percourse"]),
+        (["rank"], ["threads"], ["--course", "course01", "--algo", "tfidf", "--warmup", "1", "--query", "1"]),
+        (["compare"], ["threads", "stopwords"],
+         ["--course", "course02", "--exclude-staff", "--low", "1", "--high", "2", "--extra-days", "1",
+          "--query", "1"]),
+    ]
+
+    @staticmethod
+    def _run_cases(cases, inputs, outs, order) -> dict:
+        """Each of ``cases`` run into its own ``outs`` directory, in ``order``; their file hashes."""
+        hashes = {}
+        for i in order:
+            command, flags, extra = cases[i]
+            shutil.rmtree(outs[i], ignore_errors=True)
+            assert main(TestRunner._argv(command, flags, extra, inputs, outs[i])) == 0, command
+            hashes[i] = _hash_dir(outs[i])
+        return hashes
+
     def test_commands_share_one_parse(self, tmp_path, command_inputs, monkeypatch):
         forumlens.cli._PARSED.clear()
         parses = self._counting(monkeypatch, "ingest_corpus")
-        outs = [tmp_path / str(i) for i in range(len(TestRunner.CASES))]
-        shared = []
-        for (command, flags, extra), out in zip(TestRunner.CASES, outs):
-            assert main(TestRunner._argv(command, flags, extra, command_inputs, out)) == 0, command
-            shared.append(_hash_dir(out))
+        reads = self._reads(monkeypatch)
+        cases = range(len(TestRunner.CASES))
+        self._run_cases(TestRunner.CASES, command_inputs, [tmp_path / str(i) for i in cases], cases)
         corpus_path = command_inputs["threads"]
         assert parses == [str(corpus_path)]
-        (cached,) = forumlens.cli._PARSED.values()
+        ((cached, tables),) = forumlens.cli._PARSED.values()
         assert cached == ingest_corpus(corpus_path)
-        for (command, flags, extra), out, artifacts in zip(TestRunner.CASES, outs, shared):
-            shutil.rmtree(out)
+        # the text commands share one text view: the stopwords file's, staff posts included
+        assert list(tables) == [(frozenset({"w000", "w001"}), True)]
+        assert reads and max(reads.values()) == 1
+
+    def test_artifacts_do_not_depend_on_the_order(self, tmp_path, command_inputs):
+        """Token ids follow the order rows were first read, so the order of the commands on a
+        shared table numbers words differently; every artifact, manifest included, keeps its bytes."""
+        cases = TestRunner.CASES + self.TEXT_CASES
+        order = range(len(cases))
+        outs = [tmp_path / str(i) for i in order]
+        forumlens.cli._PARSED.clear()
+        forward = self._run_cases(cases, command_inputs, outs, order)
+        forumlens.cli._PARSED.clear()
+        assert self._run_cases(cases, command_inputs, outs, reversed(order)) == forward
+        for i in order:
             forumlens.cli._PARSED.clear()
-            assert main(TestRunner._argv(command, flags, extra, command_inputs, out)) == 0, command
-            assert _hash_dir(out) == artifacts, command
+            assert self._run_cases(cases, command_inputs, outs, [i]) == {i: forward[i]}, cases[i][0]
+
+    def test_equal_stopword_sets_share_a_table(self, tmp_path, gen_corpus, monkeypatch):
+        forumlens.cli._PARSED.clear()
+        reads = self._reads(monkeypatch)
+        files = {}
+        for name, text in [("a", "w000\nw001\n"), ("b", "W001\n\nw000\n"), ("c", "w000\n")]:
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
+        train = ["classify", "train", "--threads", str(gen_corpus), "--algo", "nb"]
+        for i, flags in enumerate([["--stopwords", str(files["a"])], ["--stopwords", str(files["b"])],
+                                   ["--stopwords", str(files["c"])], ["--stopwords", str(files["a"]),
+                                                                      "--exclude-staff"]]):
+            assert main([*train, *flags, "--out", str(tmp_path / str(i))]) == 0
+        ((_, tables),) = forumlens.cli._PARSED.values()
+        ab, c = frozenset({"w000", "w001"}), frozenset({"w000"})
+        assert list(tables) == [(ab, True), (c, True), (ab, False)]
+        assert {(stopwords, staff) for _, stopwords, staff, _ in reads} == set(tables)
+        assert max(reads.values()) == 1  # b's run read nothing: a's table had every row
+
+    def test_threads_miss_drops_the_tables(self, tmp_path, gen_corpus, tiny_jsonl):
+        forumlens.cli._PARSED.clear()
+        assert main(["topics", "extract", "--threads", str(gen_corpus), "--course", "course00",
+                     "--out", str(tmp_path / "a")]) == 0
+        ((_, tables),) = forumlens.cli._PARSED.values()
+        (table,) = tables.values()
+        kept = weakref.ref(table)
+        del table, tables
+        assert main(["ingest", "--threads", str(tiny_jsonl), "--out", str(tmp_path / "b")]) == 0
+        ((corpus, tables),) = forumlens.cli._PARSED.values()
+        assert corpus == ingest_corpus(tiny_jsonl) and tables == {}
+        gc.collect()
+        assert kept() is None
+
+    def test_changed_corpus_keeps_no_table(self, tmp_path, gen_corpus, monkeypatch):
+        forumlens.cli._PARSED.clear()
+        real = forumlens.cli.ingest_corpus
+
+        def parse_then_touch(path):
+            parsed = real(path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")  # a blank line: the next parse reads the same corpus
+            return parsed
+
+        monkeypatch.setattr(forumlens.cli, "ingest_corpus", parse_then_touch)
+        reads = self._reads(monkeypatch)
+        train = ["classify", "train", "--threads", str(gen_corpus), "--algo", "nb"]
+        assert main([*train, "--out", str(tmp_path / "a")]) == 0
+        assert forumlens.cli._PARSED == {}
+        first = Counter(reads)
+        assert first
+        assert main([*train, "--out", str(tmp_path / "b")]) == 0
+        assert forumlens.cli._PARSED == {}
+        assert reads == first + first  # the second command read every row again
+        assert (tmp_path / "a" / "model.json").read_bytes() == (tmp_path / "b" / "model.json").read_bytes()
 
     def test_columns_are_read_only(self, gen_corpus):
         columns = ingest_corpus(gen_corpus).courses[0].columns

@@ -523,6 +523,30 @@ def _exact_u_enumeration(g1, g2):
     return u_obs, ge / total, min(1.0, two / total)
 
 
+def _exact_u_tie_groups(g1, g2):
+    """Independent oracle for groups of few distinct values: a split is how many of each run of
+    tied values group 1 takes, C(run, k) ways each, and its U follows from the runs' midranks."""
+    pooled = sorted(list(g1) + list(g2))
+    runs = [len(list(r)) for _, r in itertools.groupby(pooled)]
+    ends = list(itertools.accumulate(runs))
+    midranks = [end - (run - 1) / 2 for run, end in zip(runs, ends)]
+    n1, n2 = len(g1), len(g2)
+    u_obs = sum(midranks[sorted(set(pooled)).index(v)] for v in g1) - n1 * (n1 + 1) / 2
+    mu = n1 * n2 / 2
+    ge = two = 0
+    for head in itertools.product(*(range(min(run, n1) + 1) for run in runs[:-1])):
+        last = n1 - sum(head)
+        if not 0 <= last <= runs[-1]:
+            continue
+        ks = (*head, last)
+        ways = math.prod(math.comb(run, k) for run, k in zip(runs, ks))
+        u = sum(k * r for k, r in zip(ks, midranks)) - n1 * (n1 + 1) / 2
+        ge += ways if u >= u_obs else 0
+        two += ways if abs(u - mu) >= abs(u_obs - mu) else 0
+    total = math.comb(n1 + n2, n1)
+    return u_obs, ge / total, min(1.0, two / total)
+
+
 class TestTwoSampleTests:
     def test_identical_groups(self):
         res = two_sample_tests([1, 2, 3], [1, 2, 3])
@@ -539,7 +563,8 @@ class TestTwoSampleTests:
         assert res.u_pvalue == pytest.approx(1 / 20)
 
     def test_exhaustive_small_instance_sweep(self):
-        """Counting subsets by doubled midrank sum gives the enumeration's p-values, up to 10x10."""
+        """Counting subsets by doubled midrank sum gives the enumeration's p-values, up to 10x10,
+        and up to 33 against a group of two or three."""
         rng = np.random.default_rng(17)
         cases = [(rng.integers(0, 5, size=n1).tolist(), rng.integers(0, 5, size=n2).tolist())
                  for n1 in range(2, 6) for n2 in range(2, 6) for _ in range(3)]
@@ -548,13 +573,41 @@ class TestTwoSampleTests:
                   for n1 in range(2, 9) for n2 in range(2, 9)]
         cases += [([1, 1, 1], [1, 1, 1, 1]),
                   (ties.integers(0, 4, size=10).tolist(), ties.integers(0, 4, size=10).tolist())]
+        for small, large in [(2, 11), (2, 33), (3, 12), (3, 20)]:
+            g1, g2 = ties.integers(0, 6, size=small).tolist(), ties.integers(0, 6, size=large).tolist()
+            cases += [(g1, g2), (g2, g1)]
         for g1, g2 in cases:
             res = two_sample_tests(g1, g2)
             assert res.u_method == "exact"
             assert (res.u_statistic, res.u_pvalue, res.u_pvalue_two_sided) == _exact_u_enumeration(g1, g2)
 
-    @pytest.mark.parametrize("n1, n2", [(10, 11), (11, 10)])
-    def test_normal_approximation_above_ten(self, n1, n2):
+    @pytest.mark.parametrize("n1, n2, values", [(33, 33, 3), (33, 33, 5), (11, 33, 4), (33, 20, 4), (33, 33, 1)])
+    def test_tied_groups_up_to_33(self, n1, n2, values):
+        """Tied groups too large to enumerate split by split: the counts by tie run decide, and no
+        int64 count overflows at 33x33, where the total is C(66, 33), about 7.2e18."""
+        rng = np.random.default_rng(n1 * 100 + n2 + values)
+        g1, g2 = rng.integers(0, values, size=n1).tolist(), rng.integers(0, values, size=n2).tolist()
+        res = two_sample_tests(g1, g2)
+        assert res.u_method == "exact"
+        assert (res.u_statistic, res.u_pvalue, res.u_pvalue_two_sided) == _exact_u_tie_groups(g1, g2)
+
+    @pytest.mark.parametrize("n1, n2", [(11, 11), (11, 33), (33, 11), (20, 25), (33, 33)])
+    def test_untied_matches_scipy_exact(self, n1, n2):
+        rng = np.random.default_rng(n1 * 100 + n2)
+        values = rng.permutation(n1 + n2 + 40)[: n1 + n2] + 0.5
+        separated = np.sort(values)[::-1]  # group 1 above group 2: the smallest one-sided p-value
+        for pooled in (values, separated):
+            g1, g2 = pooled[:n1], pooled[n1:]
+            res = two_sample_tests(g1, g2)
+            assert res.u_method == "exact"
+            for alternative, p in [("greater", res.u_pvalue), ("two-sided", res.u_pvalue_two_sided)]:
+                ref = scipy_stats.mannwhitneyu(g1, g2, alternative=alternative, method="exact")
+                assert res.u_statistic == ref.statistic
+                assert p == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
+        assert res.u_pvalue == 1 / math.comb(n1 + n2, n1)
+
+    @pytest.mark.parametrize("n1, n2", [(33, 34), (34, 33)])
+    def test_normal_approximation_above_33(self, n1, n2):
         assert two_sample_tests(list(range(n1)), list(range(n2))).u_method == "normal"
 
     def test_welch_matches_reference(self):

@@ -551,7 +551,8 @@ def _count_courses(draw):
 class TestCountsMatchRows:
     """counts(*columns) gives, by id, the per-word totals of the ids that every row of the columns
     reads, and numbers new words in the order the rows would meet them, whatever the chunk size,
-    whether the courses are counted one call each or all in one call."""
+    whether the courses are counted one call each or all in one call.  Each columns is split once
+    per table: a later call sums the kept vectors."""
 
     @settings(max_examples=150, deadline=None)
     @given(_count_courses(), st.sampled_from([None, frozenset(), frozenset({"the", "zz", "42", "kelvin"})]),
@@ -573,6 +574,10 @@ class TestCountsMatchRows:
                 row_words[i]: n for i, n in expected.items()
             }
         assert words == list(rows.index)
+        with mock.patch.object(TokenTable, "_count", autospec=True, side_effect=TokenTable._count) as split:
+            total = table.counts(*(course.columns for course in reversed(courses)))
+        assert not split.called and len(table) == len(words)
+        assert total.tolist() == np.sum([np.pad(c, (0, len(words) - c.size)) for c in counted], axis=0).tolist()
 
 
 def _calls_outside(tree, names):
@@ -634,3 +639,14 @@ def test_thread_objects_built_in_corpus_only():
         if path.stem != "corpus":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             assert _calls_outside(tree, {"Post", "Thread"}) == [], path.name
+
+
+def test_cli_builds_token_tables_in_one_helper():
+    """cli calls ``TokenTable(`` once, in ``_table``, which keeps each table with the parsed corpus:
+    no handler reads text through a table of its own."""
+    tree = ast.parse((Path(topics.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    builders = [(node.name, line) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                for _, line in _calls_outside(node, {"TokenTable"})]
+    assert [name for name, _ in builders] == ["_table"]
+    assert len(_calls_outside(tree, {"TokenTable"})) == 1
