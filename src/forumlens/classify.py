@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, ThreadLabel, TokenTable, distinct_terms, load_json_object, read_list, read_object,
-                     read_real, read_str, sequential_sum, term_sums, token_sums)
+from .corpus import (Corpus, ThreadLabel, TokenTable, distinct_terms, id_counts, load_json_object, read_list,
+                     read_object, read_real, read_str, sequential_sum, term_sums, token_sums)
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds classify.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, EmptyCorpus, InvariantViolation, MissingClass, ParseError
@@ -144,8 +144,7 @@ def _vocabulary(docs: Sequence[LabeledDoc], tokens: TokenTable, vocab: Sequence[
     """Sorted vocabulary (the docs' words, or ``vocab``) and each table id's position (len if absent)."""
     table_words = list(tokens.index)
     if vocab is None:
-        counts = np.bincount(np.concatenate([ids for ids, _ in docs]), minlength=len(table_words))
-        used = np.flatnonzero(counts)
+        used = np.flatnonzero(id_counts([ids for ids, _ in docs], len(table_words)))
         words = sorted(table_words[i] for i in used.tolist())
     else:
         words = sorted(set(vocab))

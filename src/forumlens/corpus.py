@@ -30,10 +30,10 @@ The metadata CSV's factor columns are ``_FACTOR_COLUMNS``, which
 Tokenization: text is read through a ``TokenTable`` that every pipeline
 shares (keywords, ranking and the classifiers), and ``cli.main`` shares one
 per text view between the commands on one corpus.  It reads thread rows
-straight from the columns through ``split_words``, and has two read forms:
-``ids`` splits a thread row once and keeps its ids, and ``counts`` totals a
-course's tokens by id in one pass, keeping that count vector and no row; so
-a thread is split at most once per form while the table lives.  All four
+straight from the columns through ``split_words``, and has one read form:
+``ids`` splits a thread row once and keeps its ids, and ``counts`` totals
+the ids of a course's rows through ``id_counts``; so a thread is split at
+most once while the table lives, whichever pipelines read it.  All four
 text scores (topical and tf-idf ranking, naive Bayes, the SVM) sum their
 terms over token-id rows through one kernel here: ``token_sums`` (a weight
 per token) or ``term_sums`` (count times weight per distinct id).
@@ -503,9 +503,9 @@ class TokenTable:
     distinct word is tested once against the stopwords and the length limit:
     one map takes every word seen to its id, or to -1 for a dropped word.
     Tokens are stored in their original order as int32 ids into the table's
-    vocabulary ``index``, which grows in order of first appearance.  Rows and
-    ``counts``'s vectors are kept per columns object (columns hash by
-    identity), so the table holds each columns it has read.  A table may serve
+    vocabulary ``index``, which grows in order of first appearance.  Rows are
+    kept per columns object (columns hash by identity), so the table holds
+    each columns it has read; ``counts`` totals kept rows.  A table may serve
     many commands (``cli.main`` keeps one per text view with the corpus it
     parsed), so an id depends on what was read before: no result may depend
     on the numbering, and the pipelines break ties by word and sort their
@@ -518,7 +518,6 @@ class TokenTable:
         self.index: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
         self._rows: dict[ThreadColumns, dict[int, np.ndarray]] = {}
-        self._counts: dict[ThreadColumns, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.index)
@@ -553,57 +552,18 @@ class TokenTable:
         try:
             ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
         except KeyError:
-            self._learn(words)
+            index, stopwords = self.index, self.stopwords
+            for w in words:  # each unseen word, in order, takes the next id, or -1 if it is dropped
+                if w not in word_ids:
+                    word_ids[w] = -1 if len(w) < 2 or w in stopwords else index.setdefault(w, len(index))
             ids = np.fromiter(map(word_ids.__getitem__, words), np.int32, len(words))
         return ids[ids >= 0]
 
-    def _learn(self, words: Iterable[str]) -> None:
-        """Map each unseen word of ``words`` to a new id, in order, or to -1 if it is dropped."""
-        word_ids, index, stopwords = self._word_ids, self.index, self.stopwords
-        for w in words:
-            if w not in word_ids:
-                word_ids[w] = -1 if len(w) < 2 or w in stopwords else index.setdefault(w, len(index))
-
     def counts(self, *columns: ThreadColumns) -> np.ndarray:
-        """Token counts over every row of each of ``columns``, by id (int64, ``len(self)``
-        entries): the tokens that ``ids`` gives those rows.  Each columns is counted once per
-        table, by ``_count``, and its vector kept; a call sums the vectors of its columns.  New
-        words are numbered as the rows, columns by columns, would meet them, so one call numbers
-        them as a call per columns does.
-        """
-        for c in columns:
-            if c not in self._counts:
-                self._counts[c] = self._count(c)
-        out = np.zeros(len(self), dtype=np.int64)
-        for c in columns:
-            vector = self._counts[c]  # shorter if counted before later words were numbered
-            out[: vector.size] += vector
-        return out
-
-    def _count(self, columns: ThreadColumns) -> np.ndarray:
-        """Token counts over every row of ``columns``, by id (``len(self)`` entries once its
-        words are numbered), in one pass that splits _COUNT_POSTS posts at a time and keeps no row.
-
-        A chunk's posts are joined by spaces, as a row's are: a space ends every word, and it
-        stops str.lower's look at the letters around a capital sigma as a row's end does.
-        """
-        texts = columns.texts
-        if not self.include_staff:
-            texts = [t for t, staff in zip(texts, columns.is_staff.tolist()) if not staff]
-        words: Counter[str] = Counter()
-        for start in range(0, len(texts), _COUNT_POSTS):
-            words.update(split_words(" ".join(texts[start : start + _COUNT_POSTS])))
-        self._learn(words)  # a Counter keeps first appearances in order, as the rows meet them
-        ids = np.fromiter(map(self._word_ids.__getitem__, words), np.intp, len(words))
-        kept = ids >= 0
-        out = np.zeros(len(self), dtype=np.int64)
-        out[ids[kept]] = np.fromiter(words.values(), np.int64, len(words))[kept]
-        return out
-
-
-# posts joined and split at once by TokenTable._count: bounds the text and word list it holds
-# (256 posts of ~100 words held ~0.5 MB more at a command's peak than reading rows did)
-_COUNT_POSTS = 64
+        """Token counts by id (``len(self)`` entries) over the ``ids`` of every row of each of
+        ``columns``, read columns by columns."""
+        rows = [self.ids(c, row) for c in columns for row in range(len(c.thread_ids))]
+        return id_counts(rows, len(self))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +585,11 @@ class IdRows(NamedTuple):
     rows: int
     row: np.ndarray
     ids: np.ndarray
+
+
+def id_counts(rows: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Token counts by id over the id ``rows``, ``size`` entries."""
+    return np.bincount(np.concatenate([np.zeros(0, dtype=np.int32), *rows]), minlength=size)
 
 
 def _chunks(rows: Sequence[np.ndarray]) -> Iterator[IdRows]:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ThreadRows, TokenTable, day_indices, distinct_terms, term_sums, token_sums
+from .corpus import ThreadRows, TokenTable, day_indices, distinct_terms, id_counts, term_sums, token_sums
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds ranking.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import InvariantViolation
@@ -131,7 +131,7 @@ def tfidf_rank(
     docs = np.union1d(window.rows, query.rows).tolist()
     n_docs = len(docs)
     distinct = [terms.ids for terms, _ in distinct_terms([tokens.ids(window.columns, r) for r in docs])]
-    df = np.bincount(np.concatenate([np.zeros(0, np.int32), *distinct]), minlength=len(tokens))
+    df = id_counts(distinct, len(tokens))
     idf = np.zeros(df.size)
     seen = np.flatnonzero(df)
     idf[seen] = [math.log(n_docs / c) for c in df[seen].tolist()]

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import MAX_SERIES_ROWS, Corpus, TokenTable, UnigramModel, day_indices
+from .corpus import MAX_SERIES_ROWS, Corpus, TokenTable, UnigramModel, day_indices, id_counts
 # not called here (TokenTable tokenizes), but bench/tracing.py rebinds topics.thread_tokens
 from .corpus import thread_tokens  # noqa: F401
 from .errors import ConfigError, DomainMismatch, EmptyCorpus, InvariantViolation
@@ -129,11 +129,6 @@ def topk_kendall_tau(day_a: KeywordRanking, day_b: KeywordRanking, k: int) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _id_counts(rows: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """Token counts by id over the id ``rows``, ``size`` entries."""
-    return np.bincount(np.concatenate([np.zeros(0, dtype=np.int32), *rows]), minlength=size)
-
-
 @dataclass(frozen=True)
 class ConvergencePoint:
     day: int
@@ -146,11 +141,12 @@ class KeywordFit:
     """Surprise-weight rankings of one course against a fixed background.
 
     Building the fit counts the background courses in one ``tokens.counts``
-    call, which keeps a count vector per course and no background row.  The
-    course's rows are read through ``tokens.ids``, which keeps them, in day
-    order and only as far as a call asks: ``keywords(d)`` reads through day
-    ``d`` and ``convergence`` through its last day; the fit keeps no copy of
-    them.  ``tokens`` may come filled by earlier commands (``cli.main`` shares
+    call, which totals the ids of every background row; the table keeps those
+    rows, so another pipeline that reads them splits none again.  The
+    course's rows are read through ``tokens.ids`` too, in day order and only
+    as far as a call asks: ``keywords(d)`` reads through day ``d`` and
+    ``convergence`` through its last day; the fit keeps no copy of any row.
+    ``tokens`` may come filled by earlier commands (``cli.main`` shares
     a table between the commands on one corpus), and other pipelines may add
     words to it between calls, so the background vector and the word order
     are laid over the table's size when a ranking is taken, and laid out again
@@ -217,7 +213,7 @@ class KeywordFit:
 
     def keywords(self, warmup_days: int) -> KeywordRanking:
         """Ranking fitted on the course's threads of days <= ``warmup_days``."""
-        counts = _id_counts(self._rows(warmup_days), self._lay_out())
+        counts = id_counts(self._rows(warmup_days), self._lay_out())
         if not counts.any():
             raise EmptyCorpus(
                 f"no course tokens in the first {warmup_days} days of {self.course_id}"
@@ -246,7 +242,7 @@ class KeywordFit:
         prev_top = None
         counts = np.zeros(size, dtype=np.int64)
         for day in range(1, last_day + 1):
-            counts += _id_counts(rows[cuts[day - 1] : cuts[day]], size)
+            counts += id_counts(rows[cuts[day - 1] : cuts[day]], size)
             if not counts.any():
                 continue
             top = self._ranked(counts)[0][:k].tolist()
@@ -268,8 +264,9 @@ def extract_keywords(
     """Surprise-weight ranking for one course.
 
     Background data is the full text of the other (or the given) courses,
-    counted through ``tokens.counts``; course-specific data is the target
-    course's first ``warmup_days`` days, and no later course thread is read.
+    every row read through ``tokens.ids`` and totalled by ``tokens.counts``;
+    course-specific data is the target course's first ``warmup_days`` days,
+    and no later course thread is read.
     Text is read through ``tokens`` (default: a fresh TokenTable).
     """
     fit = KeywordFit(TokenTable() if tokens is None else tokens, corpus, course_id, background_ids)

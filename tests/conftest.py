@@ -19,22 +19,16 @@ from forumlens.topics import surprise_weights
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Tokenizations per thread id, counted through both of TokenTable's read forms: a call to
-    _tokenize, the per-row path, tokenizes one row, and a call to _count, the per-columns count,
-    every row of its columns (a count vector that counts kept is read again without a split)."""
+    """Tokenizations per thread id, counted through TokenTable._tokenize, the table's one path
+    from text to ids: each call tokenizes one row (a row that ids kept is read again without one)."""
     counts = Counter()
-    tokenize, count = TokenTable._tokenize, TokenTable._count
+    tokenize = TokenTable._tokenize
 
     def tokenizing(table, columns, row):
         counts[columns.thread_ids[row]] += 1
         return tokenize(table, columns, row)
 
-    def counting(table, columns):
-        counts.update(columns.thread_ids)
-        return count(table, columns)
-
     monkeypatch.setattr(TokenTable, "_tokenize", tokenizing)
-    monkeypatch.setattr(TokenTable, "_count", counting)
     return counts
 
 

@@ -294,7 +294,7 @@ class TestRankCommands:
 
 
 class TestTokenizeOnce:
-    """Each command tokenizes a thread at most once per text view and read form."""
+    """Each command tokenizes a thread at most once per text view."""
 
     @pytest.fixture(autouse=True)
     def no_table(self):
@@ -1294,21 +1294,28 @@ class TestParsedCorpus:
 
     @staticmethod
     def _reads(monkeypatch):
-        """Splits by (read form, stopword set, include_staff, thread id), through TokenTable's
-        per-row and per-columns paths."""
-        reads, tokenize, count = Counter(), TokenTable._tokenize, TokenTable._count
+        """Splits by (stopword set, include_staff, thread id), through TokenTable._tokenize, the
+        table's one path from text to ids."""
+        reads, tokenize = Counter(), TokenTable._tokenize
 
         def tokenizing(table, columns, row):
-            reads["ids", table.stopwords, table.include_staff, columns.thread_ids[row]] += 1
+            reads[table.stopwords, table.include_staff, columns.thread_ids[row]] += 1
             return tokenize(table, columns, row)
 
-        def counting(table, columns):
-            reads.update(("counts", table.stopwords, table.include_staff, tid) for tid in columns.thread_ids)
-            return count(table, columns)
-
         monkeypatch.setattr(TokenTable, "_tokenize", tokenizing)
-        monkeypatch.setattr(TokenTable, "_count", counting)
         return reads
+
+    @staticmethod
+    def _splits(monkeypatch) -> list:
+        """The texts given to corpus.split_words, which every text a token table reads goes through."""
+        splits, real = [], forumlens.corpus.split_words
+
+        def counted(text):
+            splits.append(text)
+            return real(text)
+
+        monkeypatch.setattr(forumlens.corpus, "split_words", counted)
+        return splits
 
     # text paths that TestRunner.CASES leaves out, in its layout
     TEXT_CASES = [
@@ -1333,7 +1340,7 @@ class TestParsedCorpus:
     def test_commands_share_one_parse(self, tmp_path, command_inputs, monkeypatch):
         forumlens.cli._PARSED.clear()
         parses = self._counting(monkeypatch, "ingest_corpus")
-        reads = self._reads(monkeypatch)
+        reads, splits = self._reads(monkeypatch), self._splits(monkeypatch)
         cases = range(len(TestRunner.CASES))
         self._run_cases(TestRunner.CASES, command_inputs, [tmp_path / str(i) for i in cases], cases)
         corpus_path = command_inputs["threads"]
@@ -1342,7 +1349,25 @@ class TestParsedCorpus:
         assert cached == ingest_corpus(corpus_path)
         # the text commands share one text view: the stopwords file's, staff posts included
         assert list(tables) == [(frozenset({"w000", "w001"}), True)]
+        # each (view, row) is split once, whichever command reads it, and every split is a row's
         assert reads and max(reads.values()) == 1
+        assert len(splits) == sum(reads.values())
+
+    def test_keywords_after_the_classifier_split_nothing_again(self, tmp_path, gen_corpus, monkeypatch):
+        """The keyword background is totalled from the rows that the classifier commands kept."""
+        forumlens.cli._PARSED.clear()
+        reads, splits = self._reads(monkeypatch), self._splits(monkeypatch)
+        model = tmp_path / "svm" / "model.json"
+        threads = ["--threads", str(gen_corpus)]
+        for argv in (["classify", "train", *threads, "--algo", "svm", "--epochs", "2", "--out", str(model.parent)],
+                     ["stats", "moving-avg", *threads, "--model", str(model), "--out", str(tmp_path / "ma")],
+                     ["topics", "extract", *threads, "--course", "course00", "--out", str(tmp_path / "kw")]):
+            assert main(argv) == 0, argv
+        ((corpus, tables),) = forumlens.cli._PARSED.values()
+        assert list(tables) == [(forumlens.corpus.default_stopwords(), True)]
+        assert {tid for _, _, tid in reads} == {tid for c in corpus.courses for tid in c.columns.thread_ids}
+        assert max(reads.values()) == 1
+        assert len(splits) == sum(reads.values())
 
     def test_artifacts_do_not_depend_on_the_order(self, tmp_path, command_inputs):
         """Token ids follow the order rows were first read, so the order of the commands on a
@@ -1373,7 +1398,7 @@ class TestParsedCorpus:
         ((_, tables),) = forumlens.cli._PARSED.values()
         ab, c = frozenset({"w000", "w001"}), frozenset({"w000"})
         assert list(tables) == [(ab, True), (c, True), (ab, False)]
-        assert {(stopwords, staff) for _, stopwords, staff, _ in reads} == set(tables)
+        assert {(stopwords, staff) for stopwords, staff, _ in reads} == set(tables)
         assert max(reads.values()) == 1  # b's run read nothing: a's table had every row
 
     def test_threads_miss_drops_the_tables(self, tmp_path, gen_corpus, tiny_jsonl):

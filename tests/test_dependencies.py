@@ -34,7 +34,7 @@ def test_third_party_imports_are_declared():
 
 
 # the token table, the id-row kernel and sequential_sum, which corpus defines
-_TOKEN_IDS = {"TokenTable", "_COUNT_POSTS", "_CHUNK_TOKENS", "IdRows", "_chunks", "_row_sums",
+_TOKEN_IDS = {"TokenTable", "id_counts", "_CHUNK_TOKENS", "IdRows", "_chunks", "_row_sums",
               "_distinct", "distinct_terms", "token_sums", "term_sums", "sequential_sum"}
 
 
@@ -78,12 +78,12 @@ def test_package_imports_at_module_level():
 
 def test_token_ids_live_in_corpus():
     """corpus defines the token table, the id-row kernel and sequential_sum; topics defines none
-    of them and imports only the table, which it calls; classify and genmodel import nothing
-    from topics."""
+    of them and imports only the table and id_counts, which it calls; classify and genmodel
+    import nothing from topics."""
     trees = _package_trees()
     assert _TOKEN_IDS <= _defined(trees["corpus"])
     assert _TOKEN_IDS & _defined(trees["topics"]) == set()
     imported = {a.asname or a.name for n in trees["topics"].body if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert _TOKEN_IDS & imported == {"TokenTable"}
+    assert _TOKEN_IDS & imported == {"TokenTable", "id_counts"}
     for stem in ("classify", "genmodel"):
         assert [found for found in _package_imports(trees[stem]) if found[1] == "topics"] == [], stem

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forumlens import corpus, topics
+from forumlens import topics
 from forumlens.corpus import (MAX_SERIES_ROWS, SECONDS_PER_DAY, Corpus, Course, Post, Thread, TokenTable,
                               UnigramModel, day_index, distinct_terms, thread_tokens)
 from forumlens.errors import ConfigError, DomainMismatch, EmptyCorpus, InvariantViolation
@@ -532,8 +532,7 @@ _COUNT_WORDS = [*_TEXT_WORDS, "ΟΔΟΣ", "ΣΑΣ", "Σ", "xΣ"]
 
 @st.composite
 def _count_courses(draw):
-    """An empty course and 1-2 courses of threads: the first has 2-5 threads of 2-3 posts each,
-    so a few posts to a chunk put chunk ends between threads and inside them."""
+    """An empty course and 1-2 courses of threads: the first has 2-5 threads of 2-3 posts each."""
     courses = [Course("empty", 0, ())]
     for c in range(draw(st.integers(1, 2))):
         threads = []
@@ -550,18 +549,17 @@ def _count_courses(draw):
 
 class TestCountsMatchRows:
     """counts(*columns) gives, by id, the per-word totals of the ids that every row of the columns
-    reads, and numbers new words in the order the rows would meet them, whatever the chunk size,
-    whether the courses are counted one call each or all in one call.  Each columns is split once
-    per table: a later call sums the kept vectors."""
+    reads, and numbers new words in the order the rows would meet them, whether the courses are
+    counted one call each or all in one call.  Each row is split once per table: a later call
+    totals the kept rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(_count_courses(), st.sampled_from([None, frozenset(), frozenset({"the", "zz", "42", "kelvin"})]),
-           st.booleans(), st.sampled_from([1, 2, 3, corpus._COUNT_POSTS]), st.booleans())
-    def test_counts_equal_row_totals(self, courses, stopwords, include_staff, chunk, one_call):
+           st.booleans(), st.booleans())
+    def test_counts_equal_row_totals(self, courses, stopwords, include_staff, one_call):
         table, rows = TokenTable(stopwords, include_staff), TokenTable(stopwords, include_staff)
         groups = [courses] if one_call else [[course] for course in courses]
-        with mock.patch.object(corpus, "_COUNT_POSTS", chunk):
-            counted = [table.counts(*(course.columns for course in group)) for group in groups]
+        counted = [table.counts(*(course.columns for course in group)) for group in groups]
         words = list(table.index)
         for group, counts in zip(groups, counted):
             assert counts.dtype == np.int64 and counts.size <= len(table)
@@ -574,7 +572,7 @@ class TestCountsMatchRows:
                 row_words[i]: n for i, n in expected.items()
             }
         assert words == list(rows.index)
-        with mock.patch.object(TokenTable, "_count", autospec=True, side_effect=TokenTable._count) as split:
+        with mock.patch.object(TokenTable, "_tokenize", autospec=True, side_effect=TokenTable._tokenize) as split:
             total = table.counts(*(course.columns for course in reversed(courses)))
         assert not split.called and len(table) == len(words)
         assert total.tolist() == np.sum([np.pad(c, (0, len(words) - c.size)) for c in counted], axis=0).tolist()
