@@ -16,15 +16,12 @@ from .corpus import (
     ingest_corpus,
     serialize_corpus,
     tokenize,
-    unigram_model,
 )
 from .genmodel import (
     GenerativeSpec,
-    SampledThread,
     adversarial_spec,
     make_spec,
     sample_corpus,
-    sample_thread,
     separating_plane,
 )
 from .classify import (

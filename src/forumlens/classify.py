@@ -276,14 +276,15 @@ def train_svm(
         rows += [(idx[a:b], val[a:b], y) for a, b, y in zip([0] + ends[:-1], ends, ys)]
     w = np.zeros(len(words))
     t = 0
-    for _ in range(epochs):
-        for idx, val, y in rows:
-            t += 1
-            eta = 1.0 / (lambda_ * t)
-            margin = y * float(w[idx] @ val)
-            w *= 1.0 - eta * lambda_
-            if margin < 1.0:
-                w[idx] += eta * y * val
+    with np.errstate(over="raise", invalid="raise"):  # a tiny lambda can step the weights past the float range
+        for _ in range(epochs):
+            for idx, val, y in rows:
+                t += 1
+                eta = 1.0 / (lambda_ * t)
+                margin = y * float(w[idx] @ val)
+                w *= 1.0 - eta * lambda_
+                if margin < 1.0:
+                    w[idx] += eta * y * val
     weights = {word: float(w[i]) for i, word in enumerate(words) if w[i] != 0.0}
     return SvmModel(weights=weights, bias=0.0, theta=0.0)
 

@@ -51,7 +51,6 @@ from .corpus import (
     attach_metadata,
     default_stopwords,
     ingest_corpus,
-    load_json_object,
     load_stopwords,
     serialize_corpus,
     thread_tokens,  # not called here, but bench/tracing.py rebinds cli.thread_tokens
@@ -76,7 +75,7 @@ from .errors import (
     ParseError,
     RankDeficient,
 )
-from .genmodel import GenerativeSpec, adversarial_spec, make_spec, sample_corpus
+from .genmodel import load_spec, sample_corpus
 from .ranking import (
     RankedList,
     RankWindow,
@@ -167,29 +166,6 @@ def _load_corpus(args, digest: str) -> Corpus:
     return corpus
 
 
-# each spec kind's builder, which holds every default, and the fields a spec file may pass it
-_SPEC_BUILDERS = {
-    "adversarial": (adversarial_spec, ("n", "c", "d", "epsilon", "smalltalk_support_size", "seed")),
-    "uniform": (make_spec, ("n", "num_courses", "epsilon", "p", "s", "support_size",
-                            "smalltalk_support_size", "seed", "training_counts")),
-}
-
-
-def _load_spec(path) -> GenerativeSpec:
-    """A spec by its ``kind``; a file with no kind is the object ``GenerativeSpec.to_json`` writes."""
-    obj = load_json_object(path)
-    kind = obj.get("kind")
-    try:
-        if kind in _SPEC_BUILDERS:
-            build, fields = _SPEC_BUILDERS[kind]
-            return build(**{f: obj[f] for f in fields if f in obj})
-        if kind in ("explicit", None):
-            return GenerativeSpec.from_obj(obj["spec"] if kind else obj)
-    except (KeyError, TypeError) as exc:  # a missing field, or a builder's missing argument
-        raise ParseError(1, f"{kind or 'kind-less'} spec has a missing field: {exc}") from None
-    raise ParseError(1, f"unknown spec kind {kind!r}")
-
-
 def _background_ids(args):
     if not args.background:
         return None
@@ -220,7 +196,7 @@ def _tokens(args) -> TokenTable:
 
 
 def _cmd_gen(args, _corpus) -> dict:
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     if args.counts:
@@ -518,6 +494,7 @@ _fraction = _checked(float, lambda v: 0 < v < 1, "positive and below 1")
 _trim_fraction = _checked(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 _series_length = _checked(int, lambda v: 0 < v <= MAX_SERIES_ROWS, f"positive and at most {MAX_SERIES_ROWS}")
+_series_days = _checked(int, lambda v: 0 <= v <= MAX_SERIES_ROWS, f"non-negative and at most {MAX_SERIES_ROWS}")
 _corpus_name = _checked(str, lambda t: _plain_file_name(t) and t not in ("spec.json", "manifest.json"),
                         "one file name other than spec.json and manifest.json")
 
@@ -631,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", type=_positive_int, default=2)
     p.add_argument("--low", type=_positive_int, default=10)
     p.add_argument("--high", type=int, default=30, help="last warm-up day sampled; at least --low")
-    p.add_argument("--extra-days", type=_non_negative_int, default=5)
+    p.add_argument("--extra-days", type=_series_days, default=5)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("stats", help="activity statistics pipelines")

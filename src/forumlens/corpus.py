@@ -321,9 +321,10 @@ def _finite(value) -> bool:
 
 
 # The most rows a day or step series may have: a course's duration_days (the
-# metadata's D, one series row per day), topics converge --max-days and classify
-# roc --theta-steps.  Convergence takes about 1 ms a day over a 5,000-word
-# vocabulary on a 2-vCPU host, so its longest series takes about 100 s.
+# metadata's D, one series row per day), topics converge --max-days, classify
+# roc --theta-steps and compare --extra-days.  Convergence takes about 1 ms a
+# day over a 5,000-word vocabulary on a 2-vCPU host, so its longest series
+# takes about 100 s.
 MAX_SERIES_ROWS = 100_000
 
 
@@ -696,13 +697,6 @@ class UnigramModel:
         return cls(vocab, mass)
 
     @classmethod
-    def from_probs(cls, probs: dict[str, float]):
-        items = sorted(probs.items())
-        vocab = tuple(w for w, _ in items)
-        mass = np.array([p for _, p in items], dtype=float)
-        return cls(vocab, mass)
-
-    @classmethod
     def uniform(cls, words: Iterable[str]):
         vocab = tuple(sorted(set(words)))
         return cls(vocab, np.full(len(vocab), 1.0 / max(len(vocab), 1)))
@@ -714,14 +708,6 @@ class UnigramModel:
     @property
     def support(self) -> frozenset[str]:
         return frozenset(self.vocab)
-
-
-def unigram_model(docs: Iterable[Sequence[str]]) -> UnigramModel:
-    """Empirical unigram distribution with mass(w) = count(w) / total tokens."""
-    counts: Counter = Counter()
-    for doc in docs:
-        counts.update(doc)
-    return UnigramModel.from_counts(counts)
 
 
 # ---------------------------------------------------------------------------

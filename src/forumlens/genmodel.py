@@ -12,8 +12,11 @@ bit-reproducible across platforms and courses can be sampled in parallel.
 Sampling has one path: ``sample_threads`` draws a course's threads a block at
 a time, and each uniform u becomes a word through a guide table over its CDF
 (Chen & Asau, 1974): exactly the word ``np.searchsorted(cdf, u, side="right")``
-picks, clipped to the last word.  ``sample_thread`` is its one-thread case, and
-``sample_tokens`` draws bare tokens through the same tables.
+picks, clipped to the last word.  ``sample_tokens`` draws bare tokens through
+the same tables.
+
+``load_spec`` reads a spec file: a builder's arguments by spec kind, or the
+object ``GenerativeSpec.to_json`` writes.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, Course, SECONDS_PER_DAY, ThreadLabel, UnigramModel, _ColumnBuilder, read_int, read_list,
-                     read_object, read_real, read_str, sequential_sum)
-from .errors import InvariantViolation
+from .corpus import (Corpus, Course, SECONDS_PER_DAY, ThreadLabel, UnigramModel, _ColumnBuilder, load_json_object,
+                     read_int, read_list, read_object, read_real, read_str, sequential_sum)
+from .errors import InvariantViolation, ParseError
 
 # The largest vocabulary make_spec and adversarial_spec carve: 20 times the
 # 5,000 words of the labeled-text benchmark.
@@ -157,10 +160,6 @@ class GenerativeSpec:
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "GenerativeSpec":
-        return cls.from_obj(json.loads(text))
-
-    @classmethod
     def from_obj(cls, obj) -> "GenerativeSpec":
         """The spec that a decoded ``to_json`` object states."""
         obj = read_object("spec", "spec", obj)
@@ -175,12 +174,6 @@ class GenerativeSpec:
                    smalltalk_topic=unigram("spec", "smalltalk_topic", obj["smalltalk_topic"]),
                    course_topics=read_list("spec", "course_topics", obj["course_topics"], unigram),
                    **{k: obj[k] for k in ("n", "epsilon", "p", "s")}, **{k: obj[k] for k in optional if k in obj})
-
-
-@dataclass(frozen=True)
-class SampledThread:
-    is_smalltalk: bool
-    tokens: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +307,29 @@ def adversarial_spec(
     )
 
 
+# each spec kind's builder, which holds every default, and the fields a spec file may pass it
+_SPEC_BUILDERS = {
+    "adversarial": (adversarial_spec, ("n", "c", "d", "epsilon", "smalltalk_support_size", "seed")),
+    "uniform": (make_spec, ("n", "num_courses", "epsilon", "p", "s", "support_size",
+                            "smalltalk_support_size", "seed", "training_counts")),
+}
+
+
+def load_spec(path) -> GenerativeSpec:
+    """A spec by its ``kind``; a file with no kind is the object ``GenerativeSpec.to_json`` writes."""
+    obj = load_json_object(path)
+    kind = obj.get("kind")
+    try:
+        if kind in _SPEC_BUILDERS:
+            build, fields = _SPEC_BUILDERS[kind]
+            return build(**{f: obj[f] for f in fields if f in obj})
+        if kind in ("explicit", None):
+            return GenerativeSpec.from_obj(obj["spec"] if kind else obj)
+    except (KeyError, TypeError) as exc:  # a missing field, or a builder's missing argument
+        raise ParseError(1, f"{kind or 'kind-less'} spec has a missing field: {exc}") from None
+    raise ParseError(1, f"unknown spec kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -433,12 +449,6 @@ def _course_tables(spec: GenerativeSpec, course: int) -> tuple[np.ndarray, _Tabl
         raise IndexError(f"course {course} out of range")
     vocab = np.asarray(spec.background.vocab, dtype=object)
     return vocab, _tables(token_distribution(spec, None, True)), _tables(token_distribution(spec, course, False))
-
-
-def sample_thread(spec: GenerativeSpec, course: int, rng: np.random.Generator) -> SampledThread:
-    """Sample one thread: flip the p_i coin, then draw s i.i.d. tokens."""
-    is_smalltalk, tokens = next(sample_threads(spec, course, 1, rng))
-    return SampledThread(is_smalltalk, tuple(tokens))
 
 
 def course_rng(spec: GenerativeSpec, course: int) -> np.random.Generator:

@@ -320,8 +320,8 @@ class TestCriterion7FormulaExactness:
 
         # surprise weight
         ranking = surprise_weights(
-            UnigramModel.from_probs({"aa": 0.5, "bb": 0.5}),
-            UnigramModel.from_probs({"aa": 0.9, "bb": 0.1}),
+            UnigramModel(("aa", "bb"), [0.5, 0.5]),
+            UnigramModel(("aa", "bb"), [0.9, 0.1]),
             100,
         )
         gammas = dict(ranking.entries)

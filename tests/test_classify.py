@@ -33,7 +33,7 @@ from forumlens.classify import (
 )
 from forumlens.corpus import TokenTable, ingest_corpus, sequential_sum
 from forumlens.errors import EmptyCorpus, InvariantViolation, MissingClass
-from forumlens.genmodel import adversarial_spec, make_spec, sample_thread, sample_tokens, separating_plane
+from forumlens.genmodel import adversarial_spec, make_spec, sample_threads, sample_tokens, separating_plane
 
 from conftest import chunk_budget
 
@@ -49,7 +49,8 @@ def _encoded(docs):
 
 
 def _sampled(threads):
-    return _encoded([(t.tokens, t.is_smalltalk) for t in threads])
+    """Sampled (small-talk flag, words) threads as encoded docs, and their table."""
+    return _encoded([(words, smalltalk) for smalltalk, words in threads])
 
 
 FOUR_DOCS = [
@@ -178,7 +179,7 @@ class TestSvm:
         # noisy regime: classes overlap so hinge losses are bounded away from 0
         spec = make_spec(n=2000, num_courses=1, epsilon=0.1, p=0.5, s=30, seed=5)
         rng = _rng(2)
-        train, tokens = _sampled([sample_thread(spec, 0, rng) for _ in range(200)])
+        train, tokens = _sampled(sample_threads(spec, 0, 200, rng))
         lam = 1e-3
         svm = train_svm(train, tokens, lambda_=lam, epochs=200, vocab=spec.background.vocab)
         weights, tau = separating_plane(spec)
@@ -199,6 +200,12 @@ class TestSvm:
     def test_missing_class(self):
         with pytest.raises(MissingClass):
             train_svm(*_encoded([(("aa",), True), (("bb",), True)]))
+
+    @pytest.mark.parametrize("lambda_", [1e-308, 1e-310])
+    def test_steps_past_the_float_range_raise(self, lambda_):
+        # a step size of 1/lambda overflows a weight (1e-308), or is infinite and makes one NaN (1e-310)
+        with pytest.raises(FloatingPointError):
+            train_svm(*_encoded(FOUR_DOCS), lambda_=lambda_, epochs=2)
 
 
 class TestEvaluate:
@@ -313,9 +320,9 @@ class TestThreadModelExperiments:
     def test_roc_reaches_good_operating_point(self):
         spec = adversarial_spec(2500, seed=3)
         rng = _rng(8)
-        train = _sampled([sample_thread(spec, 0, rng) for _ in range(250)])
+        train = _sampled(sample_threads(spec, 0, 250, rng))
         svm = train_svm(*train, lambda_=1e-4, epochs=50)
-        test = _sampled([sample_thread(spec, 0, rng) for _ in range(2000)])
+        test = _sampled(sample_threads(spec, 0, 2000, rng))
         sweep = roc_sweep(svm, *test, np.linspace(-3, 3, 61).tolist())
         assert any(r.tpr >= 0.95 and r.fpr <= 0.05 for _, r in sweep)
 
@@ -329,7 +336,7 @@ class TestThreadModelExperiments:
         )
         vocab = spec.background.vocab
         rng0 = _rng(999)
-        ample_docs, ample_tokens = _sampled([sample_thread(spec, 1, rng0) for _ in range(2000)])
+        ample_docs, ample_tokens = _sampled(sample_threads(spec, 1, 2000, rng0))
         ample = train_nb_docs(ample_docs, ample_tokens, pseudocount=1.0, vocab=vocab)
 
         def fpr(model, rng, n_eval=60):
@@ -346,8 +353,7 @@ class TestThreadModelExperiments:
         ge = total = 0
         for seed in range(40):
             rng = _rng(seed)
-            pooled = [sample_thread(spec, 0, rng) for _ in range(4)]
-            pooled += [sample_thread(spec, 1, rng) for _ in range(4)]
+            pooled = [*sample_threads(spec, 0, 4, rng), *sample_threads(spec, 1, 4, rng)]
             try:
                 aggregate = train_nb_docs(*_sampled(pooled), pseudocount=1.0, vocab=vocab)
             except MissingClass:
@@ -382,7 +388,7 @@ def _oracle_fpr_trials(spec, trials, eval_negatives, pseudocount, seed, course=0
     results = []
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.Generator(np.random.PCG64(child))
-        docs, tokens = _sampled([sample_thread(spec, course, rng) for _ in range(b)])
+        docs, tokens = _sampled(sample_threads(spec, course, b, rng))
         try:
             model = train_nb_docs(docs, tokens, pseudocount=pseudocount, vocab=spec.background.vocab)
         except MissingClass:
@@ -402,14 +408,13 @@ def _oracle_errors(spec, svm, n_eval, svm_training_threads, seed, course=0):
     plane = SvmModel(weights=weights, bias=0.0, theta=tau)
     train_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
     train_rng, eval_rng = (np.random.Generator(np.random.PCG64(ss)) for ss in (train_ss, eval_ss))
-    train = [sample_thread(spec, course, train_rng) for _ in range(svm_training_threads)]
+    train = list(sample_threads(spec, course, svm_training_threads, train_rng))
     # the svm is retrained on the same draws: its weights must be the function's
     assert train_svm(*_sampled(train), lambda_=1e-4, epochs=3).weights == svm.weights
     errors = [0, 0]
-    for _ in range(n_eval):
-        thread = sample_thread(spec, course, eval_rng)
+    for smalltalk, words in sample_threads(spec, course, n_eval, eval_rng):
         for i, model in enumerate((plane, svm)):
-            if (model.score(thread.tokens) > model.theta) != thread.is_smalltalk:
+            if (model.score(words) > model.theta) != smalltalk:
                 errors[i] += 1
     return errors[0] / n_eval, errors[1] / n_eval
 

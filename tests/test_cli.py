@@ -980,6 +980,15 @@ class TestBadInput:
              _META_HEADER + _META_ROW.replace("course00,0,", f"course00,{10**400},"), 3, "InvariantViolation"),
             (["stats", "series", "--threads", "CORPUS", "--meta", "FILE"],
              _META_HEADER + _META_ROW.replace("HumanitiesSocial", "x" * 200_000), 3, "ParseError"),
+            # SVM steps past the float range, and more extra warm-up days than a series may have
+            (["classify", "train", "--threads", "CORPUS", "--algo", "svm", "--lambda", "1e-308", "--epochs", "2"],
+             None, 4, "FloatingPointError"),
+            (["classify", "train", "--threads", "CORPUS", "--algo", "svm", "--lambda", "1e-310", "--epochs", "2"],
+             None, 4, "FloatingPointError"),
+            (["compare", "--threads", "CORPUS", "--course", "course00", "--high", str(2**62), "--extra-days",
+              str(10**12)], None, 2, "ConfigError"),
+            (["--config", "FILE", "compare", "--threads", "CORPUS", "--course", "course00"],
+             '{"extra_days": %d}' % (MAX_SERIES_ROWS + 1), 2, "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -1025,7 +1034,9 @@ class TestBadInput:
              "moving-avg-alpha-overflows", "theta-steps-beyond-limit", "converge-max-days-beyond-limit",
              "config-max-days-beyond-limit", "meta-duration-beyond-limit",
              "trend-days-from-data-beyond-limit", "converge-days-from-data-beyond-limit", "meta-hours-overflow-panel",
-             "meta-factor-beyond-float", "meta-start-beyond-float", "meta-field-beyond-csv-limit"],
+             "meta-factor-beyond-float", "meta-start-beyond-float", "meta-field-beyond-csv-limit",
+             "svm-training-overflows", "svm-training-step-infinite", "extra-days-beyond-limit",
+             "config-extra-days-beyond-limit"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -1572,6 +1583,25 @@ def test_only_main_reads_the_out_dir():
             if any(isinstance(n, ast.Attribute) and n.attr == "out" for n in ast.walk(func)):
                 readers.add(getattr(func, "name", "<lambda>"))
     assert readers == {"main"}
+
+
+def test_cli_names_no_spec_kind_or_builder():
+    """gen reads its spec through genmodel.load_spec, which holds the spec kinds and their builders."""
+    from forumlens.genmodel import _SPEC_BUILDERS
+
+    spec_names = {"GenerativeSpec", "_SPEC_BUILDERS", "explicit", *_SPEC_BUILDERS}
+    spec_names |= {build.__name__ for build, _ in _SPEC_BUILDERS.values()}
+    named = set()
+    for node in ast.walk(ast.parse(Path(forumlens.cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    assert not named & spec_names
 
 
 def _refuse_constant(name):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from forumlens.corpus import (
     ingest_corpus,
     serialize_corpus,
     tokenize,
-    unigram_model,
     write_metadata_csv,
 )
 from forumlens.errors import EmptyCorpus, InvariantViolation, ParseError
@@ -238,17 +238,17 @@ class TestTokenize:
 
 class TestUnigramModel:
     def test_direct_counts(self):
-        model = unigram_model([["aa", "aa", "bb"]])
+        model = UnigramModel.from_counts(Counter(["aa", "aa", "bb"]))
         assert model.prob("aa") == pytest.approx(2 / 3)
         assert model.prob("bb") == pytest.approx(1 / 3)
 
     def test_symmetry_across_docs(self):
-        model = unigram_model([["aa"], ["bb"]])
+        model = UnigramModel.from_counts(Counter(w for doc in (["aa"], ["bb"]) for w in doc))
         assert model.prob("aa") == model.prob("bb") == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCorpus):
-            unigram_model([[]])
+            UnigramModel.from_counts(Counter())
 
     def test_sampled_masses_near_truth(self):
         # independent oracle: count a fresh sample drawn from a known law;
@@ -256,7 +256,7 @@ class TestUnigramModel:
         truth = {"aa": 0.4, "bb": 0.3, "cc": 0.2, "dd": 0.06, "ee": 0.04}
         rng = np.random.Generator(np.random.PCG64(1))
         tokens = rng.choice(list(truth), size=1000, p=list(truth.values())).tolist()
-        est = unigram_model([tokens])
+        est = UnigramModel.from_counts(Counter(tokens))
         for word, p in truth.items():
             if p >= 0.05:
                 assert abs(est.prob(word) - p) <= 0.05
@@ -270,7 +270,7 @@ class TestUnigramModel:
         )
     )
     def test_masses_sum_to_one(self, docs):
-        model = unigram_model(docs)
+        model = UnigramModel.from_counts(Counter(w for doc in docs for w in doc))
         assert abs(float(model.mass.sum()) - 1.0) <= 1e-9
         assert (model.mass > 0).all()
         assert list(model.vocab) == sorted(model.vocab)

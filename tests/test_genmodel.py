@@ -21,12 +21,12 @@ from forumlens.genmodel import (
     MAX_SAMPLE_SIZE,
     MAX_VOCABULARY,
     GenerativeSpec,
-    SampledThread,
     adversarial_spec,
+    load_spec,
     make_spec,
     marginal_token_mass,
     sample_corpus,
-    sample_thread,
+    sample_threads,
     sample_tokens,
     separating_plane,
     token_distribution,
@@ -83,9 +83,18 @@ class TestSpecConstruction:
     def test_json_round_trip(self):
         spec = make_spec(n=300, num_courses=2, epsilon=0.4, p=(0.2, 0.9), s=25, seed=17,
                          training_counts=(5, 5))
-        again = GenerativeSpec.from_json(spec.to_json())
-        assert again.to_json() == spec.to_json()
         assert GenerativeSpec.from_obj(json.loads(spec.to_json())).to_json() == spec.to_json()
+
+    def test_load_spec_reads_every_kind(self, tmp_path):
+        spec = make_spec(n=300, num_courses=2, epsilon=0.4, p=(0.2, 0.9), s=25, seed=17)
+        written = json.loads(spec.to_json())
+        path = tmp_path / "spec.json"
+        for obj in (written, {"kind": "explicit", "spec": written},
+                    {"kind": "uniform", "n": 300, "num_courses": 2, "epsilon": 0.4, "p": [0.2, 0.9], "s": 25, "seed": 17}):
+            path.write_text(json.dumps(obj))
+            assert load_spec(path).to_json() == spec.to_json()
+        path.write_text('{"kind": "adversarial", "n": 400, "seed": 3}')
+        assert load_spec(path).to_json() == adversarial_spec(400, seed=3).to_json()
 
     def test_from_obj_refuses_a_non_object(self):
         with pytest.raises(InvariantViolation, match="spec must be an object"):
@@ -118,7 +127,7 @@ class TestSpecConstruction:
         assert sample_corpus(spec, [2, 1]).num_threads == 3
         stored = (spec.n, spec.s, spec.seed, *spec.s_per_course, *spec.training_counts)
         assert [type(v) for v in stored] == [int] * 7
-        again = GenerativeSpec.from_json(spec.to_json())
+        again = GenerativeSpec.from_obj(json.loads(spec.to_json()))
         assert again.to_json() == spec.to_json()
         assert (again.n, again.s, again.seed, again.s_per_course, again.training_counts) == (200, 10, 3, (4, 1), (0, 2))
 
@@ -271,7 +280,7 @@ class TestSamplingTables:
     def test_course_out_of_range(self, course):
         spec = make_spec(n=200, num_courses=2, epsilon=0.3, p=0.5, s=20)
         with pytest.raises(IndexError, match="out of range"):
-            sample_thread(spec, course, _rng(0))
+            next(sample_threads(spec, course, 1, _rng(0)))
 
     @pytest.mark.parametrize("smalltalk", [False, True])
     @pytest.mark.parametrize("course", [-1, 2])
@@ -354,8 +363,8 @@ class TestGuideTable:
     def test_a_thread_at_a_time_reads_the_block_stream(self):
         spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=0.4, s=30, seed=2)
         rng = _rng(5)
-        one_by_one = [sample_thread(spec, 0, rng) for _ in range(50)]
-        blocks = [SampledThread(flag, tuple(words)) for flag, words in genmodel.sample_threads(spec, 0, 50, _rng(5))]
+        one_by_one = [next(sample_threads(spec, 0, 1, rng)) for _ in range(50)]
+        blocks = list(sample_threads(spec, 0, 50, _rng(5)))
         assert one_by_one == blocks
 
 
@@ -365,10 +374,9 @@ class TestSampling:
         rng = _rng(0)
         counts = Counter()
         labels = set()
-        for _ in range(600):
-            t = sample_thread(spec, 0, rng)
-            labels.add(t.is_smalltalk)
-            counts.update(t.tokens)
+        for smalltalk, tokens in sample_threads(spec, 0, 600, rng):
+            labels.add(smalltalk)
+            counts.update(tokens)
         assert labels == {True, False}
         obs = np.array([counts.get(w, 0) for w in spec.background.vocab])
         expected = spec.background.mass * obs.sum()
@@ -377,7 +385,7 @@ class TestSampling:
     def test_p_one_forces_smalltalk(self):
         spec = make_spec(n=200, num_courses=1, epsilon=0.3, p=1.0, s=20, seed=2)
         rng = _rng(1)
-        assert all(sample_thread(spec, 0, rng).is_smalltalk for _ in range(100))
+        assert all(smalltalk for smalltalk, _ in sample_threads(spec, 0, 100, rng))
 
     def test_smalltalk_support_frequency(self):
         # Supp(T0) hit rate within small-talk threads vs the analytic mixture
@@ -387,12 +395,11 @@ class TestSampling:
         q = spec.epsilon + (1 - spec.epsilon) * bg_mass
         rng = _rng(3)
         hits = total = 0
-        for _ in range(10_000):
-            t = sample_thread(spec, 0, rng)
-            if not t.is_smalltalk:
+        for smalltalk, tokens in sample_threads(spec, 0, 10_000, rng):
+            if not smalltalk:
                 continue
-            hits += sum(1 for tok in t.tokens if tok in support)
-            total += len(t.tokens)
+            hits += sum(1 for tok in tokens if tok in support)
+            total += len(tokens)
         sigma = math.sqrt(q * (1 - q) / total)
         assert abs(hits / total - q) <= 3 * sigma
 
@@ -400,8 +407,8 @@ class TestSampling:
         spec = make_spec(n=500, num_courses=2, epsilon=0.3, p=0.35, s=100, seed=3)
         rng = _rng(4)
         counts = Counter()
-        for _ in range(1200):
-            counts.update(sample_thread(spec, 0, rng).tokens)
+        for _, tokens in sample_threads(spec, 0, 1200, rng):
+            counts.update(tokens)
         total = sum(counts.values())
         assert total >= 100_000
         obs = np.array([counts.get(w, 0) for w in spec.background.vocab])
@@ -571,9 +578,7 @@ class TestSeparatingPlane:
         assert weights == {} and tau > 0
         plane = SvmModel(weights, 0.0, tau)
         rng = _rng(7)
-        assert all(
-            plane.score(sample_thread(spec, 0, rng).tokens) <= tau for _ in range(200)
-        )
+        assert all(plane.score(tokens) <= tau for _, tokens in sample_threads(spec, 0, 200, rng))
 
     def test_low_error_when_s_eps_large(self):
         # s * eps = 20 ln n concentrates scores on both sides of tau
@@ -584,9 +589,8 @@ class TestSeparatingPlane:
         plane = SvmModel(weights, 0.0, tau)
         rng = _rng(10)
         errors = 0
-        for _ in range(10_000):
-            t = sample_thread(spec, 0, rng)
-            if (plane.score(t.tokens) > tau) != t.is_smalltalk:
+        for smalltalk, tokens in sample_threads(spec, 0, 10_000, rng):
+            if (plane.score(tokens) > tau) != smalltalk:
                 errors += 1
         assert errors / 10_000 <= 0.01
 
@@ -600,7 +604,7 @@ class TestSeparatingPlane:
         expected = s * (1 + c0) * eps
         q = eps + (1 - eps) * bg_mass
         rng = _rng(11)
-        scores = [plane.score(sample_thread(spec, 0, rng).tokens) for _ in range(10_000)]
+        scores = [plane.score(tokens) for _, tokens in sample_threads(spec, 0, 10_000, rng)]
         sd_mean = math.sqrt(s * q * (1 - q) / len(scores))
         assert abs(np.mean(scores) - expected) <= 3 * sd_mean
 
@@ -623,9 +627,10 @@ class TestSeparatingPlane:
         plane = SvmModel(weights)
         rng = _rng(13)
         pos, neg = [], []
-        while min(len(pos), len(neg)) < 400:
-            t = sample_thread(spec, 0, rng)
-            (pos if t.is_smalltalk else neg).append(plane.score(t.tokens))
+        for smalltalk, tokens in sample_threads(spec, 0, 10_000, rng):  # until each side has 400
+            (pos if smalltalk else neg).append(plane.score(tokens))
+            if min(len(pos), len(neg)) >= 400:
+                break
         deciles = np.linspace(0.1, 0.9, 9)
         assert (np.quantile(pos, deciles) >= np.quantile(neg, deciles)).all()
 

@@ -62,8 +62,7 @@ def test_every_refused_pair_is_listed():
 
 def test_every_spec_and_model_field_is_listed(tmp_path):
     from forumlens.classify import NbModel, SvmModel, save_model
-    from forumlens.cli import _SPEC_BUILDERS
-    from forumlens.genmodel import make_spec
+    from forumlens.genmodel import _SPEC_BUILDERS, make_spec
 
     # each kind's name and the fields it reads: a builder's fields, and the keys that
     # GenerativeSpec.to_json and save_model write, nested models included

@@ -41,21 +41,21 @@ class TestSurpriseWeights:
         assert all(g == pytest.approx(1.0) for _, g in ranking.entries)
 
     def test_two_word_formula(self):
-        course = UnigramModel.from_probs({"aa": 0.9, "bb": 0.1})
-        combined = UnigramModel.from_probs({"aa": 0.5, "bb": 0.5})
+        course = UnigramModel(("aa", "bb"), [0.9, 0.1])
+        combined = UnigramModel(("aa", "bb"), [0.5, 0.5])
         ranking = surprise_weights(combined, course, 100)
         gammas = dict(ranking.entries)
         assert gammas["aa"] == pytest.approx(12.728, abs=5e-4)
         assert gammas["bb"] == pytest.approx(1.414, abs=5e-4)
 
     def test_missing_word_in_combined(self):
-        course = UnigramModel.from_probs({"aa": 1.0})
-        combined = UnigramModel.from_probs({"bb": 1.0})
+        course = UnigramModel(("aa",), [1.0])
+        combined = UnigramModel(("bb",), [1.0])
         with pytest.raises(DomainMismatch):
             surprise_weights(combined, course, 10)
 
     def test_zero_background_tokens(self):
-        model = UnigramModel.from_probs({"aa": 1.0})
+        model = UnigramModel(("aa",), [1.0])
         with pytest.raises(EmptyCorpus):
             surprise_weights(model, model, 0)
 
