@@ -13,6 +13,8 @@ command reproduces byte-identical artifacts.
 ``main`` keeps the last corpus it parsed, keyed by the SHA-256 of its file,
 and the next command on a file with that digest reuses it, together with the
 token tables the commands before it built over that corpus, one per text view.
+The two views of one stopword set are siblings that share a vocabulary and
+rows, so ``--exclude-staff`` splits only the threads that have a staff post.
 
 ``main`` parses argv once with every default set aside, so the parsed flags
 are exactly the given ones.  It then fills each unset flag from ``--config``,
@@ -174,12 +176,14 @@ def _background_ids(args):
 
 def _table(stopwords: frozenset[str], include_staff: bool) -> TokenTable:
     """The token table of one text view over the command's corpus: the one kept with the corpus
-    in _PARSED, built on first use, or a new one when the slot is empty (the corpus changed
+    in _PARSED, built on first use (as a sibling of the other staff choice's table of the same
+    stopword set, if there is one), or a new one when the slot is empty (the corpus changed
     during its parse and is not kept)."""
     tables = next((tables for _, tables in _PARSED.values()), {})
     key = (stopwords, include_staff)
     if key not in tables:
-        tables[key] = TokenTable(stopwords, include_staff)
+        other = tables.get((stopwords, not include_staff))
+        tables[key] = TokenTable(stopwords, include_staff) if other is None else other.sibling(include_staff)
     return tables[key]
 
 
@@ -253,6 +257,8 @@ def _cmd_classify_eval(args, corpus) -> dict:
 def _cmd_classify_roc(args, corpus) -> dict:
     if args.theta_max < args.theta_min:
         raise ConfigError(f"--theta-max {args.theta_max} is below --theta-min {args.theta_min}")
+    if not math.isfinite(args.theta_max - args.theta_min):
+        raise ConfigError(f"--theta-max {args.theta_max} minus --theta-min {args.theta_min} is past the float range")
     tokens = _tokens(args)
     model = load_model(args.model)
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps).tolist()

@@ -33,10 +33,14 @@ per text view between the commands on one corpus.  It reads thread rows
 straight from the columns through ``split_words``, and has one read form:
 ``ids`` splits a thread row once and keeps its ids, and ``counts`` totals
 the ids of a course's rows through ``id_counts``; so a thread is split at
-most once while the table lives, whichever pipelines read it.  All four
-text scores (topical and tf-idf ranking, naive Bayes, the SVM) sum their
-terms over token-id rows through one kernel here: ``token_sums`` (a weight
-per token) or ``term_sums`` (count times weight per distinct id).
+most once while the table lives, whichever pipelines read it.  The views of
+one stopword set (staff posts included or dropped, the second made by
+``TokenTable.sibling``) share a vocabulary and a row store keyed by the text
+a row reads, so the staff-dropping view splits only the threads that have a
+staff post.  All four text scores (topical and tf-idf ranking, naive Bayes,
+the SVM) sum their terms over token-id rows through one kernel here:
+``token_sums`` (a weight per token) or ``term_sums`` (count times weight per
+distinct id).
 
 Two decoding passes: ``ingest_corpus`` first decodes each line with ``orjson``,
 which takes about half of ``json.loads``'s time.  Where it decodes a line, its
@@ -64,6 +68,7 @@ bytes.  ``tests/corpus_oracle.serialize_corpus`` calls ``json.dumps`` itself.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -384,11 +389,21 @@ class Course:
         course._fill(course_id, start_date, columns, factors, category)
         return course
 
-    def _fill(self, course_id, start_date, columns, factors, category) -> None:
+    def _with_metadata(self, start_date, factors, category) -> "Course":
+        """This course's threads under ``start_date``, ``factors`` and ``category``; its columns
+        passed every check already, so only the start date is checked."""
+        course = Course.__new__(Course)
+        course._set(self.course_id, start_date, self.columns, factors, category)
+        return course
+
+    def _set(self, course_id, start_date, columns, factors, category) -> None:
         self.__dict__.update(course_id=course_id, start_date=start_date, columns=columns, factors=factors,
                              category=category)
         if not _finite(start_date):  # day_indices takes any integer, stats moving-avg a float of elapsed time
             raise InvariantViolation(course_id, "start_date must be finite as a float")
+
+    def _fill(self, course_id, start_date, columns, factors, category) -> None:
+        self._set(course_id, start_date, columns, factors, category)
         dup = _first_duplicate(columns.thread_ids)
         if dup is not None:
             raise InvariantViolation(course_id, f"duplicate thread id {dup!r}")
@@ -505,11 +520,17 @@ class TokenTable:
     one map takes every word seen to its id, or to -1 for a dropped word.
     Tokens are stored in their original order as int32 ids into the table's
     vocabulary ``index``, which grows in order of first appearance.  Rows are
-    kept per columns object (columns hash by identity), so the table holds
-    each columns it has read; ``counts`` totals kept rows.  A table may serve
-    many commands (``cli.main`` keeps one per text view with the corpus it
-    parsed), so an id depends on what was read before: no result may depend
-    on the numbering, and the pipelines break ties by word and sort their
+    kept per columns object (columns hash by identity) and per text read: a
+    row's all-posts text, or the staff-free text of a row with a staff post.
+    A staff-dropping table reads a row without one as its all-posts text; it
+    finds those rows in one pass over the columns' staff flags, kept.
+    ``sibling`` makes the view of the other staff choice, which shares the
+    vocabulary, the word map and the rows: the staff-dropping view splits only
+    threads that have a staff post.  ``counts`` totals kept rows.  A table may
+    serve many commands (``cli.main`` keeps one per text view with the corpus
+    it parsed), so an id depends on what this table and its siblings read
+    before, and ``len`` counts their words too: no result may depend on the
+    numbering, and the pipelines break ties by word and sort their
     vocabularies.
     """
 
@@ -518,7 +539,16 @@ class TokenTable:
         self.include_staff = include_staff
         self.index: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
-        self._rows: dict[ThreadColumns, dict[int, np.ndarray]] = {}
+        # rows by (columns, whether the text read includes staff posts)
+        self._rows: dict[tuple[ThreadColumns, bool], dict[int, np.ndarray]] = {}
+        self._staffed: dict[ThreadColumns, list[bool]] = {}
+
+    def sibling(self, include_staff: bool) -> TokenTable:
+        """A view of this table's stopword set that reads ``include_staff`` and shares everything
+        else with this table: its vocabulary, word map, rows and staff flags."""
+        view = copy.copy(self)
+        view.include_staff = include_staff
+        return view
 
     def __len__(self) -> int:
         return len(self.index)
@@ -536,11 +566,20 @@ class TokenTable:
 
     def ids(self, columns: ThreadColumns, row: int) -> np.ndarray:
         """Thread ``row`` of ``columns`` as token ids."""
-        rows = self._rows.setdefault(columns, {})
+        all_posts = self.include_staff or not self._staff_rows(columns)[row]
+        rows = self._rows.setdefault((columns, all_posts), {})
         ids = rows.get(row)
         if ids is None:
             ids = rows[row] = self._tokenize(columns, row)
         return ids
+
+    def _staff_rows(self, columns: ThreadColumns) -> list[bool]:
+        """Whether each thread row of ``columns`` has a staff post, from one pass over its posts."""
+        staffed = self._staffed.get(columns)
+        if staffed is None:
+            before = np.concatenate(([0], np.cumsum(columns.is_staff)))  # staff posts before each post row
+            staffed = self._staffed[columns] = (np.diff(before[columns.offsets]) > 0).tolist()
+        return staffed
 
     def _tokenize(self, columns: ThreadColumns, row: int) -> np.ndarray:
         """Thread ``row`` of ``columns`` read and tokenized: the table's one path from text to ids."""
@@ -937,7 +976,7 @@ def attach_metadata(corpus: Corpus, path) -> Corpus:
     courses = []
     for c in corpus.courses:
         start_date, factors, category = meta.pop(c.course_id, (c.start_date, c.factors, c.category))
-        courses.append(Course._from_columns(c.course_id, start_date, c.columns, factors, category))
+        courses.append(c._with_metadata(start_date, factors, category))
     courses += [Course(course_id, start_date, (), factors, category)
                 for course_id, (start_date, factors, category) in meta.items()]
     return Corpus(tuple(courses))

@@ -989,6 +989,10 @@ class TestBadInput:
               str(10**12)], None, 2, "ConfigError"),
             (["--config", "FILE", "compare", "--threads", "CORPUS", "--course", "course00"],
              '{"extra_days": %d}' % (MAX_SERIES_ROWS + 1), 2, "ConfigError"),
+            # a threshold span past the float range
+            (["classify", "roc", "--threads", "CORPUS", "--model", "FILE", "--theta-min", "-1e308",
+              "--theta-max", "1e308"], '{"kind": "svm", "weights": {"aa": 1.0}, "bias": 0, "theta": 0}', 2,
+             "ConfigError"),
         ],
         ids=["compare-unknown-course", "topics-unknown-course", "model-unknown-kind",
              "model-missing-field", "model-not-an-object", "spec-missing-field",
@@ -1036,7 +1040,7 @@ class TestBadInput:
              "trend-days-from-data-beyond-limit", "converge-days-from-data-beyond-limit", "meta-hours-overflow-panel",
              "meta-factor-beyond-float", "meta-start-beyond-float", "meta-field-beyond-csv-limit",
              "svm-training-overflows", "svm-training-step-infinite", "extra-days-beyond-limit",
-             "config-extra-days-beyond-limit"],
+             "config-extra-days-beyond-limit", "roc-theta-span-beyond-float"],
     )
     def test_exit_code_and_error_object(self, tmp_path, gen_corpus, capsys, argv, text, code, error):
         path = tmp_path / "input"
@@ -1406,11 +1410,55 @@ class TestParsedCorpus:
                                    ["--stopwords", str(files["c"])], ["--stopwords", str(files["a"]),
                                                                       "--exclude-staff"]]):
             assert main([*train, *flags, "--out", str(tmp_path / str(i))]) == 0
-        ((_, tables),) = forumlens.cli._PARSED.values()
+        ((corpus, tables),) = forumlens.cli._PARSED.values()
         ab, c = frozenset({"w000", "w001"}), frozenset({"w000"})
         assert list(tables) == [(ab, True), (c, True), (ab, False)]
-        assert {(stopwords, staff) for stopwords, staff, _ in reads} == set(tables)
+        assert tables[ab, False].index is tables[ab, True].index  # one vocabulary per stopword set
+        # gen_corpus has no staff post, so the staff-dropping view reads every row from a's rows
+        assert not any(course.columns.is_staff.any() for course in corpus.courses)
+        assert {(stopwords, staff) for stopwords, staff, _ in reads} == {(ab, True), (c, True)}
         assert max(reads.values()) == 1  # b's run read nothing: a's table had every row
+
+    @pytest.fixture
+    def staffed_corpus(self, tmp_path, gen_corpus):
+        """gen_corpus with a reply on two threads of every three: a staff post, then a student's."""
+        lines = []
+        for i, line in enumerate(gen_corpus.read_text().splitlines()):
+            thread = json.loads(line)
+            if i % 3 < 2:
+                thread["posts"].append({"post_id": "reply", "author_id": "ta" if i % 3 == 0 else "peer",
+                                        "timestamp": thread["posts"][-1]["timestamp"] + 1,
+                                        "text": "office hours w002", "is_staff": i % 3 == 0})
+            lines.append(json.dumps(thread) + "\n")
+        path = tmp_path / "staffed.jsonl"
+        path.write_text("".join(lines))
+        return path
+
+    def test_exclude_staff_splits_only_threads_with_a_staff_post(self, tmp_path, staffed_corpus, monkeypatch):
+        """After classify train has read every row, compare --exclude-staff splits once each thread
+        that it reads and that has a staff post, and no other text."""
+        forumlens.cli._PARSED.clear()
+        reads, splits = self._reads(monkeypatch), self._splits(monkeypatch)
+        threads = ["--threads", str(staffed_corpus)]
+        assert main(["classify", "train", *threads, "--algo", "svm", "--epochs", "2",
+                     "--out", str(tmp_path / "svm")]) == 0
+        corpus = ingest_corpus(staffed_corpus)
+        stopwords = forumlens.corpus.default_stopwords()
+        assert set(reads) == {(stopwords, True, tid) for c in corpus.courses for tid in c.columns.thread_ids}
+        reads.clear()
+        splits.clear()
+        assert main(["compare", *threads, "--course", "course00", "--exclude-staff", "--low", "1", "--high", "2",
+                     "--extra-days", "1", "--query", "1", "--out", str(tmp_path / "cmp")]) == 0
+        # the keyword fit reads the background, and the course through the last warm-up day
+        course = corpus.course("course00")
+        days = sample_query_days(1, 2, 1, seed=0)
+        course_days = day_indices(course.columns.created_at, course.start_date).tolist()
+        read = set(corpus.course("course01").columns.thread_ids)
+        read |= {tid for tid, d in zip(course.columns.thread_ids, course_days) if d <= max(days)}
+        staffed = {t.thread_id for c in corpus.courses for t in c.threads if any(p.is_staff for p in t.posts)}
+        assert 0 < len(read & staffed) < len(read)
+        assert reads == Counter({(stopwords, False, tid): 1 for tid in read & staffed})
+        assert len(splits) == len(read & staffed)
 
     def test_threads_miss_drops_the_tables(self, tmp_path, gen_corpus, tiny_jsonl):
         forumlens.cli._PARSED.clear()

@@ -499,7 +499,7 @@ class TestTokenizeOnce:
         tfidf_rank(threads, threads, tokens=table)
         tfidf_rank(threads, _some(threads, 0, 1), tokens=table)
         assert calls == {f"t{i}": 1 for i in range(5)}
-        assert list(table._rows) == [threads.columns]
+        assert list(table._rows) == [(threads.columns, True)]  # one store: the columns' all-posts texts
 
 
 class TestNoiseDiscrimination:

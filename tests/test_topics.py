@@ -526,6 +526,44 @@ class TestTableMatchesThreadTokens:
         assert list(table.index) == list(oracle.index)
 
 
+class TestSiblingViews:
+    """A table and its sibling of the other staff choice read every row as a fresh standalone
+    table of their stopwords and staff choice reads it, whichever view reads a row first.  They
+    share one vocabulary and one row store: a text is split once, so a row without a staff post
+    once for both views."""
+
+    # a row read: (through the second view, course, row)
+    _reads = st.lists(st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 4)), max_size=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_text_courses(), st.frozensets(st.sampled_from(["the", "zz", "42", "kelvin", "x1", "caf\u00e9"])),
+           st.booleans(), _reads)
+    def test_rows_equal_a_standalone_table(self, courses, stopwords, first_staff, reads):
+        first = TokenTable(stopwords, first_staff)
+        views = {first_staff: first, not first_staff: first.sibling(not first_staff)}
+        assert views[False].index is views[True].index
+        fresh = {staff: TokenTable(stopwords, staff) for staff in (True, False)}
+        splits = 0
+
+        def read(staff, columns, row):
+            nonlocal splits
+            expected = [list(fresh[staff].index)[i] for i in fresh[staff].ids(columns, row).tolist()]
+            with mock.patch.object(TokenTable, "_tokenize", autospec=True, side_effect=TokenTable._tokenize) as split:
+                ids = views[staff].ids(columns, row).tolist()
+            splits += split.call_count
+            assert [list(views[staff].index)[i] for i in ids] == expected
+
+        for second, c, row in reads:
+            if c < len(courses) and row < courses[c].num_threads:
+                read(first_staff != second, courses[c].columns, row)
+        rows = [(course, row) for course in courses for row in range(course.num_threads)]
+        for course, row in rows:
+            for staff in (True, False):
+                read(staff, course.columns, row)
+        staffed = [(c, row) for c, row in rows if any(p.is_staff for p in c.threads[row].posts)]
+        assert splits == len(rows) + len(staffed)
+
+
 # a capital sigma lowers to a final sigma at a word's end, and str.lower reads the letters around it
 _COUNT_WORDS = [*_TEXT_WORDS, "ΟΔΟΣ", "ΣΑΣ", "Σ", "xΣ"]
 
